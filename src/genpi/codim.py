@@ -6,6 +6,17 @@ x_{sigma(n)} w_{in}.  Their evaluations at basis tuples of A form the
 evaluation matrix; its rank is the n-th codimension and its left kernel is
 the space of multilinear identities of degree n.
 
+One exact integer generator, _iter_rows_int, produces every evaluation
+row.  The rows of the identity permutation (master rows) are contractions
+of the transfer operators of the coefficient slots against the structure
+constants of A in Python integers; every other permutation reuses them by
+relabelling tuple positions, a numpy digit permutation of the column
+indices.  Each row comes with its positive scale: the integer row has
+coprime entries and equals the scale times the exact rational row, so the
+rank needs only the integers and the rational matrix and kernel divide the
+scale back out.  Rows with entries beyond int64 go to the exact integer
+elimination instead of the numpy fast path.
+
 Consequence spans realize the multilinear degree-n part of the ideal
 generated by a set of identities under substitutions, two-sided monomial
 multiplication and coefficient multiplication; generating-set verification
@@ -23,17 +34,17 @@ the rank while the truncation dimension stays exponential.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import gcd
+from itertools import permutations, product
+from math import gcd, lcm
 
 import numpy as np
 
 from ._fastrank import FastIntRowSpace, IntOverflow
 from .actions import Action, grassmann_action
 from .algebras import StructureAlgebra
-from .errors import BasisMismatch, BudgetExceeded, InternalError
+from .errors import BasisMismatch, BudgetExceeded, InternalError, NotSplit
 from .linalg import IntRowEchelon, Subspace, _row_to_int, echelon_from_fraction_rows
 from .polynomials import (
     GenMonomial,
@@ -50,6 +61,8 @@ from .structure import pi_exponent
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_INT64_LIMIT = 1 << 63
 
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
@@ -71,12 +84,13 @@ def _check_budget(rows: int, cols: int):
 
 @dataclass
 class EvaluationMatrix:
-    """Sparse evaluation matrix in deterministic (perm, coeffs) row order.
+    """Materialized evaluation matrix in deterministic (perm, coeffs) row
+    order.
 
-    Columns are indexed by (basis tuple rank, output coordinate); entries
-    are integers after per-row denominator clearing is NOT applied: the raw
-    rational entries are stored exactly (int-valued for all builtin
-    algebras)."""
+    Column tuple_rank * dim + k holds output coordinate k at the basis tuple
+    of that rank.  Each row is stored as its exact rational entries
+    {col: Fraction}: the integer row of _iter_rows_int divided by the row's
+    positive scale."""
 
     action: Action
     n: int
@@ -88,103 +102,90 @@ class EvaluationMatrix:
         return self.row_data[i]
 
 
-def _composite_ops(h: Action, coeffs):
-    """Left-to-right transfer operators of a monomial with the given
-    coefficient slots: D_1 = lambda_{i0} o rho_{i1}, D_t = rho_{it}."""
-    mats = [h.pairs[coeffs[0]].L.matrix.matmul(h.pairs[coeffs[1]].R.matrix)]
-    for t in range(2, len(coeffs)):
-        mats.append(h.pairs[coeffs[t]].R.matrix)
-    return mats
+def _int_matrix(M):
+    """(integer object array, positive denominator) whose quotient is M."""
+    den = 1
+    for r in M.iter_rows():
+        for v in r.values():
+            den = lcm(den, v.denominator)
+    out = np.zeros((M.nrows, M.ncols), dtype=object)
+    for i, r in enumerate(M.iter_rows()):
+        for j, v in r.items():
+            out[i, j] = v.numerator * (den // v.denominator)
+    return out, den
 
 
-def _master_row(h: Action, n: int, coeffs) -> dict:
-    """Evaluation row of the identity-permutation monomial with the given
-    coefficients: {(tuple_rank, out_coord) as flat col: value}."""
+def _primitive(cols, ints, den):
+    """(cols, vals, scale) of the integer row ints = den * row over cols,
+    divided by the gcd of its entries, so that vals = scale * row.  vals is
+    int64 when every entry fits and an object array of Python ints
+    otherwise."""
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    big = any(abs(v) >= _INT64_LIMIT for v in ints)
+    vals = np.array(ints, dtype=object if big else np.int64)
+    return cols, vals, Fraction(den, g) if g else _ONE
+
+
+def _master_rows(h: Action, n: int) -> list:
+    """(cols, vals, scale) of the identity-permutation monomials
+    w_{i0} x_1 w_{i1} ... x_n w_{in}, coefficient tuples in lexicographic
+    order.
+
+    The monomial evaluates to D_1(a_1) D_2(a_2) ... D_n(a_n) with
+    D_1 = lambda_{i0} rho_{i1} and D_t = rho_{it}.  The partial products
+    over all basis prefixes form a (dim^t, dim) tensor, and one more factor
+    is one matrix product with the contraction of the structure constants
+    against the operator, shared by every coefficient tuple with that
+    prefix.  Entries are exact Python ints over a tracked denominator."""
     A = h.A
     dim = A.dim
-    mats = _composite_ops(h, coeffs)
-    transformed = []
-    for t in range(n):
-        cols = []
-        for j in range(dim):
-            vec = mats[t].matvec(A._unit_vec(j))
-            cols.append([(kk, v) for kk, v in enumerate(vec) if v != 0])
-        transformed.append(cols)
-    out: dict = {}
+    consts = list(A.iter_nonzero_constants())
+    dc = 1
+    for *_, v in consts:
+        dc = lcm(dc, v.denominator)
+    consts = [(i, j, k, v.numerator * (dc // v.denominator)) for i, j, k, v in consts]
+    Ls = [_int_matrix(p.L.matrix) for p in h.pairs]
+    Rs = [_int_matrix(p.R.matrix) for p in h.pairs]
+    steps = []
+    for D, dd in Rs:
+        # M[k1, j, k3] = sum_k2 c(k1, k2, k3) D[k2, j]
+        M = np.zeros((dim, dim, dim), dtype=object)
+        for i, j, k, v in consts:
+            M[i, :, k] += v * D[j, :]
+        steps.append((M.reshape(dim, dim * dim), dd * dc))
+    masters = []
 
-    def rec(pos, prefix_rank, value):
-        if pos == n:
-            base = prefix_rank * dim
-            for kk, v in value:
-                out[base + kk] = v
+    def extend(depth, T, den):
+        if depth == n:
+            flat = T.ravel()
+            cols = np.flatnonzero(flat)
+            masters.append(_primitive(cols, flat[cols].tolist(), den))
             return
-        for j in range(dim):
-            tv = transformed[pos][j]
-            if not tv:
-                continue
-            if pos == 0:
-                nxt = tv
-            else:
-                acc: dict = {}
-                for k1, v1 in value:
-                    for k2, v2 in tv:
-                        for k3, v3 in A.product_basis(k1, k2):
-                            nv = acc.get(k3, _ZERO) + v1 * v2 * v3
-                            if nv:
-                                acc[k3] = nv
-                            else:
-                                acc.pop(k3, None)
-                nxt = list(acc.items())
-                if not nxt:
-                    continue
-            rec(pos + 1, prefix_rank * dim + j, nxt)
+        for M, dm in steps:
+            extend(depth + 1, (T @ M).reshape(-1, dim), den * dm)
 
-    rec(0, 0, [])
-    return out
+    for (L, dl), (R, dr) in product(Ls, Rs):
+        extend(1, (L @ R).T, dl * dr)
+    return masters
 
 
-def _tuple_perm_maps(dim: int, n: int):
-    """For each permutation (in lex order) the map of tuple ranks induced
-    by permuting tuple positions."""
-    maps = []
-    tuples = list(product(range(dim), repeat=n))
-    rank_of = {t: i for i, t in enumerate(tuples)}
-    for perm in permutations(range(1, n + 1)):
-        arr = np.empty(len(tuples), dtype=np.int64)
-        for i, t in enumerate(tuples):
-            # row evaluates x_{perm(t)} at position t: entry at assignment
-            # tuple u equals master at (u_{perm(1)}, ..., u_{perm(n)})
-            arr[i] = rank_of[tuple(t[p - 1] for p in perm)]
-        maps.append(arr)
-    return maps
-
-
-def _iter_rows(h: Action, n: int):
-    """Yield evaluation rows in enumeration order as {flat_col: Fraction}."""
-    A = h.A
-    dim = A.dim
-    s = h.s
-    masters = {}
-    inv_maps = None
-    tuples = list(product(range(dim), repeat=n))
-    rank_of = {t: i for i, t in enumerate(tuples)}
-    for perm in permutations(range(1, n + 1)):
-        # inverse map: master rank r (position-ordered tuple) appears at
-        # assignment rank of the tuple read off by the permutation
-        remap = np.empty(len(tuples), dtype=np.int64)
-        for i, t in enumerate(tuples):
-            remap[rank_of[tuple(t[p - 1] for p in perm)]] = i
-        for coeffs in product(range(s), repeat=n + 1):
-            m = masters.get(coeffs)
-            if m is None:
-                m = _master_row(h, n, coeffs)
-                masters[coeffs] = m
-            if perm == tuple(range(1, n + 1)):
-                yield m
-            else:
-                yield {
-                    int(remap[c // dim]) * dim + (c % dim): v for c, v in m.items()
-                }
+def _iter_rows_int(h: Action, n: int):
+    """Evaluation rows in enumeration order as (cols, vals, scale): the
+    integer row vals over the flat columns cols is scale times the exact
+    rational evaluation row, with coprime entries and scale > 0."""
+    dim = h.A.dim
+    masters = _master_rows(h, n)
+    split = [(cols // dim, cols % dim) for cols, _, _ in masters]
+    digits = np.indices((dim,) * n).reshape(n, -1)
+    for perm in permutations(range(n)):
+        # x_{perm(1)} ... x_{perm(n)} at assignment u equals the master at
+        # (u_{perm(1)}, ..., u_{perm(n)}), so master tuple rank r moves to
+        # sum_q digit_q(r) * dim^(n-1-perm(q))
+        remap = (dim ** (n - 1 - np.array(perm, dtype=np.int64))) @ digits
+        for (_, vals, scale), (tup, out) in zip(masters, split):
+            yield remap[tup] * dim + out, vals, scale
 
 
 def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
@@ -194,52 +195,26 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    data = list(_iter_rows(h, n))
+    data = [
+        {c: Fraction(v) / scale for c, v in zip(cs.tolist(), vals.tolist())}
+        for cs, vals, scale in _iter_rows_int(h, n)
+    ]
     return EvaluationMatrix(h, n, rows, cols, data)
 
 
-def _iter_rows_int(h: Action, n: int, col_offset: int = 0):
-    """Evaluation rows in enumeration order as (cols, vals) int64 arrays;
-    rows are scaled to integers (rank-neutral)."""
-    dim = h.A.dim
-    s = h.s
-    masters: dict = {}
-    tuples = list(product(range(dim), repeat=n))
-    rank_of = {t: i for i, t in enumerate(tuples)}
-    ident = tuple(range(1, n + 1))
-    for perm in permutations(range(1, n + 1)):
-        if perm == ident:
-            remap = None
-        else:
-            remap = np.empty(len(tuples), dtype=np.int64)
-            for i, t in enumerate(tuples):
-                remap[rank_of[tuple(t[p - 1] for p in perm)]] = i
-        for coeffs in product(range(s), repeat=n + 1):
-            m = masters.get(coeffs)
-            if m is None:
-                introw = _row_to_int(_master_row(h, n, coeffs))
-                cols = np.fromiter(introw.keys(), dtype=np.int64, count=len(introw))
-                vals = np.fromiter(introw.values(), dtype=np.int64, count=len(introw))
-                m = (cols, vals)
-                masters[coeffs] = m
-            cols, vals = m
-            if remap is not None:
-                cols = remap[cols // dim] * dim + cols % dim
-            if col_offset:
-                cols = cols + col_offset
-            yield cols, vals
-
-
 def _rank_of_row_arrays(factory, ncols: int, batch: int = 4096) -> int:
-    """Exact rank of streamed (cols, vals) rows; duplicate rows are skipped,
-    numpy fast path with a pure rational fallback on overflow.  factory()
-    restarts the stream."""
+    """Exact rank of streamed (cols, vals, scale) rows; duplicate rows are
+    skipped.  numpy fast path, with a pure integer rerun when a bound
+    cannot be certified or a row does not fit int64.  factory() restarts
+    the stream."""
     try:
         space = FastIntRowSpace(ncols)
         seen = set()
         buf = np.zeros((batch, ncols), dtype=np.int64)
         fill = 0
-        for cols, vals in factory():
+        for cols, vals, _ in factory():
+            if vals.dtype != np.int64:
+                raise IntOverflow
             key = (cols.tobytes(), vals.tobytes())
             if key in seen:
                 continue
@@ -255,8 +230,8 @@ def _rank_of_row_arrays(factory, ncols: int, batch: int = 4096) -> int:
         return space.rank
     except IntOverflow:
         ech = IntRowEchelon()
-        for cols, vals in factory():
-            ech.add_row({int(c): int(v) for c, v in zip(cols, vals)})
+        for cols, vals, _ in factory():
+            ech.add_row(dict(zip(cols.tolist(), vals.tolist())))
         return ech.rank
 
 
@@ -276,7 +251,11 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    ech, scales = echelon_from_fraction_rows(_iter_rows(h, n), track_combos=True)
+    ech = IntRowEchelon(track_combos=True)
+    scales = []
+    for cs, vals, scale in _iter_rows_int(h, n):
+        ech.add_row(dict(zip(cs.tolist(), vals.tolist())))
+        scales.append(scale)
     vectors = []
     for combo in ech.kernel_combos:
         vec = [_ZERO] * rows
@@ -579,15 +558,24 @@ def _stream_span_rank(vectors, ncols: int, target: int | None, batch: int = 1024
         if fill:
             space.add_rows(buf[:fill])
         return space.rank
-    except IntOverflow:
-        ech = IntRowEchelon()
-        for key in seen:
-            ech.add_row(dict(key))
-        for vec in vectors:
-            ech.add_row(_row_to_int(vec))
-            if target is not None and ech.rank >= target:
-                break
-        return ech.rank
+    except (IntOverflow, OverflowError):  # OverflowError: entry beyond int64
+        stop = None if target is None else (lambda ech: ech.rank >= target)
+        return _exact_span(seen, vectors, stop).rank
+
+
+def _exact_span(seen, vectors, stop) -> IntRowEchelon:
+    """Exact continuation of a streamed span after IntOverflow: the rows
+    already seen, then the rest of the stream, until stop(echelon) holds
+    (stop None reads the whole stream)."""
+    ech = IntRowEchelon()
+    for key in seen:
+        ech.add_row(dict(key))
+    if stop is not None and stop(ech):
+        return ech
+    for vec in vectors:
+        if ech.add_row(_row_to_int(vec)) and stop is not None and stop(ech):
+            break
+    return ech
 
 
 def consequences_span(generators, h: Action, n: int) -> Subspace:
@@ -618,9 +606,8 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
         return True
     rows = basis_size(n, h.s)
     space = FastIntRowSpace(rows)
+    introw = _row_to_int(target)
     tvec = np.zeros((1, rows), dtype=np.int64)
-    for c, v in _row_to_int(target).items():
-        tvec[0, c] = v
     seen = set()
     buf = np.zeros((256, rows), dtype=np.int64)
     fill = 0
@@ -629,23 +616,29 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
         red = space.reduce_rows(tvec.copy())
         return not red.any()
 
-    for vec in _consequence_instances(list(generators), h, n):
-        key = _canonical_int_vec(vec)
-        if not key or key in seen:
-            continue
-        seen.add(key)
-        for c, v in key:
-            buf[fill, c] = v
-        fill += 1
-        if fill == buf.shape[0]:
-            added = space.add_rows(buf[:fill])
-            buf[:] = 0
-            fill = 0
-            if added and member():
-                return True
-    if fill:
-        space.add_rows(buf[:fill])
-    return member()
+    vectors = _consequence_instances(list(generators), h, n)
+    try:
+        tvec[0, list(introw)] = list(introw.values())
+        for vec in vectors:
+            key = _canonical_int_vec(vec)
+            if not key or key in seen:
+                continue
+            seen.add(key)
+            for c, v in key:
+                buf[fill, c] = v
+            fill += 1
+            if fill == buf.shape[0]:
+                added = space.add_rows(buf[:fill])
+                buf[:] = 0
+                fill = 0
+                if added and member():
+                    return True
+        if fill:
+            space.add_rows(buf[:fill])
+        return member()
+    except (IntOverflow, OverflowError):  # OverflowError: entry beyond int64
+        ech = _exact_span(seen, vectors, lambda ech: ech.contains_row(introw))
+        return ech.contains_row(introw)
 
 
 def verify_generating_set(generators, h: Action, n: int, codim_value: int | None = None) -> bool:
@@ -709,16 +702,14 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
         rank_a = _rank_of_row_arrays(lambda: _iter_rows_int(hA, m), colsA)
 
         def stacked():
-            # the two halves of one row must be scaled jointly, so merge
-            # the exact rational rows before integer scaling
-            for ra, rb in zip(_iter_rows(hA, m), _iter_rows(hB, m)):
-                row = dict(ra)
-                for c, v in rb.items():
-                    row[colsA + c] = v
-                introw = _row_to_int(row)
-                cols = np.fromiter(introw.keys(), dtype=np.int64, count=len(introw))
-                vals = np.fromiter(introw.values(), dtype=np.int64, count=len(introw))
-                yield cols, vals
+            # the two halves of one row are scaled jointly: both are brought
+            # to sa.numerator * sb.numerator times the rational row
+            for (ca, va, sa), (cb, vb, sb) in zip(_iter_rows_int(hA, m), _iter_rows_int(hB, m)):
+                fa = sa.denominator * sb.numerator
+                fb = sb.denominator * sa.numerator
+                ints = [v * fa for v in va.tolist()] + [v * fb for v in vb.tolist()]
+                cols = np.concatenate([ca, cb + colsA])
+                yield _primitive(cols, ints, sa.numerator * sb.numerator)
 
         rank_ab = _rank_of_row_arrays(stacked, colsA + colsB)
         if rank_ab != rank_a:
@@ -953,6 +944,7 @@ class GrowthReport:
     ratios: list          # successive ratios as Fractions (None at gaps)
     roots: list           # n-th roots, floats for display
     exponent: int | None  # block-linking exponent when available
+    exponent_note: str | None = None  # why the exponent is unavailable
 
     def to_dict(self):
         return {
@@ -961,6 +953,7 @@ class GrowthReport:
             "ratios": [None if r is None else [r.numerator, r.denominator] for r in self.ratios],
             "roots": self.roots,
             "exponent": self.exponent,
+            "exponent_note": self.exponent_note,
         }
 
 
@@ -984,13 +977,15 @@ def growth_report(h: Action, n_max: int) -> GrowthReport:
         else:
             ratios.append(None)
         roots.append(None if v is None else float(v) ** (1.0 / n))
-    exponent = None
-    if h.A.unit is not None:
+    exponent = note = None
+    if h.A.unit is None:
+        note = "the algebra has no unit"
+    else:
         try:
             exponent = pi_exponent(h.A)
-        except Exception:
-            exponent = None
-    return GrowthReport(degrees, values, ratios, roots, exponent)
+        except NotSplit as exc:
+            note = str(exc)
+    return GrowthReport(degrees, values, ratios, roots, exponent, note)
 
 
 # -- preset generating sets ----------------------------------------------------------
@@ -1013,9 +1008,5 @@ def preset_generators(name: str):
     low = name.strip().lower()
     if low.startswith("grassmann_ek"):
         args = name[name.index("(") + 1 : -1] if "(" in name else name.split(":", 1)[1]
-        k = int(args.split(",")[0])
-        gens = ["[x1,x2,x3]"]
-        gens += [f"[e{i},x1,x2]" for i in range(1, k + 1)]
-        gens += [f"e{k + 1}*x1", f"x1*e{k + 1}"]
-        return gens
+        return grassmann_generators(int(args.split(",")[0]))
     raise KeyError(f"no published generating set for {name!r}")

@@ -2,18 +2,27 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
-from genpi.actions import grassmann_action, preset_action, shared_family_presentations
-from genpi.algebras import builtin
+from genpi.actions import (
+    action_from_subalgebra,
+    grassmann_action,
+    preset_action,
+    shared_family_presentations,
+)
+from genpi.algebras import StructureAlgebra, builtin
 from genpi.errors import BasisMismatch, BudgetExceeded
 from genpi.codim import (
     _grassmann_reduced_rank,
+    _iter_rows_int,
     codimension,
     consequences_span,
     evaluation_matrix,
     grassmann_codim_stabilized,
+    grassmann_generators,
     growth_report,
     identity_kernel_basis,
     identity_kernel_polynomials,
@@ -36,6 +45,88 @@ def sympy_rank(rows_dicts, ncols):
         for c, v in row.items():
             m[i, c] = sympy.Rational(v.numerator, v.denominator)
     return m.rank()
+
+
+def ut2d_rescaled(c):
+    """ut2D (W spanned by 1 and e22) on ut(2) in the basis f1 = e11+e12,
+    f2 = e22, f3 = c*e12; f1*f2 = e12 = (1/c) f3."""
+    c = Fraction(c)
+    table = {
+        (0, 0): [(0, 1)],
+        (0, 1): [(2, 1 / c)],
+        (0, 2): [(2, 1)],
+        (1, 1): [(1, 1)],
+        (2, 1): [(2, 1)],
+    }
+    unit = (1, 1, -1 / c)
+    A = StructureAlgebra(3, ["f1", "f2", "f3"], table, unit=unit)
+    return action_from_subalgebra(A, [unit, (0, 1, 0)], labels=["1", "e22"], kernel_tail=True)
+
+
+def direct_row(h, mon, n):
+    """Evaluation row of one monomial, multiplied out in A at every basis
+    tuple: ((w_{i0} a_1 w_{i1}) a_2 w_{i2}) ... with a_t the value of the
+    variable at position t."""
+    A = h.A
+    row = {}
+    for rank, tup in enumerate(product(range(A.dim), repeat=n)):
+        acc = h.pairs[mon.coeffs[0]].L.apply(A._unit_vec(tup[mon.perm[0] - 1]))
+        acc = h.pairs[mon.coeffs[1]].R.apply(acc)
+        for t in range(1, n):
+            acc = A.multiply_coords(acc, A._unit_vec(tup[mon.perm[t] - 1]))
+            acc = h.pairs[mon.coeffs[t + 1]].R.apply(acc)
+        for k, v in enumerate(acc):
+            if v != 0:
+                row[rank * A.dim + k] = v
+    return row
+
+
+def test_evaluation_rows_match_direct_evaluator():
+    cases = [(preset_action(name), 3) for name in ("ut2D", "ut2C", "ut2full")]
+    cases.append((ut2d_rescaled(2), 3))  # a rational structure constant
+    for h, top in cases:
+        for n in range(1, top + 1):
+            em = evaluation_matrix(h, n)
+            mons = list(enumerate_basis(n, h.s))
+            assert [direct_row(h, mon, n) for mon in mons] == em.row_data, (h, n)
+            for cols, vals, scale in _iter_rows_int(h, n):
+                assert scale > 0 and gcd(*vals.tolist()) in (0, 1)
+
+
+def test_codimension_invariant_under_change_of_basis():
+    for c in (3, Fraction(1, 7)):
+        h = ut2d_rescaled(c)
+        assert [codimension(h, n) for n in range(1, 5)] == [3, 6, 14, 34], c
+
+
+def test_ut2f_closed_form():
+    h = preset_action("ut2F")
+    for n in range(1, 7):
+        assert codimension(h, n) == 2 ** (n - 1) * (n - 2) + 2, n
+
+
+def test_rows_beyond_int64_take_the_exact_path():
+    h = ut2d_rescaled(2 ** 70)
+    assert any(vals.dtype == object for _, vals, _ in _iter_rows_int(h, 2))
+    assert [codimension(h, n) for n in (1, 2, 3)] == [3, 6, 14]
+    assert identity_kernel_basis(h, 2).dim == 10
+
+
+def test_membership_survives_fast_path_overflow():
+    h = preset_action("ut2D")
+    d = "([x1,x2]-[x1,x2,w1])"
+    a, b = 2 ** 40 + 1, 2 ** 39 + 3
+    gens = [f"{a}*x3*{d} + {b}*{d}*x3", f"{b}*x3*{d} + {a}*{d}*x3"]
+    assert verify_generating_set(gens, h, 3)
+    assert in_consequence_span("[x1,x2]*x3", gens, h, 3) is False
+
+
+def test_consequence_entries_beyond_int64():
+    h = preset_action("ut2F")
+    big = f"{2 ** 70 + 1}*[x1,x2]*[x3,x4] + 3*[x1,x3]*[x2,x4]"
+    assert verify_generating_set([big], h, 4)
+    assert in_consequence_span("[x1,x2]*[x3,x4]", [big], h, 4)
+    assert in_consequence_span(big, ["[x1,x2]*[x3,x4]"], h, 4)
 
 
 def test_matrix_shapes():
@@ -200,6 +291,21 @@ def test_growth_report():
     assert rep.ratios[1] == Fraction(2, 1)
     d = rep.to_dict()
     assert d["codimensions"] == [1, 2, 6, 18]
+    assert d["exponent_note"] is None
+
+
+def test_growth_report_non_split_algebra():
+    # Q(i) with i*i = -1, acted on by the field of rationals
+    table = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)], (1, 1): [(0, -1)]}
+    A = StructureAlgebra(2, ["1", "i"], table, unit=(1, 0))
+    rep = growth_report(action_from_subalgebra(A, [(1, 0)], labels=["1"]), 3)
+    assert rep.values == [1, 1, 1]
+    assert rep.exponent is None
+    assert "not split" in rep.to_dict()["exponent_note"]
+
+
+def test_grassmann_preset_generators():
+    assert preset_generators("grassmann_Ek(2,5)") == grassmann_generators(2)
 
 
 def test_budget_error():
