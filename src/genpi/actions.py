@@ -20,9 +20,12 @@ from .algebras import (
     AlgElement,
     LinOp,
     StructureAlgebra,
+    _grassmann_words,
+    _word_mask,
     builtin,
     grassmann_algebra,
     load_algebra,
+    quotient_algebra,
     regular_reps,
     subalgebra_presentation,
 )
@@ -85,6 +88,9 @@ class Action:
             for j in range(self.W.dim):
                 if self.pairs[j].R.compose(self.pairs[i].L) != self.pairs[i].L.compose(self.pairs[j].R):
                     raise NotPermutable(i, j)
+        return self._check_unit()
+
+    def _check_unit(self):
         if self.W.unit is not None:
             u = self._pair_combination(
                 [(k, c) for k, c in enumerate(self.W.unit) if c != 0]
@@ -150,18 +156,24 @@ def make_action(W, A, pairs, kernel_tail=False, name=None) -> Action:
 def action_from_subalgebra(A: StructureAlgebra, basis, labels=None, kernel_tail=False,
                            name=None) -> Action:
     """Action of the abstract algebra on the given closed subalgebra basis
-    of A, acting by left and right multiplication."""
+    of A, acting by left and right multiplication.
+
+    Only the unit is checked, at every size: W's unit must act as the
+    identity pair.  The other pair checks of Action.validate hold by
+    associativity of A alone, which StructureAlgebra has already checked:
+    R_v(ab) = a R_v(b), L_v(ab) = L_v(a) b and R_v(a) b = a L_v(b) make each
+    (R_v, L_v) a multiplier; v -> (R_v, L_v) is multiplicative because
+    R_{uv} = R_v R_u and L_{uv} = L_u L_v; and R_u L_v = L_v R_u is
+    (v x) u = v (x u).
+    """
     W, _ = subalgebra_presentation(A, basis, labels=labels)
     pairs = []
     for v in basis:
         elt = v if isinstance(v, AlgElement) else A.element(v)
         R, L = regular_reps(elt)
         pairs.append(Multiplier(A, R, L))
-    # such pairs are multipliers and multiplicative by construction; the
-    # exhaustive pair validation is quadratic-cubic in dim, so skip it for
-    # the large truncated exterior algebras (closure was already checked)
     return Action(W, A, pairs, kernel_tail=kernel_tail, name=name,
-                  validate=A.dim <= 32)
+                  validate=False)._check_unit()
 
 
 @dataclass
@@ -241,10 +253,7 @@ def semisimple_part_action(h: Action):
     if wm.section is None:
         pi = RatMatrix.identity(Wbar.dim)
     else:
-        quot_proj = None
-        from .algebras import quotient_algebra
-
-        quot, qproj, _ = quotient_algebra(Wbar, wm.radical)
+        _, qproj, _ = quotient_algebra(Wbar, wm.radical)
         pi = wm.section.matmul(qproj)
     new_pairs = []
     for i in range(h.W.dim):
@@ -456,19 +465,10 @@ def grassmann_action(k: int, m: int, full=False, name=None) -> Action:
     if m < 0 or (not full and (k < 0 or k > m)):
         raise UnsupportedName("need 0 <= k <= M")
     A = grassmann_algebra(m, unital=True)
-    if full:
-        basis = A.basis_elements()
-        labels = list(A.labels)
-    else:
-        keep = []
-        for i, lab in enumerate(A.labels):
-            word = () if lab == "1" else tuple(
-                int(x) for x in lab.replace("e", "").replace("g{", "").replace("}", "").split(",")
-            )
-            if all(g <= k for g in word):
-                keep.append(i)
-        basis = [A.basis_element(i) for i in keep]
-        labels = [A.labels[i] for i in keep]
+    limit = 1 << (m if full else k)
+    keep = [i for i, w in enumerate(_grassmann_words(m, True)) if _word_mask(w) < limit]
+    basis = [A.basis_element(i) for i in keep]
+    labels = [A.labels[i] for i in keep]
     return action_from_subalgebra(A, basis, labels=labels, kernel_tail=True, name=name)
 
 

@@ -391,25 +391,38 @@ def _matrix_unit_algebra(positions, n, name):
     return StructureAlgebra(len(positions), labels, table, unit=unit, name=name)
 
 
-def _merge_sign(u: tuple, v: tuple):
-    """Concatenate two strictly increasing index words; None if they meet,
-    else (sorted word, sign of the merge permutation)."""
-    if set(u) & set(v):
-        return None
-    inv = 0
-    for x in u:
-        inv += sum(1 for y in v if y < x)
-    word = tuple(sorted(u + v))
-    return word, (-1) ** inv
-
-
 def _grassmann_words(m: int, unital: bool):
+    """Basis words of the exterior algebra on e_1..e_m: strictly increasing
+    index tuples ordered by length, then lexicographically."""
     words = []
     if unital:
         words.append(())
     for size in range(1, m + 1):
         words.extend(combinations(range(1, m + 1), size))
     return words
+
+
+def _word_mask(word) -> int:
+    """Bitmask of an index word: bit i-1 stands for e_i."""
+    mask = 0
+    for i in word:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _merge_mask(u: int, v: int):
+    """(mask, sign) of the product of two index words given as bitmasks, or
+    None if they share an index; the sign is that of the merge permutation."""
+    if u & v:
+        return None
+    sign = 1
+    x = u
+    while x:
+        low = x & -x
+        if bin(v & (low - 1)).count("1") % 2:
+            sign = -sign
+        x ^= low
+    return u | v, sign
 
 
 def _grassmann_label(word: tuple) -> str:
@@ -426,18 +439,16 @@ def grassmann_algebra(m: int, unital: bool = True) -> StructureAlgebra:
     if m < 0:
         raise UnsupportedName("grassmann truncation level must be >= 0")
     words = _grassmann_words(m, unital)
-    index = {w: i for i, w in enumerate(words)}
+    masks = [_word_mask(w) for w in words]
+    index = {mask: i for i, mask in enumerate(masks)}
     labels = [_grassmann_label(w) for w in words]
 
     def rule(i, j):
-        merged = _merge_sign(words[i], words[j])
+        merged = _merge_mask(masks[i], masks[j])
         if merged is None:
             return ()
-        word, sign = merged
-        k = index.get(word)
-        if k is None:  # happens only in the non-unital algebra for 1*1
-            return ()
-        return ((k, Fraction(sign)),)
+        mask, sign = merged
+        return ((index[mask], Fraction(sign)),)
 
     unit = None
     if unital:

@@ -311,7 +311,10 @@ def build_parser():
     q.add_argument("action_b")
     q.add_argument("-n", type=int, required=True)
     q.set_defaults(func=cmd_codim)
-    q = pdv.add_parser("grassmann")
+    about = ("codimension of the k-generator exterior action on truncations of "
+             "increasing level, taken where two consecutive levels first agree; "
+             "an empirical stop, not a proved one")
+    q = pdv.add_parser("grassmann", help=about, description=about)
     q.add_argument("-k", type=int, required=True)
     q.add_argument("-n", type=int, required=True)
     q.set_defaults(func=cmd_codim)

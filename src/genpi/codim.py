@@ -43,7 +43,7 @@ import numpy as np
 
 from ._fastrank import FastIntRowSpace, IntOverflow
 from .actions import Action, grassmann_action
-from .algebras import StructureAlgebra
+from .algebras import _grassmann_words, _merge_mask, _word_mask
 from .errors import BasisMismatch, BudgetExceeded, InternalError, NotSplit
 from .linalg import IntRowEchelon, Subspace, _row_to_int, echelon_from_fraction_rows
 from .polynomials import (
@@ -54,8 +54,10 @@ from .polynomials import (
     is_identity,
     multilinearize,
     parse,
+    renumber_variables,
     resolved_words,
     variables_of,
+    vectorize,
 )
 from .structure import pi_exponent
 
@@ -592,10 +594,6 @@ def consequences_span(generators, h: Action, n: int) -> Subspace:
 def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     """Membership of one multilinear polynomial in the consequence span,
     decided by streaming the span and reducing the target vector."""
-    from .polynomials import vectorize
-
-    from .polynomials import renumber_variables
-
     if isinstance(poly, str):
         poly = parse(poly)
     comps = multilinearize(poly)
@@ -720,45 +718,17 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
 # -- truncated exterior algebras -----------------------------------------------------
 
 
-def _word_masks(A: StructureAlgebra):
-    masks = []
-    for lab in A.labels:
-        if lab == "1":
-            masks.append(0)
-            continue
-        idxs = lab.replace("e", "").replace("g{", "").replace("}", "").split(",")
-        m = 0
-        for i in idxs:
-            m |= 1 << (int(i) - 1)
-        masks.append(m)
-    return masks
-
-
-def _merge_mask(u: int, v: int):
-    """(mask, sign) of the product of two index words, or None."""
-    if u & v:
-        return None
-    sign = 1
-    x = u
-    while x:
-        low = x & -x
-        below = v & (low - 1)
-        if bin(below).count("1") % 2:
-            sign = -sign
-        x ^= low
-    return u | v, sign
-
-
 def _grassmann_reduced_rows(k: int, m: int, n: int):
     """Rows of the degree-n evaluation matrix of the k-generator action on
     the m-generator truncation, over one representative column per
-    relabeling orbit.  Dropping the orbit mates preserves both the rank and
-    the left kernel: they are duplicate columns up to one global sign."""
-    h = grassmann_action(k, m)
-    s = h.s
+    relabeling orbit, as {col: +-1} dicts.  Dropping the orbit mates
+    preserves both the rank and the left kernel: they are duplicate columns
+    up to one global sign.  Only the index words of W are needed, so the
+    truncated action itself is never built."""
+    wmask = [_word_mask(w) for w in _grassmann_words(k, True)]
+    s = len(wmask)
     rows = basis_size(n, s)
     _check_budget(rows, 1)
-    wmask = _word_masks(h.W)
     small = list(range(1, k + 1))
     large = m - k
     # representative assignments: small indices to a slot (1..n) or unused
@@ -775,54 +745,39 @@ def _grassmann_reduced_rows(k: int, m: int, n: int):
                 for _ in range(counts[slot]):
                     words[slot].append(nxt)
                     nxt += 1
-            masks = []
-            for w in words:
-                mask = 0
-                for i in w:
-                    mask |= 1 << (i - 1)
-                masks.append(mask)
-            reps.append(tuple(masks))
+            reps.append(tuple(_word_mask(w) for w in words))
     mons = list(enumerate_basis(n, s))
     col_index: dict = {}
     rows_data = [dict() for _ in mons]
     for ci, masks in enumerate(reps):
         for ri, mon in enumerate(mons):
-            seq = [wmask[mon.coeffs[0]]]
-            signs = 1
-            dead = False
-            acc = wmask[mon.coeffs[0]]
             # product in monomial order: w_{i0} g_{sigma(1)} w_{i1} ...
+            factors = [wmask[mon.coeffs[0]]]
             for t in range(n):
-                g = masks[mon.perm[t] - 1]
-                r1 = _merge_mask(acc, g)
-                if r1 is None:
-                    dead = True
+                factors += (masks[mon.perm[t] - 1], wmask[mon.coeffs[t + 1]])
+            acc, sign = 0, 1
+            for f in factors:
+                merged = _merge_mask(acc, f)
+                if merged is None:
                     break
-                acc, sg = r1
-                signs *= sg
-                r2 = _merge_mask(acc, wmask[mon.coeffs[t + 1]])
-                if r2 is None:
-                    dead = True
-                    break
-                acc, sg = r2
-                signs *= sg
-            if dead:
-                continue
-            key = (ci, acc)
-            col = col_index.setdefault(key, len(col_index))
-            rows_data[ri][col] = Fraction(signs)
+                acc, sg = merged
+                sign *= sg
+            else:
+                col = col_index.setdefault((ci, acc), len(col_index))
+                rows_data[ri][col] = sign
     return rows_data
 
 
 def _grassmann_reduced_rank(k: int, m: int, n: int) -> int:
     ech = IntRowEchelon()
     for row in _grassmann_reduced_rows(k, m, n):
-        ech.add_row(_row_to_int(row))
+        ech.add_row(row)
     return ech.rank
 
 
 def _grassmann_stabilized(k: int, n: int):
-    """(codimension, truncation level) once two consecutive levels agree."""
+    """(codimension, truncation level) at the first of two consecutive
+    levels, from m = 2n + k on, whose reduced ranks agree."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     m = 2 * n + k
@@ -837,7 +792,11 @@ def _grassmann_stabilized(k: int, n: int):
 
 def grassmann_codim_stabilized(k: int, n: int) -> int:
     """Codimension of the k-generator action on truncations of increasing
-    level, returned once two consecutive levels agree."""
+    level, returned where two consecutive levels first agree.
+
+    The stop is empirical, not proved: no bound is known here that makes
+    two equal consecutive levels final, so the value is a stabilized
+    codimension, not a certified one."""
     return _grassmann_stabilized(k, n)[0]
 
 
@@ -861,19 +820,16 @@ def _grassmann_structural_identities(k: int, m: int):
 
 
 def _grassmann_is_identity(poly, h: Action, rows_by_degree, k: int, m: int):
-    """Identity test against the truncation via the reduced rows: the
-    vectorization must combine the reduced evaluation rows to zero."""
-    from .polynomials import vectorize
-
+    """Identity test against the level-m truncation via the reduced rows:
+    the vectorization must combine the reduced evaluation rows to zero.
+    Only the coefficient algebra of h is read."""
     comps = multilinearize(poly) if not isinstance(poly, dict) else [poly]
     for comp in comps:
         if isinstance(comp, dict):
             vec = {}
-            s = h.s
-            mons = list(enumerate_basis(1, s))
             for w, c in comp.items():
                 mon = GenMonomial(1, (1,), (-(w[0] + 1), -(w[2] + 1)))
-                vec[mon.rank(s)] = c
+                vec[mon.rank(h.s)] = c
             d = 1
         else:
             d = len(variables_of(comp))
@@ -914,7 +870,6 @@ def verify_grassmann_generating_set(k: int, n: int, generators=None) -> bool:
 def _verify_grassmann(k: int, n: int, generators) -> bool:
     cn, m = _grassmann_stabilized(k, n)
     h = grassmann_action(k, k)  # coefficient structure only; A unused below
-    h_trunc = grassmann_action(k, m)
     rows_by_degree: dict = {}
     gens = [parse(g) if isinstance(g, str) else g for g in generators]
     for g in gens:
@@ -923,7 +878,7 @@ def _verify_grassmann(k: int, n: int, generators) -> bool:
         comps = multilinearize(g)
         for comp in comps:
             if 0 < len(variables_of(comp)) <= n:
-                if not _grassmann_is_identity(comp, h_trunc, rows_by_degree, k, m):
+                if not _grassmann_is_identity(comp, h, rows_by_degree, k, m):
                     return False
     rows = basis_size(n, h.s)
     target = rows - cn

@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 
 from genpi.algebras import LinOp, builtin, regular_reps
-from genpi.errors import BasisMismatch, NotPermutable, UnsupportedName
+from genpi.errors import BasisMismatch, NotPermutable, UnitMismatch, UnsupportedName
 from genpi.linalg import RatMatrix, Subspace
 from genpi.multipliers import Multiplier
 from genpi.actions import (
@@ -27,9 +27,21 @@ PRESETS = ("ut2F", "ut2D", "ut2C", "ut2full")
 
 
 def test_preset_actions_validate():
+    # action_from_subalgebra leaves the pair checks to the associativity of
+    # A; run explicitly, they still pass
     for name in PRESETS:
         h = preset_action(name)
         assert h.s == {"ut2F": 1, "ut2D": 2, "ut2C": 2, "ut2full": 3}[name]
+        h.validate()
+    grassmann_action(1, 4).validate()
+
+
+def test_subalgebra_unit_checked_at_every_size():
+    A = builtin("ut(8)")
+    assert A.dim == 36
+    e11 = A.basis_element(A.labels.index("e11"))
+    with pytest.raises(UnitMismatch):
+        action_from_subalgebra(A, [e11], labels=["e11"])
 
 
 def test_ordinary_scalar_action():

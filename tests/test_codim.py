@@ -250,7 +250,9 @@ def test_variety_contains_needs_shared_coefficients():
 
 
 def test_grassmann_reduced_matches_brute_force():
-    for k, m, n in ((1, 3, 1), (1, 3, 2), (2, 3, 1), (1, 4, 2)):
+    # from k = 3 on, the basis order of W (length, then lexicographic)
+    # differs from the numeric order of the word masks: (3) precedes (1,2)
+    for k, m, n in ((1, 3, 1), (1, 3, 2), (2, 3, 1), (1, 4, 2), (3, 3, 1), (2, 4, 2)):
         h = grassmann_action(k, m)
         assert codimension(h, n) == _grassmann_reduced_rank(k, m, n), (k, m, n)
 
@@ -282,6 +284,18 @@ def test_full_action_degree1_growth():
 
 def test_verify_grassmann_generating_set_degree1():
     assert verify_grassmann_generating_set(1, 1)
+
+
+def test_verify_grassmann_generating_set():
+    for k, n in ((2, 1), (1, 2), (1, 3)):
+        assert verify_grassmann_generating_set(k, n), (k, n)
+
+
+def test_verify_grassmann_rejects_incomplete_set():
+    # leaves out [e1,x1,x2]
+    gens = ["[x1,x2,x3]", "e2*x1", "x1*e2"]
+    for n in (2, 3):
+        assert not verify_grassmann_generating_set(1, n, gens), n
 
 
 def test_growth_report():
