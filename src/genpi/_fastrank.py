@@ -131,6 +131,13 @@ class FastIntRowSpace:
                 B = _gcd_normalize(B)
         return B
 
+    def contains_row(self, row: dict) -> bool:
+        """Membership of the integer row {col: value} in the span; raises
+        OverflowError when an entry does not fit int64."""
+        vec = np.zeros((1, self.ncols), dtype=np.int64)
+        vec[0, list(row)] = list(row.values())
+        return not self.reduce_rows(vec).any()
+
     def _free_cols(self) -> np.ndarray:
         if self._free_cache is None or self._free_cache_rank != self._r:
             mask = np.ones(self.ncols, dtype=bool)

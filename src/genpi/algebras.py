@@ -17,6 +17,9 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+
+import numpy as np
 
 from .errors import (
     BadUnit,
@@ -34,6 +37,16 @@ EXHAUSTIVE_DIM = 64
 _RANDOM_TRIPLES = 2000
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _join(keys, on):
+    """Index pairs (t, u) with keys[t] == on[u], t ascending (keys nonempty)."""
+    order = np.argsort(on, kind="stable")
+    lo = np.searchsorted(on[order], keys, side="left")
+    cnt = np.searchsorted(on[order], keys, side="right") - lo
+    ends = np.cumsum(cnt)
+    t = np.repeat(np.arange(keys.size), cnt)
+    return t, order[np.repeat(lo - ends + cnt, cnt) + np.arange(ends[-1])]
 
 
 class StructureAlgebra:
@@ -137,33 +150,14 @@ class StructureAlgebra:
     # -- validation --------------------------------------------------------
 
     def validate(self):
-        triples = None
         if self.dim <= EXHAUSTIVE_DIM:
-            triples = (
-                (i, j, k)
-                for i in range(self.dim)
-                for j in range(self.dim)
-                for k in range(self.dim)
-            )
+            self._check_associative()
         else:
             rng = random.Random(0xA55)
-            triples = (
-                (rng.randrange(self.dim), rng.randrange(self.dim), rng.randrange(self.dim))
-                for _ in range(_RANDOM_TRIPLES)
-            )
-        for i, j, k in triples:
-            left = {}
-            for m, v in self.product_basis(i, j):
-                for n, w in self.product_basis(m, k):
-                    left[n] = left.get(n, _ZERO) + v * w
-            right = {}
-            for m, v in self.product_basis(j, k):
-                for n, w in self.product_basis(i, m):
-                    right[n] = right.get(n, _ZERO) + v * w
-            left = {n: v for n, v in left.items() if v != 0}
-            right = {n: v for n, v in right.items() if v != 0}
-            if left != right:
-                raise NotAssociative(i, j, k)
+            for _ in range(_RANDOM_TRIPLES):
+                i, j, k = (rng.randrange(self.dim) for _ in range(3))
+                if self._triple_product(i, j, k, True) != self._triple_product(i, j, k, False):
+                    raise NotAssociative(i, j, k)
         if self.unit is not None:
             for i in range(self.dim):
                 e = [_ZERO] * self.dim
@@ -171,6 +165,51 @@ class StructureAlgebra:
                 if self.multiply_coords(self.unit, e) != e or self.multiply_coords(e, self.unit) != e:
                     raise BadUnit(i)
         return self
+
+    def _triple_product(self, i, j, k, left):
+        """(b_i b_j) b_k when left, else b_i (b_j b_k), as {index: coeff}."""
+        out = {}
+        if left:
+            for m, v in self.product_basis(i, j):
+                for n, w in self.product_basis(m, k):
+                    out[n] = out.get(n, _ZERO) + v * w
+        else:
+            for m, v in self.product_basis(j, k):
+                for n, w in self.product_basis(i, m):
+                    out[n] = out.get(n, _ZERO) + v * w
+        return {n: v for n, v in out.items() if v != 0}
+
+    def _check_associative(self):
+        """NotAssociative at the first basis triple (i, j, k), in
+        lexicographic order, where (b_i b_j) b_k != b_i (b_j b_k).
+
+        Exact integer numpy over the nonzero structure constants c_ijm,
+        cleared of denominators: (b_i b_j) b_k has the terms c_ijm c_mkn and
+        b_i (b_j b_k) the terms c_jkm c_imn, each pair of constants joined on
+        the shared index m.  Both sums are collected per (i, j, k, n); int64
+        unless the largest possible sum may not fit."""
+        consts = list(self.iter_nonzero_constants())
+        if not consts:
+            return
+        d = self.dim
+        den = lcm(*(v.denominator for *_, v in consts))
+        ints = [v.numerator * (den // v.denominator) for *_, v in consts]
+        fits = max(abs(v) for v in ints) ** 2 * 2 * d < 1 << 63
+        val = np.array(ints, dtype=np.int64 if fits else object)
+        a, b, c = (np.array(col, dtype=np.int64) for col in list(zip(*consts))[:3])
+        # left: t = (i, j, m) meets u = (m, k, n); right: t = (j, k, m) meets u = (i, m, n)
+        t, u = _join(c, a)
+        left = (((a[t] * d + b[t]) * d + b[u]) * d + c[u], val[t] * val[u])
+        t, u = _join(c, b)
+        right = (((a[u] * d + a[t]) * d + b[t]) * d + c[u], -val[t] * val[u])
+        keys, vals = zip(left, right)
+        uniq, inv = np.unique(np.concatenate(keys), return_inverse=True)
+        total = np.zeros(uniq.size, dtype=val.dtype)
+        np.add.at(total, inv, np.concatenate(vals))
+        bad = uniq[total != 0]
+        if bad.size:
+            t = int(bad.min()) // d
+            raise NotAssociative(t // (d * d), t // d % d, t % d)
 
     # -- regular representations -------------------------------------------
 

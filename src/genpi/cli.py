@@ -22,8 +22,8 @@ from .actions import (
 )
 from .algebras import load_algebra, predicates
 from .codim import (
+    _grassmann_stabilized,
     codimension,
-    grassmann_codim_stabilized,
     growth_report,
     identity_kernel_polynomials,
     identity_kernel_basis,
@@ -242,8 +242,13 @@ def cmd_codim(args):
         payload = {"first": args.action, "second": args.action_b, "n": args.n, "contained": ok}
         return lines, payload, 0 if ok else 1
     if args.verb == "grassmann":
-        value = grassmann_codim_stabilized(args.k, args.n)
-        return [str(value)], {"k": args.k, "n": args.n, "codimension": value}, 0
+        value, level = _grassmann_stabilized(args.k, args.n)
+        stop = {
+            "rule": "first agreement of two consecutive truncation levels",
+            "proved": False,
+            "levels": [level, level + 1],
+        }
+        return [str(value)], {"k": args.k, "n": args.n, "codimension": value, "stop": stop}, 0
     if args.verb == "growth":
         h = load_action(args.action)
         rep = growth_report(h, args.to)

@@ -23,7 +23,14 @@ multiplication and coefficient multiplication; generating-set verification
 compares that span with the identity kernel.  The degree-1 operator
 relations of an action (its structural identities) are always counted as
 available generators during verification, matching how the source theorems
-treat coefficient rewriting as free.
+treat coefficient rewriting as free.  Consequence vectors are built as
+integer numpy blocks: the n! variable arrangements of one generator and
+block composition share every coefficient-slot table and differ only in a
+column-index array, so a chunk of coefficient assignments becomes canonical
+rows by table gathers and outer products, in Python integers only where no
+int64 bound can be certified.  One driver, _span_stream, feeds such blocks,
+deduplicated, to the numpy rank in batches sized by the byte cap
+STREAM_BYTES and continues in exact elimination on overflow.
 
 Truncated exterior algebras get a dedicated assembler: columns of the
 evaluation matrix fall into orbits of index relabelings that change all
@@ -36,8 +43,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import gcd, lcm
+from itertools import chain, islice, permutations, product
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -68,6 +75,9 @@ _INT64_LIMIT = 1 << 63
 
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
+# cap of one streaming buffer: 4096-row batches up to 3^8 columns still fit
+STREAM_BYTES = 1 << 28
+CHUNK_BYTES = STREAM_BYTES >> 6  # cap of one consequence chunk before zero rows drop
 
 
 def row_budget() -> int:
@@ -79,6 +89,16 @@ def _check_budget(rows: int, cols: int):
     budget = row_budget()
     if rows > budget or cols > MAX_DENSE_COLUMNS:
         raise BudgetExceeded(rows, cols, budget)
+
+
+def _stream_rows(ncols: int, rows: int) -> int:
+    """Rows of a streaming buffer of int64 rows of width ncols: at most
+    rows, and within STREAM_BYTES.  Raises BudgetExceeded, before anything
+    is allocated, when a single row is over the cap."""
+    fit = STREAM_BYTES // (8 * ncols)
+    if fit < 1:
+        raise BudgetExceeded(1, ncols, fit)
+    return min(rows, fit)
 
 
 # -- evaluation matrix ----------------------------------------------------------
@@ -204,37 +224,20 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
     return EvaluationMatrix(h, n, rows, cols, data)
 
 
-def _rank_of_row_arrays(factory, ncols: int, batch: int = 4096) -> int:
-    """Exact rank of streamed (cols, vals, scale) rows; duplicate rows are
-    skipped.  numpy fast path, with a pure integer rerun when a bound
-    cannot be certified or a row does not fit int64.  factory() restarts
-    the stream."""
-    try:
-        space = FastIntRowSpace(ncols)
-        seen = set()
-        buf = np.zeros((batch, ncols), dtype=np.int64)
-        fill = 0
-        for cols, vals, _ in factory():
-            if vals.dtype != np.int64:
-                raise IntOverflow
-            key = (cols.tobytes(), vals.tobytes())
-            if key in seen:
-                continue
-            seen.add(key)
-            buf[fill, cols] = vals
-            fill += 1
-            if fill == batch:
-                space.add_rows(buf[:fill])
-                buf[:] = 0
-                fill = 0
-        if fill:
-            space.add_rows(buf[:fill])
-        return space.rank
-    except IntOverflow:
-        ech = IntRowEchelon()
-        for cols, vals, _ in factory():
-            ech.add_row(dict(zip(cols.tolist(), vals.tolist())))
-        return ech.rank
+def _rank_of_row_arrays(rows, ncols: int, batch: int = 4096) -> int:
+    """Exact rank of streamed (cols, vals, scale) rows, duplicates skipped,
+    through _span_stream in batches of batch rows.  Rows are grouped into
+    _Rows blocks of at most CHUNK_BYTES / 16 of dense values, as a whole
+    block stays in memory until it is keyed."""
+
+    def blocks():
+        size, it = max(1, (CHUNK_BYTES >> 4) // (8 * ncols)), iter(rows)
+        while chunk := list(islice(it, size)):
+            ptr = np.cumsum([0] + [cols.size for cols, _, _ in chunk])
+            cols, vals, _ = zip(*chunk)
+            yield _Rows(ptr, np.concatenate(cols), np.concatenate(vals))
+
+    return _span_stream(blocks(), ncols, batch, lambda span: False)[0].rank
 
 
 def codimension(h: Action, n: int) -> int:
@@ -244,7 +247,7 @@ def codimension(h: Action, n: int) -> int:
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    return _rank_of_row_arrays(lambda: _iter_rows_int(h, n), cols)
+    return _rank_of_row_arrays(_iter_rows_int(h, n), cols)
 
 
 def identity_kernel_basis(h: Action, n: int) -> Subspace:
@@ -348,236 +351,273 @@ def _compositions(total: int, parts: int, minimums):
             yield (first,) + tail
 
 
-def _instance_structures(gens, h: Action, n: int):
-    """Substitution skeletons: for every generator, composition and
-    variable arrangement, the per-term splice plans with memoized
-    coefficient-slot folding."""
-    W = h.W
-    s = h.s
-    if W.unit is None:
+def _instance_groups(gens, h: Action, n: int):
+    """Substitution skeletons, one group per generator and composition.
+
+    An instance is u0 * g(v_1..v_d) * u1 where the v_i are monomials on
+    consecutive nonempty blocks of a variable arrangement and u0, u1 are
+    boundary monomials on the rest (possibly variable-free), each an
+    alternation of enumerated coefficient positions and variables.  A group
+    fixes the generator and the block lengths (a, k_1..k_d, b); its n!
+    arrangements share every slot plan and differ only in the variables at
+    the positions.  A group is (ns, plans): ns enumerated coefficient
+    positions and one plan (coef, positions, slots) per generator term,
+    where positions lists the arrangement positions of the term's
+    variables in word order and slots the n+1 coefficient slots around
+    them, each a tuple of factors: enumerated position p >= 0 or listed
+    coefficient k as -(k+1)."""
+    if h.W.unit is None:
         raise InternalError("consequence spans need a unital coefficient algebra")
-    prod_table = {}
-    all_int = True
-    for i in range(s):
-        for j in range(s):
-            terms = list(W.product_basis(i, j))
-            all_int = all_int and all(v.denominator == 1 for _, v in terms)
-            prod_table[(i, j)] = terms
-    normalized = []
+    groups = []
     for g in gens:
         gw = _generator_words(g, h)
-        if gw is not None and gw[0] <= n:
-            if all_int and all(c.denominator == 1 for c, _ in gw[1]):
-                gw = (gw[0], [(int(c), w) for c, w in gw[1]])
-            normalized.append(gw)
-    if all_int:
-        prod_table = {
-            key: [(k, int(v)) for k, v in terms] for key, terms in prod_table.items()
-        }
-    structures = []
-    for d, terms in normalized:
-        mins = [0] + [1] * d + [0]
-        n_slots = n + d + 2  # enumerated coefficient positions
-        for comp in _compositions(n, d + 2, mins):
-            a, ks = comp[0], comp[1 : 1 + d]
-            for arrangement in permutations(range(1, n + 1)):
-                u0_vars = arrangement[:a]
-                blocks = []
-                pos = a
-                for kk in ks:
-                    blocks.append(arrangement[pos : pos + kk])
-                    pos += kk
-                u1_vars = arrangement[pos:]
-                piece_u0, cpos = _piece(u0_vars, 0)
-                block_pieces = []
-                for b in blocks:
-                    pb, cpos = _piece(b, cpos)
-                    block_pieces.append(pb)
-                piece_u1, cpos = _piece(u1_vars, cpos)
-                slot_specs: dict = {}
-                plans = []
-                for coef, gword in terms:
-                    word = list(piece_u0)
-                    for sym in gword:
-                        if sym > 0:
-                            word.extend(block_pieces[sym - 1])
-                        else:
-                            word.append(("k", -(sym + 1)))
-                    word.extend(piece_u1)
-                    perm = tuple(sym for kind, sym in word if kind == "v")
-                    slots = []
-                    cur = []
-                    for kind, val in word:
-                        if kind == "v":
-                            slots.append(tuple(cur))
-                            cur = []
-                        else:
-                            cur.append((kind, val))
-                    slots.append(tuple(cur))
-                    slot_ids = []
-                    for slot in slots:
-                        sid = slot_specs.setdefault(slot, len(slot_specs))
-                        positions = tuple(val for kind, val in slot if kind == "c")
-                        slot_ids.append((sid, positions, slot))
-                    plans.append((coef, _perm_rank(perm) * s ** (n + 1), slot_ids))
-                structures.append((n_slots, plans, {}))
-    return structures, prod_table
-
-
-def _consequence_instances(gens, h: Action, n: int):
-    """Yield the degree-n consequence vectors of the generators, sparse
-    over monomial ranks.
-
-    Every instance is u0 * g(v_1..v_d) * u1 with the v_i monomial
-    substitutions on disjoint nonempty variable blocks, u0/u1 boundary
-    monomials on the remaining variables (possibly variable-free), and
-    every coefficient slot running over the listed basis; adjacent
-    coefficients merge through the coefficient algebra product.  The
-    enumeration is deterministic and interleaves coefficient assignments
-    across skeletons so that diverse directions appear early.
-    """
-    W = h.W
-    s = h.s
-    structures, prod_table = _instance_structures(gens, h, n)
-    if not structures:
-        return
-    max_count = max(s ** ns for ns, _, _ in structures)
-    for idx in range(max_count):
-        for ns, plans, memo in structures:
-            if idx >= s ** ns:
-                continue
-            assign = []
-            rem = idx
-            for _ in range(ns):
-                assign.append(rem % s)
-                rem //= s
-            vec: dict = {}
-            for coef, base, slot_ids in plans:
-                expos = [(0, coef)]  # folding stays in ints when W allows
-                for sid, positions, slot in slot_ids:
-                    key = (sid,) + tuple(assign[p] for p in positions)
-                    folded = memo.get(key)
-                    if folded is None:
-                        folded = _fold_slot(slot, assign, prod_table, W)
-                        memo[key] = folded
-                    if not folded:
-                        expos = []
-                        break
-                    expos = [
-                        (m * s + k2, c1 * c2)
-                        for m, c1 in expos
-                        for k2, c2 in folded
-                    ]
-                for m, c in expos:
-                    r = base + m
-                    nc = vec.get(r, 0) + c
-                    if nc:
-                        vec[r] = nc
-                    else:
-                        vec.pop(r, None)
-            if vec:
-                yield vec
-
-
-def _piece(vars_tuple, cpos):
-    """Symbolic word of a boundary/substitution monomial: alternating
-    enumerated coefficient positions and variables."""
-    out = [("c", cpos)]
-    cpos += 1
-    for v in vars_tuple:
-        out.append(("v", v))
-        out.append(("c", cpos))
-        cpos += 1
-    return out, cpos
-
-
-def _fold_slot(slot, assign, prod_table, W):
-    """Product of the coefficient sources of one slot, expanded over the
-    listed basis as [(index, coeff)]."""
-    terms = None
-    for kind, val in slot:
-        k = assign[val] if kind == "c" else val
-        if terms is None:
-            terms = [(k, 1)]
+        if gw is None or gw[0] > n:
             continue
-        nxt: dict = {}
-        for k1, c1 in terms:
-            for k2, c2 in prod_table[(k1, k)]:
-                nc = nxt.get(k2, 0) + c1 * c2
-                if nc:
-                    nxt[k2] = nc
-                else:
-                    nxt.pop(k2, None)
-        terms = list(nxt.items())
-        if not terms:
-            return []
-    if terms is None:  # empty slot: the unit of W
-        return [(k, c) for k, c in enumerate(W.unit) if c != 0]
-    return terms
+        d, terms = gw
+        for comp in _compositions(n, d + 2, [0] + [1] * d + [0]):
+            pieces, cpos, vpos = [], 0, 0
+            for length in comp:
+                pieces.append([cpos] + [x for t in range(length) for x in (("v", vpos + t), cpos + 1 + t)])
+                cpos += length + 1
+                vpos += length
+            plans = []
+            for coef, gword in terms:
+                word = pieces[0] + [x for sym in gword for x in (pieces[sym] if sym > 0 else [sym])]
+                positions, slots, cur = [], [], []
+                for x in word + pieces[-1]:
+                    if isinstance(x, tuple):
+                        positions.append(x[1])
+                        slots.append(tuple(cur))
+                        cur = []
+                    else:
+                        cur.append(x)
+                plans.append((Fraction(coef), tuple(positions), tuple(slots) + (tuple(cur),)))
+            groups.append((cpos, plans))
+    return groups
 
 
-def _canonical_int_vec(vec: dict):
-    """Scale a sparse rational vector to coprime integers with positive
-    leading entry; hashable canonical key."""
-    if not vec:
-        return ()
-    denom_lcm = 1
-    for v in vec.values():
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    items = sorted((k, int(v * denom_lcm)) for k, v in vec.items())
-    g = 0
-    for _, v in items:
-        g = gcd(g, abs(v))
-    if g > 1:
-        items = [(k, v // g) for k, v in items]
-    if items[0][1] < 0:
-        items = [(k, -v) for k, v in items]
-    return tuple(items)
+class _Rows:
+    """A block of sparse integer rows: row r holds vals[ptr[r]:ptr[r+1]] at
+    the distinct columns cols[ptr[r]:ptr[r+1]] (increasing in consequence
+    rows).  vals is int64, or an object array of Python ints when it may
+    not fit."""
+
+    def __init__(self, ptr, cols, vals):
+        self.ptr, self.cols, self.vals = ptr, cols, vals
+
+    def keys(self) -> list:
+        """One bytes key per int64 row, equal exactly for equal rows."""
+        cb, vb = self.cols.tobytes(), self.vals.tobytes()
+        p = (self.ptr * 8).tolist()
+        return [cb[a:b] + vb[a:b] for a, b in zip(p, p[1:])]
+
+    def dicts(self):
+        p, cols, vals = self.ptr.tolist(), self.cols.tolist(), self.vals.tolist()
+        for a, b in zip(p, p[1:]):
+            yield dict(zip(cols[a:b], vals[a:b]))
+
+    def scatter(self, buf, at: int, sel):
+        """Write the rows sel (ascending) to buf[at], buf[at + 1], ..."""
+        lens = self.ptr[sel + 1] - self.ptr[sel]
+        ends = np.cumsum(lens)
+        entries = np.repeat(self.ptr[sel] - ends + lens, lens) + np.arange(ends[-1])
+        buf[at + np.repeat(np.arange(len(sel)), lens), self.cols[entries]] = self.vals[entries]
 
 
-def _stream_span_rank(vectors, ncols: int, target: int | None, batch: int = 1024):
-    """Rank of the span of streamed sparse vectors with deduplication and
-    early stop at the target rank."""
+class _GroupBlock:
+    """Integer tables of one instance group, and the columns of its n!
+    arrangements.
+
+    Each slot gets a table of s^p x s integers: row t is the product in W of
+    the slot's factors at the t-th assignment of its p enumerated positions
+    (lexicographic, first position most significant).  Plans whose
+    variables sit at the same positions form one class: they land on the
+    same monomials, so their values add.  An arrangement sends a class to
+    the columns rank(perm) * s^(n+1) + m, m the coefficient index, so all
+    n! rows of an assignment come from one (classes, s^(n+1)) block through
+    the column array cols (arrangement, sorted position).  Fraction products
+    of W and rational coefficients are cleared by one positive factor per
+    group, which leaves canonical rows unchanged.  dtype is int64 when a
+    magnitude bound certifies every product below 2^63, else object."""
+
+    def __init__(self, ns, plans, unit, R, arrangements):
+        self.ns = ns
+        tables = {x: self._table(x, unit, R) for x in dict.fromkeys(x for _, _, sl in plans for x in sl)}
+        peak = {x: max(abs(v) for v in t[2].flat) for x, t in tables.items()}
+        classes: dict = {}  # positions -> [(coef, slots, denominator)]
+        factor = 1
+        for coef, positions, slots in plans:
+            if all(peak[x] for x in slots):  # else the term is zero
+                den = prod(tables[x][3] for x in slots)
+                factor = lcm(factor, den * coef.denominator)
+                classes.setdefault(positions, []).append((coef, slots, den))
+        self.classes = [
+            [(int(coef * factor / den), slots) for coef, slots, den in terms] for terms in classes.values()
+        ]
+        # all peaks are >= 1, so every partial product of a term is at most
+        # the term's bound, and a class sum at most the sum of its bounds
+        bound = max(
+            (sum(abs(c) * prod(peak[x] for x in slots) for c, slots in terms) for terms in self.classes),
+            default=0,
+        )
+        self.dtype = np.int64 if bound < _INT64_LIMIT else object
+        self.tables = {x: (pos, wts, tab.astype(self.dtype)) for x, (pos, wts, tab, _) in tables.items()}
+        self.nonzero = {x: (tab != 0).any(axis=1) for x, (_, _, tab, _) in tables.items()}
+        ranks = np.array(
+            [[_perm_rank([arr[p] for p in positions]) for positions in classes] for arr in arrangements],
+            dtype=np.int64,
+        ).reshape(len(arrangements), len(classes))
+        self.order = np.argsort(ranks, axis=1)
+        S = len(unit) ** (len(arrangements[0]) + 1)
+        base = np.take_along_axis(ranks, self.order, axis=1) * S
+        self.cols = (base[:, :, None] + np.arange(S)).reshape(len(arrangements), -1)
+
+    @staticmethod
+    def _table(slot, unit, R):
+        """(positions, their digit weights, integer table, denominator) of a
+        slot; R[k] is right multiplication by b_k on coordinate rows."""
+        T = np.array([unit], dtype=object)
+        for x in slot:  # an enumerated position adds the least significant digit
+            T = T @ R[-x - 1] if x < 0 else np.stack([T @ Rk for Rk in R], axis=1).reshape(-1, len(unit))
+        den = lcm(*(Fraction(v).denominator for v in T.flat))
+        pos = np.array([x for x in slot if x >= 0], dtype=np.intp)
+        table = np.array([int(v * den) for v in T.flat], dtype=object).reshape(T.shape)
+        return pos, len(unit) ** np.arange(pos.size - 1, -1, -1), table, den
+
+    def rows(self, digits):
+        """Canonical rows of the assignments with these digit rows
+        (N, ns), as (indices of the nonzero assignments, their rows
+        (N', n!, classes * s^(n+1)) in arrangement order)."""
+        subs = {slot: digits[:, pos] @ wts for slot, (pos, wts, _) in self.tables.items()}
+        live = np.zeros(digits.shape[0], dtype=bool)
+        for terms in self.classes:
+            for _, slots in terms:
+                live |= np.logical_and.reduce([self.nonzero[slot][subs[slot]] for slot in slots])
+        live = np.flatnonzero(live)
+        N = live.size
+        if not N:
+            return live, np.zeros((0, *self.cols.shape), dtype=self.dtype)
+        gathered = {slot: self.tables[slot][2][sub[live]] for slot, sub in subs.items()}
+        blocks = []
+        for terms in self.classes:
+            acc = 0
+            for coef, slots in terms:
+                x = gathered[slots[0]]
+                for slot in slots[1:]:
+                    x = (x[:, :, None] * gathered[slot][:, None, :]).reshape(N, -1)
+                acc = acc + coef * x
+            blocks.append(acc)
+        V = np.stack(blocks, axis=1)  # (N, classes, s^(n+1))
+        g = np.gcd.reduce(np.abs(V.reshape(N, -1)), axis=1)
+        keep = np.flatnonzero(g)
+        V = V[keep] // g[keep, None, None]
+        first = (V != 0).argmax(axis=2)[:, :, None]
+        lead = np.take_along_axis(V, first, axis=2)[:, :, 0][:, self.order]  # (N', n!, classes)
+        lead = np.take_along_axis(lead, (lead != 0).argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+        out = V[:, self.order, :] * np.where(lead > 0, 1, -1)[:, :, None, None]
+        return live[keep], out.reshape(keep.size, *self.cols.shape)
+
+
+def _consequence_blocks(gens, h: Action, n: int):
+    """Yield the canonical degree-n consequence vectors of the generators,
+    sparse over the monomial ranks, as _Rows blocks.
+
+    Every instance u0 * g(v_1..v_d) * u1 (see _instance_groups) has each
+    coefficient position running over the listed basis; adjacent
+    coefficients merge through the product of W.  Zero vectors are
+    skipped, every other one is divided by the gcd of its entries and
+    signed to a positive leading entry.  Order: coefficient assignment
+    index, then group, then arrangement.  Each chunk of assignment indices
+    is computed for all groups at once (_GroupBlock.rows) and sorted into
+    that order; a chunk would hold at most CHUNK_BYTES of values if no
+    assignment vanished.  A block is int64 unless one of its groups needs
+    Python integers.
+    """
+    W, s = h.W, h.s
+    R = np.zeros((s, s, s), dtype=object)  # R[k][i, j]: b_j in b_i b_k
+    for i, k in product(range(s), repeat=2):
+        for j, c in W.product_basis(i, k):
+            R[k, i, j] = c
+    arrangements = list(permutations(range(1, n + 1)))
+    nf = len(arrangements)
+    groups = [_GroupBlock(ns, plans, W.unit, R, arrangements) for ns, plans in _instance_groups(gens, h, n)]
+    groups = [g for g in groups if g.classes]  # drop groups whose terms all vanish
+    sizes = [s ** g.ns for g in groups]
+    width = [8 * g.cols.size for g in groups]
+    start = 0
+    while start < max(sizes, default=0):
+        live = [gi for gi, size in enumerate(sizes) if size > start]
+        end = start + max(1, CHUNK_BYTES // sum(width[gi] for gi in live))
+        idx = np.arange(start, end, dtype=np.int64)
+        keys, cols, vals = [], [], []
+        for gi in live:
+            g = groups[gi]
+            ix = idx[idx < sizes[gi]]
+            digits = (ix[:, None] // s ** np.arange(g.ns, dtype=np.int64)) % s
+            keep, block = g.rows(digits)
+            i, a, k = np.nonzero(block)
+            keys.append((ix[keep][i] * len(groups) + gi) * nf + a)
+            cols.append(g.cols[a, k])
+            vals.append(block[i, a, k])
+        start = end
+        rowkey = np.concatenate(keys)
+        if not rowkey.size:
+            continue
+        order = np.argsort(rowkey, kind="stable")
+        rowkey = rowkey[order]
+        ptr = np.flatnonzero(np.diff(rowkey, prepend=-1, append=rowkey[-1] + 1))
+        yield _Rows(ptr, np.concatenate(cols)[order], np.concatenate(vals)[order])
+
+
+def _span_stream(blocks, ncols: int, batch: int, stop, target: int | None = None):
+    """Span of the deduplicated rows of a _Rows stream, as (span, verdict).
+
+    Rows go in stream order to a FastIntRowSpace (which stops adding at
+    rank target, if given) in batches of batch rows, fewer when
+    STREAM_BYTES asks.  stop(span) is asked after every full batch that
+    added pivots and once at the end; a true answer ends the stream and
+    the last answer is the verdict.  On IntOverflow, an entry beyond int64
+    or a block of Python integers, the rows seen so far and the rest of the
+    stream continue exactly in IntRowEchelon, where stop is asked after
+    every new pivot.  Both span types have rank and contains_row."""
+    batch = _stream_rows(ncols, batch)
     space = FastIntRowSpace(ncols, target_rank=target)
-    seen = set()
     buf = np.zeros((batch, ncols), dtype=np.int64)
+    seen: set = set()
     fill = 0
+    blocks = iter(blocks)
+    block = None
     try:
-        for vec in vectors:
-            key = _canonical_int_vec(vec)
-            if not key or key in seen:
-                continue
-            seen.add(key)
-            for c, v in key:
-                buf[fill, c] = v
-            fill += 1
-            if fill == batch:
-                space.add_rows(buf[:fill])
-                buf[:] = 0
-                fill = 0
-                if space.saturated:
-                    return space.rank
+        for block in blocks:
+            if block.vals.dtype != np.int64:
+                raise IntOverflow
+            new = [r for r, key in enumerate(block.keys()) if not (key in seen or seen.add(key))]
+            new = np.array(new, dtype=np.intp)
+            while new.size:
+                take, new = new[: batch - fill], new[batch - fill :]
+                block.scatter(buf, fill, take)
+                fill += take.size
+                if fill == batch:
+                    added = space.add_rows(buf)
+                    buf[:] = 0
+                    fill = 0
+                    if added and stop(space):
+                        return space, True
         if fill:
             space.add_rows(buf[:fill])
-        return space.rank
+        return space, stop(space)
     except (IntOverflow, OverflowError):  # OverflowError: entry beyond int64
-        stop = None if target is None else (lambda ech: ech.rank >= target)
-        return _exact_span(seen, vectors, stop).rank
-
-
-def _exact_span(seen, vectors, stop) -> IntRowEchelon:
-    """Exact continuation of a streamed span after IntOverflow: the rows
-    already seen, then the rest of the stream, until stop(echelon) holds
-    (stop None reads the whole stream)."""
-    ech = IntRowEchelon()
-    for key in seen:
-        ech.add_row(dict(key))
-    if stop is not None and stop(ech):
-        return ech
-    for vec in vectors:
-        if ech.add_row(_row_to_int(vec)) and stop is not None and stop(ech):
-            break
-    return ech
+        ech = IntRowEchelon()
+        for key in seen:  # the int64 columns, then the int64 values
+            row = np.frombuffer(key, dtype=np.int64).reshape(2, -1).tolist()
+            ech.add_row(dict(zip(*row)))
+        if stop(ech):
+            return ech, True
+        for block in blocks if block is None else chain([block], blocks):
+            for row in block.dicts():
+                if ech.add_row(row) and stop(ech):
+                    return ech, True
+        return ech, False
 
 
 def consequences_span(generators, h: Action, n: int) -> Subspace:
@@ -586,8 +626,9 @@ def consequences_span(generators, h: Action, n: int) -> Subspace:
     rows = basis_size(n, h.s)
     _check_budget(rows, 1)
     ech = IntRowEchelon()
-    for vec in _consequence_instances(list(generators), h, n):
-        ech.add_row(_row_to_int(vec))
+    for block in _consequence_blocks(list(generators), h, n):
+        for row in block.dicts():
+            ech.add_row(row)
     return Subspace._from_echelon(rows, ech)
 
 
@@ -602,41 +643,19 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     target = vectorize(renumber_variables(comps[0]), h, n)
     if not target:
         return True
-    rows = basis_size(n, h.s)
-    space = FastIntRowSpace(rows)
     introw = _row_to_int(target)
-    tvec = np.zeros((1, rows), dtype=np.int64)
-    seen = set()
-    buf = np.zeros((256, rows), dtype=np.int64)
-    fill = 0
+    blocks = _consequence_blocks(list(generators), h, n)
+    return _span_stream(blocks, basis_size(n, h.s), 256, lambda span: span.contains_row(introw))[1]
 
-    def member() -> bool:
-        red = space.reduce_rows(tvec.copy())
-        return not red.any()
 
-    vectors = _consequence_instances(list(generators), h, n)
-    try:
-        tvec[0, list(introw)] = list(introw.values())
-        for vec in vectors:
-            key = _canonical_int_vec(vec)
-            if not key or key in seen:
-                continue
-            seen.add(key)
-            for c, v in key:
-                buf[fill, c] = v
-            fill += 1
-            if fill == buf.shape[0]:
-                added = space.add_rows(buf[:fill])
-                buf[:] = 0
-                fill = 0
-                if added and member():
-                    return True
-        if fill:
-            space.add_rows(buf[:fill])
-        return member()
-    except (IntOverflow, OverflowError):  # OverflowError: entry beyond int64
-        ech = _exact_span(seen, vectors, lambda ech: ech.contains_row(introw))
-        return ech.contains_row(introw)
+def _span_reaches(gens, h: Action, n: int, target: int) -> bool:
+    """Whether the degree-n consequence span of gens, which must lie in the
+    identity kernel, has rank target (streamed with early stop)."""
+    blocks = _consequence_blocks(gens, h, n)
+    span, _ = _span_stream(blocks, basis_size(n, h.s), 1024, lambda sp: sp.rank >= target, target)
+    if span.rank > target:
+        raise InternalError("consequence span escaped the identity kernel")
+    return span.rank == target
 
 
 def verify_generating_set(generators, h: Action, n: int, codim_value: int | None = None) -> bool:
@@ -649,24 +668,13 @@ def verify_generating_set(generators, h: Action, n: int, codim_value: int | None
     rows - codimension; pass codim_value to pin a stabilized codimension.
     """
     gens = [parse(g) if isinstance(g, str) else g for g in generators]
-    for g in gens:
-        if isinstance(g, dict):
-            continue
-        comps = multilinearize(g)
-        for comp in comps:
-            if len(variables_of(comp)) <= n:
-                ok, _ = is_identity(comp, h)
-                if not ok:
-                    return False
+    comps = (c for g in gens if not isinstance(g, dict) for c in multilinearize(g))
+    if not all(is_identity(c, h)[0] for c in comps if len(variables_of(c)) <= n):
+        return False
     rows = basis_size(n, h.s)
     if codim_value is None:
         codim_value = codimension(h, n)
-    target = rows - codim_value
-    all_gens = list(gens) + structural_identities(h)
-    rank = _stream_span_rank(_consequence_instances(all_gens, h, n), rows, target)
-    if rank > target:
-        raise InternalError("consequence span escaped the identity kernel")
-    return rank == target
+    return _span_reaches(list(gens) + structural_identities(h), h, n, rows - codim_value)
 
 
 # -- variety containment -----------------------------------------------------------
@@ -697,7 +705,7 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
         colsA = hA.A.dim ** m * hA.A.dim
         colsB = hB.A.dim ** m * hB.A.dim
         _check_budget(rows, colsA + colsB)
-        rank_a = _rank_of_row_arrays(lambda: _iter_rows_int(hA, m), colsA)
+        rank_a = _rank_of_row_arrays(_iter_rows_int(hA, m), colsA)
 
         def stacked():
             # the two halves of one row are scaled jointly: both are brought
@@ -709,7 +717,7 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
                 cols = np.concatenate([ca, cb + colsA])
                 yield _primitive(cols, ints, sa.numerator * sb.numerator)
 
-        rank_ab = _rank_of_row_arrays(stacked, colsA + colsB)
+        rank_ab = _rank_of_row_arrays(stacked(), colsA + colsB)
         if rank_ab != rank_a:
             return False
     return True
@@ -872,21 +880,12 @@ def _verify_grassmann(k: int, n: int, generators) -> bool:
     h = grassmann_action(k, k)  # coefficient structure only; A unused below
     rows_by_degree: dict = {}
     gens = [parse(g) if isinstance(g, str) else g for g in generators]
-    for g in gens:
-        if isinstance(g, dict):
-            continue
-        comps = multilinearize(g)
-        for comp in comps:
-            if 0 < len(variables_of(comp)) <= n:
-                if not _grassmann_is_identity(comp, h, rows_by_degree, k, m):
-                    return False
+    comps = (c for g in gens if not isinstance(g, dict) for c in multilinearize(g))
+    if not all(_grassmann_is_identity(c, h, rows_by_degree, k, m)
+               for c in comps if 0 < len(variables_of(c)) <= n):
+        return False
     rows = basis_size(n, h.s)
-    target = rows - cn
-    all_gens = list(gens) + _grassmann_structural_identities(k, m)
-    rank = _stream_span_rank(_consequence_instances(all_gens, h, n), rows, target)
-    if rank > target:
-        raise InternalError("consequence span escaped the identity kernel")
-    return rank == target
+    return _span_reaches(list(gens) + _grassmann_structural_identities(k, m), h, n, rows - cn)
 
 
 # -- growth reports ----------------------------------------------------------------

@@ -246,3 +246,56 @@ def test_quotient_projection_is_algebra_map():
         v = [rng.randint(-2, 2) for _ in range(6)]
         pu, pv = proj.matvec(u), proj.matvec(v)
         assert proj.matvec(A.multiply_coords(u, v)) == Q.multiply_coords(pu, pv)
+
+
+def _first_failing_triple(A):
+    """The associativity oracle: every basis triple in lexicographic order,
+    both bracketings multiplied out in Fractions."""
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                if A._triple_product(i, j, k, True) != A._triple_product(i, j, k, False):
+                    return (i, j, k)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_associativity_check_reports_first_failing_triple(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 5)
+    big = 2 ** 40 if seed % 3 == 0 else 1  # beyond int64 once squared and summed
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            if rng.random() < 0.4:
+                table[(i, j)] = [(rng.randrange(dim), Fraction(rng.randint(-2, 2) * big, rng.randint(1, 3)))]
+    A = StructureAlgebra(dim, [f"b{i}" for i in range(dim)], table, validate=False)
+    want = _first_failing_triple(A)
+    if want is None:
+        A.validate()
+    else:
+        with pytest.raises(NotAssociative) as err:
+            A.validate()
+        assert err.value.witness == want
+
+
+def test_associativity_check_accepts_associative_algebras():
+    for name in ("ut(3)", "grassmann_unital(4)", "block_ut(1,2)", "zero_mult(3)", "diag_d"):
+        builtin(name).validate()
+
+
+def test_associativity_check_finds_a_late_failure():
+    # ut(3) with one product disturbed: the failing triples start late in
+    # lexicographic order
+    A = builtin("ut(3)")
+    table = {}
+    for i, j, k, v in A.iter_nonzero_constants():
+        table.setdefault((i, j), []).append((k, v))
+    last = max(table)
+    table[last] = [(k, 2 * v) for k, v in table[last]]
+    B = StructureAlgebra(A.dim, A.labels, table, validate=False)
+    want = _first_failing_triple(B)
+    assert want is not None and want > (1, 0, 0)
+    with pytest.raises(NotAssociative) as err:
+        B.validate()
+    assert err.value.witness == want

@@ -154,3 +154,16 @@ def test_polyfile_verify(tmp_path, capsys):
     rc = main(["codim", "verify-gens", "ut2D", str(p), "-n", "2"])
     assert rc == 0
     assert "True" in capsys.readouterr().out
+
+
+def test_json_grassmann_marks_the_empirical_stop(capsys):
+    rc = main(["--json", "codim", "grassmann", "-k", "2", "-n", "1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0 and payload["codimension"] == 7
+    assert payload["stop"] == {
+        "rule": "first agreement of two consecutive truncation levels",
+        "proved": False,
+        "levels": [4, 5],
+    }
+    main(["codim", "grassmann", "-k", "2", "-n", "1"])
+    assert capsys.readouterr().out == "7\n"
