@@ -1,42 +1,50 @@
-"""Fast exact rank of large integer matrices.
+"""The one exact elimination of genpi: the row space over Q of integer rows.
 
-Maintains a fully reduced integer row echelon basis and reduces incoming
-rows in batches.  Batch reduction against unit pivots is a single matrix
-product, done in float64 when a rigorous magnitude bound certifies every
-intermediate value is an exactly representable integer (< 2^53), else in
-int64 (< 2^62).  If a bound cannot be certified, IntOverflow is raised and
-the caller reruns the computation through the pure rational path, so exact
-results are guaranteed either way.  Pivoting is first-nonzero in column
-order and rows are consumed in caller order, so results are deterministic.
+FastIntRowSpace holds the reduced row echelon form of the rows fed so far
+as integer rows: basis row k has its pivot value d_k > 0 at its pivot
+column, zeros at every other pivot column and coprime entries, so the
+RREF row is that row divided by d_k.  Pivoting is first nonzero in column
+order and rows are taken in caller order, so every result is deterministic
+and the RREF is the canonical one.
+
+Rows are fed in blocks of BLOCK rows.  A block is reduced against the basis
+by one product: with L the lcm of the pivot values it hits, each row b
+becomes L*b - sum_k b[p_k] (L/d_k) B_k, which vanishes at every pivot.  Its
+rows are then taken in order, one new pivot at a time: a nonzero row is made
+primitive, clears its pivot column from the basis and from the later rows of
+the block, and joins the basis.
+
+Columns are held in a physical order with the pivot columns first, so the
+part of the basis a product reads is one contiguous slice.  Arithmetic is
+float64 while a magnitude bound certifies that every intermediate value is
+an integer below 2^52 (so exactly representable, whatever the order of
+summation); the first time a bound fails, the basis moves for good to
+Python-integer object arrays and the elimination goes on there.  Either way
+the result is exact.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 import numpy as np
 
-_F53 = 1 << 53
-_I62 = 1 << 62
+BLOCK = 16
+_LIMIT = float(1 << 52)  # half of 2^53, a margin for the rounding of the bound itself
+_GROWTH = 1 << 20  # rows of a block are made primitive again past this size
 
 
-class IntOverflow(Exception):
-    """Raised when a guarded integer bound cannot be certified."""
+def _ints(X: np.ndarray) -> np.ndarray:
+    """X as Python integers (an object array)."""
+    return X if X.dtype == object else X.astype(np.int64).astype(object)
 
 
-_GROWTH_LIMIT = 1 << 20
-
-
-def _gcd_normalize(B: np.ndarray, force: bool = False) -> np.ndarray:
-    """Divide each row by the gcd of its entries (sign untouched).  Only
-    worth the scan once entries actually grow, unless forced."""
-    if B.size == 0:
-        return B
-    if not force and int(np.abs(B).max(initial=0)) < _GROWTH_LIMIT:
-        return B
-    g = np.gcd.reduce(np.abs(B), axis=1)
+def _primitive(X: np.ndarray) -> np.ndarray:
+    """X (2-D) with each row divided by the gcd of its entries."""
+    Xi = X if X.dtype == object else X.astype(np.int64)
+    g = np.gcd.reduce(np.abs(Xi), axis=1, keepdims=True)
     g[g == 0] = 1
-    if (g > 1).any():
-        B = B // g[:, None]
-    return B
+    return (Xi // g).astype(X.dtype)
 
 
 class FastIntRowSpace:
@@ -45,15 +53,10 @@ class FastIntRowSpace:
     def __init__(self, ncols: int, target_rank: int | None = None):
         self.ncols = ncols
         self.target_rank = target_rank
-        self._cap = 64
-        self._P = np.zeros((self._cap, ncols), dtype=np.int64)
-        self._rowmax = np.zeros(self._cap, dtype=np.int64)
+        self._B = np.zeros((BLOCK, ncols))  # basis rows, physical column order
+        self._rowmax = np.zeros(BLOCK)  # largest |entry| per basis row (float mode)
+        self._col = np.arange(ncols)  # the column at each physical position
         self._r = 0
-        self.pivcols: list[int] = []
-        self._pivvals: list[int] = []
-        self._pivindex: dict[int, int] = {}
-        self._free_cache = None
-        self._free_cache_rank = -1
 
     @property
     def rank(self) -> int:
@@ -63,161 +66,132 @@ class FastIntRowSpace:
     def saturated(self) -> bool:
         return self.target_rank is not None and self._r >= self.target_rank
 
-    def basis_rows(self) -> np.ndarray:
-        return self._P[: self._r].copy()
+    @property
+    def exact(self) -> bool:
+        """Whether the basis has moved to Python integers."""
+        return self._B.dtype == object
 
-    def _max_p(self) -> int:
-        return int(self._rowmax[: self._r].max(initial=0))
+    def _exact_if(self, bound, *arrays):
+        """The arrays, moved with the basis to Python integers when bound is
+        too large for float64."""
+        if not self.exact and bound >= _LIMIT:
+            self._B = _ints(self._B)
+        return [_ints(X) for X in arrays] if self.exact else list(arrays)
 
-    def _grow(self, need: int):
-        if need <= self._cap:
-            return
-        cap = self._cap
-        while cap < need:
-            cap *= 2
-        P = np.zeros((cap, self.ncols), dtype=np.int64)
-        P[: self._r] = self._P[: self._r]
-        rm = np.zeros(cap, dtype=np.int64)
-        rm[: self._r] = self._rowmax[: self._r]
-        self._P, self._rowmax, self._cap = P, rm, cap
+    def _load(self, B) -> np.ndarray:
+        """A 2-D copy of integer rows B (any integer or exact float dtype) in
+        physical column order and the number type of the basis."""
+        B = np.asarray(B)
+        X = (B[None, :] if B.ndim == 1 else B)[:, self._col]
+        if not X.size:
+            return X.astype(self._B.dtype)
+        (X,) = self._exact_if(np.abs(X).max(), X)
+        return X if self.exact else X.astype(np.float64)
 
-    def reduce_rows(self, B: np.ndarray) -> np.ndarray:
-        """Reduce rows against the basis (rows may come back scaled by a
-        positive integer; zero rows mean membership in the span)."""
-        B = np.ascontiguousarray(B, dtype=np.int64)
-        if B.ndim == 1:
-            B = B[None, :]
-        if self._r == 0 or B.size == 0 or not B.any():
-            return B
-        maxP = self._max_p()
-        # non-unit pivots first, one at a time (rare in practice)
-        for i in range(self._r):
-            d = self._pivvals[i]
-            if d == 1:
-                continue
-            col = B[:, self.pivcols[i]]
-            if not col.any():
-                continue
-            maxB = int(np.abs(B).max(initial=0))
-            if maxB * d + maxB * maxP >= _I62:
-                raise IntOverflow
-            B = B * d - np.outer(col, self._P[i])
-            B = _gcd_normalize(B)
-        unit = [i for i in range(self._r) if self._pivvals[i] == 1]
-        if unit:
-            idx = np.array(unit, dtype=np.intp)
-            cols = np.array([self.pivcols[i] for i in unit], dtype=np.intp)
-            C = B[:, cols]
-            if C.any():
-                maxB = int(np.abs(B).max(initial=0))
-                bound = maxB + maxB * len(unit) * max(maxP, 1)
-                # the basis is fully reduced: its rows are supported on the
-                # own pivot column plus non-pivot columns only, so the
-                # update lives entirely in the non-pivot block
-                free = self._free_cols()
-                Pfree = self._P[idx][:, free]
-                if bound < _F53:
-                    Bf = B[:, free].astype(np.float64)
-                    Bf -= C.astype(np.float64) @ Pfree.astype(np.float64)
-                    out = np.zeros_like(B)
-                    out[:, free] = Bf.astype(np.int64)
-                    B = out
-                elif bound < _I62:
-                    out = np.zeros_like(B)
-                    out[:, free] = B[:, free] - C @ Pfree
-                    B = out
-                else:
-                    raise IntOverflow
-                B = _gcd_normalize(B)
-        return B
+    def _reduce(self, X: np.ndarray) -> np.ndarray:
+        """Rows X (physical order) reduced against the basis: zero at every
+        pivot, each a positive multiple of its remainder modulo the span."""
+        r = self._r
+        C = X[:, :r]
+        hit = C.any(axis=0)
+        if not hit.any():
+            return X
+        d = np.diagonal(self._B[:r, :r])
+        dh = d[hit]
+        L = lcm(*{int(v) for v in dh[dh != 1].tolist()})
+        if not self.exact:
+            # |L b - sum_k b[p_k] (L/d_k) B_k| <= L |b| + sum_k |b[p_k]| (L/d_k) max|B_k|
+            bound = L
+            if L < _LIMIT:
+                bound = L * np.abs(X).max() + (np.abs(C) @ (self._rowmax[:r] * (L // d))).max()
+            X, C = self._exact_if(bound, X, C)
+            d = np.diagonal(self._B[:r, :r])
+        D = C if L == 1 else C * (L // d)
+        out = np.zeros_like(X)
+        out[:, r:] = (X[:, r:] if L == 1 else L * X[:, r:]) - D @ self._B[:r, r:]
+        return out
 
-    def contains_row(self, row: dict) -> bool:
-        """Membership of the integer row {col: value} in the span; raises
-        OverflowError when an entry does not fit int64."""
-        vec = np.zeros((1, self.ncols), dtype=np.int64)
-        vec[0, list(row)] = list(row.values())
-        return not self.reduce_rows(vec).any()
+    def reduce_rows(self, B) -> np.ndarray:
+        """Rows of B reduced against the basis, in column order and the
+        number type of the basis; a row comes back zero iff it lies in the
+        span."""
+        X = self._load(B)
+        if self._r and X.size:
+            X = self._reduce(X)
+        out = np.empty_like(X)
+        out[:, self._col] = X
+        return out
 
-    def _free_cols(self) -> np.ndarray:
-        if self._free_cache is None or self._free_cache_rank != self._r:
-            mask = np.ones(self.ncols, dtype=bool)
-            if self.pivcols:
-                mask[np.array(self.pivcols, dtype=np.intp)] = False
-            self._free_cache = np.nonzero(mask)[0]
-            self._free_cache_rank = self._r
-        return self._free_cache
+    def _swap(self, X: np.ndarray, p: int, q: int):
+        """Exchange physical positions p and q in the layout, the basis and X."""
+        if p != q:
+            for M in (self._col, X.T, self._B[: self._r].T):
+                M[[p, q]] = M[[q, p]]
 
-    def _reduce_single(self, row: np.ndarray) -> np.ndarray:
-        """Fully reduce one row (needed after in-batch pivot insertions)."""
-        while True:
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                return row
-            hit = next((c for c in nz.tolist() if c in self._pivindex), None)
-            if hit is None:
-                return row
-            i = self._pivindex[hit]
-            d = self._pivvals[i]
-            b = int(row[hit])
-            maxr = int(np.abs(row).max())
-            if maxr * d + abs(b) * max(int(self._rowmax[i]), 1) >= _I62:
-                raise IntOverflow
-            if d == 1:
-                row = row - b * self._P[i]
-            else:
-                row = row * d - b * self._P[i]
-            nzv = row[row != 0]
-            if nzv.size:
-                g = int(np.gcd.reduce(np.abs(nzv)))
-                if g > 1:
-                    row = row // g
-
-    def _insert_row(self, row: np.ndarray):
-        nz = np.nonzero(row)[0]
-        c = int(nz[0])
-        if row[c] < 0:
-            row = -row
-        self._grow(self._r + 1)
-        # clear column c from existing rows to keep the basis fully reduced
-        d = int(row[c])
-        rowmax = int(np.abs(row).max())
-        col = self._P[: self._r, c]
-        touched = np.nonzero(col)[0]
+    def _insert(self, X: np.ndarray, i: int) -> np.ndarray:
+        """Make reduced row X[i] a basis row: its first nonzero in column
+        order becomes the pivot, at physical position r, and is cleared from
+        the basis and from the later rows of X.  Returns X."""
+        r = self._r
+        nz = r + np.flatnonzero(X[i, r:])
+        self._swap(X, r, int(nz[np.argmin(self._col[nz])]))
+        v = X[i] if abs(X[i, r]) == 1 else _primitive(X[i : i + 1])[0]
+        v = -v if v[r] < 0 else v
+        a, vmax = v[r], np.abs(v).max()
+        touched = np.flatnonzero(self._B[:r, r])
+        later = i + 1 + np.flatnonzero(X[i + 1 :, r])
+        Bt, Xl = self._B[touched], X[later]
+        if not self.exact and (touched.size or later.size):
+            size = max(self._rowmax[touched].max(initial=0), np.abs(Xl).max(initial=0))
+            col = max(np.abs(Bt[:, r]).max(initial=0), np.abs(Xl[:, r]).max(initial=0))
+            X, Bt, Xl, v = self._exact_if(a * size + vmax * col, X, Bt, Xl, v)
+            a = v[r]
         if touched.size:
-            maxP = self._max_p()
-            if maxP * d + maxP * rowmax >= _I62:
-                raise IntOverflow
-            sub = self._P[touched]
-            if d == 1:
-                sub = sub - np.outer(sub[:, c], row)
-            else:
-                sub = sub * d - np.outer(sub[:, c], row)
-            sub = _gcd_normalize(sub)
-            self._P[touched] = sub
-            self._rowmax[touched] = np.abs(sub).max(axis=1)
-            for j in touched.tolist():
-                self._pivvals[j] = int(self._P[j, self.pivcols[j]])
-        i = self._r
-        self._P[i] = row
-        self._rowmax[i] = rowmax
-        self.pivcols.append(c)
-        self._pivvals.append(d)
-        self._pivindex[c] = i
+            c = Bt[:, r : r + 1].copy()
+            if a != 1:
+                Bt *= a
+            Bt -= c * v
+            grown = Bt[np.arange(touched.size), touched] > 1
+            if grown.any():
+                Bt[grown] = _primitive(Bt[grown])
+            self._B[touched] = Bt
+            if not self.exact:
+                self._rowmax[touched] = np.abs(Bt).max(axis=1)
+        if later.size:
+            Xl = (Xl if a == 1 else a * Xl) - Xl[:, r : r + 1] * v
+            X[later] = _primitive(Xl) if np.abs(Xl).max() >= _GROWTH else Xl
+        if r == len(self._B):  # the rank never exceeds ncols
+            grow = min(r, self.ncols - r)
+            self._B = np.concatenate([self._B, np.zeros((grow, self.ncols), self._B.dtype)])
+            self._rowmax = np.concatenate([self._rowmax, np.zeros(grow)])
+        self._B[r] = v
+        if not self.exact:
+            self._rowmax[r] = vmax
         self._r += 1
+        return X
 
-    def add_rows(self, B: np.ndarray) -> int:
-        """Feed rows in order; returns the number of new pivots."""
-        B = self.reduce_rows(B)
-        added = 0
+    def add_rows(self, B) -> int:
+        """Feed rows in order; returns the number of new pivots.  Stops once
+        the rank reaches target_rank."""
+        B = np.asarray(B)
+        B = B[None, :] if B.ndim == 1 else B
         before = self._r
-        for i in range(B.shape[0]):
-            row = B[i]
-            if self._r > before:
-                row = self._reduce_single(row.copy())
-            if not row.any():
-                continue
-            self._insert_row(row.copy())
-            added += 1
-            if self.saturated:
-                break
-        return added
+        for start in range(0, B.shape[0], BLOCK):
+            X = self._load(B[start : start + BLOCK])
+            if self._r:
+                X = self._reduce(X)
+            for i in range(X.shape[0]):
+                if self.saturated:
+                    return self._r - before
+                if X[i, self._r :].any():
+                    X = self._insert(X, i)
+        return self._r - before
+
+    def rref(self):
+        """(pivot columns ascending, integer rows in column order): the RREF
+        row with pivot pivots[k] is rows[k] / rows[k, pivots[k]]."""
+        r = self._r
+        order = np.argsort(self._col[:r])
+        rows = np.empty((r, self.ncols), dtype=self._B.dtype)
+        rows[:, self._col] = self._B[order]
+        return self._col[:r][order], _ints(rows)

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._fastrank import FastIntRowSpace
 from .algebras import (
     AlgElement,
     LinOp,
@@ -40,7 +41,7 @@ from .errors import (
     UnitMismatch,
     UnsupportedName,
 )
-from .linalg import IntRowEchelon, RatMatrix, Subspace, _row_to_int, rat, solve_right
+from .linalg import RatMatrix, Subspace, int_rows, rat, solve_right
 from .multipliers import Multiplier, multiplier_violation
 
 _ZERO = Fraction(0)
@@ -194,13 +195,8 @@ def effective_image(h: Action) -> EffectiveAction:
     basis is the greedy independent subset of nonzero images in listed
     order (so the unit pair stays first for unital W)."""
     d2 = 2 * h.A.dim * h.A.dim
-    ech = IntRowEchelon()
-    keep = []
-    for i, m in enumerate(h.pairs):
-        vec = m.flatten()
-        row = _row_to_int({k: x for k, x in enumerate(vec) if x != 0})
-        if row and ech.add_row(row):
-            keep.append(i)
+    space = FastIntRowSpace(d2)
+    keep = [i for i, m in enumerate(h.pairs) if space.add_rows(int_rows([m.flatten()], d2))]
     basis_matrix = RatMatrix.from_rows(
         [[h.pairs[i].flatten()[r] for i in keep] for r in range(d2)]
     ) if keep else RatMatrix.zeros(d2, 0)
@@ -268,17 +264,16 @@ def semisimple_part_action(h: Action):
                  name=f"ss({h.name or 'action'})")
     # hypothesis: image radical inside the inner pairs of J(A)
     JA = jacobson_radical(h.A)
-    inner = IntRowEchelon()
-    for v in JA.basis:
-        m = Multiplier.inner(h.A.element(list(v)))
-        inner.add_row(_row_to_int({k: x for k, x in enumerate(m.flatten()) if x != 0}))
+    inner = Subspace.from_vectors(
+        2 * h.A.dim * h.A.dim, [Multiplier.inner(h.A.element(list(v))).flatten() for v in JA.basis]
+    )
     holds = True
     for v in wm.radical.basis:
         m = Multiplier(h.A, LinOp.zero(h.A.dim), LinOp.zero(h.A.dim))
         for k, c in enumerate(v):
             if c:
                 m = m.add(eff.image_pairs[k].scale(c))
-        if not inner.contains_row(_row_to_int({k: x for k, x in enumerate(m.flatten()) if x != 0})):
+        if not inner.contains_vector(m.flatten()):
             holds = False
             break
     return act, holds
@@ -359,11 +354,8 @@ def w_ideal_generated(h: Action, gens) -> Subspace:
     vectors = []
     for g in gens:
         vectors.append(list(g.coords) if isinstance(g, AlgElement) else [rat(x) for x in g])
-    ech = IntRowEchelon()
-    work = []
-    for v in vectors:
-        if ech.add_row(_row_to_int({i: x for i, x in enumerate(v) if x != 0})):
-            work.append(v)
+    space = FastIntRowSpace(A.dim)
+    work = [v for v in vectors if space.add_rows(int_rows([v], A.dim))]
     ops = []
     for i in range(A.dim):
         e = A._unit_vec(i)
@@ -376,10 +368,9 @@ def w_ideal_generated(h: Action, gens) -> Subspace:
         v = work.pop()
         for op in ops:
             img = op.matvec(v)
-            row = _row_to_int({i: x for i, x in enumerate(img) if x != 0})
-            if row and ech.add_row(row):
+            if space.add_rows(int_rows([img], A.dim)):
                 work.append(img)
-    return Subspace._from_echelon(A.dim, ech)
+    return Subspace.from_space(space)
 
 
 def is_w_simple(h: Action) -> bool:

@@ -21,6 +21,7 @@ from math import lcm
 
 import numpy as np
 
+from ._fastrank import FastIntRowSpace
 from .errors import (
     BadUnit,
     DimensionMismatch,
@@ -29,7 +30,7 @@ from .errors import (
     ParentMismatch,
     UnsupportedName,
 )
-from .linalg import IntRowEchelon, RatMatrix, Subspace, rat, solve_right, _row_to_int
+from .linalg import RatMatrix, Subspace, int_rows, rat, solve_right
 
 # Largest dimension for which associativity is verified on every basis
 # triple; beyond it (Grassmann truncations) a seeded random sample is used.
@@ -607,21 +608,16 @@ def generated_ideal(A: StructureAlgebra, gens) -> Subspace:
             vectors.append(list(g.coords))
         else:
             vectors.append([rat(x) for x in g])
-    ech = IntRowEchelon()
-    work = []
-    for v in vectors:
-        row = {i: x for i, x in enumerate(v) if x != 0}
-        if ech.add_row(_row_to_int(row)):
-            work.append(v)
+    space = FastIntRowSpace(A.dim)
+    work = [v for v in vectors if space.add_rows(int_rows([v], A.dim))]
     while work:
         v = work.pop()
         for i in range(A.dim):
             e = A._unit_vec(i)
             for prod in (A.multiply_coords(e, v), A.multiply_coords(v, e)):
-                row = {k: x for k, x in enumerate(prod) if x != 0}
-                if row and ech.add_row(_row_to_int(row)):
+                if space.add_rows(int_rows([prod], A.dim)):
                     work.append(prod)
-    return Subspace._from_echelon(A.dim, ech)
+    return Subspace.from_space(space)
 
 
 def subspace_product(A: StructureAlgebra, u: Subspace, v: Subspace) -> Subspace:

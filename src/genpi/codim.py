@@ -14,8 +14,8 @@ relabelling tuple positions, a numpy digit permutation of the column
 indices.  Each row comes with its positive scale: the integer row has
 coprime entries and equals the scale times the exact rational row, so the
 rank needs only the integers and the rational matrix and kernel divide the
-scale back out.  Rows with entries beyond int64 go to the exact integer
-elimination instead of the numpy fast path.
+scale back out.  Ranks, spans and kernels all come from the one exact
+elimination, FastIntRowSpace (_fastrank.py).
 
 Consequence spans realize the multilinear degree-n part of the ideal
 generated by a set of identities under substitutions, two-sided monomial
@@ -29,8 +29,8 @@ block composition share every coefficient-slot table and differ only in a
 column-index array, so a chunk of coefficient assignments becomes canonical
 rows by table gathers and outer products, in Python integers only where no
 int64 bound can be certified.  One driver, _span_stream, feeds such blocks,
-deduplicated, to the numpy rank in batches sized by the byte cap
-STREAM_BYTES and continues in exact elimination on overflow.
+deduplicated, to the elimination in batches sized by the byte cap
+STREAM_BYTES.
 
 Truncated exterior algebras get a dedicated assembler: columns of the
 evaluation matrix fall into orbits of index relabelings that change all
@@ -43,16 +43,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, permutations, product
+from itertools import islice, permutations, product
 from math import gcd, lcm, prod
 
 import numpy as np
 
-from ._fastrank import FastIntRowSpace, IntOverflow
+from ._fastrank import FastIntRowSpace
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _merge_mask, _word_mask
 from .errors import BasisMismatch, BudgetExceeded, InternalError, NotSplit
-from .linalg import IntRowEchelon, Subspace, _row_to_int, echelon_from_fraction_rows
+from .linalg import Subspace, int_rows, reversed_kernel
 from .polynomials import (
     GenMonomial,
     _perm_rank,
@@ -252,22 +252,26 @@ def codimension(h: Action, n: int) -> int:
 
 def identity_kernel_basis(h: Action, n: int) -> Subspace:
     """Canonical basis of the multilinear identities of degree n, as
-    coefficient vectors over the monomial basis."""
+    coefficient vectors over the monomial basis: the left kernel of the
+    evaluation matrix, read off the row space of its columns with the row
+    order reversed (linalg.reversed_kernel).  That transposed matrix is
+    dense, and BudgetExceeded is raised before it is allocated when it is
+    over STREAM_BYTES."""
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    ech = IntRowEchelon(track_combos=True)
+    if 8 * rows * cols > STREAM_BYTES:
+        raise BudgetExceeded(rows, cols, STREAM_BYTES // (8 * cols))
+    T = np.zeros((cols, rows), dtype=np.int64)
     scales = []
     for cs, vals, scale in _iter_rows_int(h, n):
-        ech.add_row(dict(zip(cs.tolist(), vals.tolist())))
+        if vals.dtype == object:
+            T = T.astype(object, copy=False)
+        T[cs, rows - 1 - len(scales)] = vals
         scales.append(scale)
-    vectors = []
-    for combo in ech.kernel_combos:
-        vec = [_ZERO] * rows
-        for i, c in combo.items():
-            vec[i] = c * scales[i]
-        vectors.append(vec)
-    return Subspace.from_vectors(rows, vectors)
+    space = FastIntRowSpace(rows)
+    space.add_rows(T)
+    return reversed_kernel(space, scales)
 
 
 def identity_kernel_polynomials(h: Action, n: int):
@@ -406,15 +410,15 @@ class _Rows:
         self.ptr, self.cols, self.vals = ptr, cols, vals
 
     def keys(self) -> list:
-        """One bytes key per int64 row, equal exactly for equal rows."""
-        cb, vb = self.cols.tobytes(), self.vals.tobytes()
+        """One key per row, equal exactly for equal rows: bytes for int64
+        rows, (column bytes, values) for Python integers."""
+        cb = self.cols.tobytes()
         p = (self.ptr * 8).tolist()
+        if self.vals.dtype == object:
+            vals = self.vals.tolist()
+            return [(cb[a:b], tuple(vals[a // 8 : b // 8])) for a, b in zip(p, p[1:])]
+        vb = self.vals.tobytes()
         return [cb[a:b] + vb[a:b] for a, b in zip(p, p[1:])]
-
-    def dicts(self):
-        p, cols, vals = self.ptr.tolist(), self.cols.tolist(), self.vals.tolist()
-        for a, b in zip(p, p[1:]):
-            yield dict(zip(cols[a:b], vals[a:b]))
 
     def scatter(self, buf, at: int, sel):
         """Write the rows sel (ascending) to buf[at], buf[at + 1], ..."""
@@ -574,50 +578,33 @@ def _span_stream(blocks, ncols: int, batch: int, stop, target: int | None = None
 
     Rows go in stream order to a FastIntRowSpace (which stops adding at
     rank target, if given) in batches of batch rows, fewer when
-    STREAM_BYTES asks.  stop(span) is asked after every full batch that
-    added pivots and once at the end; a true answer ends the stream and
-    the last answer is the verdict.  On IntOverflow, an entry beyond int64
-    or a block of Python integers, the rows seen so far and the rest of the
-    stream continue exactly in IntRowEchelon, where stop is asked after
-    every new pivot.  Both span types have rank and contains_row."""
+    STREAM_BYTES asks; the batch buffer turns to Python integers at the
+    first block that holds them.  stop(span) is asked after every full
+    batch that added pivots and once at the end; a true answer ends the
+    stream and the last answer is the verdict."""
     batch = _stream_rows(ncols, batch)
     space = FastIntRowSpace(ncols, target_rank=target)
     buf = np.zeros((batch, ncols), dtype=np.int64)
     seen: set = set()
     fill = 0
-    blocks = iter(blocks)
-    block = None
-    try:
-        for block in blocks:
-            if block.vals.dtype != np.int64:
-                raise IntOverflow
-            new = [r for r, key in enumerate(block.keys()) if not (key in seen or seen.add(key))]
-            new = np.array(new, dtype=np.intp)
-            while new.size:
-                take, new = new[: batch - fill], new[batch - fill :]
-                block.scatter(buf, fill, take)
-                fill += take.size
-                if fill == batch:
-                    added = space.add_rows(buf)
-                    buf[:] = 0
-                    fill = 0
-                    if added and stop(space):
-                        return space, True
-        if fill:
-            space.add_rows(buf[:fill])
-        return space, stop(space)
-    except (IntOverflow, OverflowError):  # OverflowError: entry beyond int64
-        ech = IntRowEchelon()
-        for key in seen:  # the int64 columns, then the int64 values
-            row = np.frombuffer(key, dtype=np.int64).reshape(2, -1).tolist()
-            ech.add_row(dict(zip(*row)))
-        if stop(ech):
-            return ech, True
-        for block in blocks if block is None else chain([block], blocks):
-            for row in block.dicts():
-                if ech.add_row(row) and stop(ech):
-                    return ech, True
-        return ech, False
+    for block in blocks:
+        if block.vals.dtype == object:
+            buf = buf.astype(object, copy=False)
+        new = [r for r, key in enumerate(block.keys()) if not (key in seen or seen.add(key))]
+        new = np.array(new, dtype=np.intp)
+        while new.size:
+            take, new = new[: batch - fill], new[batch - fill :]
+            block.scatter(buf, fill, take)
+            fill += take.size
+            if fill == batch:
+                added = space.add_rows(buf)
+                buf[:] = 0
+                fill = 0
+                if added and stop(space):
+                    return space, True
+    if fill:
+        space.add_rows(buf[:fill])
+    return space, stop(space)
 
 
 def consequences_span(generators, h: Action, n: int) -> Subspace:
@@ -625,11 +612,8 @@ def consequences_span(generators, h: Action, n: int) -> Subspace:
     generators (empty generator list gives the zero subspace)."""
     rows = basis_size(n, h.s)
     _check_budget(rows, 1)
-    ech = IntRowEchelon()
-    for block in _consequence_blocks(list(generators), h, n):
-        for row in block.dicts():
-            ech.add_row(row)
-    return Subspace._from_echelon(rows, ech)
+    blocks = _consequence_blocks(list(generators), h, n)
+    return Subspace.from_space(_span_stream(blocks, rows, 1024, lambda span: False)[0])
 
 
 def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
@@ -643,9 +627,10 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     target = vectorize(renumber_variables(comps[0]), h, n)
     if not target:
         return True
-    introw = _row_to_int(target)
+    rows = basis_size(n, h.s)
+    row = int_rows([target], rows)
     blocks = _consequence_blocks(list(generators), h, n)
-    return _span_stream(blocks, basis_size(n, h.s), 256, lambda span: span.contains_row(introw))[1]
+    return _span_stream(blocks, rows, 256, lambda span: not span.reduce_rows(row).any())[1]
 
 
 def _span_reaches(gens, h: Action, n: int, target: int) -> bool:
@@ -665,7 +650,7 @@ def verify_generating_set(generators, h: Action, n: int, codim_value: int | None
     Generators that are not identities fail immediately.  The kernel is
     never materialized: the span is contained in it once every generator is
     an identity, so equality is a rank comparison against
-    rows - codimension; pass codim_value to pin a stabilized codimension.
+    rows - codimension; pass codim_value to supply a known codimension.
     """
     gens = [parse(g) if isinstance(g, str) else g for g in generators]
     comps = (c for g in gens if not isinstance(g, dict) for c in multilinearize(g))
@@ -776,55 +761,75 @@ def _grassmann_reduced_rows(k: int, m: int, n: int):
     return rows_data
 
 
+def _grassmann_matrix(k: int, m: int, n: int) -> np.ndarray:
+    """_grassmann_reduced_rows as a dense integer array."""
+    rows = _grassmann_reduced_rows(k, m, n)
+    M = np.zeros((len(rows), 1 + max((c for r in rows for c in r), default=-1)), dtype=np.int64)
+    for i, r in enumerate(rows):
+        M[i, list(r)] = list(r.values())
+    return M
+
+
 def _grassmann_reduced_rank(k: int, m: int, n: int) -> int:
-    ech = IntRowEchelon()
-    for row in _grassmann_reduced_rows(k, m, n):
-        ech.add_row(row)
-    return ech.rank
+    M = _grassmann_matrix(k, m, n)
+    space = FastIntRowSpace(M.shape[1])
+    space.add_rows(M)
+    return space.rank
+
+
+def _grassmann_kernel(k: int, m: int, n: int) -> Subspace:
+    """Left kernel of the orbit-reduced evaluation matrix, the same as that
+    of the full one, from the row space of its columns with the row order
+    reversed (linalg.reversed_kernel)."""
+    M = _grassmann_matrix(k, m, n)
+    space = FastIntRowSpace(M.shape[0])
+    space.add_rows(M.T[:, ::-1])
+    return reversed_kernel(space)
 
 
 def _grassmann_stabilized(k: int, n: int):
-    """(codimension, truncation level) at the first of two consecutive
-    levels, from m = 2n + k on, whose reduced ranks agree."""
+    """(codimension, truncation level) of the k-generator action at degree
+    n: the reduced rank at level k + n, which is final.
+
+    Lemma: at every level m >= k + n the orbit-reduced degree-n evaluation
+    matrix has the same rank and the same left kernel, and so has the
+    evaluation matrix of the infinite exterior algebra.  Proof: substitute
+    basis words u_i for the x_i and write u_i = +-a_i b_i, with a_i a word
+    in e_1..e_k and b_i a word in the other generators.  The b_i commute
+    with every other factor up to signs, so the monomial
+    w_0 x_s(1) w_1 ... x_s(n) w_n evaluates to
+    eps * (w_0 a_s(1) w_1 ... a_s(n) w_n) * (b_1 ... b_n), where the sign eps
+    depends only on the permutation s and on the parities of the factors.
+    If two b_i share a letter, every monomial vanishes at that assignment.
+    Otherwise replace each odd b_i by e_(k+i) and each even b_i by 1: no
+    parity changes, so no sign of any monomial changes, and only the output
+    coordinate moves (b_1 ... b_n is one word up to a sign common to the
+    column).  So every evaluation column, at any level, is zero or +- a
+    column of this parity-class matrix, whose columns assign each of
+    e_1..e_k to one slot or none, a parity to each slot and an output
+    word; all of them occur from level k + n on.  A matrix keeps its rank
+    and left kernel when zero columns, repeats and sign changes of columns
+    are added or dropped, and the orbit mates dropped by
+    _grassmann_reduced_rows are such repeats."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    m = 2 * n + k
-    prev = _grassmann_reduced_rank(k, m, n)
-    for step in range(8):
-        cur = _grassmann_reduced_rank(k, m + 1 + step, n)
-        if cur == prev:
-            return cur, m + step
-        prev = cur
-    raise BudgetExceeded(basis_size(n, 2 ** k), 2 ** (m + 8), row_budget())
+    return _grassmann_reduced_rank(k, k + n, n), k + n
 
 
 def grassmann_codim_stabilized(k: int, n: int) -> int:
-    """Codimension of the k-generator action on truncations of increasing
-    level, returned where two consecutive levels first agree.
-
-    The stop is empirical, not proved: no bound is known here that makes
-    two equal consecutive levels final, so the value is a stabilized
-    codimension, not a certified one."""
+    """Codimension of the k-generator action on the exterior algebra at
+    degree n, computed on the truncation at level k + n, from which on it
+    is proved constant (see _grassmann_stabilized)."""
     return _grassmann_stabilized(k, n)[0]
 
 
 def _grassmann_structural_identities(k: int, m: int):
-    """Degree-1 identities of the truncated action, from the left kernel
-    of the orbit-reduced evaluation matrix (same kernel as the full one)."""
-    ech, scales = echelon_from_fraction_rows(
-        _grassmann_reduced_rows(k, m, 1), track_combos=True
-    )
-    s = 2 ** k
-    mons = list(enumerate_basis(1, s))
-    gens = []
-    for combo in ech.kernel_combos:
-        words = {}
-        for i, c in combo.items():
-            mon = mons[i]
-            words[(-(mon.coeffs[0] + 1), 1, -(mon.coeffs[1] + 1))] = c * scales[i]
-        if words:
-            gens.append(words)
-    return gens
+    """Degree-1 identities of the truncated action."""
+    mons = list(enumerate_basis(1, 2 ** k))
+    return [
+        {(-(mon.coeffs[0] + 1), 1, -(mon.coeffs[1] + 1)): c for mon, c in zip(mons, vec) if c}
+        for vec in _grassmann_kernel(k, m, 1).basis
+    ]
 
 
 def _grassmann_is_identity(poly, h: Action, rows_by_degree, k: int, m: int):
@@ -869,7 +874,8 @@ def grassmann_generators(k: int):
 
 def verify_grassmann_generating_set(k: int, n: int, generators=None) -> bool:
     """Generating-set certificate for the k-generator action at degree n,
-    with the identity kernel taken at the stabilized truncation level."""
+    with the identity kernels taken at truncation level k + n, where every
+    kernel of degree <= n is final (see _grassmann_stabilized)."""
     if generators is None:
         generators = grassmann_generators(k)
     return _verify_grassmann(k, n, list(generators))

@@ -1,10 +1,11 @@
 """Exact rational linear algebra: matrices, rank, kernels, subspace arithmetic.
 
-All computations are fraction-free: rows are scaled to integers once and
-elimination uses cross-multiplication followed by gcd reduction, so no
-rational arithmetic happens in inner loops and results are exact.  Pivoting
-is deterministic (first nonzero entry in column order), hence every derived
-object (echelon forms, canonical subspace bases) is reproducible bit for bit.
+Everything here runs on the one exact elimination of the package,
+FastIntRowSpace (_fastrank.py): rational rows are scaled to integer rows,
+and ranks, memberships, canonical bases, kernels and solutions are read off
+its reduced row echelon form, so no rational arithmetic happens during
+elimination.  Pivoting is deterministic (first nonzero entry in column
+order), hence every derived object is reproducible bit for bit.
 
 Subspaces are stored in reduced row echelon form with leading entries 1, so
 equal subspaces compare equal structurally.
@@ -13,14 +14,16 @@ equal subspaces compare equal structurally.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import lcm
 
+import numpy as np
+
+from ._fastrank import FastIntRowSpace
 from .errors import DimensionMismatch
 
-# Matrices with at most this many entries are stored densely; larger ones
-# sparsely.  Constraint systems in this package are small and dense-ish,
-# evaluation matrices are large and very sparse.
-DENSE_LIMIT = 4096
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -34,177 +37,71 @@ def rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _row_to_int_scaled(row: dict) -> tuple[dict, Fraction]:
-    """Scale a {col: Fraction} row to coprime integers; returns the integer
-    row and the positive scale s with introw = s * row."""
-    if not row:
-        return {}, Fraction(1)
-    denom_lcm = 1
-    for v in row.values():
-        d = v.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = {c: int(v * denom_lcm) for c, v in row.items() if v != 0}
-    if not ints:
-        return {}, Fraction(1)
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    else:
-        g = 1
-    return ints, Fraction(denom_lcm, g)
+def int_rows(vectors, ncols: int) -> np.ndarray:
+    """Integer rows: row i is vectors[i], a sequence or a {col: value} dict
+    of rationals, times a positive rational.  int64 when every entry fits,
+    else Python integers (an object array)."""
+    rows = []
+    for v in vectors:
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        items = [(c, x if isinstance(x, int) else rat(x)) for c, x in items]
+        items = [(c, x) for c, x in items if x]
+        den = lcm(*(x.denominator for _, x in items))
+        rows.append(([c for c, _ in items], [x.numerator * (den // x.denominator) for _, x in items]))
+    big = any(abs(x) >> 63 for _, vals in rows for x in vals)
+    out = np.zeros((len(rows), ncols), dtype=object if big else np.int64)
+    for i, (cols, vals) in enumerate(rows):
+        out[i, cols] = vals
+    return out
 
 
-def _row_to_int(row: dict) -> dict:
-    return _row_to_int_scaled(row)[0]
+def _row_space(vectors, ncols: int) -> FastIntRowSpace:
+    """The exact row space of rational vectors (see int_rows)."""
+    space = FastIntRowSpace(ncols)
+    it = iter(vectors)
+    while chunk := list(islice(it, 256)):
+        space.add_rows(int_rows(chunk, ncols))
+    return space
 
 
-def _normalize_int_row(row: dict) -> dict:
-    row = {c: v for c, v in row.items() if v != 0}
-    if not row:
-        return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
+def _rref_basis(space: FastIntRowSpace, start: int = 0) -> tuple:
+    """The RREF rows of space whose pivot is at column start or later, as
+    tuples of Fractions over columns start, start + 1, ..."""
+    out = []
+    pivots, rows = space.rref()
+    for p, row in zip(pivots.tolist(), rows.tolist()):
+        if p >= start:
+            out.append(tuple(Fraction(v, row[p]) if v else _ZERO for v in row[start:]))
+    return tuple(out)
 
 
-class IntRowEchelon:
-    """Incremental echelon form over the integers (row space over Q).
+def reversed_kernel(space: FastIntRowSpace, scales=None) -> "Subspace":
+    """Canonical basis of the x in Q^n with sum_j row[n - 1 - j] x_j = 0 for
+    every row of space: space holds the constraints with their entries in
+    reversed order.
 
-    Rows are fed one at a time; the internal basis is kept fully reduced
-    (zeros above and below pivots, rows gcd-normalized with positive pivot).
-    Optionally tracks the expressing combination of each fed row so left
-    kernels can be read off.
-    """
-
-    def __init__(self, track_combos: bool = False):
-        self.rows: list[dict] = []          # reduced rows, pivot order by insertion
-        self.pivots: dict[int, int] = {}    # pivot column -> index into rows
-        self.track = track_combos
-        self.combos: list[dict] = []        # combo for rows[i] over fed-row indices
-        self.kernel_combos: list[dict] = []  # combos of fed rows reducing to zero
-        self.n_fed = 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, row: dict, combo: dict | None = None):
-        """Reduce a row against the basis; returns (row, combo) remainders."""
-        row = dict(row)
-        combo = dict(combo) if combo is not None else None
-        while row:
-            hits = [c for c in row if c in self.pivots]
-            if not hits:
-                break
-            c = min(hits)
-            idx = self.pivots[c]
-            piv = self.rows[idx]
-            a, b = piv[c], row[c]
-            # row <- a*row - b*piv  (kills column c, stays integral)
-            row = {col: a * v for col, v in row.items()}
-            for col, v in piv.items():
-                nv = row.get(col, 0) - b * v
-                if nv:
-                    row[col] = nv
-                else:
-                    row.pop(col, None)
-            if combo is not None:
-                pc = self.combos[idx]
-                new = {}
-                for k, v in combo.items():
-                    new[k] = a * v
-                for k, v in pc.items():
-                    nv = new.get(k, 0) - b * v
-                    if nv:
-                        new[k] = nv
-                    else:
-                        new.pop(k, None)
-                combo = new
-            row, combo = self._joint_normalize(row, combo)
-        return row, combo
-
-    @staticmethod
-    def _joint_normalize(row, combo):
-        if not row:
-            return row, combo
-        g = 0
-        for v in row.values():
-            g = gcd(g, abs(v))
-        if combo is not None:
-            for v in combo.values():
-                g = gcd(g, abs(v))
-        if g > 1:
-            row = {c: v // g for c, v in row.items()}
-            if combo is not None:
-                combo = {c: v // g for c, v in combo.items()}
-        return row, combo
-
-    def add_row(self, row: dict) -> bool:
-        """Feed one integer row; returns True if the rank grew."""
-        combo = {self.n_fed: 1} if self.track else None
-        self.n_fed += 1
-        row, combo = self.reduce(row, combo)
-        if not row:
-            if self.track:
-                self.kernel_combos.append(combo if combo is not None else {})
-            return False
-        c = min(row)
-        if row[c] < 0:
-            row = {k: -v for k, v in row.items()}
-            if combo is not None:
-                combo = {k: -v for k, v in combo.items()}
-        # clear the new pivot column from existing rows to stay fully reduced
-        for i, other in enumerate(self.rows):
-            b = other.get(c)
+    In reversed coordinates each free position f gives the kernel vector
+    e_f - sum_k (B[k, f] / B[k, p_k]) e_{p_k}, with p_k < f at every nonzero
+    term.  Back in the original order (position j is n - 1 - j) its leading
+    entry is that 1 and its other entries sit at pivots, where every other
+    such vector is zero: the vectors already are the RREF basis.  With
+    scales, the basis is that of the kernel's image under
+    x_j -> scales[j] * x_j, with leading entries 1."""
+    n = space.ncols
+    pivots, rows = space.rref()
+    pivots = pivots.tolist()
+    lead = [rows[k, p] for k, p in enumerate(pivots)]
+    columns = rows.T.tolist()
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots), reverse=True):
+        vec = [_ZERO] * n
+        vec[n - 1 - f] = _ONE
+        for k, b in enumerate(columns[f]):
             if b:
-                a = row[c]
-                merged = {col: a * v for col, v in other.items()}
-                for col, v in row.items():
-                    nv = merged.get(col, 0) - b * v
-                    if nv:
-                        merged[col] = nv
-                    else:
-                        merged.pop(col, None)
-                oc = None
-                if self.track:
-                    oc = {k: a * v for k, v in self.combos[i].items()}
-                    for k, v in combo.items():
-                        nv = oc.get(k, 0) - b * v
-                        if nv:
-                            oc[k] = nv
-                        else:
-                            oc.pop(k, None)
-                merged, oc = self._joint_normalize(merged, oc)
-                self.rows[i] = merged
-                if self.track:
-                    self.combos[i] = oc
-        self.pivots[c] = len(self.rows)
-        self.rows.append(row)
-        if self.track:
-            self.combos.append(combo)
-        return True
-
-    def contains_row(self, row: dict) -> bool:
-        rem, _ = self.reduce(row)
-        return not rem
-
-
-def echelon_from_fraction_rows(rows, track_combos=False):
-    """Feed {col: Fraction} rows into an integer echelon.  Returns the
-    echelon and the per-row scales (introw_i = scale_i * row_i); tracked
-    combos refer to the scaled rows."""
-    ech = IntRowEchelon(track_combos=track_combos)
-    scales = []
-    for row in rows:
-        introw, s = _row_to_int_scaled(row)
-        scales.append(s)
-        ech.add_row(introw)
-    return ech, scales
+                i, c = n - 1 - pivots[k], Fraction(-b, lead[k])
+                vec[i] = c if scales is None else c * scales[i] / scales[n - 1 - f]
+        basis.append(tuple(vec))
+    return Subspace(n, tuple(basis))
 
 
 class Subspace:
@@ -223,28 +120,17 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        ech = IntRowEchelon()
+        vectors = list(vectors)
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-            row = {i: rat(x) for i, x in enumerate(v) if rat(x) != 0}
-            ech.add_row(_row_to_int(row))
-        return cls._from_echelon(ambient_dim, ech)
+        return cls.from_space(_row_space(vectors, ambient_dim))
 
     @classmethod
-    def _from_echelon(cls, ambient_dim: int, ech: IntRowEchelon) -> "Subspace":
-        order = sorted(ech.pivots)
-        basis = []
-        for c in order:
-            row = ech.rows[ech.pivots[c]]
-            lead = row[c]
-            vec = [Fraction(0)] * ambient_dim
-            for col, v in row.items():
-                vec[col] = Fraction(v, lead)
-            basis.append(tuple(vec))
-        return cls(ambient_dim, tuple(basis))
+    def from_space(cls, space: FastIntRowSpace) -> "Subspace":
+        return cls(space.ncols, _rref_basis(space))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -285,39 +171,36 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonize [U|U; V|0]; rows with zero left block give
-        right-block vectors spanning the intersection."""
+        """Zassenhaus: the rows of RREF[U|U; V|0] with zero left block are the
+        canonical basis of the intersection in the right block."""
         self._check_ambient(other)
         n = self.ambient_dim
-        ech = IntRowEchelon()
-        for v in self.basis:
-            row = {i: x for i, x in enumerate(v) if x != 0}
-            row.update({n + i: x for i, x in enumerate(v) if x != 0})
-            ech.add_row(_row_to_int(row))
-        for v in other.basis:
-            row = {i: x for i, x in enumerate(v) if x != 0}
-            ech.add_row(_row_to_int(row))
-        inter = []
-        for row in ech.rows:
-            if all(c >= n for c in row):
-                vec = [Fraction(0)] * n
-                for c, v in row.items():
-                    vec[c - n] = Fraction(v)
-                inter.append(vec)
-        return Subspace.from_vectors(n, inter)
+        rows = [list(v) + list(v) for v in self.basis] + [list(v) + [_ZERO] * n for v in other.basis]
+        return Subspace(n, _rref_basis(_row_space(rows, 2 * n), n))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        ech = IntRowEchelon()
-        for v in self.basis:
-            ech.add_row(_row_to_int({i: x for i, x in enumerate(v) if x != 0}))
-        for v in other.basis:
-            if not ech.contains_row(_row_to_int({i: x for i, x in enumerate(v) if x != 0})):
-                return False
-        return True
+        return all(self.contains_vector(v) for v in other.basis)
+
+    def coordinates(self, vec) -> list[Fraction] | None:
+        """Coefficients of vec in the canonical basis, or None when vec is
+        not in the subspace.  Read off the RREF: the coefficient of a basis
+        vector is the entry of vec at its pivot."""
+        if len(vec) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"vector of length {len(vec)} in ambient dimension {self.ambient_dim}"
+            )
+        rest = [rat(x) for x in vec]
+        coords = []
+        for b in self.basis:
+            c = rest[next(i for i, x in enumerate(b) if x)]
+            coords.append(c)
+            if c:
+                rest = [x - c * y for x, y in zip(rest, b)]
+        return None if any(rest) else coords
 
     def contains_vector(self, vec) -> bool:
-        return self.contains(Subspace.from_vectors(self.ambient_dim, [vec]))
+        return self.coordinates(vec) is not None
 
 
 def subspace_ops(a: Subspace, b: Subspace, kind: str):
@@ -333,9 +216,9 @@ def subspace_ops(a: Subspace, b: Subspace, kind: str):
 
 
 class RatMatrix:
-    """An exact rational matrix, dense or sparse by size.
+    """An exact rational matrix held as sparse rows {col: Fraction}.
 
-    Entries are Fractions; construction accepts ints and 'p/q' strings.
+    Construction accepts ints, Fractions and 'p/q' strings.
     """
 
     __slots__ = ("nrows", "ncols", "_rows")
@@ -377,10 +260,6 @@ class RatMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
         return cls(nrows, ncols, [dict() for _ in range(nrows)])
-
-    @property
-    def is_dense_sized(self) -> bool:
-        return self.nrows * self.ncols <= DENSE_LIMIT
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i].get(j, Fraction(0))
@@ -448,22 +327,16 @@ class RatMatrix:
         return all(not r for r in self._rows)
 
     def rank(self) -> int:
-        ech, _ = echelon_from_fraction_rows(self._rows)
-        return ech.rank
+        return _row_space(self._rows, self.ncols).rank
 
     def left_kernel_basis(self) -> Subspace:
         """Canonical basis of {v : v . M = 0}; dim = nrows - rank."""
-        ech, scales = echelon_from_fraction_rows(self._rows, track_combos=True)
-        vectors = []
-        for combo in ech.kernel_combos:
-            vec = [Fraction(0)] * self.nrows
-            for i, c in combo.items():
-                vec[i] = c * scales[i]
-            vectors.append(vec)
-        return Subspace.from_vectors(self.nrows, vectors)
+        return self.transpose().right_kernel_basis()
 
     def right_kernel_basis(self) -> Subspace:
-        return self.transpose().left_kernel_basis()
+        """Canonical basis of {x : M x = 0}; dim = ncols - rank."""
+        n = self.ncols
+        return reversed_kernel(_row_space(({n - 1 - j: v for j, v in r.items()} for r in self._rows), n))
 
 
 def rank(m: RatMatrix) -> int:
@@ -475,40 +348,17 @@ def left_kernel_basis(m: RatMatrix) -> Subspace:
 
 
 def solve_right(m: RatMatrix, target) -> list[Fraction] | None:
-    """One solution x of M x = target, or None.  Used for re-expressing
-    vectors in spanning sets; deterministic."""
+    """One solution x of M x = target, or None: the pivot solution read off
+    RREF([M | target]), with the free unknowns zero; deterministic."""
     t = [rat(v) for v in target]
     if len(t) != m.nrows:
         raise DimensionMismatch("target length mismatch")
-    # dense Gauss-Jordan on the augmented system; systems here are small
-    # (re-expressing products in a basis), exact Fractions are fine.
-    aug = [[m.entry(i, j) for j in range(m.ncols)] + [t[i]] for i in range(m.nrows)]
-    ncols = m.ncols
-    pivots = []
-    row_i = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row_i, len(aug)):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[row_i], aug[sel] = aug[sel], aug[row_i]
-        pv = aug[row_i][col]
-        aug[row_i] = [x / pv for x in aug[row_i]]
-        for i in range(len(aug)):
-            if i != row_i and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row_i])]
-        pivots.append(col)
-        row_i += 1
-        if row_i == len(aug):
-            break
-    for i in range(row_i, len(aug)):
-        if aug[i][ncols] != 0:
+    n = m.ncols
+    space = _row_space(({**r, n: v} for r, v in zip(m.iter_rows(), t)), n + 1)
+    pivots, rows = space.rref()
+    x = [_ZERO] * n
+    for p, row in zip(pivots.tolist(), rows.tolist()):
+        if p == n:
             return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
+        x[p] = Fraction(row[n], row[p])
     return x

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebras import AlgElement, LinOp, StructureAlgebra
 from .errors import DimensionMismatch, InternalError
-from .linalg import IntRowEchelon, RatMatrix, Subspace, _row_to_int, solve_right
+from .linalg import RatMatrix, Subspace
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -166,16 +166,9 @@ class MultiplierAlgebra:
 
     def __init__(self, parent: StructureAlgebra):
         self.parent = parent
-        d = parent.dim
         sols = _constraint_matrix(parent).right_kernel_basis()
         self.basis = [_unflatten(parent, list(v)) for v in sols.basis]
         self.pair_space = sols  # Subspace of Q^(2 d^2)
-        self._ech = IntRowEchelon()
-        for v in sols.basis:
-            self._ech.add_row(_row_to_int({i: x for i, x in enumerate(v) if x != 0}))
-        self._basis_matrix = RatMatrix.from_rows(
-            [[v[r] for v in sols.basis] for r in range(2 * d * d)]
-        ) if self.basis else RatMatrix.zeros(2 * d * d, 0)
         self.unit_coords = self.coordinates(Multiplier.identity(parent))
         if self.unit_coords is None:
             raise InternalError("identity pair is not a multiplier")
@@ -195,7 +188,7 @@ class MultiplierAlgebra:
 
     def coordinates(self, m: Multiplier):
         """Coordinates of a pair in the canonical basis, or None."""
-        return solve_right(self._basis_matrix, m.flatten())
+        return self.pair_space.coordinates(m.flatten())
 
     def contains(self, m: Multiplier) -> bool:
         return self.coordinates(m) is not None
@@ -249,17 +242,12 @@ def inner_ideal_check(A: StructureAlgebra, MA: MultiplierAlgebra | None = None):
     side) on failure."""
     if MA is None:
         MA = multiplier_algebra(A)
-    inner_ech = IntRowEchelon()
-    inners = []
-    for i in range(A.dim):
-        m = Multiplier.inner(A.basis_element(i))
-        inners.append(m)
-        inner_ech.add_row(_row_to_int({k: x for k, x in enumerate(m.flatten()) if x != 0}))
+    inners = [Multiplier.inner(A.basis_element(i)) for i in range(A.dim)]
+    inner = Subspace.from_vectors(2 * A.dim * A.dim, [m.flatten() for m in inners])
     for bi, psi in enumerate(MA.basis):
         for ai, mu in enumerate(inners):
             for side, prod in (("left", psi.mul(mu)), ("right", mu.mul(psi))):
-                row = _row_to_int({k: x for k, x in enumerate(prod.flatten()) if x != 0})
-                if not inner_ech.contains_row(row):
+                if not inner.contains_vector(prod.flatten()):
                     return False, (bi, ai, side)
     return True, None
 

@@ -156,14 +156,14 @@ def test_polyfile_verify(tmp_path, capsys):
     assert "True" in capsys.readouterr().out
 
 
-def test_json_grassmann_marks_the_empirical_stop(capsys):
+def test_json_grassmann_marks_the_proved_level(capsys):
     rc = main(["--json", "codim", "grassmann", "-k", "2", "-n", "1"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0 and payload["codimension"] == 7
     assert payload["stop"] == {
-        "rule": "first agreement of two consecutive truncation levels",
-        "proved": False,
-        "levels": [4, 5],
+        "rule": "parity classes: the rank is constant from level k + n on",
+        "level": 3,
+        "proved": True,
     }
     main(["codim", "grassmann", "-k", "2", "-n", "1"])
     assert capsys.readouterr().out == "7\n"

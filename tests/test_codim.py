@@ -16,7 +16,9 @@ from genpi.actions import (
 from genpi.algebras import StructureAlgebra, builtin
 from genpi.errors import BasisMismatch, BudgetExceeded
 from genpi.codim import (
+    _grassmann_kernel,
     _grassmann_reduced_rank,
+    _grassmann_stabilized,
     _iter_rows_int,
     codimension,
     consequences_span,
@@ -261,6 +263,22 @@ def test_grassmann_stabilized_small():
     assert grassmann_codim_stabilized(1, 1) == 3
     assert grassmann_codim_stabilized(2, 1) == 7
     assert grassmann_codim_stabilized(1, 2) == 6
+
+
+def test_grassmann_values_at_level_k_plus_n():
+    # the values the search over levels found (first agreement of two
+    # consecutive levels), now taken once at the proved level k + n
+    values = {(1, 1): 3, (2, 1): 7, (3, 1): 15, (1, 2): 6, (2, 2): 14, (1, 3): 12, (3, 2): 30, (2, 3): 28}
+    for (k, n), want in values.items():
+        assert _grassmann_stabilized(k, n) == (want, k + n), (k, n)
+
+
+def test_grassmann_levels_k_plus_n_and_next_agree():
+    # the parity-class lemma through the orbit rows: one more generator
+    # changes neither the rank nor the left kernel
+    for k, n in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)):
+        assert _grassmann_reduced_rank(k, k + n, n) == _grassmann_reduced_rank(k, k + n + 1, n), (k, n)
+        assert _grassmann_kernel(k, k + n, n) == _grassmann_kernel(k, k + n + 1, n), (k, n)
 
 
 def test_grassmann_monotone_in_truncation():

@@ -1,5 +1,6 @@
 """Consequence rows against a one-instance-at-a-time oracle, the streaming
-driver's exact fallback, its byte budget, and the rank paths against sympy."""
+driver on Python integers, its byte budget, and the rank paths against
+sympy."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -12,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import genpi.codim as codim
-from genpi._fastrank import FastIntRowSpace, IntOverflow
+from genpi._fastrank import FastIntRowSpace
 from genpi.actions import action_from_subalgebra, preset_action
 from genpi.algebras import builtin
 from genpi.codim import (
@@ -23,6 +24,7 @@ from genpi.codim import (
     _Rows,
     _span_stream,
     _stream_rows,
+    identity_kernel_basis,
     in_consequence_span,
     preset_generators,
     structural_identities,
@@ -124,7 +126,11 @@ def naive_stream(gens, h, n):
 
 
 def block_stream(gens, h, n):
-    return [tuple(row.items()) for b in _consequence_blocks(gens, h, n) for row in b.dicts()]
+    out = []
+    for b in _consequence_blocks(gens, h, n):
+        p, cols, vals = b.ptr.tolist(), b.cols.tolist(), b.vals.tolist()
+        out += [tuple(zip(cols[i:j], vals[i:j])) for i, j in zip(p, p[1:])]
+    return out
 
 
 def fractional_w_action():
@@ -172,24 +178,12 @@ def test_blocks_beyond_int64_are_python_ints():
 
 
 @pytest.mark.parametrize("name", ["2^40 coefficients", "2^70 coefficient"])
-def test_large_coefficients_take_the_exact_path(name, monkeypatch):
-    spans = []
-    stream = codim._span_stream
-
-    def spy(*args, **kwargs):
-        out = stream(*args, **kwargs)
-        spans.append(type(out[0]))
-        return out
-
-    monkeypatch.setattr(codim, "_span_stream", spy)
+def test_large_coefficients_take_the_exact_path(name):
     preset, gens, _, n = STREAM_CASES[name]
     h = preset_action(preset)
     target = "[x1,x2]*x3" if n == 3 else "[x1,x2]*[x3,x4]"
-    # the consequence stream is the last one of each call
-    assert verify_generating_set(gens, h, n) and spans[-1] is codim.IntRowEchelon
-    spans.clear()
+    assert verify_generating_set(gens, h, n)
     assert in_consequence_span(target, gens, h, n) is (n == 4)
-    assert spans == [codim.IntRowEchelon]
 
 
 def test_stream_batches_from_byte_cap(monkeypatch):
@@ -210,6 +204,17 @@ def test_stream_batches_from_byte_cap(monkeypatch):
     monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 95)
     with pytest.raises(BudgetExceeded):
         verify_generating_set(preset_generators("ut2D"), h, 3)
+
+
+def test_kernel_extraction_checks_the_byte_cap(monkeypatch):
+    # the transposed evaluation matrix of ut2D, n = 4: 3^5 rows of 4! * 2^5
+    h = preset_action("ut2D")
+    want = identity_kernel_basis(h, 4)
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 3 ** 5 * 768)
+    assert identity_kernel_basis(h, 4) == want
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 3 ** 5 * 768 - 1)
+    with pytest.raises(BudgetExceeded):
+        identity_kernel_basis(h, 4)
 
 
 # -- rank paths against sympy -----------------------------------------------------
@@ -250,12 +255,9 @@ def test_rank_paths_match_sympy(rows):
     ncols = len(rows[0])
     arr = np.array(rows, dtype=np.int64)
     space = FastIntRowSpace(ncols)
-    try:
-        space.add_rows(arr[:4])
-        space.add_rows(arr[4:])
-        assert space.rank == want
-    except IntOverflow:
-        pass
+    space.add_rows(arr[:4])
+    space.add_rows(arr[4:])
+    assert space.rank == want
 
     rows_int = ((np.flatnonzero(row), row[np.flatnonzero(row)], 1) for row in arr)
     assert _rank_of_row_arrays(rows_int, ncols, batch=2) == want
@@ -270,12 +272,13 @@ def test_stream_span_beyond_int64_matches_sympy(rows):
 
 
 def test_stream_span_overflow_branch_is_exact():
-    with pytest.raises(IntOverflow):
-        FastIntRowSpace(3).add_rows(np.array(OVERFLOWING, dtype=np.int64))
     span, _ = _span_stream(_as_blocks(OVERFLOWING, 1), 3, 1, lambda sp: False)
-    assert isinstance(span, codim.IntRowEchelon)
-    assert span.rank == _sympy_rank(OVERFLOWING) == 3
+    assert span.exact and span.rank == _sympy_rank(OVERFLOWING) == 3
     # membership: the stream stops at the first pivot that brings the target in
-    target = dict(enumerate(OVERFLOWING[0]))
-    span, verdict = _span_stream(_as_blocks(OVERFLOWING, 1), 3, 1, lambda sp: sp.contains_row(target))
+    target = np.array(OVERFLOWING[:1])
+
+    def stop(span):
+        return not span.reduce_rows(target).any()
+
+    span, verdict = _span_stream(_as_blocks(OVERFLOWING, 1), 3, 1, stop)
     assert verdict and span.rank == 1

@@ -156,3 +156,96 @@ def test_rref_matches_oracle_randomized():
         s = Subspace.from_vectors(nc, rows)
         oracle = naive_rref(rows)
         assert [list(b) for b in s.basis] == oracle
+
+
+# -- the elimination kernel against the naive_rref oracle ------------------------
+
+
+def naive_kernel(rows, ncols):
+    """Canonical basis of {x : rows x = 0}, from naive_rref."""
+    rref = naive_rref(rows) if rows else []
+    pivots = [next(c for c, x in enumerate(r) if x != 0) for r in rref]
+    vectors = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, p in zip(rref, pivots):
+            x[p] = -r[f]
+        vectors.append(x)
+    return naive_rref(vectors)
+
+
+def _random_rows(rng, nr, nc, big=4):
+    """Random rational rows with some dependent rows and columns."""
+    rows = [[Fraction(rng.randint(-big, big), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+             for _ in range(nc)] for _ in range(nr)]
+    if nr > 1 and rng.random() < 0.5:
+        rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+    if nc > 1 and rng.random() < 0.5:
+        for r in rows:
+            r[-1] = 3 * r[0] - r[1]
+    return rows
+
+
+def test_kernels_match_oracle_randomized():
+    rng = random.Random(604)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _random_rows(rng, nr, nc)
+        m = RatMatrix.from_rows(rows)
+        assert [list(b) for b in m.right_kernel_basis().basis] == naive_kernel(rows, nc)
+        cols = [list(c) for c in zip(*rows)]
+        assert [list(b) for b in left_kernel_basis(m).basis] == naive_kernel(cols, nr)
+
+
+def test_solve_right_matches_oracle_randomized():
+    rng = random.Random(605)
+    consistent = inconsistent = 0
+    for _ in range(60):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_rows(rng, nr, nc)
+        if rng.random() < 0.5:  # a target in the column space
+            coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(nc)]
+            target = [sum(c * x for c, x in zip(coeffs, r)) for r in rows]
+        else:
+            target = [Fraction(rng.randint(-3, 3)) for _ in range(nr)]
+        rref = naive_rref([r + [t] for r, t in zip(rows, target)])
+        pivots = [next(c for c, x in enumerate(r) if x != 0) for r in rref]
+        x = solve_right(RatMatrix.from_rows(rows), target)
+        if nc in pivots:
+            inconsistent += 1
+            assert x is None
+        else:
+            consistent += 1
+            want = [Fraction(0)] * nc
+            for r, p in zip(rref, pivots):
+                want[p] = r[-1]
+            assert x == want
+    assert consistent and inconsistent
+
+
+def test_subspace_operations_match_oracle_randomized():
+    rng = random.Random(606)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        u = _random_rows(rng, rng.randint(1, n), n)
+        v = _random_rows(rng, rng.randint(1, n), n)
+        a, b = Subspace.from_vectors(n, u), Subspace.from_vectors(n, v)
+        assert [list(x) for x in a.sum(b).basis] == naive_rref(u + v)
+        # Zassenhaus on the oracle: rows of RREF[U|U; V|0] with zero left block
+        zass = naive_rref([r + r for r in u] + [r + [Fraction(0)] * n for r in v])
+        want = naive_rref([r[n:] for r in zass if not any(r[:n])])
+        assert [list(x) for x in a.intersection(b).basis] == want
+        assert a.contains(b) is (naive_rank(u + v) == naive_rank(u))
+
+
+def test_rank_with_entries_up_to_2_70():
+    rng = random.Random(607)
+    for _ in range(20):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[rng.choice([0, rng.randint(-3, 3), rng.randint(-2 ** 70, 2 ** 70)]) for _ in range(nc)]
+                for _ in range(nr)]
+        if nr > 2:
+            rows[-1] = [x + 2 ** 69 * y - z for x, y, z in zip(rows[0], rows[1], rows[2])]
+        m = RatMatrix.from_rows(rows)
+        assert m.rank() == m.transpose().rank() == naive_rank(rows)
