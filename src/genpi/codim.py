@@ -429,25 +429,35 @@ class _Rows:
 
 
 class _GroupBlock:
-    """Integer tables of one instance group, and the columns of its n!
-    arrangements.
+    """Integer tables of one instance group, and the monomial ranks of its
+    n! arrangements.
 
     Each slot gets a table of s^p x s integers: row t is the product in W of
     the slot's factors at the t-th assignment of its p enumerated positions
-    (lexicographic, first position most significant).  Plans whose
-    variables sit at the same positions form one class: they land on the
-    same monomials, so their values add.  An arrangement sends a class to
-    the columns rank(perm) * s^(n+1) + m, m the coefficient index, so all
-    n! rows of an assignment come from one (classes, s^(n+1)) block through
-    the column array cols (arrangement, sorted position).  Fraction products
-    of W and rational coefficients are cleared by one positive factor per
-    group, which leaves canonical rows unchanged.  dtype is int64 when a
-    magnitude bound certifies every product below 2^63, else object."""
+    (lexicographic, first position most significant).  The table depends
+    only on the slot's pattern (its listed coefficients, with a placeholder
+    0 for each enumerated position), so it is built once per pattern in the
+    dict patterns, which the caller shares between the groups of one
+    stream; the group keeps the slot's own positions and digit weights.
+    Plans whose variables sit at the same positions form one class: they
+    land on the same monomials, so their values add.  Arrangement a sends
+    class c to the columns ranks[a, c] * s^(n+1) + m, m the coefficient
+    index.  Fraction products of W and rational coefficients are cleared by
+    one positive factor per group, which leaves canonical rows unchanged.
+    dtype is int64 when a magnitude bound certifies every product below
+    2^63, else object."""
 
-    def __init__(self, ns, plans, unit, R, arrangements):
+    def __init__(self, ns, plans, unit, R, arrangements, patterns):
         self.ns = ns
-        tables = {x: self._table(x, unit, R) for x in dict.fromkeys(x for _, _, sl in plans for x in sl)}
-        peak = {x: max(abs(v) for v in t[2].flat) for x, t in tables.items()}
+        s = len(unit)
+        tables = {}
+        for x in dict.fromkeys(x for _, _, sl in plans for x in sl):
+            pattern = tuple(min(f, 0) for f in x)
+            if pattern not in patterns:
+                patterns[pattern] = self._table(pattern, unit, R)
+            pos = np.array([f for f in x if f >= 0], dtype=np.intp)
+            tables[x] = (pos, s ** np.arange(pos.size - 1, -1, -1), *patterns[pattern])
+        peak = {x: t[4] for x, t in tables.items()}
         classes: dict = {}  # positions -> [(coef, slots, denominator)]
         factor = 1
         for coef, positions, slots in plans:
@@ -465,33 +475,30 @@ class _GroupBlock:
             default=0,
         )
         self.dtype = np.int64 if bound < _INT64_LIMIT else object
-        self.tables = {x: (pos, wts, tab.astype(self.dtype)) for x, (pos, wts, tab, _) in tables.items()}
-        self.nonzero = {x: (tab != 0).any(axis=1) for x, (_, _, tab, _) in tables.items()}
-        ranks = np.array(
+        self.tables = {x: (pos, wts, tab.astype(self.dtype)) for x, (pos, wts, tab, _, _) in tables.items()}
+        self.nonzero = {x: (tab != 0).any(axis=1) for x, (_, _, tab, _, _) in tables.items()}
+        self.ranks = np.array(
             [[_perm_rank([arr[p] for p in positions]) for positions in classes] for arr in arrangements],
             dtype=np.int64,
         ).reshape(len(arrangements), len(classes))
-        self.order = np.argsort(ranks, axis=1)
-        S = len(unit) ** (len(arrangements[0]) + 1)
-        base = np.take_along_axis(ranks, self.order, axis=1) * S
-        self.cols = (base[:, :, None] + np.arange(S)).reshape(len(arrangements), -1)
 
     @staticmethod
-    def _table(slot, unit, R):
-        """(positions, their digit weights, integer table, denominator) of a
-        slot; R[k] is right multiplication by b_k on coordinate rows."""
+    def _table(pattern, unit, R):
+        """(integer table, denominator, peak entry) of a slot pattern; R[k]
+        is right multiplication by b_k on coordinate rows."""
         T = np.array([unit], dtype=object)
-        for x in slot:  # an enumerated position adds the least significant digit
+        for x in pattern:  # an enumerated position adds the least significant digit
             T = T @ R[-x - 1] if x < 0 else np.stack([T @ Rk for Rk in R], axis=1).reshape(-1, len(unit))
         den = lcm(*(Fraction(v).denominator for v in T.flat))
-        pos = np.array([x for x in slot if x >= 0], dtype=np.intp)
         table = np.array([int(v * den) for v in T.flat], dtype=object).reshape(T.shape)
-        return pos, len(unit) ** np.arange(pos.size - 1, -1, -1), table, den
+        return table, den, max(abs(v) for v in table.flat)
 
     def rows(self, digits):
-        """Canonical rows of the assignments with these digit rows
-        (N, ns), as (indices of the nonzero assignments, their rows
-        (N', n!, classes * s^(n+1)) in arrangement order)."""
+        """Rows of the assignments with these digit rows (N, ns), as
+        (indices of the nonzero assignments, their base block V of shape
+        (N', classes, s^(n+1)), each V[i] divided by the gcd of its
+        entries): up to sign, the row of assignment i in arrangement a is
+        V[i] spread over the columns ranks[a, c] * s^(n+1) + m."""
         subs = {slot: digits[:, pos] @ wts for slot, (pos, wts, _) in self.tables.items()}
         live = np.zeros(digits.shape[0], dtype=bool)
         for terms in self.classes:
@@ -500,7 +507,7 @@ class _GroupBlock:
         live = np.flatnonzero(live)
         N = live.size
         if not N:
-            return live, np.zeros((0, *self.cols.shape), dtype=self.dtype)
+            return live, np.zeros((0, len(self.classes), 0), dtype=self.dtype)
         gathered = {slot: self.tables[slot][2][sub[live]] for slot, sub in subs.items()}
         blocks = []
         for terms in self.classes:
@@ -514,12 +521,7 @@ class _GroupBlock:
         V = np.stack(blocks, axis=1)  # (N, classes, s^(n+1))
         g = np.gcd.reduce(np.abs(V.reshape(N, -1)), axis=1)
         keep = np.flatnonzero(g)
-        V = V[keep] // g[keep, None, None]
-        first = (V != 0).argmax(axis=2)[:, :, None]
-        lead = np.take_along_axis(V, first, axis=2)[:, :, 0][:, self.order]  # (N', n!, classes)
-        lead = np.take_along_axis(lead, (lead != 0).argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
-        out = V[:, self.order, :] * np.where(lead > 0, 1, -1)[:, :, None, None]
-        return live[keep], out.reshape(keep.size, *self.cols.shape)
+        return live[keep], V[keep] // g[keep, None, None]
 
 
 def _consequence_blocks(gens, h: Action, n: int):
@@ -531,11 +533,14 @@ def _consequence_blocks(gens, h: Action, n: int):
     coefficients merge through the product of W.  Zero vectors are
     skipped, every other one is divided by the gcd of its entries and
     signed to a positive leading entry.  Order: coefficient assignment
-    index, then group, then arrangement.  Each chunk of assignment indices
-    is computed for all groups at once (_GroupBlock.rows) and sorted into
-    that order; a chunk would hold at most CHUNK_BYTES of values if no
-    assignment vanished.  A block is int64 unless one of its groups needs
-    Python integers.
+    index, then group, then arrangement.  The slot tables of all groups
+    come from one dict of patterns built here.  Each chunk of assignment
+    indices is computed for all groups at once (_GroupBlock.rows); every
+    nonzero entry of a group's base block is sent to its n! arrangements,
+    the chunk is sorted by row, then column, and each row is then signed
+    by its leading entry; a chunk would hold at most CHUNK_BYTES of values
+    if no assignment vanished and all n! rows were dense.  A block is
+    int64 unless one of its groups needs Python integers.
     """
     W, s = h.W, h.s
     R = np.zeros((s, s, s), dtype=object)  # R[k][i, j]: b_j in b_i b_k
@@ -543,11 +548,12 @@ def _consequence_blocks(gens, h: Action, n: int):
         for j, c in W.product_basis(i, k):
             R[k, i, j] = c
     arrangements = list(permutations(range(1, n + 1)))
-    nf = len(arrangements)
-    groups = [_GroupBlock(ns, plans, W.unit, R, arrangements) for ns, plans in _instance_groups(gens, h, n)]
+    nf, S = len(arrangements), s ** (n + 1)
+    patterns: dict = {}
+    groups = [_GroupBlock(ns, plans, W.unit, R, arrangements, patterns) for ns, plans in _instance_groups(gens, h, n)]
     groups = [g for g in groups if g.classes]  # drop groups whose terms all vanish
     sizes = [s ** g.ns for g in groups]
-    width = [8 * g.cols.size for g in groups]
+    width = [8 * g.ranks.size * S for g in groups]
     start = 0
     while start < max(sizes, default=0):
         live = [gi for gi, size in enumerate(sizes) if size > start]
@@ -558,19 +564,21 @@ def _consequence_blocks(gens, h: Action, n: int):
             g = groups[gi]
             ix = idx[idx < sizes[gi]]
             digits = (ix[:, None] // s ** np.arange(g.ns, dtype=np.int64)) % s
-            keep, block = g.rows(digits)
-            i, a, k = np.nonzero(block)
-            keys.append((ix[keep][i] * len(groups) + gi) * nf + a)
-            cols.append(g.cols[a, k])
-            vals.append(block[i, a, k])
+            keep, V = g.rows(digits)
+            i, c, m = np.nonzero(V)
+            keys.append((ix[keep][i, None] * len(groups) + gi) * nf + np.arange(nf))
+            cols.append(g.ranks[:, c].T * S + m[:, None])
+            vals.append(np.repeat(V[i, c, m], nf))
         start = end
-        rowkey = np.concatenate(keys)
+        rowkey = np.concatenate(keys, axis=None)
         if not rowkey.size:
             continue
-        order = np.argsort(rowkey, kind="stable")
-        rowkey = rowkey[order]
+        cols = np.concatenate(cols, axis=None)
+        order = np.lexsort((cols, rowkey))
+        rowkey, vals = rowkey[order], np.concatenate(vals)[order]
         ptr = np.flatnonzero(np.diff(rowkey, prepend=-1, append=rowkey[-1] + 1))
-        yield _Rows(ptr, np.concatenate(cols)[order], np.concatenate(vals)[order])
+        vals *= np.repeat(np.where(vals[ptr[:-1]] > 0, 1, -1), np.diff(ptr))  # positive leading entries
+        yield _Rows(ptr, cols[order], vals)
 
 
 def _span_stream(blocks, ncols: int, batch: int, stop, target: int | None = None):

@@ -171,10 +171,12 @@ def _correct_section_layer(A, quot, s_cols, Jm: Subspace, Jm1: Subspace):
     nunk = qd * ld
     rows = []
     rhs = []
-    s = lambda q: s_cols[q]
+    # layer coordinates of s(q) * layer[l2] and layer[l2] * s(q)
+    left = [[_mod_layer_coords(layer, Jm1, A.multiply_coords(sq, v)) for v in layer] for sq in s_cols]
+    right = [[_mod_layer_coords(layer, Jm1, A.multiply_coords(v, sq)) for v in layer] for sq in s_cols]
     for a in range(qd):
         for b in range(qd):
-            sa, sb = s(a), s(b)
+            sa, sb = s_cols[a], s_cols[b]
             phi = [x - y for x, y in zip(A.multiply_coords(sa, sb), _s_of_product(A, quot, s_cols, a, b))]
             phi_layer = _mod_layer_coords(layer, Jm1, phi)
             # equation: phi + s(a) t(b) + t(a) s(b) - t(ab) == 0 in the layer
@@ -182,12 +184,10 @@ def _correct_section_layer(A, quot, s_cols, Jm: Subspace, Jm1: Subspace):
             for lr in range(ld):
                 row = [_ZERO] * nunk
                 for l2 in range(ld):
-                    la = A.multiply_coords(sa, layer[l2])
-                    cc = _mod_layer_coords(layer, Jm1, la)[lr]
+                    cc = left[a][l2][lr]
                     if cc:
                         row[b * ld + l2] += cc
-                    ra = A.multiply_coords(layer[l2], sb)
-                    cc = _mod_layer_coords(layer, Jm1, ra)[lr]
+                    cc = right[b][l2][lr]
                     if cc:
                         row[a * ld + l2] += cc
                 for c, cc in enumerate(ab):

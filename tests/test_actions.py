@@ -3,8 +3,8 @@
 import pytest
 from fractions import Fraction
 
-from genpi.algebras import LinOp, builtin, regular_reps
-from genpi.errors import BasisMismatch, NotPermutable, UnitMismatch, UnsupportedName
+from genpi.algebras import LinOp, StructureAlgebra, builtin, regular_reps
+from genpi.errors import BasisMismatch, NotPermutable, NotSplit, UnitMismatch, UnsupportedName
 from genpi.linalg import RatMatrix, Subspace
 from genpi.multipliers import Multiplier
 from genpi.actions import (
@@ -216,6 +216,26 @@ def test_is_w_simple():
     W1 = builtin("ut(1)")
     triv = make_action(W1, Z, [Multiplier.identity(Z)])
     assert not is_w_simple(triv)  # squares to zero
+
+
+# Q(i), i*i = -1, and Q(i) x Q(i): semisimple but not split over Q
+QI = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)], (1, 1): [(0, -1)]}
+QI2 = {**QI, **{(a + 2, b + 2): [(k + 2, c) for k, c in v] for (a, b), v in QI.items()}}
+
+
+@pytest.mark.parametrize(
+    "dim, labels, table, unit, simple",
+    [
+        (2, ["1", "i"], QI, (1, 0), True),  # a field
+        (4, ["1a", "ia", "1b", "ib"], QI2, (1, 0, 1, 0), False),  # (1, 0) spans a proper ideal
+    ],
+    ids=["Q(i)", "Q(i)xQ(i)"],
+)
+def test_is_w_simple_non_split(dim, labels, table, unit, simple):
+    A = StructureAlgebra(dim, labels, table, unit=unit)
+    with pytest.raises(NotSplit):  # so is_w_simple takes the experimental search
+        wedderburn_malcev(A)
+    assert is_w_simple(action_from_subalgebra(A, A.basis_elements(), labels=labels)) is simple
 
 
 def test_action_serialization_round_trip(tmp_path):

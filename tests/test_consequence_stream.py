@@ -170,6 +170,45 @@ def test_blocks_match_naive_enumeration(name):
     assert want and block_stream(gens, h, n) == want
 
 
+@pytest.mark.parametrize("name", ["ut2full+structural", "2^70 coefficient", "fractional W"])
+def test_rows_are_canonical(monkeypatch, name):
+    # _Rows.keys() deduplicates by bytes, so equal rows must come out equal:
+    # strictly increasing columns, coprime entries, positive leading entry
+    made, dens = [], []
+    init, table = codim._GroupBlock.__init__, codim._GroupBlock._table
+
+    def record_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    def record_table(*args):
+        out = table(*args)
+        dens.append(out[1])
+        return out
+
+    monkeypatch.setattr(codim._GroupBlock, "__init__", record_init)
+    monkeypatch.setattr(codim._GroupBlock, "_table", staticmethod(record_table))
+    preset, gens, with_structural, n = STREAM_CASES[name]
+    h = preset_action(preset) if preset else fractional_w_action()
+    if with_structural:
+        gens = list(gens) + structural_identities(h)
+    blocks = list(_consequence_blocks(gens, h, n))
+    assert blocks
+    for b in blocks:
+        p, cols, vals = b.ptr.tolist(), b.cols.tolist(), b.vals.tolist()
+        for i, j in zip(p, p[1:]):
+            assert j > i and all(x < y for x, y in zip(cols[i : j - 1], cols[i + 1 : j]))
+            assert gcd(*vals[i:j]) == 1 and vals[i] > 0
+    # each case reaches what it is here for
+    if name == "ut2full+structural":
+        orders = [np.argsort(g.ranks, axis=1) for g in made if g.ranks.shape[1] > 1]
+        assert any((order != order[:1]).any() for order in orders)
+    elif name == "2^70 coefficient":
+        assert any(b.vals.dtype == object for b in blocks)
+    else:
+        assert max(dens) > 1
+
+
 def test_blocks_beyond_int64_are_python_ints():
     for name, big in (("2^40 coefficients", False), ("2^70 coefficient", True), ("sum at 2^63", True)):
         preset, gens, _, n = STREAM_CASES[name]
