@@ -6,15 +6,14 @@ vector.  Product tables may be given explicitly or as a rule computed on
 demand (used by the larger Grassmann algebras, where the dense table would
 dominate memory).
 
-Associativity is checked exhaustively over basis triples up to dimension
-EXHAUSTIVE_DIM and by seeded random triples beyond that; unit axioms are
-always checked exhaustively.
+Associativity is checked on every basis triple at every dimension, by a
+sparse join of the structure constants in chunks of bounded size; unit
+axioms are checked on every basis element.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -32,10 +31,7 @@ from .errors import (
 )
 from .linalg import RatMatrix, Subspace, int_rows, rat, solve_right
 
-# Largest dimension for which associativity is verified on every basis
-# triple; beyond it (Grassmann truncations) a seeded random sample is used.
-EXHAUSTIVE_DIM = 64
-_RANDOM_TRIPLES = 2000
+ASSOCIATIVITY_CHUNK = 1 << 20  # join terms held at once by the associativity check
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -151,14 +147,7 @@ class StructureAlgebra:
     # -- validation --------------------------------------------------------
 
     def validate(self):
-        if self.dim <= EXHAUSTIVE_DIM:
-            self._check_associative()
-        else:
-            rng = random.Random(0xA55)
-            for _ in range(_RANDOM_TRIPLES):
-                i, j, k = (rng.randrange(self.dim) for _ in range(3))
-                if self._triple_product(i, j, k, True) != self._triple_product(i, j, k, False):
-                    raise NotAssociative(i, j, k)
+        self._check_associative()
         if self.unit is not None:
             for i in range(self.dim):
                 e = [_ZERO] * self.dim
@@ -188,7 +177,10 @@ class StructureAlgebra:
         cleared of denominators: (b_i b_j) b_k has the terms c_ijm c_mkn and
         b_i (b_j b_k) the terms c_jkm c_imn, each pair of constants joined on
         the shared index m.  Both sums are collected per (i, j, k, n); int64
-        unless the largest possible sum may not fit."""
+        unless the largest possible sum may not fit.  The pairs (i, j) are
+        taken in ascending ranges of i that hold at most ASSOCIATIVITY_CHUNK
+        terms (or a single i); every term of a triple shares its i, so the
+        first failing triple of the first failing range is the first one."""
         consts = list(self.iter_nonzero_constants())
         if not consts:
             return
@@ -198,19 +190,32 @@ class StructureAlgebra:
         fits = max(abs(v) for v in ints) ** 2 * 2 * d < 1 << 63
         val = np.array(ints, dtype=np.int64 if fits else object)
         a, b, c = (np.array(col, dtype=np.int64) for col in list(zip(*consts))[:3])
-        # left: t = (i, j, m) meets u = (m, k, n); right: t = (j, k, m) meets u = (i, m, n)
-        t, u = _join(c, a)
-        left = (((a[t] * d + b[t]) * d + b[u]) * d + c[u], val[t] * val[u])
-        t, u = _join(c, b)
-        right = (((a[u] * d + a[t]) * d + b[t]) * d + c[u], -val[t] * val[u])
-        keys, vals = zip(left, right)
-        uniq, inv = np.unique(np.concatenate(keys), return_inverse=True)
-        total = np.zeros(uniq.size, dtype=val.dtype)
-        np.add.at(total, inv, np.concatenate(vals))
-        bad = uniq[total != 0]
-        if bad.size:
-            t = int(bad.min()) // d
-            raise NotAssociative(t // (d * d), t // d % d, t % d)
+        # terms per i: (i, j, m) meets every (m, k, n), (i, m, n) every (j, k, m)
+        per_i = np.bincount(a, np.bincount(a, minlength=d)[c] + np.bincount(c, minlength=d)[b], d).tolist()
+        lo = 0
+        while lo < d:
+            hi, held = lo + 1, per_i[lo]
+            while hi < d and held + per_i[hi] <= ASSOCIATIVITY_CHUNK:
+                held, hi = held + per_i[hi], hi + 1
+            rows = np.flatnonzero((a >= lo) & (a < hi))
+            lo = hi
+            if not held:
+                continue
+            # left: t = (i, j, m) meets u = (m, k, n); right: t = (j, k, m) meets u = (i, m, n)
+            t, u = _join(c[rows], a)
+            t = rows[t]
+            left = (((a[t] * d + b[t]) * d + b[u]) * d + c[u], val[t] * val[u])
+            t, u = _join(c, b[rows])
+            u = rows[u]
+            right = (((a[u] * d + a[t]) * d + b[t]) * d + c[u], -val[t] * val[u])
+            keys, vals = zip(left, right)
+            uniq, inv = np.unique(np.concatenate(keys), return_inverse=True)
+            total = np.zeros(uniq.size, dtype=val.dtype)
+            np.add.at(total, inv, np.concatenate(vals))
+            bad = uniq[total != 0]
+            if bad.size:
+                t = int(bad.min()) // d
+                raise NotAssociative(t // (d * d), t // d % d, t % d)
 
     # -- regular representations -------------------------------------------
 

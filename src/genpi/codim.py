@@ -23,12 +23,13 @@ multiplication and coefficient multiplication; generating-set verification
 compares that span with the identity kernel.  The degree-1 operator
 relations of an action (its structural identities) are always counted as
 available generators during verification, matching how the source theorems
-treat coefficient rewriting as free.  Consequence vectors are built as
-integer numpy blocks: the n! variable arrangements of one generator and
-block composition share every coefficient-slot table and differ only in a
-column-index array, so a chunk of coefficient assignments becomes canonical
-rows by table gathers and outer products, in Python integers only where no
-int64 bound can be certified.  One driver, _span_stream, feeds such blocks,
+treat coefficient rewriting as free.  The span is built degree by degree
+(Giambruno & Zaicev, Polynomial Identities and Asymptotic Methods, AMS
+2005): the degree-d part is spanned by the one-variable extensions of the
+degree-(d-1) part, each a column map of integer rows, and by the
+generators of degree exactly d closed under their coefficient fillings
+(_consequence_blocks).  The degrees below n are spanned in full; degree n
+streams through one driver, _span_stream, which feeds the rows,
 deduplicated, to the elimination in batches sized by the byte cap
 STREAM_BYTES.
 
@@ -43,8 +44,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations, product
-from math import gcd, lcm, prod
+from itertools import chain, islice, permutations, product
+from math import gcd, lcm
 
 import numpy as np
 
@@ -55,7 +56,6 @@ from .errors import BasisMismatch, BudgetExceeded, InternalError, NotSplit
 from .linalg import Subspace, int_rows, reversed_kernel
 from .polynomials import (
     GenMonomial,
-    _perm_rank,
     basis_size,
     enumerate_basis,
     is_identity,
@@ -65,6 +65,7 @@ from .polynomials import (
     resolved_words,
     variables_of,
     vectorize,
+    vectorize_words,
 )
 from .structure import pi_exponent
 
@@ -77,7 +78,6 @@ DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
 # cap of one streaming buffer: 4096-row batches up to 3^8 columns still fit
 STREAM_BYTES = 1 << 28
-CHUNK_BYTES = STREAM_BYTES >> 6  # cap of one consequence chunk before zero rows drop
 
 
 def row_budget() -> int:
@@ -227,11 +227,11 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
 def _rank_of_row_arrays(rows, ncols: int, batch: int = 4096) -> int:
     """Exact rank of streamed (cols, vals, scale) rows, duplicates skipped,
     through _span_stream in batches of batch rows.  Rows are grouped into
-    _Rows blocks of at most CHUNK_BYTES / 16 of dense values, as a whole
+    _Rows blocks of at most STREAM_BYTES / 1024 of dense values, as a whole
     block stays in memory until it is keyed."""
 
     def blocks():
-        size, it = max(1, (CHUNK_BYTES >> 4) // (8 * ncols)), iter(rows)
+        size, it = max(1, (STREAM_BYTES >> 10) // (8 * ncols)), iter(rows)
         while chunk := list(islice(it, size)):
             ptr = np.cumsum([0] + [cols.size for cols, _, _ in chunk])
             cols, vals, _ = zip(*chunk)
@@ -355,51 +355,6 @@ def _compositions(total: int, parts: int, minimums):
             yield (first,) + tail
 
 
-def _instance_groups(gens, h: Action, n: int):
-    """Substitution skeletons, one group per generator and composition.
-
-    An instance is u0 * g(v_1..v_d) * u1 where the v_i are monomials on
-    consecutive nonempty blocks of a variable arrangement and u0, u1 are
-    boundary monomials on the rest (possibly variable-free), each an
-    alternation of enumerated coefficient positions and variables.  A group
-    fixes the generator and the block lengths (a, k_1..k_d, b); its n!
-    arrangements share every slot plan and differ only in the variables at
-    the positions.  A group is (ns, plans): ns enumerated coefficient
-    positions and one plan (coef, positions, slots) per generator term,
-    where positions lists the arrangement positions of the term's
-    variables in word order and slots the n+1 coefficient slots around
-    them, each a tuple of factors: enumerated position p >= 0 or listed
-    coefficient k as -(k+1)."""
-    if h.W.unit is None:
-        raise InternalError("consequence spans need a unital coefficient algebra")
-    groups = []
-    for g in gens:
-        gw = _generator_words(g, h)
-        if gw is None or gw[0] > n:
-            continue
-        d, terms = gw
-        for comp in _compositions(n, d + 2, [0] + [1] * d + [0]):
-            pieces, cpos, vpos = [], 0, 0
-            for length in comp:
-                pieces.append([cpos] + [x for t in range(length) for x in (("v", vpos + t), cpos + 1 + t)])
-                cpos += length + 1
-                vpos += length
-            plans = []
-            for coef, gword in terms:
-                word = pieces[0] + [x for sym in gword for x in (pieces[sym] if sym > 0 else [sym])]
-                positions, slots, cur = [], [], []
-                for x in word + pieces[-1]:
-                    if isinstance(x, tuple):
-                        positions.append(x[1])
-                        slots.append(tuple(cur))
-                        cur = []
-                    else:
-                        cur.append(x)
-                plans.append((Fraction(coef), tuple(positions), tuple(slots) + (tuple(cur),)))
-            groups.append((cpos, plans))
-    return groups
-
-
 class _Rows:
     """A block of sparse integer rows: row r holds vals[ptr[r]:ptr[r+1]] at
     the distinct columns cols[ptr[r]:ptr[r+1]] (increasing in consequence
@@ -408,6 +363,7 @@ class _Rows:
 
     def __init__(self, ptr, cols, vals):
         self.ptr, self.cols, self.vals = ptr, cols, vals
+
 
     def keys(self) -> list:
         """One key per row, equal exactly for equal rows: bytes for int64
@@ -428,157 +384,183 @@ class _Rows:
         buf[at + np.repeat(np.arange(len(sel)), lens), self.cols[entries]] = self.vals[entries]
 
 
-class _GroupBlock:
-    """Integer tables of one instance group, and the monomial ranks of its
-    n! arrangements.
-
-    Each slot gets a table of s^p x s integers: row t is the product in W of
-    the slot's factors at the t-th assignment of its p enumerated positions
-    (lexicographic, first position most significant).  The table depends
-    only on the slot's pattern (its listed coefficients, with a placeholder
-    0 for each enumerated position), so it is built once per pattern in the
-    dict patterns, which the caller shares between the groups of one
-    stream; the group keeps the slot's own positions and digit weights.
-    Plans whose variables sit at the same positions form one class: they
-    land on the same monomials, so their values add.  Arrangement a sends
-    class c to the columns ranks[a, c] * s^(n+1) + m, m the coefficient
-    index.  Fraction products of W and rational coefficients are cleared by
-    one positive factor per group, which leaves canonical rows unchanged.
-    dtype is int64 when a magnitude bound certifies every product below
-    2^63, else object."""
-
-    def __init__(self, ns, plans, unit, R, arrangements, patterns):
-        self.ns = ns
-        s = len(unit)
-        tables = {}
-        for x in dict.fromkeys(x for _, _, sl in plans for x in sl):
-            pattern = tuple(min(f, 0) for f in x)
-            if pattern not in patterns:
-                patterns[pattern] = self._table(pattern, unit, R)
-            pos = np.array([f for f in x if f >= 0], dtype=np.intp)
-            tables[x] = (pos, s ** np.arange(pos.size - 1, -1, -1), *patterns[pattern])
-        peak = {x: t[4] for x, t in tables.items()}
-        classes: dict = {}  # positions -> [(coef, slots, denominator)]
-        factor = 1
-        for coef, positions, slots in plans:
-            if all(peak[x] for x in slots):  # else the term is zero
-                den = prod(tables[x][3] for x in slots)
-                factor = lcm(factor, den * coef.denominator)
-                classes.setdefault(positions, []).append((coef, slots, den))
-        self.classes = [
-            [(int(coef * factor / den), slots) for coef, slots, den in terms] for terms in classes.values()
-        ]
-        # all peaks are >= 1, so every partial product of a term is at most
-        # the term's bound, and a class sum at most the sum of its bounds
-        bound = max(
-            (sum(abs(c) * prod(peak[x] for x in slots) for c, slots in terms) for terms in self.classes),
-            default=0,
-        )
-        self.dtype = np.int64 if bound < _INT64_LIMIT else object
-        self.tables = {x: (pos, wts, tab.astype(self.dtype)) for x, (pos, wts, tab, _, _) in tables.items()}
-        self.nonzero = {x: (tab != 0).any(axis=1) for x, (_, _, tab, _, _) in tables.items()}
-        self.ranks = np.array(
-            [[_perm_rank([arr[p] for p in positions]) for positions in classes] for arr in arrangements],
-            dtype=np.int64,
-        ).reshape(len(arrangements), len(classes))
-
-    @staticmethod
-    def _table(pattern, unit, R):
-        """(integer table, denominator, peak entry) of a slot pattern; R[k]
-        is right multiplication by b_k on coordinate rows."""
-        T = np.array([unit], dtype=object)
-        for x in pattern:  # an enumerated position adds the least significant digit
-            T = T @ R[-x - 1] if x < 0 else np.stack([T @ Rk for Rk in R], axis=1).reshape(-1, len(unit))
-        den = lcm(*(Fraction(v).denominator for v in T.flat))
-        table = np.array([int(v * den) for v in T.flat], dtype=object).reshape(T.shape)
-        return table, den, max(abs(v) for v in table.flat)
-
-    def rows(self, digits):
-        """Rows of the assignments with these digit rows (N, ns), as
-        (indices of the nonzero assignments, their base block V of shape
-        (N', classes, s^(n+1)), each V[i] divided by the gcd of its
-        entries): up to sign, the row of assignment i in arrangement a is
-        V[i] spread over the columns ranks[a, c] * s^(n+1) + m."""
-        subs = {slot: digits[:, pos] @ wts for slot, (pos, wts, _) in self.tables.items()}
-        live = np.zeros(digits.shape[0], dtype=bool)
-        for terms in self.classes:
-            for _, slots in terms:
-                live |= np.logical_and.reduce([self.nonzero[slot][subs[slot]] for slot in slots])
-        live = np.flatnonzero(live)
-        N = live.size
-        if not N:
-            return live, np.zeros((0, len(self.classes), 0), dtype=self.dtype)
-        gathered = {slot: self.tables[slot][2][sub[live]] for slot, sub in subs.items()}
-        blocks = []
-        for terms in self.classes:
-            acc = 0
-            for coef, slots in terms:
-                x = gathered[slots[0]]
-                for slot in slots[1:]:
-                    x = (x[:, :, None] * gathered[slot][:, None, :]).reshape(N, -1)
-                acc = acc + coef * x
-            blocks.append(acc)
-        V = np.stack(blocks, axis=1)  # (N, classes, s^(n+1))
-        g = np.gcd.reduce(np.abs(V.reshape(N, -1)), axis=1)
-        keep = np.flatnonzero(g)
-        return live[keep], V[keep] // g[keep, None, None]
+def _arrangements(d: int) -> dict:
+    """{variable order: its rank} of the degree-d monomials, in rank order."""
+    return {p: i for i, p in enumerate(permutations(range(1, d + 1)))}
 
 
-def _consequence_blocks(gens, h: Action, n: int):
-    """Yield the canonical degree-n consequence vectors of the generators,
-    sparse over the monomial ranks, as _Rows blocks.
+def _relabelling(d: int, s: int, pi) -> np.ndarray:
+    """Degree-d column map of the substitution x_i -> x_pi[i-1]."""
+    ranks = _arrangements(d)
+    new = np.array([ranks[tuple(pi[v - 1] for v in p)] for p in ranks], dtype=np.int64)
+    S = s ** (d + 1)
+    return (new[:, None] * S + np.arange(S)).ravel()
 
-    Every instance u0 * g(v_1..v_d) * u1 (see _instance_groups) has each
-    coefficient position running over the listed basis; adjacent
-    coefficients merge through the product of W.  Zero vectors are
-    skipped, every other one is divided by the gcd of its entries and
-    signed to a positive leading entry.  Order: coefficient assignment
-    index, then group, then arrangement.  The slot tables of all groups
-    come from one dict of patterns built here.  Each chunk of assignment
-    indices is computed for all groups at once (_GroupBlock.rows); every
-    nonzero entry of a group's base block is sent to its n! arrangements,
-    the chunk is sorted by row, then column, and each row is then signed
-    by its leading entry; a chunk would hold at most CHUNK_BYTES of values
-    if no assignment vanished and all n! rows were dense.  A block is
-    int64 unless one of its groups needs Python integers.
-    """
+
+def _extensions(d: int, s: int):
+    """Column maps from degree d - 1 to degree d of the elementary
+    extensions, each followed by the swap tau_j of the labels j and d
+    (j = 1..d): for each listed coefficient w, f -> w*x_d*f, f -> f*x_d*w
+    and, for every i < d, the substitution x_i -> x_i*w*x_d.  Each one puts
+    x_d at place a of the variable order and w at coefficient slot q, the
+    later slots moving up by one."""
+    ranks, S, c = _arrangements(d), s ** (d + 1), np.arange(s ** d)
+    swaps = [[d if v == j else j if v == d else v for v in range(1, d + 1)] for j in range(1, d + 1)]
+    taus = [_relabelling(d, s, pi) for pi in swaps]
+    sources = list(permutations(range(1, d)))
+    for op in (0, d, *range(1, d)):  # w*x_d*f, f*x_d*w, then x_i -> x_i*w*x_d for i = op
+        for w in range(s):
+            parts = []
+            for sigma in sources:
+                if op == d:
+                    a, q = d - 1, d
+                else:
+                    a = q = sigma.index(op) + 1 if op else 0
+                lo = s ** (d - q)
+                parts.append(ranks[sigma[:a] + (d,) + sigma[a:]] * S + (c // lo * s + w) * lo + c % lo)
+            idx = np.concatenate(parts)
+            for tau in taus:
+                yield tau[idx]
+
+
+def _product_tables(W):
+    """(left, right) integer tables of the product of W: left[w][a, k] is
+    the coefficient of b_k in b_w b_a and right[w][a, k] that in b_a b_w,
+    all multiplied by one positive integer that clears their denominators."""
+    s = W.dim
+    P = np.zeros((s, s, s), dtype=object)
+    for i, j in product(range(s), repeat=2):
+        for k, c in W.product_basis(i, j):
+            P[i, j, k] = Fraction(c)
+    den = lcm(*(Fraction(v).denominator for v in P.flat))
+    P = np.array([int(v * den) for v in P.flat], dtype=object).reshape(s, s, s)
+    return P, P.transpose(1, 0, 2)
+
+
+def _coefficient_families(d: int, left, right):
+    """The 2d + 2 coefficient families at degree d, as (slot of each variable
+    order, table): w*f and f*w multiply the first and the last slot, and
+    x_i -> w*x_i and x_i -> x_i*w the slot before and after x_i."""
+    orders = list(_arrangements(d))
+    out = [([0] * len(orders), left), ([d] * len(orders), right)]
+    for i in range(1, d + 1):
+        out.append(([p.index(i) for p in orders], right))
+        out.append(([p.index(i) + 1 for p in orders], left))
+    return out
+
+
+def _multiply_slots(X, slots, M):
+    """Rows X of degree d with, in the monomials of variable order p,
+    coefficient slot slots[p] multiplied through the table M: digit a
+    becomes sum_k M[a, k] b_k.  Python integers unless every sum of s
+    products fits in int64."""
+    s = len(M)
+    if X.dtype != object and s * int(np.abs(X).max()) * max(abs(v) for v in M.flat) >= _INT64_LIMIT:
+        X = X.astype(object)
+    M = M.astype(X.dtype)
+    slots = np.array(slots)
+    Y = X.reshape(X.shape[0], slots.size, -1)
+    out = np.empty_like(Y)
+    for t in set(slots.tolist()):
+        sel = np.flatnonzero(slots == t)
+        Z = Y[:, sel].reshape(-1, s, Y.shape[2] // s ** (t + 1))
+        out[:, sel] = (M.T @ Z).reshape(Y.shape[0], sel.size, -1)
+    return out.reshape(X.shape)
+
+
+def _chunks(B, size: int):
+    return (B[i : i + size] for i in range(0, len(B), size))
+
+
+def _spread(B, maps, size: int):
+    """_Rows blocks of at most size rows: the rows of B through each
+    injective column map."""
+    maps = list(maps)
+    for X in _chunks(B, size):
+        r, c = np.nonzero(X)
+        ptr, vals = np.searchsorted(r, np.arange(len(X) + 1)), X[r, c]
+        for idx in maps:
+            cols = idx[c]
+            order = np.lexsort((cols, r))
+            yield _Rows(ptr, cols[order], vals[order])
+
+
+def _echelon_rows(space: FastIntRowSpace):
+    """Integer rows of the reduced echelon basis of space: int64 unless the
+    space has moved to Python integers (in float64 mode every basis entry
+    is an integer below 2^52)."""
+    rows = space.rref()[1]
+    return rows if space.exact else rows.astype(np.int64)
+
+
+def _closure(vec, d: int, ncols: int, tables, size: int):
+    """Integer basis rows of the span of every coefficient filling of the
+    degree-d vector vec ({column: value}): one pass per family of
+    _coefficient_families, in dense blocks of at most size rows."""
+    space = FastIntRowSpace(ncols)
+    space.add_rows(int_rows([vec], ncols))
+    for slots, table in _coefficient_families(d, *tables):
+        C = _echelon_rows(space)
+        for M in table:
+            if (M == M[0, 0] * np.eye(len(M), dtype=object)).all():
+                continue  # a multiple of the identity, as the unit's table is, adds nothing
+            for X in _chunks(C, size):
+                space.add_rows(_multiply_slots(X, slots, M))
+    return _echelon_rows(space)
+
+
+def _consequence_blocks(gens, h: Action, n: int, batch: int):
+    """Yield _Rows blocks of integer vectors that span the degree-n
+    multilinear consequences of the generators, degree by degree:
+
+        I_d = span(tau_j E(I_(d-1)), j = 1..d) + C(S_d G_d).
+
+    E runs the basis of I_(d-1) through the elementary extensions and tau_j
+    swaps the labels j and d (_extensions); G_d are the generators of
+    degree d, C closes one under its coefficient fillings (_closure) and
+    S_d relabels the closure.  A pass of C adds {M_w(v): v in the span so
+    far, w listed} for one family; the unit of W is a combination of the
+    listed basis, so that is the span of the images alone, and the
+    families commute, so one pass each reaches every filling.  The degrees
+    below n are spanned in full, and the blocks of degree n come out
+    lazily.  Blocks hold at most _stream_rows(columns, batch) rows, and so
+    does every dense block of the coefficient passes.
+
+    Lemma: I_d is the span of the instances u0 g(v_1..v_e) u1 of the
+    generators g of degree e <= d (coefficients at every position running
+    over the listed basis).  Proof of the recursion: at e = d the instance
+    is a coefficient filling of a relabelled generator, in C(S_d G_d).  If
+    e < d, some variable sits in u0 or u1, or in a substituted block v_t of
+    length >= 2; relabel the last variable of that block x_d.  If the block
+    has another variable, the one x_i just before x_d, delete x_d with the
+    coefficient w between them: x_i -> x_i w x_d puts it back.  If x_d is
+    the only variable of u0 (u1), delete it with the outer coefficient w:
+    w x_d f (f x_d w) puts it back.  Either way what is left is a
+    degree-(d-1) instance, since every coefficient filling is one; and E
+    maps I_(d-1) into I_d, as each extension takes instances to instances.
+    (So the mirror substitution x_i -> x_d w x_i is not needed.)"""
     W, s = h.W, h.s
-    R = np.zeros((s, s, s), dtype=object)  # R[k][i, j]: b_j in b_i b_k
-    for i, k in product(range(s), repeat=2):
-        for j, c in W.product_basis(i, k):
-            R[k, i, j] = c
-    arrangements = list(permutations(range(1, n + 1)))
-    nf, S = len(arrangements), s ** (n + 1)
-    patterns: dict = {}
-    groups = [_GroupBlock(ns, plans, W.unit, R, arrangements, patterns) for ns, plans in _instance_groups(gens, h, n)]
-    groups = [g for g in groups if g.classes]  # drop groups whose terms all vanish
-    sizes = [s ** g.ns for g in groups]
-    width = [8 * g.ranks.size * S for g in groups]
-    start = 0
-    while start < max(sizes, default=0):
-        live = [gi for gi, size in enumerate(sizes) if size > start]
-        end = start + max(1, CHUNK_BYTES // sum(width[gi] for gi in live))
-        idx = np.arange(start, end, dtype=np.int64)
-        keys, cols, vals = [], [], []
-        for gi in live:
-            g = groups[gi]
-            ix = idx[idx < sizes[gi]]
-            digits = (ix[:, None] // s ** np.arange(g.ns, dtype=np.int64)) % s
-            keep, V = g.rows(digits)
-            i, c, m = np.nonzero(V)
-            keys.append((ix[keep][i, None] * len(groups) + gi) * nf + np.arange(nf))
-            cols.append(g.ranks[:, c].T * S + m[:, None])
-            vals.append(np.repeat(V[i, c, m], nf))
-        start = end
-        rowkey = np.concatenate(keys, axis=None)
-        if not rowkey.size:
-            continue
-        cols = np.concatenate(cols, axis=None)
-        order = np.lexsort((cols, rowkey))
-        rowkey, vals = rowkey[order], np.concatenate(vals)[order]
-        ptr = np.flatnonzero(np.diff(rowkey, prepend=-1, append=rowkey[-1] + 1))
-        vals *= np.repeat(np.where(vals[ptr[:-1]] > 0, 1, -1), np.diff(ptr))  # positive leading entries
-        yield _Rows(ptr, cols[order], vals)
+    if W.unit is None:
+        raise InternalError("consequence spans need a unital coefficient algebra")
+    tables = _product_tables(W)
+    vecs: dict = {}  # degree -> generator vectors
+    for g in gens:
+        gw = _generator_words(g, h)
+        if gw is not None and gw[0] <= n and (vec := vectorize_words({w: c for c, w in gw[1]}, W, gw[0])):
+            vecs.setdefault(gw[0], []).append(vec)
+    B = np.zeros((0, 1), dtype=np.int64)  # I_0
+    for d in range(1, n + 1):
+        ncols = basis_size(d, s)
+        size = _stream_rows(ncols, batch)
+        blocks = _spread(B, _extensions(d, s), size)
+        if d in vecs:
+            relabel = [_relabelling(d, s, pi) for pi in permutations(range(1, d + 1))]
+            closed = [_closure(vec, d, ncols, tables, size) for vec in vecs[d]]
+            blocks = chain(blocks, *(_spread(C, relabel, size) for C in closed))
+        if d == n:
+            yield from blocks
+        else:
+            B = _echelon_rows(_span_stream(blocks, ncols, batch, lambda span: False)[0])
 
 
 def _span_stream(blocks, ncols: int, batch: int, stop, target: int | None = None):
@@ -620,7 +602,7 @@ def consequences_span(generators, h: Action, n: int) -> Subspace:
     generators (empty generator list gives the zero subspace)."""
     rows = basis_size(n, h.s)
     _check_budget(rows, 1)
-    blocks = _consequence_blocks(list(generators), h, n)
+    blocks = _consequence_blocks(list(generators), h, n, 1024)
     return Subspace.from_space(_span_stream(blocks, rows, 1024, lambda span: False)[0])
 
 
@@ -637,14 +619,14 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
         return True
     rows = basis_size(n, h.s)
     row = int_rows([target], rows)
-    blocks = _consequence_blocks(list(generators), h, n)
+    blocks = _consequence_blocks(list(generators), h, n, 256)
     return _span_stream(blocks, rows, 256, lambda span: not span.reduce_rows(row).any())[1]
 
 
 def _span_reaches(gens, h: Action, n: int, target: int) -> bool:
     """Whether the degree-n consequence span of gens, which must lie in the
     identity kernel, has rank target (streamed with early stop)."""
-    blocks = _consequence_blocks(gens, h, n)
+    blocks = _consequence_blocks(gens, h, n, 1024)
     span, _ = _span_stream(blocks, basis_size(n, h.s), 1024, lambda sp: sp.rank >= target, target)
     if span.rank > target:
         raise InternalError("consequence span escaped the identity kernel")

@@ -585,13 +585,18 @@ def vectorize(node, action, n: int) -> dict:
     {rank: Fraction} map.  Coefficient runs between variables merge through
     the coefficient algebra's product; monomials containing tail
     coefficients vanish in these coordinates."""
-    W = action.W
+    return vectorize_words(resolved_words(node, action), action.W, n)
+
+
+def vectorize_words(words: dict, W, n: int) -> dict:
+    """vectorize for a {word: coefficient} map of resolved words over the
+    coefficient algebra W."""
     s = W.dim
     if W.unit is None:
         raise UnknownCoefficient("vectorization needs a unital coefficient algebra")
     unit = list(W.unit)
     out: dict = {}
-    for word, c in resolved_words(node, action).items():
+    for word, c in words.items():
         if any(sym < 0 and -(sym + 1) >= s for sym in word):
             continue  # tail monomials are identically zero in these coordinates
         runs = [[]]

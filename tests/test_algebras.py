@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import genpi.algebras as algebras
 from genpi.algebras import (
     StructureAlgebra,
     builtin,
@@ -261,6 +262,16 @@ def _first_failing_triple(A):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_associativity_check_reports_first_failing_triple(seed):
+    _check_first_failing_triple(seed)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_associativity_check_reports_first_failing_triple_in_chunks(monkeypatch, seed):
+    monkeypatch.setattr(algebras, "ASSOCIATIVITY_CHUNK", 1)  # one i per chunk of the join
+    _check_first_failing_triple(seed)
+
+
+def _check_first_failing_triple(seed):
     rng = random.Random(seed)
     dim = rng.randint(1, 5)
     big = 2 ** 40 if seed % 3 == 0 else 1  # beyond int64 once squared and summed
@@ -299,3 +310,24 @@ def test_associativity_check_finds_a_late_failure():
     with pytest.raises(NotAssociative) as err:
         B.validate()
     assert err.value.witness == want
+
+
+def test_associativity_is_checked_on_every_triple_of_a_large_algebra():
+    # grassmann_unital(7), dimension 128, with one product doubled: a few
+    # dozen of its 2,097,152 basis triples fail
+    A = builtin("grassmann_unital(7)")
+    i, j = A.labels.index("g{1,2,3}"), A.labels.index("g{4,5,6}")
+    table = {}
+    for p, q, k, v in A.iter_nonzero_constants():
+        table.setdefault((p, q), []).append((k, 2 * v if (p, q) == (i, j) else v))
+    B = StructureAlgebra(A.dim, A.labels, table, unit=A.unit, validate=False)
+    with pytest.raises(NotAssociative) as err:
+        B.validate()
+    w = err.value.witness
+    assert B._triple_product(*w, True) != B._triple_product(*w, False)
+
+
+def test_associativity_check_in_chunks_keeps_its_verdicts(monkeypatch):
+    monkeypatch.setattr(algebras, "ASSOCIATIVITY_CHUNK", 1)
+    test_associativity_check_accepts_associative_algebras()
+    test_associativity_check_finds_a_late_failure()

@@ -340,16 +340,11 @@ def test_grassmann_preset_generators():
     assert preset_generators("grassmann_Ek(2,5)") == grassmann_generators(2)
 
 
-def test_budget_error():
-    import os
-
-    os.environ["GENPI_MAX_ROWS"] = "10"
-    try:
-        with pytest.raises(BudgetExceeded) as e:
-            codimension(preset_action("ut2D"), 3)
-        assert e.value.rows == 96
-    finally:
-        del os.environ["GENPI_MAX_ROWS"]
+def test_budget_error(monkeypatch):
+    monkeypatch.setenv("GENPI_MAX_ROWS", "10")
+    with pytest.raises(BudgetExceeded) as e:
+        codimension(preset_action("ut2D"), 3)
+    assert e.value.rows == 96
 
 
 def test_evaluation_row_matches_direct_evaluation():

@@ -1,4 +1,4 @@
-"""Consequence rows against a one-instance-at-a-time oracle, the streaming
+"""Consequence spans against a one-instance-at-a-time oracle, the streaming
 driver on Python integers, its byte budget, and the rank paths against
 sympy."""
 
@@ -14,16 +14,19 @@ from hypothesis import strategies as st
 
 import genpi.codim as codim
 from genpi._fastrank import FastIntRowSpace
-from genpi.actions import action_from_subalgebra, preset_action
+from genpi.actions import action_from_subalgebra, grassmann_action, preset_action
 from genpi.algebras import builtin
 from genpi.codim import (
     _compositions,
     _consequence_blocks,
     _generator_words,
+    _grassmann_structural_identities,
     _rank_of_row_arrays,
     _Rows,
     _span_stream,
     _stream_rows,
+    consequences_span,
+    grassmann_generators,
     identity_kernel_basis,
     in_consequence_span,
     preset_generators,
@@ -31,7 +34,8 @@ from genpi.codim import (
     verify_generating_set,
 )
 from genpi.errors import BudgetExceeded
-from genpi.polynomials import GenMonomial
+from genpi.linalg import Subspace, _row_space
+from genpi.polynomials import GenMonomial, basis_size
 
 
 def _num(c):
@@ -125,14 +129,6 @@ def naive_stream(gens, h, n):
     return out
 
 
-def block_stream(gens, h, n):
-    out = []
-    for b in _consequence_blocks(gens, h, n):
-        p, cols, vals = b.ptr.tolist(), b.cols.tolist(), b.vals.tolist()
-        out += [tuple(zip(cols[i:j], vals[i:j])) for i, j in zip(p, p[1:])]
-    return out
-
-
 def fractional_w_action():
     """ut(2) acted on by W = span(1, e22/2, e12/3), whose products are not
     integral: (e22/2)^2 = (1/2)(e22/2)."""
@@ -157,63 +153,33 @@ STREAM_CASES = {
     ),
     "2^70 coefficient": ("ut2F", [f"{2 ** 70 + 1}*[x1,x2]*[x3,x4] + 3*[x1,x3]*[x2,x4]"], False, 4),
     "sum at 2^63": ("ut2D", [f"{2 ** 62}*x1*w1*x2 + {2 ** 62}*x1*x2"], False, 2),
+    "lifted degree-3 generator": ("ut2D", ["[x1,x2]*x3"], False, 4),
+    "grassmann": ("grassmann", grassmann_generators(1), True, 3),
 }
+
+
+def _stream_case(name):
+    """(action, generators, degree) of a STREAM_CASES entry."""
+    preset, gens, with_structural, n = STREAM_CASES[name]
+    if preset == "grassmann":
+        return grassmann_action(1, 1), list(gens) + _grassmann_structural_identities(1, 4), n
+    h = preset_action(preset) if preset else fractional_w_action()
+    return h, list(gens) + (structural_identities(h) if with_structural else []), n
 
 
 @pytest.mark.parametrize("name", list(STREAM_CASES))
 def test_blocks_match_naive_enumeration(name):
-    preset, gens, with_structural, n = STREAM_CASES[name]
-    h = preset_action(preset) if preset else fractional_w_action()
-    if with_structural:
-        gens = list(gens) + structural_identities(h)
+    h, gens, n = _stream_case(name)
     want = naive_stream(gens, h, n)
-    assert want and block_stream(gens, h, n) == want
-
-
-@pytest.mark.parametrize("name", ["ut2full+structural", "2^70 coefficient", "fractional W"])
-def test_rows_are_canonical(monkeypatch, name):
-    # _Rows.keys() deduplicates by bytes, so equal rows must come out equal:
-    # strictly increasing columns, coprime entries, positive leading entry
-    made, dens = [], []
-    init, table = codim._GroupBlock.__init__, codim._GroupBlock._table
-
-    def record_init(self, *args):
-        init(self, *args)
-        made.append(self)
-
-    def record_table(*args):
-        out = table(*args)
-        dens.append(out[1])
-        return out
-
-    monkeypatch.setattr(codim._GroupBlock, "__init__", record_init)
-    monkeypatch.setattr(codim._GroupBlock, "_table", staticmethod(record_table))
-    preset, gens, with_structural, n = STREAM_CASES[name]
-    h = preset_action(preset) if preset else fractional_w_action()
-    if with_structural:
-        gens = list(gens) + structural_identities(h)
-    blocks = list(_consequence_blocks(gens, h, n))
-    assert blocks
-    for b in blocks:
-        p, cols, vals = b.ptr.tolist(), b.cols.tolist(), b.vals.tolist()
-        for i, j in zip(p, p[1:]):
-            assert j > i and all(x < y for x, y in zip(cols[i : j - 1], cols[i + 1 : j]))
-            assert gcd(*vals[i:j]) == 1 and vals[i] > 0
-    # each case reaches what it is here for
-    if name == "ut2full+structural":
-        orders = [np.argsort(g.ranks, axis=1) for g in made if g.ranks.shape[1] > 1]
-        assert any((order != order[:1]).any() for order in orders)
-    elif name == "2^70 coefficient":
-        assert any(b.vals.dtype == object for b in blocks)
-    else:
-        assert max(dens) > 1
+    assert want
+    naive = _row_space(map(dict, dict.fromkeys(want)), basis_size(n, h.s))
+    assert consequences_span(gens, h, n) == Subspace.from_space(naive)
 
 
 def test_blocks_beyond_int64_are_python_ints():
-    for name, big in (("2^40 coefficients", False), ("2^70 coefficient", True), ("sum at 2^63", True)):
-        preset, gens, _, n = STREAM_CASES[name]
-        blocks = list(_consequence_blocks(gens, preset_action(preset), n))
-        assert {b.vals.dtype == object for b in blocks} == {big}, name
+    h, gens, n = _stream_case("2^70 coefficient")
+    blocks = list(_consequence_blocks(gens, h, n, 1024))
+    assert any(b.vals.dtype == object for b in blocks)
 
 
 @pytest.mark.parametrize("name", ["2^40 coefficients", "2^70 coefficient"])
