@@ -14,7 +14,6 @@ import sys
 
 from .actions import (
     load_action,
-    preset_action,
     semidirect_product,
     semisimple_part_action,
     effective_image,

@@ -6,15 +6,15 @@ x_{sigma(n)} w_{in}.  Their evaluations at basis tuples of A form the
 evaluation matrix; its rank is the n-th codimension and its left kernel is
 the space of multilinear identities of degree n.
 
-One exact integer generator, _iter_rows_int, produces every evaluation
-row.  The rows of the identity permutation (master rows) are contractions
-of the transfer operators of the coefficient slots against the structure
-constants of A in Python integers; every other permutation reuses them by
-relabelling tuple positions, a numpy digit permutation of the column
-indices.  Each row comes with its positive scale: the integer row has
-coprime entries and equals the scale times the exact rational row, so the
-rank needs only the integers and the rational matrix and kernel divide the
-scale back out.  Ranks, spans and kernels all come from the one exact
+The rows of the identity permutation form the master matrix
+(_master_matrix): one dense row per coefficient tuple, the contraction of
+the transfer operators of the coefficient slots against the structure
+constants of A, as coprime integers equal to a positive scale times the
+exact rational row.  A permutation of the variables only permutes tuple
+positions, so its block of rows is the master matrix with its tuple axes
+transposed (_evaluation_blocks).  The rank needs only the integers of the
+distinct nonzero masters; the rational matrix and the kernel divide the
+scales back out.  Ranks, spans and kernels all come from the one exact
 elimination, FastIntRowSpace (_fastrank.py).
 
 Consequence spans realize the multilinear degree-n part of the ideal
@@ -44,12 +44,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, permutations, product
-from math import gcd, lcm
+from itertools import chain, permutations, product
+from math import lcm
 
 import numpy as np
 
-from ._fastrank import FastIntRowSpace
+from ._fastrank import BLOCK, FastIntRowSpace
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _merge_mask, _word_mask
 from .errors import BasisMismatch, BudgetExceeded, InternalError, NotSplit
@@ -76,7 +76,8 @@ _INT64_LIMIT = 1 << 63
 
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
-# cap of one streaming buffer: 4096-row batches up to 3^8 columns still fit
+# byte cap of one dense int64 buffer: a batch of the consequence stream, a
+# block of the coefficient closure, the transposed matrix of the kernel
 STREAM_BYTES = 1 << 28
 
 
@@ -111,8 +112,8 @@ class EvaluationMatrix:
 
     Column tuple_rank * dim + k holds output coordinate k at the basis tuple
     of that rank.  Each row is stored as its exact rational entries
-    {col: Fraction}: the integer row of _iter_rows_int divided by the row's
-    positive scale."""
+    {col: Fraction}: the integer row of _evaluation_blocks divided by the
+    row's positive scale."""
 
     action: Action
     n: int
@@ -137,23 +138,12 @@ def _int_matrix(M):
     return out, den
 
 
-def _primitive(cols, ints, den):
-    """(cols, vals, scale) of the integer row ints = den * row over cols,
-    divided by the gcd of its entries, so that vals = scale * row.  vals is
-    int64 when every entry fits and an object array of Python ints
-    otherwise."""
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    big = any(abs(v) >= _INT64_LIMIT for v in ints)
-    vals = np.array(ints, dtype=object if big else np.int64)
-    return cols, vals, Fraction(den, g) if g else _ONE
-
-
-def _master_rows(h: Action, n: int) -> list:
-    """(cols, vals, scale) of the identity-permutation monomials
+def _master_matrix(h: Action, n: int):
+    """(M, scales) of the identity-permutation monomials
     w_{i0} x_1 w_{i1} ... x_n w_{in}, coefficient tuples in lexicographic
-    order.
+    order: row i of M, over the evaluation columns, is scales[i] > 0 times
+    the exact rational evaluation row, with coprime entries (int64 when
+    every entry fits).
 
     The monomial evaluates to D_1(a_1) D_2(a_2) ... D_n(a_n) with
     D_1 = lambda_{i0} rho_{i1} and D_t = rho_{it}.  The partial products
@@ -164,50 +154,75 @@ def _master_rows(h: Action, n: int) -> list:
     A = h.A
     dim = A.dim
     consts = list(A.iter_nonzero_constants())
-    dc = 1
-    for *_, v in consts:
-        dc = lcm(dc, v.denominator)
+    dc = lcm(*(v.denominator for *_, v in consts))
     consts = [(i, j, k, v.numerator * (dc // v.denominator)) for i, j, k, v in consts]
     Ls = [_int_matrix(p.L.matrix) for p in h.pairs]
     Rs = [_int_matrix(p.R.matrix) for p in h.pairs]
     steps = []
     for D, dd in Rs:
-        # M[k1, j, k3] = sum_k2 c(k1, k2, k3) D[k2, j]
-        M = np.zeros((dim, dim, dim), dtype=object)
+        # S[k1, j, k3] = sum_k2 c(k1, k2, k3) D[k2, j]
+        S = np.zeros((dim, dim, dim), dtype=object)
         for i, j, k, v in consts:
-            M[i, :, k] += v * D[j, :]
-        steps.append((M.reshape(dim, dim * dim), dd * dc))
-    masters = []
+            S[i, :, k] += v * D[j, :]
+        steps.append((S.reshape(dim, dim * dim), dd * dc))
+    M = np.zeros((h.s ** (n + 1), dim ** (n + 1)), dtype=object)
+    dens = []
 
     def extend(depth, T, den):
         if depth == n:
-            flat = T.ravel()
-            cols = np.flatnonzero(flat)
-            masters.append(_primitive(cols, flat[cols].tolist(), den))
+            M[len(dens)] = T.ravel()
+            dens.append(den)
             return
-        for M, dm in steps:
-            extend(depth + 1, (T @ M).reshape(-1, dim), den * dm)
+        for S, ds in steps:
+            extend(depth + 1, (T @ S).reshape(-1, dim), den * ds)
 
     for (L, dl), (R, dr) in product(Ls, Rs):
         extend(1, (L @ R).T, dl * dr)
-    return masters
+    g = np.gcd.reduce(np.abs(M), axis=1).tolist()
+    M //= np.array([[v or 1] for v in g], dtype=object)
+    if np.abs(M).max(initial=0) < _INT64_LIMIT:
+        M = M.astype(np.int64)
+    return M, [Fraction(den, v) if v else _ONE for den, v in zip(dens, g)]
 
 
-def _iter_rows_int(h: Action, n: int):
-    """Evaluation rows in enumeration order as (cols, vals, scale): the
-    integer row vals over the flat columns cols is scale times the exact
-    rational evaluation row, with coprime entries and scale > 0."""
-    dim = h.A.dim
-    masters = _master_rows(h, n)
-    split = [(cols // dim, cols % dim) for cols, _, _ in masters]
-    digits = np.indices((dim,) * n).reshape(n, -1)
+def _evaluation_blocks(M: np.ndarray, dim: int, n: int):
+    """The evaluation rows of the master rows M, one block per permutation
+    of the variables in enumeration order.  x_{perm(1)} ... x_{perm(n)} at
+    the assignment u equals the master at (u_{perm(1)}, ..., u_{perm(n)}),
+    so its block is M with the tuple axes transposed by the inverse of perm;
+    the output axis stays last."""
+    T = M.reshape(len(M), *(dim,) * (n + 1))
     for perm in permutations(range(n)):
-        # x_{perm(1)} ... x_{perm(n)} at assignment u equals the master at
-        # (u_{perm(1)}, ..., u_{perm(n)}), so master tuple rank r moves to
-        # sum_q digit_q(r) * dim^(n-1-perm(q))
-        remap = (dim ** (n - 1 - np.array(perm, dtype=np.int64))) @ digits
-        for (_, vals, scale), (tup, out) in zip(masters, split):
-            yield remap[tup] * dim + out, vals, scale
+        yield T.transpose(0, *(np.argsort(perm) + 1), n + 1).reshape(len(M), -1)
+
+
+def _distinct_rows(M: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrences of the distinct nonzero rows of M.
+    A repeated master only repeats rows of every permutation block, so the
+    rank needs the distinct masters alone."""
+    keys = map(tuple, M.tolist()) if M.dtype == object else map(bytes, M)
+    first: dict = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return np.array(sorted(i for i in first.values() if M[i].any()), dtype=np.intp)
+
+
+def _rank(blocks, ncols: int) -> int:
+    """Rank of the rows of the blocks, fed to one FastIntRowSpace in whole
+    BLOCK-row groups: a block's last rows wait for the next block."""
+    space = FastIntRowSpace(ncols)
+    held, count = [], 0
+    for X in blocks:
+        held.append(X)
+        count += len(X)
+        if count >= BLOCK:
+            X = np.concatenate(held)
+            cut = count - count % BLOCK
+            space.add_rows(X[:cut])
+            held, count = [X[cut:]], count - cut
+    if held:
+        space.add_rows(np.concatenate(held))
+    return space.rank
 
 
 def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
@@ -217,37 +232,25 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    data = [
-        {c: Fraction(v) / scale for c, v in zip(cs.tolist(), vals.tolist())}
-        for cs, vals, scale in _iter_rows_int(h, n)
-    ]
+    M, scales = _master_matrix(h, n)
+    data = []
+    for X in _evaluation_blocks(M, h.A.dim, n):
+        for row, scale in zip(X, scales):
+            nz = np.flatnonzero(row)
+            data.append({c: Fraction(v) / scale for c, v in zip(nz.tolist(), row[nz].tolist())})
     return EvaluationMatrix(h, n, rows, cols, data)
 
 
-def _rank_of_row_arrays(rows, ncols: int, batch: int = 4096) -> int:
-    """Exact rank of streamed (cols, vals, scale) rows, duplicates skipped,
-    through _span_stream in batches of batch rows.  Rows are grouped into
-    _Rows blocks of at most STREAM_BYTES / 1024 of dense values, as a whole
-    block stays in memory until it is keyed."""
-
-    def blocks():
-        size, it = max(1, (STREAM_BYTES >> 10) // (8 * ncols)), iter(rows)
-        while chunk := list(islice(it, size)):
-            ptr = np.cumsum([0] + [cols.size for cols, _, _ in chunk])
-            cols, vals, _ = zip(*chunk)
-            yield _Rows(ptr, np.concatenate(cols), np.concatenate(vals))
-
-    return _span_stream(blocks(), ncols, batch, lambda span: False)[0].rank
-
-
 def codimension(h: Action, n: int) -> int:
-    """Rank of the degree-n evaluation matrix."""
+    """Rank of the degree-n evaluation matrix, from the distinct nonzero
+    master rows alone."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    return _rank_of_row_arrays(_iter_rows_int(h, n), cols)
+    M, _ = _master_matrix(h, n)
+    return _rank(_evaluation_blocks(M[_distinct_rows(M)], h.A.dim, n), cols)
 
 
 def identity_kernel_basis(h: Action, n: int) -> Subspace:
@@ -262,16 +265,14 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
     _check_budget(rows, cols)
     if 8 * rows * cols > STREAM_BYTES:
         raise BudgetExceeded(rows, cols, STREAM_BYTES // (8 * cols))
-    T = np.zeros((cols, rows), dtype=np.int64)
-    scales = []
-    for cs, vals, scale in _iter_rows_int(h, n):
-        if vals.dtype == object:
-            T = T.astype(object, copy=False)
-        T[cs, rows - 1 - len(scales)] = vals
-        scales.append(scale)
+    M, scales = _master_matrix(h, n)
+    m = len(M)
+    T = np.empty((cols, rows), dtype=M.dtype)
+    for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
+        T[:, rows - (p + 1) * m : rows - p * m] = X[::-1].T
     space = FastIntRowSpace(rows)
     space.add_rows(T)
-    return reversed_kernel(space, scales)
+    return reversed_kernel(space, scales * (rows // m))
 
 
 def identity_kernel_polynomials(h: Action, n: int):
@@ -680,20 +681,16 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
         colsA = hA.A.dim ** m * hA.A.dim
         colsB = hB.A.dim ** m * hB.A.dim
         _check_budget(rows, colsA + colsB)
-        rank_a = _rank_of_row_arrays(_iter_rows_int(hA, m), colsA)
-
-        def stacked():
-            # the two halves of one row are scaled jointly: both are brought
-            # to sa.numerator * sb.numerator times the rational row
-            for (ca, va, sa), (cb, vb, sb) in zip(_iter_rows_int(hA, m), _iter_rows_int(hB, m)):
-                fa = sa.denominator * sb.numerator
-                fb = sb.denominator * sa.numerator
-                ints = [v * fa for v in va.tolist()] + [v * fb for v in vb.tolist()]
-                cols = np.concatenate([ca, cb + colsA])
-                yield _primitive(cols, ints, sa.numerator * sb.numerator)
-
-        rank_ab = _rank_of_row_arrays(stacked(), colsA + colsB)
-        if rank_ab != rank_a:
+        MA, sA = _master_matrix(hA, m)
+        MB, sB = _master_matrix(hB, m)
+        # the two halves of one row are scaled jointly: both are brought to
+        # sa.numerator * sb.numerator times the rational row
+        MA = MA * np.array([[sa.denominator * sb.numerator] for sa, sb in zip(sA, sB)], dtype=object)
+        MB = MB * np.array([[sb.denominator * sa.numerator] for sa, sb in zip(sA, sB)], dtype=object)
+        keep = _distinct_rows(np.hstack([MA, MB]))
+        halves = zip(_evaluation_blocks(MA[keep], hA.A.dim, m), _evaluation_blocks(MB[keep], hB.A.dim, m))
+        rank_ab = _rank((np.hstack(pair) for pair in halves), colsA + colsB)
+        if rank_ab != codimension(hA, m):
             return False
     return True
 

@@ -26,7 +26,6 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .errors import ParseError, UnassignedVariable, UnknownCoefficient
-from .linalg import rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -1,11 +1,17 @@
 """Evaluation matrices, codimensions, kernels, consequence spans."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from genpi.actions import (
     action_from_subalgebra,
@@ -19,7 +25,7 @@ from genpi.codim import (
     _grassmann_kernel,
     _grassmann_reduced_rank,
     _grassmann_stabilized,
-    _iter_rows_int,
+    _master_matrix,
     codimension,
     consequences_span,
     evaluation_matrix,
@@ -49,20 +55,28 @@ def sympy_rank(rows_dicts, ncols):
     return m.rank()
 
 
+def ut2d_in_basis(C):
+    """ut2D (W spanned by 1 and e22) on ut(2) in the basis f_i = column i of
+    the invertible rational sympy matrix C, in (e11, e22, e12) coordinates."""
+    inv = C.inv()
+
+    def coords(e):  # (e11, e22, e12) coordinates -> f coordinates
+        return tuple(Fraction(int(x.p), int(x.q)) for x in inv * sympy.Matrix(e))
+
+    f = [list(C[:, i]) for i in range(3)]
+    table = {}
+    for i, j in product(range(3), repeat=2):
+        (a0, a1, a2), (b0, b1, b2) = f[i], f[j]
+        table[(i, j)] = [(k, c) for k, c in enumerate(coords([a0 * b0, a1 * b1, a0 * b2 + a2 * b1])) if c]
+    unit, e22 = coords([1, 1, 0]), coords([0, 1, 0])
+    A = StructureAlgebra(3, ["f1", "f2", "f3"], table, unit=unit)
+    return action_from_subalgebra(A, [unit, e22], labels=["1", "e22"], kernel_tail=True)
+
+
 def ut2d_rescaled(c):
     """ut2D (W spanned by 1 and e22) on ut(2) in the basis f1 = e11+e12,
     f2 = e22, f3 = c*e12; f1*f2 = e12 = (1/c) f3."""
-    c = Fraction(c)
-    table = {
-        (0, 0): [(0, 1)],
-        (0, 1): [(2, 1 / c)],
-        (0, 2): [(2, 1)],
-        (1, 1): [(1, 1)],
-        (2, 1): [(2, 1)],
-    }
-    unit = (1, 1, -1 / c)
-    A = StructureAlgebra(3, ["f1", "f2", "f3"], table, unit=unit)
-    return action_from_subalgebra(A, [unit, (0, 1, 0)], labels=["1", "e22"], kernel_tail=True)
+    return ut2d_in_basis(sympy.Matrix([[1, 0, 0], [0, 1, 0], [1, 0, Fraction(c)]]))
 
 
 def direct_row(h, mon, n):
@@ -91,8 +105,9 @@ def test_evaluation_rows_match_direct_evaluator():
             em = evaluation_matrix(h, n)
             mons = list(enumerate_basis(n, h.s))
             assert [direct_row(h, mon, n) for mon in mons] == em.row_data, (h, n)
-            for cols, vals, scale in _iter_rows_int(h, n):
-                assert scale > 0 and gcd(*vals.tolist()) in (0, 1)
+            M, scales = _master_matrix(h, n)
+            for row, scale in zip(M.tolist(), scales):
+                assert scale > 0 and gcd(*row) in (0, 1)
 
 
 def test_codimension_invariant_under_change_of_basis():
@@ -107,9 +122,27 @@ def test_ut2f_closed_form():
         assert codimension(h, n) == 2 ** (n - 1) * (n - 2) + 2, n
 
 
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)), max_size=6),
+       st.integers(1, 3))
+def test_codimension_in_random_unimodular_bases_matches_sympy(ops, n):
+    # the basis: the identity changed by the row operations row i += k * row j
+    C = sympy.eye(3)
+    for i, j, k in ops:
+        if i != j:
+            C[i, :] += k * C[j, :]
+    h = ut2d_in_basis(C)
+    em = evaluation_matrix(h, n)
+    rows = {i: {c: QQ(v.numerator, v.denominator) for c, v in row.items()}
+            for i, row in enumerate(em.row_data) if row}
+    c = codimension(h, n)
+    assert c == DomainMatrix(rows, (em.rows, em.cols), QQ).rank() == [3, 6, 14][n - 1]
+    assert identity_kernel_basis(h, n).dim == em.rows - c
+
+
 def test_rows_beyond_int64_take_the_exact_path():
     h = ut2d_rescaled(2 ** 70)
-    assert any(vals.dtype == object for _, vals, _ in _iter_rows_int(h, 2))
+    M, _ = _master_matrix(h, 2)
+    assert M.dtype == object and max(abs(v) for v in M.flat) >= 2 ** 63
     assert [codimension(h, n) for n in (1, 2, 3)] == [3, 6, 14]
     assert identity_kernel_basis(h, 2).dim == 10
 
@@ -244,6 +277,54 @@ def test_variety_contains_reflexive_and_transitive_instance():
     hA, hB = shared_family_presentations("ut2full", "ut2D")
     assert variety_contains(hA, hB, 2) and variety_contains(hB, hB, 2)
     assert variety_contains(hA, hB, 2)
+
+
+def stacked_rank_verdicts(hA, hB, n):
+    """Per degree 1..n, whether the sympy rank of the evaluation rows of hA
+    stacked beside those of hB equals that of hA's rows alone; the list
+    ends at the first degree where it does not."""
+    out = []
+    for m in range(1, n + 1):
+        ea, eb = evaluation_matrix(hA, m), evaluation_matrix(hB, m)
+        rows = [ra | {ea.cols + c: v for c, v in rb.items()} for ra, rb in zip(ea.row_data, eb.row_data)]
+        out.append(sympy_rank(rows, ea.cols + eb.cols) == sympy_rank(ea.row_data, ea.cols))
+        if not out[-1]:
+            break
+    return out
+
+
+def test_variety_contains_matches_stacked_rank_oracle():
+    # one W presentation, different rational row scales: the two halves of
+    # a row must be scaled jointly; 2^70 takes the Python-integer path.  The
+    # rescalings only move f3, so their identities are homogeneous and
+    # would survive separate scaling; f3 = e11/2 + e12 does not.
+    skew = ut2d_in_basis(sympy.Matrix([[1, 0, Fraction(1, 2)], [0, 1, 0], [0, 0, 1]]))
+    pairs = [
+        (ut2d_rescaled(3), ut2d_rescaled(Fraction(1, 7))),
+        (ut2d_rescaled(2 ** 70), ut2d_rescaled(Fraction(1, 7))),
+        (ut2d_rescaled(3), skew),
+        shared_family_presentations("ut2F", "ut2D"),
+    ]
+    verdicts = []
+    for hA, hB in pairs:
+        want = stacked_rank_verdicts(hA, hB, 3)
+        verdicts.append(want)
+        for n in range(1, len(want) + 1):
+            assert variety_contains(hA, hB, n) == all(want[:n]), n
+    assert verdicts[:3] == [[True] * 3] * 3 and not all(verdicts[3])
+
+
+def test_codimension_memory_bound():
+    # ut2F, n = 6: one master row of 3^7 entries; the 720 evaluation rows
+    # go to the elimination block by block, never as one dense batch
+    h = preset_action("ut2F")
+    tracemalloc.start()
+    try:
+        assert codimension(h, 6) == 130
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def test_variety_contains_needs_shared_coefficients():

@@ -21,7 +21,6 @@ from genpi.codim import (
     _consequence_blocks,
     _generator_words,
     _grassmann_structural_identities,
-    _rank_of_row_arrays,
     _Rows,
     _span_stream,
     _stream_rows,
@@ -192,8 +191,8 @@ def test_large_coefficients_take_the_exact_path(name):
 
 
 def test_stream_batches_from_byte_cap(monkeypatch):
-    # the cap keeps the batches of the streaming callers at the widths in
-    # use: 4096 rows for evaluation matrices up to 3^8 columns
+    # batches are cut by the byte cap only past 4096 rows of 3^8 columns
+    # and 1024 rows of the consequence widths in use
     assert _stream_rows(3 ** 8, 4096) == 4096
     assert _stream_rows(3 ** 9, 4096) == codim.STREAM_BYTES // (8 * 3 ** 9) < 4096
     assert _stream_rows(24 * 2 ** 5, 1024) == 1024
@@ -264,8 +263,6 @@ def test_rank_paths_match_sympy(rows):
     space.add_rows(arr[4:])
     assert space.rank == want
 
-    rows_int = ((np.flatnonzero(row), row[np.flatnonzero(row)], 1) for row in arr)
-    assert _rank_of_row_arrays(rows_int, ncols, batch=2) == want
     span, _ = _span_stream(_as_blocks(rows), ncols, 2, lambda sp: False)
     assert span.rank == want
 
