@@ -189,11 +189,12 @@ def _evaluation_blocks(M: np.ndarray, dim: int, n: int):
     """The evaluation rows of the master rows M, one block per permutation
     of the variables in enumeration order.  x_{perm(1)} ... x_{perm(n)} at
     the assignment u equals the master at (u_{perm(1)}, ..., u_{perm(n)}),
-    so its block is M with the tuple axes transposed by the inverse of perm;
-    the output axis stays last."""
+    so its block is M with the tuple axes transposed by the inverse of perm
+    (tuple axis q of the block is axis perm.index(q) of the master); the
+    output axis stays last."""
     T = M.reshape(len(M), *(dim,) * (n + 1))
     for perm in permutations(range(n)):
-        yield T.transpose(0, *(np.argsort(perm) + 1), n + 1).reshape(len(M), -1)
+        yield T.transpose(0, *(perm.index(q) + 1 for q in range(n)), n + 1).reshape(len(M), -1)
 
 
 def _distinct_rows(M: np.ndarray) -> np.ndarray:
