@@ -7,14 +7,15 @@ evaluation matrix; its rank is the n-th codimension and its left kernel is
 the space of multilinear identities of degree n.
 
 The rows of the identity permutation form the master matrix
-(_master_matrix): one dense row per coefficient tuple, the contraction of
+(_master_chunks): one dense row per coefficient tuple, the contraction of
 the transfer operators of the coefficient slots against the structure
 constants of A, as coprime integers equal to a positive scale times the
 exact rational row.  A permutation of the variables only permutes tuple
 positions, so its block of rows is the master matrix with its tuple axes
 transposed (_evaluation_blocks).  The rank needs only the integers of the
-distinct nonzero masters; the rational matrix and the kernel divide the
-scales back out.  Ranks, spans and kernels all come from the one exact
+distinct nonzero masters, built and fed in chunks within the byte cap
+STREAM_BYTES; the rational matrix and the kernel divide the scales back
+out.  Ranks, spans and kernels all come from the one exact
 elimination, FastIntRowSpace (_fastrank.py).
 
 Consequence spans realize the multilinear degree-n part of the ideal
@@ -77,7 +78,8 @@ _INT64_LIMIT = 1 << 63
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
 # byte cap of one dense int64 buffer: a batch of the consequence stream, a
-# block of the coefficient closure, the transposed matrix of the kernel
+# block of the coefficient closure, the transposed matrix of the kernel, 64
+# chunks of master rows
 STREAM_BYTES = 1 << 28
 
 
@@ -138,19 +140,20 @@ def _int_matrix(M):
     return out, den
 
 
-def _master_matrix(h: Action, n: int):
+def _master_chunks(h: Action, n: int, size: int):
     """(M, scales) of the identity-permutation monomials
     w_{i0} x_1 w_{i1} ... x_n w_{in}, coefficient tuples in lexicographic
-    order: row i of M, over the evaluation columns, is scales[i] > 0 times
-    the exact rational evaluation row, with coprime entries (int64 when
-    every entry fits).
+    order, in chunks of at most size rows: row i of M, over the evaluation
+    columns, is scales[i] > 0 times the exact rational evaluation row, with
+    coprime entries (int64 when every entry of the chunk fits).
 
     The monomial evaluates to D_1(a_1) D_2(a_2) ... D_n(a_n) with
     D_1 = lambda_{i0} rho_{i1} and D_t = rho_{it}.  The partial products
     over all basis prefixes form a (dim^t, dim) tensor, and one more factor
     is one matrix product with the contraction of the structure constants
     against the operator, shared by every coefficient tuple with that
-    prefix.  Entries are exact Python ints over a tracked denominator."""
+    prefix.  Entries are exact integers over a tracked denominator, in int64
+    when a magnitude bound on every partial product is below 2^63."""
     A = h.A
     dim = A.dim
     consts = list(A.iter_nonzero_constants())
@@ -165,24 +168,51 @@ def _master_matrix(h: Action, n: int):
         for i, j, k, v in consts:
             S[i, :, k] += v * D[j, :]
         steps.append((S.reshape(dim, dim * dim), dd * dc))
-    M = np.zeros((h.s ** (n + 1), dim ** (n + 1)), dtype=object)
-    dens = []
+    top = [max(int(np.abs(X).max(initial=0)) for X, _ in Xs) for Xs in (Ls, Rs, steps)]
+    dtype = np.int64 if top[0] * top[1] * dim * (top[2] * dim) ** (n - 1) < _INT64_LIMIT else object
+    Ls, Rs, steps = ([(X.astype(dtype), d) for X, d in Xs] for Xs in (Ls, Rs, steps))
 
     def extend(depth, T, den):
         if depth == n:
-            M[len(dens)] = T.ravel()
-            dens.append(den)
+            yield T.ravel(), den
             return
         for S, ds in steps:
-            extend(depth + 1, (T @ S).reshape(-1, dim), den * ds)
+            yield from extend(depth + 1, (T @ S).reshape(-1, dim), den * ds)
 
-    for (L, dl), (R, dr) in product(Ls, Rs):
-        extend(1, (L @ R).T, dl * dr)
-    g = np.gcd.reduce(np.abs(M), axis=1).tolist()
-    M //= np.array([[v or 1] for v in g], dtype=object)
-    if np.abs(M).max(initial=0) < _INT64_LIMIT:
+    rows = chain.from_iterable(extend(1, (L @ R).T, dl * dr) for (L, dl), (R, dr) in product(Ls, Rs))
+    m = h.s ** (n + 1)
+    for start in range(0, m, size):
+        M = np.zeros((min(size, m - start), dim ** (n + 1)), dtype=dtype)
+        dens = []
+        for i, (row, den) in zip(range(len(M)), rows):
+            M[i] = row
+            dens.append(den)
+        M, g = _coprime(M)
+        yield M, [Fraction(den, v) if v else _ONE for den, v in zip(dens, g)]
+
+
+def _coprime(M: np.ndarray):
+    """(M, gcds): the rows of M (int64 or Python integers) divided in place
+    by the gcd of their entries, and those gcds (0 for a zero row); Python
+    integers turn to int64 when every quotient fits."""
+    g = np.gcd.reduce(np.abs(M), axis=1)
+    M //= np.where(g == 0, 1, g)[:, None]
+    if M.dtype == object and np.abs(M).max(initial=0) < _INT64_LIMIT:
         M = M.astype(np.int64)
-    return M, [Fraction(den, v) if v else _ONE for den, v in zip(dens, g)]
+    return M, g.tolist()
+
+
+def _master_matrix(h: Action, n: int):
+    """(M, scales) of _master_chunks as one chunk."""
+    return next(_master_chunks(h, n, h.s ** (n + 1)))
+
+
+def _chunk_rows(cols: int, masters: int) -> int:
+    """Master rows of width cols per chunk: at least one, else within 1/64
+    of STREAM_BYTES (4 MiB).  A chunk, its temporaries and a permuted block
+    are alive together, and chunks this small also run faster than large
+    ones."""
+    return max(1, min(masters, STREAM_BYTES // (64 * 8 * cols)))
 
 
 def _evaluation_blocks(M: np.ndarray, dim: int, n: int):
@@ -194,7 +224,8 @@ def _evaluation_blocks(M: np.ndarray, dim: int, n: int):
     output axis stays last."""
     T = M.reshape(len(M), *(dim,) * (n + 1))
     for perm in permutations(range(n)):
-        yield T.transpose(0, *(perm.index(q) + 1 for q in range(n)), n + 1).reshape(len(M), -1)
+        axes = (perm.index(q) + 1 for q in range(n))
+        yield T.transpose(0, *axes, n + 1).reshape(len(M), dim ** (n + 1))
 
 
 def _distinct_rows(M: np.ndarray) -> np.ndarray:
@@ -208,22 +239,34 @@ def _distinct_rows(M: np.ndarray) -> np.ndarray:
     return np.array(sorted(i for i in first.values() if M[i].any()), dtype=np.intp)
 
 
-def _rank(blocks, ncols: int) -> int:
-    """Rank of the rows of the blocks, fed to one FastIntRowSpace in whole
-    BLOCK-row groups: a block's last rows wait for the next block."""
-    space = FastIntRowSpace(ncols)
-    held, count = [], 0
-    for X in blocks:
-        held.append(X)
-        count += len(X)
-        if count >= BLOCK:
-            X = np.concatenate(held)
-            cut = count - count % BLOCK
-            space.add_rows(X[:cut])
-            held, count = [X[cut:]], count - cut
-    if held:
-        space.add_rows(np.concatenate(held))
-    return space.rank
+class _BlockFeed:
+    """A FastIntRowSpace fed block after block in whole BLOCK-row groups:
+    the last rows of a block wait for the next one, so cutting the rows into
+    blocks adds no 16-row products."""
+
+    def __init__(self, ncols: int):
+        self.space = FastIntRowSpace(ncols)
+        self.held, self.count = [], 0
+
+    def add(self, X: np.ndarray):
+        need = -self.count % BLOCK  # rows that complete the held group
+        if len(X) < need:
+            self.held.append(X)
+            self.count += len(X)
+            return
+        if need:
+            self.space.add_rows(np.concatenate([*self.held, X[:need]]))
+        cut = need + (len(X) - need) // BLOCK * BLOCK
+        if cut > need:
+            self.space.add_rows(X[need:cut])
+        self.held, self.count = [X[cut:]], len(X) - cut
+
+    @property
+    def rank(self) -> int:
+        if self.count:
+            self.space.add_rows(np.concatenate(self.held))
+            self.held, self.count = [], 0
+        return self.space.rank
 
 
 def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
@@ -250,8 +293,11 @@ def codimension(h: Action, n: int) -> int:
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    M, _ = _master_matrix(h, n)
-    return _rank(_evaluation_blocks(M[_distinct_rows(M)], h.A.dim, n), cols)
+    feed = _BlockFeed(cols)
+    for M, _ in _master_chunks(h, n, _chunk_rows(cols, h.s ** (n + 1))):
+        for X in _evaluation_blocks(M[_distinct_rows(M)], h.A.dim, n):
+            feed.add(X)
+    return feed.rank
 
 
 def identity_kernel_basis(h: Action, n: int) -> Subspace:
@@ -682,16 +728,20 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
         colsA = hA.A.dim ** m * hA.A.dim
         colsB = hB.A.dim ** m * hB.A.dim
         _check_budget(rows, colsA + colsB)
-        MA, sA = _master_matrix(hA, m)
-        MB, sB = _master_matrix(hB, m)
-        # the two halves of one row are scaled jointly: both are brought to
-        # sa.numerator * sb.numerator times the rational row
-        MA = MA * np.array([[sa.denominator * sb.numerator] for sa, sb in zip(sA, sB)], dtype=object)
-        MB = MB * np.array([[sb.denominator * sa.numerator] for sa, sb in zip(sA, sB)], dtype=object)
-        keep = _distinct_rows(np.hstack([MA, MB]))
-        halves = zip(_evaluation_blocks(MA[keep], hA.A.dim, m), _evaluation_blocks(MB[keep], hB.A.dim, m))
-        rank_ab = _rank((np.hstack(pair) for pair in halves), colsA + colsB)
-        if rank_ab != codimension(hA, m):
+        fa, fab = _BlockFeed(colsA), _BlockFeed(colsA + colsB)
+        size = _chunk_rows(colsA + colsB, hA.s ** (m + 1))
+        for (MA, sA), (MB, sB) in zip(_master_chunks(hA, m, size), _master_chunks(hB, m, size)):
+            # the two halves of one row are scaled jointly: both are brought
+            # to sa.numerator * sb.numerator times the rational row
+            fA = [[sa.denominator * sb.numerator] for sa, sb in zip(sA, sB)]
+            fB = [[sb.denominator * sa.numerator] for sa, sb in zip(sA, sB)]
+            J, _ = _coprime(np.hstack([MA * np.array(fA, dtype=object), MB * np.array(fB, dtype=object)]))
+            J = J[_distinct_rows(J)]
+            halves = zip(_evaluation_blocks(J[:, :colsA], hA.A.dim, m), _evaluation_blocks(J[:, colsA:], hB.A.dim, m))
+            for XA, XB in halves:
+                fa.add(XA)
+                fab.add(np.hstack([XA, XB]))
+        if fab.rank != fa.rank:
             return False
     return True
 

@@ -19,8 +19,11 @@ from genpi.actions import (
     preset_action,
     shared_family_presentations,
 )
+from genpi import codim
+from genpi.actions import make_action
 from genpi.algebras import StructureAlgebra, builtin
 from genpi.errors import BasisMismatch, BudgetExceeded
+from genpi.multipliers import Multiplier
 from genpi.codim import (
     _grassmann_kernel,
     _grassmann_reduced_rank,
@@ -325,6 +328,33 @@ def test_codimension_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
+
+
+def test_action_whose_masters_all_vanish():
+    # the identity acting on a zero-multiplication algebra: from degree 2 on
+    # every evaluation row is zero
+    Z = builtin("zero_mult(2)")
+    h = make_action(builtin("ut(1)"), Z, [Multiplier.identity(Z)])
+    assert [codimension(h, n) for n in (1, 2, 3)] == [1, 0, 0]
+    assert growth_report(h, 3).values == [1, 0, 0]
+    assert identity_kernel_basis(h, 2).dim == 2
+    assert variety_contains(h, h, 2)
+
+
+def test_master_chunks_within_the_byte_cap(monkeypatch):
+    # ranks and containment verdicts do not depend on how the masters are
+    # cut into chunks; under this cap a chunk of 3^4 columns holds 2 rows
+    skew = ut2d_in_basis(sympy.Matrix([[1, 0, Fraction(1, 2)], [0, 1, 0], [0, 0, 1]]))
+    actions = [preset_action("ut2D"), ut2d_rescaled(2 ** 70), skew]
+    pairs = [(ut2d_rescaled(3), skew), shared_family_presentations("ut2F", "ut2D")]
+    want = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
+            [variety_contains(hA, hB, 3) for hA, hB in pairs])
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 64 * 3 ** 4 * 2)
+    assert codim._chunk_rows(3 ** 4, 8) == 2
+    assert [len(M) for M, _ in codim._master_chunks(skew, 2, 3)] == [3, 3, 2]
+    got = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
+           [variety_contains(hA, hB, 3) for hA, hB in pairs])
+    assert got == want and want[1] == [True, False]
 
 
 def test_variety_contains_needs_shared_coefficients():
