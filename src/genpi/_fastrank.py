@@ -71,6 +71,11 @@ class FastIntRowSpace:
         """Whether the basis has moved to Python integers."""
         return self._B.dtype == object
 
+    @property
+    def pivots(self) -> np.ndarray:
+        """The pivot columns, one per basis row."""
+        return self._col[: self._r]
+
     def _exact_if(self, bound, *arrays):
         """The arrays, moved with the basis to Python integers when bound is
         too large for float64."""

@@ -45,7 +45,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import chain, islice, permutations, product
 from math import lcm
 
 import numpy as np
@@ -78,7 +78,7 @@ _INT64_LIMIT = 1 << 63
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
 # byte cap of one dense int64 buffer: a batch of the consequence stream, a
-# block of the coefficient closure, the transposed matrix of the kernel, 64
+# block of the coefficient closure, the transposed matrix of the kernel, 256
 # chunks of master rows
 STREAM_BYTES = 1 << 28
 
@@ -129,10 +129,7 @@ class EvaluationMatrix:
 
 def _int_matrix(M):
     """(integer object array, positive denominator) whose quotient is M."""
-    den = 1
-    for r in M.iter_rows():
-        for v in r.values():
-            den = lcm(den, v.denominator)
+    den = lcm(1, *(v.denominator for r in M.iter_rows() for v in r.values()))
     out = np.zeros((M.nrows, M.ncols), dtype=object)
     for i, r in enumerate(M.iter_rows()):
         for j, v in r.items():
@@ -140,12 +137,15 @@ def _int_matrix(M):
     return out, den
 
 
-def _master_chunks(h: Action, n: int, size: int):
+def _master_chunks(h: Action, n: int, width: int | None = None):
     """(M, scales) of the identity-permutation monomials
     w_{i0} x_1 w_{i1} ... x_n w_{in}, coefficient tuples in lexicographic
-    order, in chunks of at most size rows: row i of M, over the evaluation
-    columns, is scales[i] > 0 times the exact rational evaluation row, with
-    coprime entries (int64 when every entry of the chunk fits).
+    order: row i of M, over the evaluation columns, is scales[i] > 0 times
+    the exact rational evaluation row, with coprime entries (int64 when
+    every entry of the chunk fits).  One chunk, or, given a width, chunks of
+    at most 1/256 of STREAM_BYTES (1 MiB) of rows that wide, and at least
+    one row: a chunk, its temporaries and a permuted block are alive
+    together, and small chunks run no slower.
 
     The monomial evaluates to D_1(a_1) D_2(a_2) ... D_n(a_n) with
     D_1 = lambda_{i0} rho_{i1} and D_t = rho_{it}.  The partial products
@@ -180,39 +180,20 @@ def _master_chunks(h: Action, n: int, size: int):
             yield from extend(depth + 1, (T @ S).reshape(-1, dim), den * ds)
 
     rows = chain.from_iterable(extend(1, (L @ R).T, dl * dr) for (L, dl), (R, dr) in product(Ls, Rs))
-    m = h.s ** (n + 1)
-    for start in range(0, m, size):
-        M = np.zeros((min(size, m - start), dim ** (n + 1)), dtype=dtype)
-        dens = []
-        for i, (row, den) in zip(range(len(M)), rows):
-            M[i] = row
-            dens.append(den)
-        M, g = _coprime(M)
-        yield M, [Fraction(den, v) if v else _ONE for den, v in zip(dens, g)]
+    size = h.s ** (n + 1) if width is None else max(1, STREAM_BYTES // (256 * 8 * width))
+    while part := list(islice(rows, size)):
+        M, g = _coprime(np.array([row for row, _ in part], dtype=dtype))
+        yield M, [Fraction(den, v) if v else _ONE for (_, den), v in zip(part, g)]
 
 
 def _coprime(M: np.ndarray):
-    """(M, gcds): the rows of M (int64 or Python integers) divided in place
-    by the gcd of their entries, and those gcds (0 for a zero row); Python
-    integers turn to int64 when every quotient fits."""
+    """(M, gcds of its rows): the rows divided in place by their gcd, and
+    turned from Python integers to int64 when every quotient fits."""
     g = np.gcd.reduce(np.abs(M), axis=1)
     M //= np.where(g == 0, 1, g)[:, None]
     if M.dtype == object and np.abs(M).max(initial=0) < _INT64_LIMIT:
         M = M.astype(np.int64)
     return M, g.tolist()
-
-
-def _master_matrix(h: Action, n: int):
-    """(M, scales) of _master_chunks as one chunk."""
-    return next(_master_chunks(h, n, h.s ** (n + 1)))
-
-
-def _chunk_rows(cols: int, masters: int) -> int:
-    """Master rows of width cols per chunk: at least one, else within 1/64
-    of STREAM_BYTES (4 MiB).  A chunk, its temporaries and a permuted block
-    are alive together, and chunks this small also run faster than large
-    ones."""
-    return max(1, min(masters, STREAM_BYTES // (64 * 8 * cols)))
 
 
 def _evaluation_blocks(M: np.ndarray, dim: int, n: int):
@@ -224,8 +205,7 @@ def _evaluation_blocks(M: np.ndarray, dim: int, n: int):
     output axis stays last."""
     T = M.reshape(len(M), *(dim,) * (n + 1))
     for perm in permutations(range(n)):
-        axes = (perm.index(q) + 1 for q in range(n))
-        yield T.transpose(0, *axes, n + 1).reshape(len(M), dim ** (n + 1))
+        yield T.transpose(0, *(perm.index(q) + 1 for q in range(n)), n + 1).reshape(len(M), dim ** (n + 1))
 
 
 def _distinct_rows(M: np.ndarray) -> np.ndarray:
@@ -233,40 +213,26 @@ def _distinct_rows(M: np.ndarray) -> np.ndarray:
     A repeated master only repeats rows of every permutation block, so the
     rank needs the distinct masters alone."""
     keys = map(tuple, M.tolist()) if M.dtype == object else map(bytes, M)
-    first: dict = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
+    first = {key: i for i, key in reversed(list(enumerate(keys)))}  # the earliest index wins
     return np.array(sorted(i for i in first.values() if M[i].any()), dtype=np.intp)
 
 
-class _BlockFeed:
-    """A FastIntRowSpace fed block after block in whole BLOCK-row groups:
-    the last rows of a block wait for the next one, so cutting the rows into
-    blocks adds no 16-row products."""
-
-    def __init__(self, ncols: int):
-        self.space = FastIntRowSpace(ncols)
-        self.held, self.count = [], 0
-
-    def add(self, X: np.ndarray):
-        need = -self.count % BLOCK  # rows that complete the held group
-        if len(X) < need:
-            self.held.append(X)
-            self.count += len(X)
-            return
-        if need:
-            self.space.add_rows(np.concatenate([*self.held, X[:need]]))
-        cut = need + (len(X) - need) // BLOCK * BLOCK
-        if cut > need:
-            self.space.add_rows(X[need:cut])
-        self.held, self.count = [X[cut:]], len(X) - cut
-
-    @property
-    def rank(self) -> int:
-        if self.count:
-            self.space.add_rows(np.concatenate(self.held))
-            self.held, self.count = [], 0
-        return self.space.rank
+def _span(blocks, ncols: int) -> FastIntRowSpace:
+    """Row space of the blocks, fed to one FastIntRowSpace in whole
+    BLOCK-row groups: a block's last rows wait for the next block."""
+    space = FastIntRowSpace(ncols)
+    held, count = [], 0
+    for X in blocks:
+        held.append(X)
+        count += len(X)
+        if count >= BLOCK:
+            X = np.concatenate(held)
+            cut = count - count % BLOCK
+            space.add_rows(X[:cut])
+            held, count = [X[cut:]], count - cut
+    if held:
+        space.add_rows(np.concatenate(held))
+    return space
 
 
 def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
@@ -276,12 +242,9 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    M, scales = _master_matrix(h, n)
-    data = []
-    for X in _evaluation_blocks(M, h.A.dim, n):
-        for row, scale in zip(X, scales):
-            nz = np.flatnonzero(row)
-            data.append({c: Fraction(v) / scale for c, v in zip(nz.tolist(), row[nz].tolist())})
+    M, scales = next(_master_chunks(h, n))
+    data = [{c: Fraction(int(row[c])) / scale for c in np.flatnonzero(row).tolist()}
+            for X in _evaluation_blocks(M, h.A.dim, n) for row, scale in zip(X, scales)]
     return EvaluationMatrix(h, n, rows, cols, data)
 
 
@@ -293,11 +256,8 @@ def codimension(h: Action, n: int) -> int:
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    feed = _BlockFeed(cols)
-    for M, _ in _master_chunks(h, n, _chunk_rows(cols, h.s ** (n + 1))):
-        for X in _evaluation_blocks(M[_distinct_rows(M)], h.A.dim, n):
-            feed.add(X)
-    return feed.rank
+    chunks = _master_chunks(h, n, cols)
+    return _span((X for M, _ in chunks for X in _evaluation_blocks(M[_distinct_rows(M)], h.A.dim, n)), cols).rank
 
 
 def identity_kernel_basis(h: Action, n: int) -> Subspace:
@@ -312,7 +272,7 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
     _check_budget(rows, cols)
     if 8 * rows * cols > STREAM_BYTES:
         raise BudgetExceeded(rows, cols, STREAM_BYTES // (8 * cols))
-    M, scales = _master_matrix(h, n)
+    M, scales = next(_master_chunks(h, n))
     m = len(M)
     T = np.empty((cols, rows), dtype=M.dtype)
     for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
@@ -324,16 +284,8 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
 
 def identity_kernel_polynomials(h: Action, n: int):
     """Kernel basis rendered as readable monomial combinations."""
-    sub = identity_kernel_basis(h, n)
     mons = list(enumerate_basis(n, h.s))
-    out = []
-    for vec in sub.basis:
-        terms = []
-        for i, c in enumerate(vec):
-            if c != 0:
-                terms.append((c, mons[i].label(h)))
-        out.append(terms)
-    return out
+    return [[(c, mons[i].label(h)) for i, c in enumerate(vec) if c != 0] for vec in identity_kernel_basis(h, n).basis]
 
 
 # -- structural identities -------------------------------------------------------
@@ -342,17 +294,8 @@ def identity_kernel_polynomials(h: Action, n: int):
 def structural_identities(h: Action):
     """Degree-1 identities of the action (operator relations among the
     composites lambda_i rho_j), as multilinear word polynomials."""
-    sub = identity_kernel_basis(h, 1)
-    mons = list(enumerate_basis(1, h.s))
-    gens = []
-    for vec in sub.basis:
-        words = {}
-        for i, c in enumerate(vec):
-            if c != 0:
-                m = mons[i]
-                words[(-(m.coeffs[0] + 1), 1, -(m.coeffs[1] + 1))] = c
-        gens.append(words)
-    return gens
+    words = [(-(m.coeffs[0] + 1), 1, -(m.coeffs[1] + 1)) for m in enumerate_basis(1, h.s)]
+    return [{words[i]: c for i, c in enumerate(vec) if c != 0} for vec in identity_kernel_basis(h, 1).basis]
 
 
 # -- consequence spans -----------------------------------------------------------
@@ -714,6 +657,19 @@ def _same_coefficient_presentation(hA: Action, hB: Action) -> bool:
     return True
 
 
+def _joint_blocks(cA, cB, dimA: int, dimB: int, n: int):
+    """Evaluation blocks [X_A | X_B] of master chunks of two actions with
+    one coefficient presentation, the two halves of a row scaled jointly to
+    sa.numerator * sb.numerator times the rational row."""
+    (MA, sA), (MB, sB) = cA, cB
+    f = np.array([[sa.denominator * sb.numerator, sb.denominator * sa.numerator] for sa, sb in zip(sA, sB)], dtype=object)
+    J, _ = _coprime(np.hstack([MA * f[:, :1], MB * f[:, 1:]]))
+    J = J[_distinct_rows(J)]
+    colsA = dimA ** (n + 1)
+    for XA, XB in zip(_evaluation_blocks(J[:, :colsA], dimA, n), _evaluation_blocks(J[:, colsA:], dimB, n)):
+        yield np.hstack([XA, XB])
+
+
 def variety_contains(hA: Action, hB: Action, n: int) -> bool:
     """Degreewise necessary condition for membership of the second action's
     algebra in the variety of the first: every multilinear identity of the
@@ -728,20 +684,13 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
         colsA = hA.A.dim ** m * hA.A.dim
         colsB = hB.A.dim ** m * hB.A.dim
         _check_budget(rows, colsA + colsB)
-        fa, fab = _BlockFeed(colsA), _BlockFeed(colsA + colsB)
-        size = _chunk_rows(colsA + colsB, hA.s ** (m + 1))
-        for (MA, sA), (MB, sB) in zip(_master_chunks(hA, m, size), _master_chunks(hB, m, size)):
-            # the two halves of one row are scaled jointly: both are brought
-            # to sa.numerator * sb.numerator times the rational row
-            fA = [[sa.denominator * sb.numerator] for sa, sb in zip(sA, sB)]
-            fB = [[sb.denominator * sa.numerator] for sa, sb in zip(sA, sB)]
-            J, _ = _coprime(np.hstack([MA * np.array(fA, dtype=object), MB * np.array(fB, dtype=object)]))
-            J = J[_distinct_rows(J)]
-            halves = zip(_evaluation_blocks(J[:, :colsA], hA.A.dim, m), _evaluation_blocks(J[:, colsA:], hB.A.dim, m))
-            for XA, XB in halves:
-                fa.add(XA)
-                fab.add(np.hstack([XA, XB]))
-        if fab.rank != fa.rank:
+        chunks = zip(_master_chunks(hA, m, colsA + colsB), _master_chunks(hB, m, colsA + colsB))
+        joint = (_joint_blocks(cA, cB, hA.A.dim, hB.A.dim, m) for cA, cB in chunks)
+        # FastIntRowSpace pivots a row on its first nonzero column, so the
+        # basis rows with pivots among the columns of A restrict to a basis
+        # of the rows of E_A and the others to zero: the ranks agree iff
+        # no pivot lies in the columns of B
+        if (_span(chain.from_iterable(joint), colsA + colsB).pivots >= colsA).any():
             return False
     return True
 

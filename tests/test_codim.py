@@ -28,7 +28,7 @@ from genpi.codim import (
     _grassmann_kernel,
     _grassmann_reduced_rank,
     _grassmann_stabilized,
-    _master_matrix,
+    _master_chunks,
     codimension,
     consequences_span,
     evaluation_matrix,
@@ -108,7 +108,7 @@ def test_evaluation_rows_match_direct_evaluator():
             em = evaluation_matrix(h, n)
             mons = list(enumerate_basis(n, h.s))
             assert [direct_row(h, mon, n) for mon in mons] == em.row_data, (h, n)
-            M, scales = _master_matrix(h, n)
+            M, scales = next(_master_chunks(h, n))
             for row, scale in zip(M.tolist(), scales):
                 assert scale > 0 and gcd(*row) in (0, 1)
 
@@ -144,7 +144,7 @@ def test_codimension_in_random_unimodular_bases_matches_sympy(ops, n):
 
 def test_rows_beyond_int64_take_the_exact_path():
     h = ut2d_rescaled(2 ** 70)
-    M, _ = _master_matrix(h, 2)
+    M, _ = next(_master_chunks(h, 2))
     assert M.dtype == object and max(abs(v) for v in M.flat) >= 2 ** 63
     assert [codimension(h, n) for n in (1, 2, 3)] == [3, 6, 14]
     assert identity_kernel_basis(h, 2).dim == 10
@@ -349,9 +349,8 @@ def test_master_chunks_within_the_byte_cap(monkeypatch):
     pairs = [(ut2d_rescaled(3), skew), shared_family_presentations("ut2F", "ut2D")]
     want = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
             [variety_contains(hA, hB, 3) for hA, hB in pairs])
-    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 64 * 3 ** 4 * 2)
-    assert codim._chunk_rows(3 ** 4, 8) == 2
-    assert [len(M) for M, _ in codim._master_chunks(skew, 2, 3)] == [3, 3, 2]
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 256 * 3 ** 4 * 2)
+    assert [len(M) for M, _ in _master_chunks(skew, 2, 3 ** 4)] == [2, 2, 2, 2]
     got = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
            [variety_contains(hA, hB, 3) for hA, hB in pairs])
     assert got == want and want[1] == [True, False]
