@@ -129,7 +129,10 @@ class EvaluationMatrix:
 
 def _int_matrix(M):
     """(integer object array, positive denominator) whose quotient is M."""
-    den = lcm(1, *(v.denominator for r in M.iter_rows() for v in r.values()))
+    den = 1
+    for r in M.iter_rows():
+        for v in r.values():
+            den = lcm(den, v.denominator)
     out = np.zeros((M.nrows, M.ncols), dtype=object)
     for i, r in enumerate(M.iter_rows()):
         for j, v in r.items():
@@ -213,7 +216,9 @@ def _distinct_rows(M: np.ndarray) -> np.ndarray:
     A repeated master only repeats rows of every permutation block, so the
     rank needs the distinct masters alone."""
     keys = map(tuple, M.tolist()) if M.dtype == object else map(bytes, M)
-    first = {key: i for i, key in reversed(list(enumerate(keys)))}  # the earliest index wins
+    first: dict = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
     return np.array(sorted(i for i in first.values() if M[i].any()), dtype=np.intp)
 
 
@@ -243,8 +248,11 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
     M, scales = next(_master_chunks(h, n))
-    data = [{c: Fraction(int(row[c])) / scale for c in np.flatnonzero(row).tolist()}
-            for X in _evaluation_blocks(M, h.A.dim, n) for row, scale in zip(X, scales)]
+    data = []
+    for X in _evaluation_blocks(M, h.A.dim, n):
+        for row, scale in zip(X, scales):
+            nz = np.flatnonzero(row)
+            data.append({c: Fraction(v) / scale for c, v in zip(nz.tolist(), row[nz].tolist())})
     return EvaluationMatrix(h, n, rows, cols, data)
 
 
@@ -284,8 +292,16 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
 
 def identity_kernel_polynomials(h: Action, n: int):
     """Kernel basis rendered as readable monomial combinations."""
+    sub = identity_kernel_basis(h, n)
     mons = list(enumerate_basis(n, h.s))
-    return [[(c, mons[i].label(h)) for i, c in enumerate(vec) if c != 0] for vec in identity_kernel_basis(h, n).basis]
+    out = []
+    for vec in sub.basis:
+        terms = []
+        for i, c in enumerate(vec):
+            if c != 0:
+                terms.append((c, mons[i].label(h)))
+        out.append(terms)
+    return out
 
 
 # -- structural identities -------------------------------------------------------
@@ -294,8 +310,17 @@ def identity_kernel_polynomials(h: Action, n: int):
 def structural_identities(h: Action):
     """Degree-1 identities of the action (operator relations among the
     composites lambda_i rho_j), as multilinear word polynomials."""
-    words = [(-(m.coeffs[0] + 1), 1, -(m.coeffs[1] + 1)) for m in enumerate_basis(1, h.s)]
-    return [{words[i]: c for i, c in enumerate(vec) if c != 0} for vec in identity_kernel_basis(h, 1).basis]
+    sub = identity_kernel_basis(h, 1)
+    mons = list(enumerate_basis(1, h.s))
+    gens = []
+    for vec in sub.basis:
+        words = {}
+        for i, c in enumerate(vec):
+            if c != 0:
+                m = mons[i]
+                words[(-(m.coeffs[0] + 1), 1, -(m.coeffs[1] + 1))] = c
+        gens.append(words)
+    return gens
 
 
 # -- consequence spans -----------------------------------------------------------
