@@ -247,12 +247,13 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    M, scales = next(_master_chunks(h, n))
-    data = []
-    for X in _evaluation_blocks(M, h.A.dim, n):
-        for row, scale in zip(X, scales):
-            nz = np.flatnonzero(row)
-            data.append({c: Fraction(v) / scale for c, v in zip(nz.tolist(), row[nz].tolist())})
+    data, m, start = [None] * rows, h.s ** (n + 1), 0
+    for M, scales in _master_chunks(h, n, cols):
+        for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
+            for i, (row, scale) in enumerate(zip(X, scales)):
+                nz = np.flatnonzero(row)
+                data[p * m + start + i] = {c: Fraction(v) / scale for c, v in zip(nz.tolist(), row[nz].tolist())}
+        start += len(M)
     return EvaluationMatrix(h, n, rows, cols, data)
 
 

@@ -342,17 +342,18 @@ def test_action_whose_masters_all_vanish():
 
 
 def test_master_chunks_within_the_byte_cap(monkeypatch):
-    # ranks and containment verdicts do not depend on how the masters are
-    # cut into chunks; under this cap a chunk of 3^4 columns holds 2 rows
+    # ranks, containment verdicts and evaluation rows do not depend on how
+    # the masters are cut into chunks; under this cap a chunk of 3^4
+    # columns holds 2 rows
     skew = ut2d_in_basis(sympy.Matrix([[1, 0, Fraction(1, 2)], [0, 1, 0], [0, 0, 1]]))
     actions = [preset_action("ut2D"), ut2d_rescaled(2 ** 70), skew]
     pairs = [(ut2d_rescaled(3), skew), shared_family_presentations("ut2F", "ut2D")]
     want = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
-            [variety_contains(hA, hB, 3) for hA, hB in pairs])
+            [variety_contains(hA, hB, 3) for hA, hB in pairs], evaluation_matrix(skew, 3).row_data)
     monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 256 * 3 ** 4 * 2)
     assert [len(M) for M, _ in _master_chunks(skew, 2, 3 ** 4)] == [2, 2, 2, 2]
     got = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
-           [variety_contains(hA, hB, 3) for hA, hB in pairs])
+           [variety_contains(hA, hB, 3) for hA, hB in pairs], evaluation_matrix(skew, 3).row_data)
     assert got == want and want[1] == [True, False]
 
 
