@@ -50,9 +50,8 @@ def _primitive(X: np.ndarray) -> np.ndarray:
 class FastIntRowSpace:
     """Incremental row space of vectors in Z^ncols; rank over Q."""
 
-    def __init__(self, ncols: int, target_rank: int | None = None):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.target_rank = target_rank
         self._B = np.zeros((BLOCK, ncols))  # basis rows, physical column order
         self._rowmax = np.zeros(BLOCK)  # largest |entry| per basis row (float mode)
         self._col = np.arange(ncols)  # the column at each physical position
@@ -61,10 +60,6 @@ class FastIntRowSpace:
     @property
     def rank(self) -> int:
         return self._r
-
-    @property
-    def saturated(self) -> bool:
-        return self.target_rank is not None and self._r >= self.target_rank
 
     @property
     def exact(self) -> bool:
@@ -166,9 +161,11 @@ class FastIntRowSpace:
             Xl = (Xl if a == 1 else a * Xl) - Xl[:, r : r + 1] * v
             X[later] = _primitive(Xl) if np.abs(Xl).max() >= _GROWTH else Xl
         if r == len(self._B):  # the rank never exceeds ncols
-            grow = min(r, self.ncols - r)
-            self._B = np.concatenate([self._B, np.zeros((grow, self.ncols), self._B.dtype)])
-            self._rowmax = np.concatenate([self._rowmax, np.zeros(grow)])
+            cap = min(2 * r, self.ncols)
+            B, self._B = self._B, np.zeros((cap, self.ncols), self._B.dtype)
+            self._B[:r] = B
+            rowmax, self._rowmax = self._rowmax, np.zeros(cap)
+            self._rowmax[:r] = rowmax
         self._B[r] = v
         if not self.exact:
             self._rowmax[r] = vmax
@@ -176,8 +173,7 @@ class FastIntRowSpace:
         return X
 
     def add_rows(self, B) -> int:
-        """Feed rows in order; returns the number of new pivots.  Stops once
-        the rank reaches target_rank."""
+        """Feed rows in order; returns the number of new pivots."""
         B = np.asarray(B)
         B = B[None, :] if B.ndim == 1 else B
         before = self._r
@@ -186,8 +182,6 @@ class FastIntRowSpace:
             if self._r:
                 X = self._reduce(X)
             for i in range(X.shape[0]):
-                if self.saturated:
-                    return self._r - before
                 if X[i, self._r :].any():
                     X = self._insert(X, i)
         return self._r - before

@@ -16,7 +16,9 @@ transposed (_evaluation_blocks).  The rank needs only the integers of the
 distinct nonzero masters, built and fed in chunks within the byte cap
 STREAM_BYTES; the rational matrix and the kernel divide the scales back
 out.  Ranks, spans and kernels all come from the one exact
-elimination, FastIntRowSpace (_fastrank.py).
+elimination, FastIntRowSpace (_fastrank.py).  One feeder, _span, gives it
+the rows of every span in this module except the coefficient closure
+(_closure), which grows one space pass by pass.
 
 Consequence spans realize the multilinear degree-n part of the ideal
 generated by a set of identities under substitutions, two-sided monomial
@@ -29,10 +31,9 @@ treat coefficient rewriting as free.  The span is built degree by degree
 2005): the degree-d part is spanned by the one-variable extensions of the
 degree-(d-1) part, each a column map of integer rows, and by the
 generators of degree exactly d closed under their coefficient fillings
-(_consequence_blocks).  The degrees below n are spanned in full; degree n
-streams through one driver, _span_stream, which feeds the rows,
-deduplicated, to the elimination in batches sized by the byte cap
-STREAM_BYTES.
+(_consequence_blocks), as dense integer blocks of distinct rows.  The
+degrees below n are spanned in full; degree n streams, and ends as soon as
+the answer is known.
 
 Truncated exterior algebras get a dedicated assembler: columns of the
 evaluation matrix fall into orbits of index relabelings that change all
@@ -53,7 +54,7 @@ import numpy as np
 from ._fastrank import BLOCK, FastIntRowSpace
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _merge_mask, _word_mask
-from .errors import BasisMismatch, BudgetExceeded, InternalError, NotSplit
+from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotSplit
 from .linalg import Subspace, int_rows, reversed_kernel
 from .polynomials import (
     GenMonomial,
@@ -77,10 +78,11 @@ _INT64_LIMIT = 1 << 63
 
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
-# byte cap of one dense int64 buffer: a batch of the consequence stream, a
-# block of the coefficient closure, the transposed matrix of the kernel, 256
+# byte cap of one dense int64 buffer: a block of the consequence stream or
+# of the coefficient closure, the transposed matrix of the kernel, 256
 # chunks of master rows
 STREAM_BYTES = 1 << 28
+STREAM_ROWS = 1024  # most rows of a block of the consequence stream or closure
 
 
 def row_budget() -> int:
@@ -94,14 +96,19 @@ def _check_budget(rows: int, cols: int):
         raise BudgetExceeded(rows, cols, budget)
 
 
-def _stream_rows(ncols: int, rows: int) -> int:
-    """Rows of a streaming buffer of int64 rows of width ncols: at most
-    rows, and within STREAM_BYTES.  Raises BudgetExceeded, before anything
-    is allocated, when a single row is over the cap."""
+def _check_degree(n: int):
+    if n < 1:
+        raise BadDegree(f"degree must be >= 1, got {n}")
+
+
+def _stream_rows(ncols: int) -> int:
+    """Rows of a block of int64 rows of width ncols: at most STREAM_ROWS,
+    and within STREAM_BYTES.  Raises BudgetExceeded, before anything is
+    allocated, when a single row is over the cap."""
     fit = STREAM_BYTES // (8 * ncols)
     if fit < 1:
         raise BudgetExceeded(1, ncols, fit)
-    return min(rows, fit)
+    return min(STREAM_ROWS, fit)
 
 
 # -- evaluation matrix ----------------------------------------------------------
@@ -222,28 +229,44 @@ def _distinct_rows(M: np.ndarray) -> np.ndarray:
     return np.array(sorted(i for i in first.values() if M[i].any()), dtype=np.intp)
 
 
-def _span(blocks, ncols: int) -> FastIntRowSpace:
-    """Row space of the blocks, fed to one FastIntRowSpace in whole
-    BLOCK-row groups: a block's last rows wait for the next block."""
-    space = FastIntRowSpace(ncols)
+def _groups(blocks):
+    """The rows of the integer blocks, in order, as groups of BLOCK rows
+    (the last one may be shorter): a block's last rows wait for the next
+    block, and only a group that spans two blocks is copied."""
     held, count = [], 0
     for X in blocks:
-        held.append(X)
-        count += len(X)
-        if count >= BLOCK:
-            X = np.concatenate(held)
-            cut = count - count % BLOCK
-            space.add_rows(X[:cut])
-            held, count = [X[cut:]], count - cut
-    if held:
-        space.add_rows(np.concatenate(held))
+        if count:
+            held.append(X[: BLOCK - count])
+            X = X[BLOCK - count :]
+            count += len(held[-1])
+            if count < BLOCK:
+                continue
+            yield np.concatenate(held)
+        cut = len(X) - len(X) % BLOCK
+        yield from (X[i : i + BLOCK] for i in range(0, cut, BLOCK))
+        held, count = [X[cut:]], len(X) - cut
+    if count:
+        yield np.concatenate(held)
+
+
+def _span(blocks, ncols: int, target: int | None = None, stop=None) -> FastIntRowSpace:
+    """Row space of the rows of the blocks, fed in order to one
+    FastIntRowSpace in whole BLOCK-row groups.  The feed, and the pulling
+    of blocks, ends after the first group that brings the rank to target or
+    more, or after which stop(space) is true; both are asked after each
+    group that added pivots."""
+    space = FastIntRowSpace(ncols)
+    for X in _groups(blocks):
+        if not space.add_rows(X):
+            continue
+        if target is not None and space.rank >= target or stop is not None and stop(space):
+            break
     return space
 
 
 def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
     """Materialized evaluation matrix (budget-guarded)."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(n)
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
@@ -260,8 +283,7 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
 def codimension(h: Action, n: int) -> int:
     """Rank of the degree-n evaluation matrix, from the distinct nonzero
     master rows alone."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(n)
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
@@ -276,6 +298,7 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
     order reversed (linalg.reversed_kernel).  That transposed matrix is
     dense, and BudgetExceeded is raised before it is allocated when it is
     over STREAM_BYTES."""
+    _check_degree(n)
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
@@ -286,9 +309,7 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
     T = np.empty((cols, rows), dtype=M.dtype)
     for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
         T[:, rows - (p + 1) * m : rows - p * m] = X[::-1].T
-    space = FastIntRowSpace(rows)
-    space.add_rows(T)
-    return reversed_kernel(space, scales * (rows // m))
+    return reversed_kernel(_span([T], rows), scales * (rows // m))
 
 
 def identity_kernel_polynomials(h: Action, n: int):
@@ -370,35 +391,6 @@ def _compositions(total: int, parts: int, minimums):
     for first in range(lo, total - rest_min + 1):
         for tail in _compositions(total - first, parts - 1, minimums[1:]):
             yield (first,) + tail
-
-
-class _Rows:
-    """A block of sparse integer rows: row r holds vals[ptr[r]:ptr[r+1]] at
-    the distinct columns cols[ptr[r]:ptr[r+1]] (increasing in consequence
-    rows).  vals is int64, or an object array of Python ints when it may
-    not fit."""
-
-    def __init__(self, ptr, cols, vals):
-        self.ptr, self.cols, self.vals = ptr, cols, vals
-
-
-    def keys(self) -> list:
-        """One key per row, equal exactly for equal rows: bytes for int64
-        rows, (column bytes, values) for Python integers."""
-        cb = self.cols.tobytes()
-        p = (self.ptr * 8).tolist()
-        if self.vals.dtype == object:
-            vals = self.vals.tolist()
-            return [(cb[a:b], tuple(vals[a // 8 : b // 8])) for a, b in zip(p, p[1:])]
-        vb = self.vals.tobytes()
-        return [cb[a:b] + vb[a:b] for a, b in zip(p, p[1:])]
-
-    def scatter(self, buf, at: int, sel):
-        """Write the rows sel (ascending) to buf[at], buf[at + 1], ..."""
-        lens = self.ptr[sel + 1] - self.ptr[sel]
-        ends = np.cumsum(lens)
-        entries = np.repeat(self.ptr[sel] - ends + lens, lens) + np.arange(ends[-1])
-        buf[at + np.repeat(np.arange(len(sel)), lens), self.cols[entries]] = self.vals[entries]
 
 
 def _arrangements(d: int) -> dict:
@@ -489,17 +481,30 @@ def _chunks(B, size: int):
     return (B[i : i + size] for i in range(0, len(B), size))
 
 
-def _spread(B, maps, size: int):
-    """_Rows blocks of at most size rows: the rows of B through each
-    injective column map."""
+def _spread(B, maps, ncols: int, seen: set):
+    """Dense blocks, of at most _stream_rows(ncols) rows, of the rows of B
+    through each injective column map into ncols columns, without the rows
+    whose key is in seen (the keys of the rows kept join it).  A row's key
+    is its column bytes and value bytes in column order, or (column bytes,
+    values) for Python integers: equal exactly for equal rows."""
     maps = list(maps)
-    for X in _chunks(B, size):
+    for X in _chunks(B, _stream_rows(ncols)):
         r, c = np.nonzero(X)
-        ptr, vals = np.searchsorted(r, np.arange(len(X) + 1)), X[r, c]
+        p, vals = (8 * np.searchsorted(r, np.arange(len(X) + 1))).tolist(), X[r, c]
         for idx in maps:
             cols = idx[c]
             order = np.lexsort((cols, r))
-            yield _Rows(ptr, cols[order], vals[order])
+            cb, v = cols[order].tobytes(), vals[order]
+            if v.dtype == object:
+                v = v.tolist()
+                keys = [(cb[a:b], tuple(v[a // 8 : b // 8])) for a, b in zip(p, p[1:])]
+            else:
+                vb = v.tobytes()
+                keys = [cb[a:b] + vb[a:b] for a, b in zip(p, p[1:])]
+            new = [i for i, key in enumerate(keys) if not (key in seen or seen.add(key))]
+            Y = np.zeros((len(new), ncols), dtype=X.dtype)
+            Y[:, idx] = X[new]
+            yield Y
 
 
 def _echelon_rows(space: FastIntRowSpace):
@@ -510,10 +515,13 @@ def _echelon_rows(space: FastIntRowSpace):
     return rows if space.exact else rows.astype(np.int64)
 
 
-def _closure(vec, d: int, ncols: int, tables, size: int):
+def _closure(vec, d: int, ncols: int, tables):
     """Integer basis rows of the span of every coefficient filling of the
     degree-d vector vec ({column: value}): one pass per family of
-    _coefficient_families, in dense blocks of at most size rows."""
+    _coefficient_families, in dense blocks of at most _stream_rows(ncols)
+    rows.  Every pass grows the one space, which a fresh _span per pass
+    would have to refill with the basis so far."""
+    size = _stream_rows(ncols)
     space = FastIntRowSpace(ncols)
     space.add_rows(int_rows([vec], ncols))
     for slots, table in _coefficient_families(d, *tables):
@@ -526,8 +534,8 @@ def _closure(vec, d: int, ncols: int, tables, size: int):
     return _echelon_rows(space)
 
 
-def _consequence_blocks(gens, h: Action, n: int, batch: int):
-    """Yield _Rows blocks of integer vectors that span the degree-n
+def _consequence_blocks(gens, h: Action, n: int):
+    """Yield dense blocks of integer vectors that span the degree-n
     multilinear consequences of the generators, degree by degree:
 
         I_d = span(tau_j E(I_(d-1)), j = 1..d) + C(S_d G_d).
@@ -540,8 +548,9 @@ def _consequence_blocks(gens, h: Action, n: int, batch: int):
     listed basis, so that is the span of the images alone, and the
     families commute, so one pass each reaches every filling.  The degrees
     below n are spanned in full, and the blocks of degree n come out
-    lazily.  Blocks hold at most _stream_rows(columns, batch) rows, and so
-    does every dense block of the coefficient passes.
+    lazily.  No row comes out twice within a degree, and no block, nor any
+    block of the coefficient passes, holds more than _stream_rows(columns)
+    rows.
 
     Lemma: I_d is the span of the instances u0 g(v_1..v_e) u1 of the
     generators g of degree e <= d (coefficients at every position running
@@ -567,65 +576,31 @@ def _consequence_blocks(gens, h: Action, n: int, batch: int):
             vecs.setdefault(gw[0], []).append(vec)
     B = np.zeros((0, 1), dtype=np.int64)  # I_0
     for d in range(1, n + 1):
-        ncols = basis_size(d, s)
-        size = _stream_rows(ncols, batch)
-        blocks = _spread(B, _extensions(d, s), size)
+        ncols, seen = basis_size(d, s), set()
+        blocks = _spread(B, _extensions(d, s), ncols, seen)
         if d in vecs:
             relabel = [_relabelling(d, s, pi) for pi in permutations(range(1, d + 1))]
-            closed = [_closure(vec, d, ncols, tables, size) for vec in vecs[d]]
-            blocks = chain(blocks, *(_spread(C, relabel, size) for C in closed))
+            closed = [_closure(vec, d, ncols, tables) for vec in vecs[d]]
+            blocks = chain(blocks, *(_spread(C, relabel, ncols, seen) for C in closed))
         if d == n:
             yield from blocks
         else:
-            B = _echelon_rows(_span_stream(blocks, ncols, batch, lambda span: False)[0])
-
-
-def _span_stream(blocks, ncols: int, batch: int, stop, target: int | None = None):
-    """Span of the deduplicated rows of a _Rows stream, as (span, verdict).
-
-    Rows go in stream order to a FastIntRowSpace (which stops adding at
-    rank target, if given) in batches of batch rows, fewer when
-    STREAM_BYTES asks; the batch buffer turns to Python integers at the
-    first block that holds them.  stop(span) is asked after every full
-    batch that added pivots and once at the end; a true answer ends the
-    stream and the last answer is the verdict."""
-    batch = _stream_rows(ncols, batch)
-    space = FastIntRowSpace(ncols, target_rank=target)
-    buf = np.zeros((batch, ncols), dtype=np.int64)
-    seen: set = set()
-    fill = 0
-    for block in blocks:
-        if block.vals.dtype == object:
-            buf = buf.astype(object, copy=False)
-        new = [r for r, key in enumerate(block.keys()) if not (key in seen or seen.add(key))]
-        new = np.array(new, dtype=np.intp)
-        while new.size:
-            take, new = new[: batch - fill], new[batch - fill :]
-            block.scatter(buf, fill, take)
-            fill += take.size
-            if fill == batch:
-                added = space.add_rows(buf)
-                buf[:] = 0
-                fill = 0
-                if added and stop(space):
-                    return space, True
-    if fill:
-        space.add_rows(buf[:fill])
-    return space, stop(space)
+            B = _echelon_rows(_span(blocks, ncols))
 
 
 def consequences_span(generators, h: Action, n: int) -> Subspace:
     """Canonical basis of the degree-n multilinear consequences of the
     generators (empty generator list gives the zero subspace)."""
+    _check_degree(n)
     rows = basis_size(n, h.s)
     _check_budget(rows, 1)
-    blocks = _consequence_blocks(list(generators), h, n, 1024)
-    return Subspace.from_space(_span_stream(blocks, rows, 1024, lambda span: False)[0])
+    return Subspace.from_space(_span(_consequence_blocks(list(generators), h, n), rows))
 
 
 def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     """Membership of one multilinear polynomial in the consequence span,
     decided by streaming the span and reducing the target vector."""
+    _check_degree(n)
     if isinstance(poly, str):
         poly = parse(poly)
     comps = multilinearize(poly)
@@ -636,15 +611,17 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
         return True
     rows = basis_size(n, h.s)
     row = int_rows([target], rows)
-    blocks = _consequence_blocks(list(generators), h, n, 256)
-    return _span_stream(blocks, rows, 256, lambda span: not span.reduce_rows(row).any())[1]
+
+    def holds(span):
+        return not span.reduce_rows(row).any()
+
+    return holds(_span(_consequence_blocks(list(generators), h, n), rows, stop=holds))
 
 
 def _span_reaches(gens, h: Action, n: int, target: int) -> bool:
     """Whether the degree-n consequence span of gens, which must lie in the
     identity kernel, has rank target (streamed with early stop)."""
-    blocks = _consequence_blocks(gens, h, n, 1024)
-    span, _ = _span_stream(blocks, basis_size(n, h.s), 1024, lambda sp: sp.rank >= target, target)
+    span = _span(_consequence_blocks(gens, h, n), basis_size(n, h.s), target)
     if span.rank > target:
         raise InternalError("consequence span escaped the identity kernel")
     return span.rank == target
@@ -659,6 +636,7 @@ def verify_generating_set(generators, h: Action, n: int, codim_value: int | None
     an identity, so equality is a rank comparison against
     rows - codimension; pass codim_value to supply a known codimension.
     """
+    _check_degree(n)
     gens = [parse(g) if isinstance(g, str) else g for g in generators]
     comps = (c for g in gens if not isinstance(g, dict) for c in multilinearize(g))
     if not all(is_identity(c, h)[0] for c in comps if len(variables_of(c)) <= n):
@@ -701,6 +679,7 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
     algebra in the variety of the first: every multilinear identity of the
     first of degree <= n is an identity of the second, decided by
     rank([E_A | E_B]) = rank(E_A) per degree."""
+    _check_degree(n)
     if not _same_coefficient_presentation(hA, hB):
         raise BasisMismatch(
             "variety comparison needs one shared coefficient presentation"
@@ -785,9 +764,7 @@ def _grassmann_matrix(k: int, m: int, n: int) -> np.ndarray:
 
 def _grassmann_reduced_rank(k: int, m: int, n: int) -> int:
     M = _grassmann_matrix(k, m, n)
-    space = FastIntRowSpace(M.shape[1])
-    space.add_rows(M)
-    return space.rank
+    return _span([M], M.shape[1]).rank
 
 
 def _grassmann_kernel(k: int, m: int, n: int) -> Subspace:
@@ -795,9 +772,7 @@ def _grassmann_kernel(k: int, m: int, n: int) -> Subspace:
     of the full one, from the row space of its columns with the row order
     reversed (linalg.reversed_kernel)."""
     M = _grassmann_matrix(k, m, n)
-    space = FastIntRowSpace(M.shape[0])
-    space.add_rows(M.T[:, ::-1])
-    return reversed_kernel(space)
+    return reversed_kernel(_span([M.T[:, ::-1]], M.shape[0]))
 
 
 def _grassmann_stabilized(k: int, n: int):
@@ -825,7 +800,7 @@ def _grassmann_stabilized(k: int, n: int):
     are added or dropped, and the orbit mates dropped by
     _grassmann_reduced_rows are such repeats."""
     if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
+        raise BadDegree(f"need k >= 1 and n >= 1, got k = {k}, n = {n}")
     return _grassmann_reduced_rank(k, k + n, n), k + n
 
 
@@ -931,6 +906,7 @@ class GrowthReport:
 
 
 def growth_report(h: Action, n_max: int) -> GrowthReport:
+    _check_degree(n_max)
     degrees = list(range(1, n_max + 1))
     values = []
     for n in degrees:

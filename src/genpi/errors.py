@@ -69,6 +69,10 @@ class BasisMismatch(GenpiError):
     pass
 
 
+class BadDegree(GenpiError, ValueError):
+    """A degree, or a generator count, below 1."""
+
+
 class BudgetExceeded(GenpiError):
     def __init__(self, rows, cols, budget):
         self.rows = rows

@@ -114,6 +114,16 @@ def test_usage_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "ut2D", "-n"], ["kernel", "ut2D", "-n"], ["verify-gens", "ut2D", "preset", "-n"],
+    ["contains", "ut2F", "ut2D", "-n"], ["grassmann", "-k", "1", "-n"], ["growth", "ut2D", "--to"],
+])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_degree_below_one_exit_code(capsys, argv, n):
+    assert main(["codim", *argv, n]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("GENPI_MAX_ROWS", "10")
     rc = main(["codim", "compute", "ut2D", "-n", "3"])

@@ -22,7 +22,7 @@ from genpi.actions import (
 from genpi import codim
 from genpi.actions import make_action
 from genpi.algebras import StructureAlgebra, builtin
-from genpi.errors import BasisMismatch, BudgetExceeded
+from genpi.errors import BadDegree, BasisMismatch, BudgetExceeded
 from genpi.multipliers import Multiplier
 from genpi.codim import (
     _grassmann_kernel,
@@ -328,6 +328,33 @@ def test_codimension_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
+
+
+DEGREE_CALLS = {
+    "evaluation_matrix": evaluation_matrix,
+    "codimension": codimension,
+    "identity_kernel_basis": identity_kernel_basis,
+    "identity_kernel_polynomials": identity_kernel_polynomials,
+    "consequences_span": lambda h, n: consequences_span(["[x1,x2]"], h, n),
+    "in_consequence_span": lambda h, n: in_consequence_span("[x1,x2]", ["[x1,x2]"], h, n),
+    "verify_generating_set": lambda h, n: verify_generating_set(["[x1,x2]"], h, n),
+    "variety_contains": lambda h, n: variety_contains(h, h, n),
+    "growth_report": growth_report,
+    "grassmann_codim_stabilized": lambda h, n: grassmann_codim_stabilized(1, n),
+    "verify_grassmann_generating_set": lambda h, n: verify_grassmann_generating_set(1, n),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGREE_CALLS))
+@pytest.mark.parametrize("n", [0, -1])
+def test_degree_below_one_is_rejected(name, n):
+    with pytest.raises(BadDegree, match=">= 1"):
+        DEGREE_CALLS[name](preset_action("ut2D"), n)
+
+
+def test_grassmann_needs_a_generator():
+    with pytest.raises(BadDegree, match="k >= 1"):
+        grassmann_codim_stabilized(0, 2)
 
 
 def test_action_whose_masters_all_vanish():

@@ -1,6 +1,6 @@
-"""Consequence spans against a one-instance-at-a-time oracle, the streaming
-driver on Python integers, its byte budget, and the rank paths against
-sympy."""
+"""Consequence spans against a one-instance-at-a-time oracle, their blocks,
+the span feeder on Python integers and its stops, the byte budget, and the
+rank paths against sympy."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import genpi.codim as codim
-from genpi._fastrank import FastIntRowSpace
+from genpi._fastrank import BLOCK, FastIntRowSpace
 from genpi.actions import action_from_subalgebra, grassmann_action, preset_action
 from genpi.algebras import builtin
 from genpi.codim import (
@@ -21,8 +21,8 @@ from genpi.codim import (
     _consequence_blocks,
     _generator_words,
     _grassmann_structural_identities,
-    _Rows,
-    _span_stream,
+    _groups,
+    _span,
     _stream_rows,
     consequences_span,
     grassmann_generators,
@@ -177,8 +177,14 @@ def test_blocks_match_naive_enumeration(name):
 
 def test_blocks_beyond_int64_are_python_ints():
     h, gens, n = _stream_case("2^70 coefficient")
-    blocks = list(_consequence_blocks(gens, h, n, 1024))
-    assert any(b.vals.dtype == object for b in blocks)
+    blocks = list(_consequence_blocks(gens, h, n))
+    assert any(b.dtype == object for b in blocks)
+
+
+def test_blocks_hold_no_repeated_row():
+    h, gens, n = _stream_case("ut2full+structural")
+    rows = np.concatenate(list(_consequence_blocks(gens, h, n)))
+    assert rows.dtype == np.int64 and len(np.unique(rows, axis=0)) == len(rows)
 
 
 @pytest.mark.parametrize("name", ["2^40 coefficients", "2^70 coefficient"])
@@ -191,17 +197,16 @@ def test_large_coefficients_take_the_exact_path(name):
 
 
 def test_stream_batches_from_byte_cap(monkeypatch):
-    # batches are cut by the byte cap only past 4096 rows of 3^8 columns
-    # and 1024 rows of the consequence widths in use
-    assert _stream_rows(3 ** 8, 4096) == 4096
-    assert _stream_rows(3 ** 9, 4096) == codim.STREAM_BYTES // (8 * 3 ** 9) < 4096
-    assert _stream_rows(24 * 2 ** 5, 1024) == 1024
+    # blocks are cut by the byte cap only past 1024 rows of 3^9 columns,
+    # wider than the consequence widths in use
+    assert _stream_rows(3 ** 9) == _stream_rows(24 * 2 ** 5) == codim.STREAM_ROWS == 1024
+    assert _stream_rows(3 ** 10) == codim.STREAM_BYTES // (8 * 3 ** 10) < 1024
     monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 100)
-    assert _stream_rows(30, 1024) == 3
+    assert _stream_rows(30) == 3
     with pytest.raises(BudgetExceeded):
-        _stream_rows(101, 1)
+        _stream_rows(101)
     # consequence streams of ut2D, n = 3 have 6 * 2^4 = 96 columns; their
-    # answers do not depend on the batch size
+    # answers do not depend on the block size
     h = preset_action("ut2D")
     assert verify_generating_set(preset_generators("ut2D"), h, 3)
     assert in_consequence_span("[x1,x2]*x3", preset_generators("ut2D"), h, 3) is False
@@ -236,17 +241,12 @@ def _sympy_rank(rows):
 
 
 def _as_blocks(rows, size=3):
-    """The rows as _Rows blocks of at most size rows each."""
+    """The rows as dense blocks of at most size rows each: int64, or Python
+    integers when an entry does not fit."""
     for start in range(0, len(rows), size):
-        ptr, cols, vals = [0], [], []
-        for row in rows[start : start + size]:
-            nz = [(c, v) for c, v in enumerate(row) if v]
-            cols += [c for c, _ in nz]
-            vals += [v for _, v in nz]
-            ptr.append(len(cols))
-        big = any(abs(v) >= 1 << 63 for v in vals)
-        yield _Rows(np.array(ptr), np.array(cols, dtype=np.int64),
-                    np.array(vals, dtype=object if big else np.int64))
+        part = rows[start : start + size]
+        big = any(abs(v) >= 1 << 63 for row in part for v in row)
+        yield np.array(part, dtype=object if big else np.int64)
 
 
 OVERFLOWING = [[2 ** 40 + 1, 2 ** 39 + 3, 5], [2 ** 39 + 7, 2 ** 40 - 3, 11], [3, 2 ** 40 + 9, 2 ** 41 + 1]]
@@ -263,24 +263,45 @@ def test_rank_paths_match_sympy(rows):
     space.add_rows(arr[4:])
     assert space.rank == want
 
-    span, _ = _span_stream(_as_blocks(rows), ncols, 2, lambda sp: False)
-    assert span.rank == want
+    assert _span(_as_blocks(rows), ncols).rank == want
 
 
 @given(_matrices(2 ** 70))
 def test_stream_span_beyond_int64_matches_sympy(rows):
-    span, _ = _span_stream(_as_blocks(rows), len(rows[0]), 2, lambda sp: False)
-    assert span.rank == _sympy_rank(rows)
+    assert _span(_as_blocks(rows), len(rows[0])).rank == _sympy_rank(rows)
 
 
 def test_stream_span_overflow_branch_is_exact():
-    span, _ = _span_stream(_as_blocks(OVERFLOWING, 1), 3, 1, lambda sp: False)
+    span = _span(_as_blocks(OVERFLOWING, 1), 3)
     assert span.exact and span.rank == _sympy_rank(OVERFLOWING) == 3
-    # membership: the stream stops at the first pivot that brings the target in
+    # membership: the feed stops after the first group that brings the
+    # target in, here a group of copies of the target
     target = np.array(OVERFLOWING[:1])
 
     def stop(span):
         return not span.reduce_rows(target).any()
 
-    span, verdict = _span_stream(_as_blocks(OVERFLOWING, 1), 3, 1, stop)
-    assert verdict and span.rank == 1
+    span = _span((np.array([row] * BLOCK) for row in OVERFLOWING), 3, stop=stop)
+    assert stop(span) and span.rank == 1
+
+
+def test_groups_cut_the_rows_of_all_blocks_in_order():
+    rows = np.arange(72 * 2).reshape(72, 2)
+    blocks = np.split(rows, np.cumsum([5, 20, 0, 7]))  # 5, 20, 0, 7 and 40 rows
+    groups = list(_groups(blocks))
+    assert [len(X) for X in groups] == [BLOCK] * 4 + [8]
+    assert (np.concatenate(groups) == rows).all()
+
+
+def test_span_stops_pulling_at_the_target():
+    pulled = []
+
+    def blocks():
+        for i in range(8):
+            pulled.append(i)
+            yield np.eye(BLOCK, 8 * BLOCK, i * BLOCK, dtype=np.int64)
+
+    # the second group brings the rank past the target; no block after it
+    # is pulled
+    span = _span(blocks(), 8 * BLOCK, target=BLOCK + 1)
+    assert span.rank == 2 * BLOCK and pulled == [0, 1]

@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no module-level import goes unused."""
+"""Source hygiene of the package: no module-level import goes unused, and
+no private module-level name lives on without a reader in the package."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,44 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def _bound_names(node) -> list:
+    """Names bound at module level by the statement node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _read_names(node) -> set:
+    """Names the statement node reads: as names, attributes or imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def unreferenced_private_names(paths) -> list:
+    """Private module-level names (one leading underscore) of the modules
+    in paths that no statement of those modules reads, except the
+    statement that defines the name.  Tests are not among the readers, so
+    a private helper cannot live on as test-only code."""
+    statements = [(path, node) for path in paths for node in ast.parse(path.read_text()).body]
+    reads = [(node, _read_names(node)) for _, node in statements]
+    return [
+        f"{path.name}:{node.lineno} {name}"
+        for path, node in statements
+        for name in _bound_names(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(other is not node and name in names for other, names in reads)
+    ]
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private_names(SOURCES) == []

@@ -1,10 +1,13 @@
 """Exact linear algebra substrate: rank, kernels, canonical subspaces."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from genpi._fastrank import FastIntRowSpace
 from genpi.errors import DimensionMismatch
 from genpi.linalg import RatMatrix, Subspace, left_kernel_basis, rank, solve_right, subspace_ops
 
@@ -249,3 +252,19 @@ def test_rank_with_entries_up_to_2_70():
             rows[-1] = [x + 2 ** 69 * y - z for x, y, z in zip(rows[0], rows[1], rows[2])]
         m = RatMatrix.from_rows(rows)
         assert m.rank() == m.transpose().rank() == naive_rank(rows)
+
+
+def test_basis_grows_without_a_temporary():
+    # 512 unit rows of width 4096: the last growth copies the 256-row basis
+    # (8 MiB) into a 512-row one (16 MiB); a zero block concatenated on
+    # would be 8 MiB more
+    rows = np.eye(512, 4096, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        space = FastIntRowSpace(4096)
+        space.add_rows(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.rank == 512
+    assert peak < 26 * 2 ** 20
