@@ -12,13 +12,20 @@ the transfer operators of the coefficient slots against the structure
 constants of A, as coprime integers equal to a positive scale times the
 exact rational row.  A permutation of the variables only permutes tuple
 positions, so its block of rows is the master matrix with its tuple axes
-transposed (_evaluation_blocks).  The rank needs only the integers of the
-distinct nonzero masters, built and fed in chunks within the byte cap
-STREAM_BYTES; the rational matrix and the kernel divide the scales back
-out.  Ranks, spans and kernels all come from the one exact
-elimination, FastIntRowSpace (_fastrank.py).  One feeder, _span, gives it
-the rows of every span in this module except the coefficient closure
-(_closure), which grows one space pass by pass.
+transposed (_evaluation_blocks); the materialized matrix and the kernel
+read those blocks and divide the scales back out.  The rank does not: the
+rows span a right Q[S_n]-module generated by the masters, and the
+codimension is its cocharacter sum c_n = sum_lambda d_lambda m_lambda over
+the partitions lambda of n with at most dim A parts.  The masters, built
+in chunks within the byte cap STREAM_BYTES, give one echelon basis of
+their span; each multiplicity m_lambda is the rank of that basis under
+sigma_T' b_T a_T, one standard tableau T' at a time, in the columns of
+the row orbits of T (_specht.py, where the lemma is).  Containment of
+varieties tests the same components of two actions side by side.  Ranks,
+spans and kernels all come from the one exact elimination,
+FastIntRowSpace (_fastrank.py).  One feeder, _span, gives it the rows of
+every span in this module except the coefficient closure (_closure),
+which grows one space pass by pass.
 
 Consequence spans realize the multilinear degree-n part of the ideal
 generated by a set of identities under substitutions, two-sided monomial
@@ -52,6 +59,7 @@ from math import lcm
 import numpy as np
 
 from ._fastrank import BLOCK, FastIntRowSpace
+from ._specht import isotypic_blocks, orbit_width
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _merge_mask, _word_mask
 from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotSplit
@@ -190,10 +198,16 @@ def _master_chunks(h: Action, n: int, width: int | None = None):
             yield from extend(depth + 1, (T @ S).reshape(-1, dim), den * ds)
 
     rows = chain.from_iterable(extend(1, (L @ R).T, dl * dr) for (L, dl), (R, dr) in product(Ls, Rs))
-    size = h.s ** (n + 1) if width is None else max(1, STREAM_BYTES // (256 * 8 * width))
+    size = h.s ** (n + 1) if width is None else _chunk_rows(width)
     while part := list(islice(rows, size)):
         M, g = _coprime(np.array([row for row, _ in part], dtype=dtype))
         yield M, [Fraction(den, v) if v else _ONE for (_, den), v in zip(part, g)]
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of a chunk of master rows of the given width: 1/256 of
+    STREAM_BYTES (1 MiB), and at least one."""
+    return max(1, STREAM_BYTES // (256 * 8 * width))
 
 
 def _coprime(M: np.ndarray):
@@ -264,6 +278,12 @@ def _span(blocks, ncols: int, target: int | None = None, stop=None) -> FastIntRo
     return space
 
 
+def _module_generators(chunks, ncols: int) -> np.ndarray:
+    """Integer rows of the reduced echelon basis of the span of the
+    distinct nonzero rows of the master chunks."""
+    return _echelon_rows(_span((M[_distinct_rows(M)] for M in chunks), ncols))
+
+
 def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
     """Materialized evaluation matrix (budget-guarded)."""
     _check_degree(n)
@@ -281,14 +301,16 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
 
 
 def codimension(h: Action, n: int) -> int:
-    """Rank of the degree-n evaluation matrix, from the distinct nonzero
-    master rows alone."""
+    """Rank of the degree-n evaluation matrix, as the cocharacter sum
+    sum_lambda d_lambda m_lambda of the S_n-module its rows span, generated
+    by the master rows (_specht.isotypic_blocks)."""
     _check_degree(n)
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    chunks = _master_chunks(h, n, cols)
-    return _span((X for M, _ in chunks for X in _evaluation_blocks(M[_distinct_rows(M)], h.A.dim, n)), cols).rank
+    R = _module_generators((M for M, _ in _master_chunks(h, n, cols)), cols)
+    parts = isotypic_blocks(R, (h.A.dim,), n, _chunk_rows(cols))
+    return sum(d * _span(blocks, ncols).rank for _, d, ncols, blocks in parts)
 
 
 def identity_kernel_basis(h: Action, n: int) -> Subspace:
@@ -610,10 +632,14 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     if not target:
         return True
     rows = basis_size(n, h.s)
-    row = int_rows([target], rows)
+    residual, seen = int_rows([target], rows), 0
 
     def holds(span):
-        return not span.reduce_rows(row).any()
+        # the residual is zero at the pivots of the first seen basis rows,
+        # so only the rows added since it was reduced are read
+        nonlocal residual, seen
+        residual, seen = span.reduce_rows(residual, seen), span.rank
+        return not residual.any()
 
     return holds(_span(_consequence_blocks(list(generators), h, n), rows, stop=holds))
 
@@ -627,19 +653,43 @@ def _span_reaches(gens, h: Action, n: int, target: int) -> bool:
     return span.rank == target
 
 
+def _words_vanish(g: dict, h: Action, n: int) -> bool:
+    """Whether the resolved-word generator g, if of degree 1..n, is an
+    identity: its coefficient vector combines the evaluation rows of its
+    degree to zero."""
+    gw = _generator_words(g, h)
+    if gw is None or not 1 <= gw[0] <= n:
+        return True
+    d = gw[0]
+    M, scales = next(_master_chunks(h, d))
+    picked: dict = {}  # permutation block -> [(master row, coefficient)]
+    for r, c in vectorize_words({w: c for c, w in gw[1]}, h.W, d).items():
+        p, i = divmod(r, len(M))
+        picked.setdefault(p, []).append((i, c / scales[i]))
+    total = np.zeros(h.A.dim ** (d + 1), dtype=object)
+    for p, X in enumerate(_evaluation_blocks(M, h.A.dim, d)):
+        for i, c in picked.get(p, ()):
+            total = total + c * X[i].astype(object)
+    return not total.any()
+
+
 def verify_generating_set(generators, h: Action, n: int, codim_value: int | None = None) -> bool:
     """True iff the consequence span of the generators together with the
     action's structural identities equals the degree-n identity kernel.
 
-    Generators that are not identities fail immediately.  The kernel is
-    never materialized: the span is contained in it once every generator is
-    an identity, so equality is a rank comparison against
-    rows - codimension; pass codim_value to supply a known codimension.
+    Generators that are not identities fail immediately: polynomials by
+    evaluation at basis tuples, resolved-word dicts by their vectors
+    against the evaluation rows.  The kernel is never materialized: the
+    span is contained in it once every generator is an identity, so
+    equality is a rank comparison against rows - codimension; pass
+    codim_value to supply a known codimension.
     """
     _check_degree(n)
     gens = [parse(g) if isinstance(g, str) else g for g in generators]
     comps = (c for g in gens if not isinstance(g, dict) for c in multilinearize(g))
     if not all(is_identity(c, h)[0] for c in comps if len(variables_of(c)) <= n):
+        return False
+    if not all(_words_vanish(g, h, n) for g in gens if isinstance(g, dict)):
         return False
     rows = basis_size(n, h.s)
     if codim_value is None:
@@ -661,42 +711,36 @@ def _same_coefficient_presentation(hA: Action, hB: Action) -> bool:
     return True
 
 
-def _joint_blocks(cA, cB, dimA: int, dimB: int, n: int):
-    """Evaluation blocks [X_A | X_B] of master chunks of two actions with
-    one coefficient presentation, the two halves of a row scaled jointly to
+def _joint_masters(cA, cB) -> np.ndarray:
+    """Master rows [M_A | M_B] of master chunks of two actions with one
+    coefficient presentation, the two halves of a row scaled jointly to
     sa.numerator * sb.numerator times the rational row."""
     (MA, sA), (MB, sB) = cA, cB
     f = np.array([[sa.denominator * sb.numerator, sb.denominator * sa.numerator] for sa, sb in zip(sA, sB)], dtype=object)
-    J, _ = _coprime(np.hstack([MA * f[:, :1], MB * f[:, 1:]]))
-    J = J[_distinct_rows(J)]
-    colsA = dimA ** (n + 1)
-    for XA, XB in zip(_evaluation_blocks(J[:, :colsA], dimA, n), _evaluation_blocks(J[:, colsA:], dimB, n)):
-        yield np.hstack([XA, XB])
+    return _coprime(np.hstack([MA * f[:, :1], MB * f[:, 1:]]))[0]
 
 
 def variety_contains(hA: Action, hB: Action, n: int) -> bool:
     """Degreewise necessary condition for membership of the second action's
     algebra in the variety of the first: every multilinear identity of the
     first of degree <= n is an identity of the second, decided by
-    rank([E_A | E_B]) = rank(E_A) per degree."""
+    rank([E_A | E_B]) = rank(E_A) per degree, one isotypic component at a
+    time (see _specht.isotypic_blocks)."""
     _check_degree(n)
     if not _same_coefficient_presentation(hA, hB):
         raise BasisMismatch(
             "variety comparison needs one shared coefficient presentation"
         )
+    dims = (hA.A.dim, hB.A.dim)
     for m in range(1, n + 1):
         rows = basis_size(m, hA.s)
-        colsA = hA.A.dim ** m * hA.A.dim
-        colsB = hB.A.dim ** m * hB.A.dim
-        _check_budget(rows, colsA + colsB)
-        chunks = zip(_master_chunks(hA, m, colsA + colsB), _master_chunks(hB, m, colsA + colsB))
-        joint = (_joint_blocks(cA, cB, hA.A.dim, hB.A.dim, m) for cA, cB in chunks)
-        # FastIntRowSpace pivots a row on its first nonzero column, so the
-        # basis rows with pivots among the columns of A restrict to a basis
-        # of the rows of E_A and the others to zero: the ranks agree iff
-        # no pivot lies in the columns of B
-        if (_span(chain.from_iterable(joint), colsA + colsB).pivots >= colsA).any():
-            return False
+        cols = hA.A.dim ** (m + 1) + hB.A.dim ** (m + 1)
+        _check_budget(rows, cols)
+        chunks = zip(_master_chunks(hA, m, cols), _master_chunks(hB, m, cols))
+        R = _module_generators((_joint_masters(cA, cB) for cA, cB in chunks), cols)
+        for shape, _, ncols, blocks in isotypic_blocks(R, dims, m, _chunk_rows(cols)):
+            if (_span(blocks, ncols).pivots >= orbit_width(dims[0], shape)).any():
+                return False
     return True
 
 

@@ -25,10 +25,13 @@ from genpi.algebras import StructureAlgebra, builtin
 from genpi.errors import BadDegree, BasisMismatch, BudgetExceeded
 from genpi.multipliers import Multiplier
 from genpi.codim import (
+    _distinct_rows,
+    _evaluation_blocks,
     _grassmann_kernel,
     _grassmann_reduced_rank,
     _grassmann_stabilized,
     _master_chunks,
+    _span,
     codimension,
     consequences_span,
     evaluation_matrix,
@@ -56,6 +59,15 @@ def sympy_rank(rows_dicts, ncols):
         for c, v in row.items():
             m[i, c] = sympy.Rational(v.numerator, v.denominator)
     return m.rank()
+
+
+def permuted_master_rank(h, n):
+    """Rank of the degree-n evaluation matrix fed as the n! permuted blocks
+    of the distinct master rows: an oracle independent of the S_n-module
+    structure that codimension uses."""
+    cols = h.A.dim ** (n + 1)
+    chunks = _master_chunks(h, n, cols)
+    return _span((X for M, _ in chunks for X in _evaluation_blocks(M[_distinct_rows(M)], h.A.dim, n)), cols).rank
 
 
 def ut2d_in_basis(C):
@@ -120,9 +132,18 @@ def test_codimension_invariant_under_change_of_basis():
 
 
 def test_ut2f_closed_form():
+    # the anti-action (transposing by the inverse permutation) would give
+    # 15, 42, 105 at n = 4, 5, 6
     h = preset_action("ut2F")
-    for n in range(1, 7):
+    for n in range(1, 9):
         assert codimension(h, n) == 2 ** (n - 1) * (n - 2) + 2, n
+
+
+def test_codimension_matches_permuted_master_rank():
+    for name in ("ut2F", "ut2D", "ut2C", "ut2full"):
+        h = preset_action(name)
+        for n in range(1, 7):
+            assert codimension(h, n) == permuted_master_rank(h, n), (name, n)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)), max_size=6),
@@ -139,6 +160,7 @@ def test_codimension_in_random_unimodular_bases_matches_sympy(ops, n):
             for i, row in enumerate(em.row_data) if row}
     c = codimension(h, n)
     assert c == DomainMatrix(rows, (em.rows, em.cols), QQ).rank() == [3, 6, 14][n - 1]
+    assert c == permuted_master_rank(h, n)
     assert identity_kernel_basis(h, n).dim == em.rows - c
 
 
@@ -146,7 +168,8 @@ def test_rows_beyond_int64_take_the_exact_path():
     h = ut2d_rescaled(2 ** 70)
     M, _ = next(_master_chunks(h, 2))
     assert M.dtype == object and max(abs(v) for v in M.flat) >= 2 ** 63
-    assert [codimension(h, n) for n in (1, 2, 3)] == [3, 6, 14]
+    assert [codimension(h, n) for n in (1, 2, 3, 4)] == [3, 6, 14, 34]
+    assert [permuted_master_rank(h, n) for n in (1, 2, 3, 4)] == [3, 6, 14, 34]
     assert identity_kernel_basis(h, 2).dim == 10
 
 
@@ -257,6 +280,15 @@ def test_verify_rejects_non_identity():
     assert verify_generating_set(["[x1,x2]"], h, 2) is False
 
 
+def test_verify_rejects_non_identity_word_dict():
+    # w0*x1*w0 = x1, given as resolved words, is not an identity
+    h = preset_action("ut2D")
+    for n in (1, 2, 3):
+        assert verify_generating_set([{(-1, 1, -1): 1}], h, n) is False, n
+        # e22*x1 - e22*x1*e22 = e22*x1*e11 is one
+        assert verify_generating_set([*preset_generators("ut2D"), {(-2, 1, -1): 1, (-2, 1, -2): -1}], h, n), n
+
+
 def test_classical_consequence():
     # the left-normed triple commutator yields the symmetric product pair
     h = preset_action("ut2F")
@@ -317,6 +349,18 @@ def test_variety_contains_matches_stacked_rank_oracle():
     assert verdicts[:3] == [[True] * 3] * 3 and not all(verdicts[3])
 
 
+def test_variety_contains_algebras_of_different_dimensions():
+    # the field acted on by itself beside ut2F: [x1, x2] lives in the
+    # component of the partition (1, 1), which has more rows than the
+    # field has dimensions, so its rows there are zero
+    field = action_from_subalgebra(builtin("ut(1)"), [(1,)], labels=["1"], kernel_tail=True)
+    ut2f = preset_action("ut2F")
+    for hA, hB in ((field, ut2f), (ut2f, field)):
+        want = stacked_rank_verdicts(hA, hB, 3)
+        assert [variety_contains(hA, hB, n) for n in range(1, len(want) + 1)] == [all(want[:n]) for n in range(1, len(want) + 1)]
+    assert not variety_contains(field, ut2f, 2) and variety_contains(ut2f, field, 3)
+
+
 def test_codimension_memory_bound():
     # ut2F, n = 6: one master row of 3^7 entries; the 720 evaluation rows
     # go to the elimination block by block, never as one dense batch
@@ -328,6 +372,18 @@ def test_codimension_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
+
+
+def test_codimension_memory_bound_at_degree_7():
+    # 256 master rows of 3^8 entries and 7! = 5,040 variable orders
+    h = preset_action("ut2D")
+    tracemalloc.start()
+    try:
+        assert codimension(h, 7) == 450
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 DEGREE_CALLS = {
@@ -363,6 +419,7 @@ def test_action_whose_masters_all_vanish():
     Z = builtin("zero_mult(2)")
     h = make_action(builtin("ut(1)"), Z, [Multiplier.identity(Z)])
     assert [codimension(h, n) for n in (1, 2, 3)] == [1, 0, 0]
+    assert [permuted_master_rank(h, n) for n in (1, 2, 3)] == [1, 0, 0]
     assert growth_report(h, 3).values == [1, 0, 0]
     assert identity_kernel_basis(h, 2).dim == 2
     assert variety_contains(h, h, 2)

@@ -268,3 +268,23 @@ def test_basis_grows_without_a_temporary():
         tracemalloc.stop()
     assert space.rank == 512
     assert peak < 26 * 2 ** 20
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "beyond 2^52"])
+def test_residual_reduced_against_the_new_rows_only(big):
+    # a row reduced when the rank was k, reduced again against the basis
+    # rows added since, equals the row reduced against the whole basis
+    # (both primitive positive multiples of one remainder)
+    rng = random.Random(91)
+    scale = 2 ** 60 if big else 1
+    for _ in range(10):
+        nc = rng.randint(4, 12)
+        rows = np.array([[rng.randint(-3, 3) * scale for _ in range(nc)] for _ in range(rng.randint(4, 40))],
+                        dtype=object if big else np.int64)
+        target = np.array([rng.randint(-3, 3) for _ in range(nc)], dtype=np.int64)
+        space, residual, seen = FastIntRowSpace(nc), target, 0
+        for i in range(0, len(rows), 5):
+            space.add_rows(rows[i:i + 5])
+            residual, seen = space.reduce_rows(residual, seen), space.rank
+            assert (residual == space.reduce_rows(target)).all()
+        assert residual.any() == (naive_rank([*rows.tolist(), target.tolist()]) > naive_rank(rows.tolist()))
