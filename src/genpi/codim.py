@@ -42,30 +42,36 @@ generators of degree exactly d closed under their coefficient fillings
 degrees below n are spanned in full; degree n streams, and ends as soon as
 the answer is known.
 
-Truncated exterior algebras get a dedicated assembler: columns of the
-evaluation matrix fall into orbits of index relabelings that change all
-rows by one common sign, so one representative column per orbit preserves
-the rank while the truncation dimension stays exponential.
+The exterior algebra acted on by the words in its first k generators gets
+one integer matrix per degree n, over parity-class columns: each of
+e_1..e_k goes to a slot or to none, each slot gets a parity, and the output
+word is fixed.  Every evaluation column at any truncation level is zero or
++- one of these columns, and all of them occur from level k + n on, so its
+rank is the codimension and its left kernel the identities
+(_grassmann_stabilized, where the lemma is).  Its +-1 entries come from
+one sign table over the word masks of the k + n letters, gathered factor
+by factor for all monomials of a chunk of classes at once
+(_grassmann_matrix).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache, partial
 from fractions import Fraction
 from itertools import chain, islice, permutations, product
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
 from ._fastrank import BLOCK, FastIntRowSpace
 from ._specht import isotypic_blocks, orbit_width
 from .actions import Action, grassmann_action
-from .algebras import _grassmann_words, _merge_mask, _word_mask
+from .algebras import _grassmann_words, _word_mask
 from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotSplit
 from .linalg import Subspace, int_rows, reversed_kernel
 from .polynomials import (
-    GenMonomial,
     basis_size,
     enumerate_basis,
     is_identity,
@@ -79,7 +85,6 @@ from .polynomials import (
 )
 from .structure import pi_exponent
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _INT64_LIMIT = 1 << 63
@@ -88,7 +93,7 @@ DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
 # byte cap of one dense int64 buffer: a block of the consequence stream or
 # of the coefficient closure, the transposed matrix of the kernel, 256
-# chunks of master rows
+# chunks of master rows; and of the int8 Grassmann parity-class matrix
 STREAM_BYTES = 1 << 28
 STREAM_ROWS = 1024  # most rows of a block of the consequence stream or closure
 
@@ -303,11 +308,16 @@ def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
 def codimension(h: Action, n: int) -> int:
     """Rank of the degree-n evaluation matrix, as the cocharacter sum
     sum_lambda d_lambda m_lambda of the S_n-module its rows span, generated
-    by the master rows (_specht.isotypic_blocks)."""
+    by the master rows (_specht.isotypic_blocks).  That matrix is never
+    built: its rows come as chunks of master rows and blocks of isotypic
+    rows, each of at most _chunk_rows(cols) rows of the cols evaluation
+    columns, so BudgetExceeded is raised, before anything is allocated,
+    when a single such row is over STREAM_BYTES.  (The echelon bases grow
+    with the ranks, which no budget bounds in advance.)"""
     _check_degree(n)
-    rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
-    _check_budget(rows, cols)
+    if 8 * cols > STREAM_BYTES:
+        raise BudgetExceeded(1, cols, 0)
     R = _module_generators((M for M, _ in _master_chunks(h, n, cols)), cols)
     parts = isotypic_blocks(R, (h.A.dim,), n, _chunk_rows(cols))
     return sum(d * _span(blocks, ncols).rank for _, d, ncols, blocks in parts)
@@ -399,20 +409,6 @@ def _generator_words(g, h: Action):
             raise ValueError("generator is not multilinear")
         out.append((c, tuple(ren[sym] if sym > 0 else sym for sym in w)))
     return len(vars_seen), out
-
-
-def _compositions(total: int, parts: int, minimums):
-    """All tuples of the given length with entries >= minimums summing to
-    total, in lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = minimums[0]
-    rest_min = sum(minimums[1:])
-    for first in range(lo, total - rest_min + 1):
-        for tail in _compositions(total - first, parts - 1, minimums[1:]):
-            yield (first,) + tail
 
 
 def _arrangements(d: int) -> dict:
@@ -747,88 +743,93 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
 # -- truncated exterior algebras -----------------------------------------------------
 
 
-def _grassmann_reduced_rows(k: int, m: int, n: int):
-    """Rows of the degree-n evaluation matrix of the k-generator action on
-    the m-generator truncation, over one representative column per
-    relabeling orbit, as {col: +-1} dicts.  Dropping the orbit mates
-    preserves both the rank and the left kernel: they are duplicate columns
-    up to one global sign.  Only the index words of W are needed, so the
-    truncated action itself is never built."""
-    wmask = [_word_mask(w) for w in _grassmann_words(k, True)]
-    s = len(wmask)
-    rows = basis_size(n, s)
-    _check_budget(rows, 1)
-    small = list(range(1, k + 1))
-    large = m - k
-    # representative assignments: small indices to a slot (1..n) or unused
-    # (0); large index counts per slot and unused packed in order
-    reps = []
-    for small_assign in product(range(n + 1), repeat=k):
-        for counts in _compositions(large, n + 1, [0] * (n + 1)):
-            words = [[] for _ in range(n)]
-            for idx, slot in zip(small, small_assign):
-                if slot >= 1:
-                    words[slot - 1].append(idx)
-            nxt = k + 1
-            for slot in range(n):
-                for _ in range(counts[slot]):
-                    words[slot].append(nxt)
-                    nxt += 1
-            reps.append(tuple(_word_mask(w) for w in words))
-    mons = list(enumerate_basis(n, s))
-    col_index: dict = {}
-    rows_data = [dict() for _ in mons]
-    for ci, masks in enumerate(reps):
-        for ri, mon in enumerate(mons):
-            # product in monomial order: w_{i0} g_{sigma(1)} w_{i1} ...
-            factors = [wmask[mon.coeffs[0]]]
-            for t in range(n):
-                factors += (masks[mon.perm[t] - 1], wmask[mon.coeffs[t + 1]])
-            acc, sign = 0, 1
-            for f in factors:
-                merged = _merge_mask(acc, f)
-                if merged is None:
-                    break
-                acc, sg = merged
-                sign *= sg
-            else:
-                col = col_index.setdefault((ci, acc), len(col_index))
-                rows_data[ri][col] = sign
-    return rows_data
+def _sign_table(letters: int) -> np.ndarray:
+    """sgn[u, v] for the words u and v over the given number of letters, as
+    bitmasks (bit i - 1 for e_i): 0 when they share a letter, else the sign
+    (-1)^#{a in u, b in v : a > b} that sorts the product uv (int8)."""
+    m = np.arange(1 << letters)
+    odd = np.zeros(len(m), dtype=np.int8)  # parity of the number of letters
+    for a in range(letters):
+        odd ^= (m >> a & 1).astype(np.int8)
+    swaps = np.zeros((len(m), len(m)), dtype=np.int8)  # parity of the inversions
+    for a in range(letters):
+        swaps ^= (m >> a & 1).astype(np.int8)[:, None] & odd[m & (1 << a) - 1]
+    return np.where(m[:, None] & m, 0, 1 - 2 * swaps).astype(np.int8)
 
 
-def _grassmann_matrix(k: int, m: int, n: int) -> np.ndarray:
-    """_grassmann_reduced_rows as a dense integer array."""
-    rows = _grassmann_reduced_rows(k, m, n)
-    M = np.zeros((len(rows), 1 + max((c for r in rows for c in r), default=-1)), dtype=np.int64)
-    for i, r in enumerate(rows):
-        M[i, list(r)] = list(r.values())
+def _parity_classes(k: int, n: int):
+    """(slots, held) of the parity classes at degree n: each of e_1..e_k
+    goes to one slot 1..n or to none, and slot i holds those letters, then
+    e_(k+i) when its parity is odd.  Row c of slots holds the masks of the
+    n slot words of class c, and held[c] the mask of its letters among
+    e_1..e_k."""
+    assign = np.array(list(product(range(n + 1), repeat=k)))
+    small = ((assign[:, :, None] == np.arange(1, n + 1)) << np.arange(k)[:, None]).sum(axis=1)
+    odd = np.array(list(product((0, 1), repeat=n))) << k + np.arange(n)
+    return (small[:, None] | odd).reshape(-1, n), np.repeat(small.sum(axis=1), len(odd))
+
+
+def _grassmann_matrix(k: int, n: int) -> np.ndarray:
+    """The degree-n parity-class matrix of the k-generator action on the
+    exterior algebra (see _grassmann_stabilized), with int8 entries 0 and
+    +-1.  Rows are the monomials in enumerate_basis order; columns are the
+    pairs (class, output word), the output holding every letter of the
+    class (_parity_classes), class by class.  Entry: the sign of the
+    product w_0 u_s(1) w_1 ... u_s(n) w_n of the basis words, u_i the word
+    of slot i, taken factor by factor from one sign table over the k + n
+    letters (sign *= sgn[acc, f]; acc |= f) on all monomials of a chunk of
+    classes at once, as many classes as _chunk_rows gives rows of that
+    width.  BudgetExceeded is raised before the matrix is allocated when
+    its bytes are over STREAM_BYTES."""
+    if k < 1 or n < 1:
+        raise BadDegree(f"need k >= 1 and n >= 1, got k = {k}, n = {n}")
+    wm = np.array([_word_mask(w) for w in _grassmann_words(k, True)])
+    s = len(wm)
+    slots, held = _parity_classes(k, n)
+    outputs = np.arange(1 << k)  # the letters among e_1..e_k of an output word
+    has = outputs & held[:, None] == held[:, None]
+    col = np.cumsum(has).reshape(has.shape) - 1  # column of (class, output) where has
+    rows, ncols = basis_size(n, s), int(has.sum())
+    if rows * ncols > STREAM_BYTES:
+        raise BudgetExceeded(rows, ncols, STREAM_BYTES // ncols)
+    sgn = _sign_table(k + n)
+    perms = np.array(list(permutations(range(n))))
+    M = np.zeros((rows, ncols), dtype=np.int8)
+    ones, size = (1,) * (n + 1), _chunk_rows(rows)
+    for lo in range(0, len(slots), size):
+        U = slots[lo : lo + size]
+        # axes: class, permutation, coefficient slots 0..n
+        acc, sign = wm.reshape(1, 1, s, *ones[1:]), 1
+        for t in range(n):
+            for f in (U[:, perms[:, t]].reshape(len(U), len(perms), *ones),
+                      wm.reshape(1, 1, *ones[: t + 1], s, *ones[t + 2 :])):
+                sign, acc = sign * sgn[acc, f], acc | f
+        out = acc.reshape(len(U), rows) & (1 << k) - 1
+        M[np.arange(rows), np.take_along_axis(col[lo : lo + len(U)], out, axis=1)] = sign.reshape(len(U), rows)
     return M
 
 
-def _grassmann_reduced_rank(k: int, m: int, n: int) -> int:
-    M = _grassmann_matrix(k, m, n)
-    return _span([M], M.shape[1]).rank
+def _grassmann_rank(M: np.ndarray) -> int:
+    return _span([M[_distinct_rows(M)]], M.shape[1]).rank
 
 
-def _grassmann_kernel(k: int, m: int, n: int) -> Subspace:
-    """Left kernel of the orbit-reduced evaluation matrix, the same as that
-    of the full one, from the row space of its columns with the row order
-    reversed (linalg.reversed_kernel)."""
-    M = _grassmann_matrix(k, m, n)
+def _grassmann_kernel(M: np.ndarray) -> Subspace:
+    """Left kernel of a parity-class matrix, from the row space of its
+    columns with the row order reversed (linalg.reversed_kernel)."""
     return reversed_kernel(_span([M.T[:, ::-1]], M.shape[0]))
 
 
 def _grassmann_stabilized(k: int, n: int):
     """(codimension, truncation level) of the k-generator action at degree
-    n: the reduced rank at level k + n, which is final.
+    n: the rank of the parity-class matrix, which is that of the
+    evaluation matrix at every level from k + n on.
 
-    Lemma: at every level m >= k + n the orbit-reduced degree-n evaluation
-    matrix has the same rank and the same left kernel, and so has the
-    evaluation matrix of the infinite exterior algebra.  Proof: substitute
-    basis words u_i for the x_i and write u_i = +-a_i b_i, with a_i a word
-    in e_1..e_k and b_i a word in the other generators.  The b_i commute
-    with every other factor up to signs, so the monomial
+    Lemma: at every level m >= k + n the degree-n evaluation matrix has the
+    rank and the left kernel of the parity-class matrix (_grassmann_matrix),
+    and so has the evaluation matrix of the infinite exterior algebra.
+    Proof: substitute basis words u_i for the x_i and write u_i = +-a_i b_i,
+    with a_i a word in e_1..e_k and b_i a word in the other generators.  The
+    b_i commute with every other factor up to signs, so the monomial
     w_0 x_s(1) w_1 ... x_s(n) w_n evaluates to
     eps * (w_0 a_s(1) w_1 ... a_s(n) w_n) * (b_1 ... b_n), where the sign eps
     depends only on the permutation s and on the parities of the factors.
@@ -837,15 +838,13 @@ def _grassmann_stabilized(k: int, n: int):
     parity changes, so no sign of any monomial changes, and only the output
     coordinate moves (b_1 ... b_n is one word up to a sign common to the
     column).  So every evaluation column, at any level, is zero or +- a
-    column of this parity-class matrix, whose columns assign each of
+    column of the parity-class matrix, whose columns assign each of
     e_1..e_k to one slot or none, a parity to each slot and an output
     word; all of them occur from level k + n on.  A matrix keeps its rank
     and left kernel when zero columns, repeats and sign changes of columns
-    are added or dropped, and the orbit mates dropped by
-    _grassmann_reduced_rows are such repeats."""
-    if k < 1 or n < 1:
-        raise BadDegree(f"need k >= 1 and n >= 1, got k = {k}, n = {n}")
-    return _grassmann_reduced_rank(k, k + n, n), k + n
+    are added or dropped, so the parity-class matrix, which is the one
+    built, stands for the evaluation matrix at every level from k + n on."""
+    return _grassmann_rank(_grassmann_matrix(k, n)), k + n
 
 
 def grassmann_codim_stabilized(k: int, n: int) -> int:
@@ -855,46 +854,22 @@ def grassmann_codim_stabilized(k: int, n: int) -> int:
     return _grassmann_stabilized(k, n)[0]
 
 
-def _grassmann_structural_identities(k: int, m: int):
-    """Degree-1 identities of the truncated action."""
-    mons = list(enumerate_basis(1, 2 ** k))
+def _grassmann_structural_identities(M1: np.ndarray):
+    """Degree-1 identities of the action whose degree-1 parity-class
+    matrix is M1, over the s^2 monomials w_a x_1 w_b."""
+    pairs = list(product(range(isqrt(len(M1))), repeat=2))
     return [
-        {(-(mon.coeffs[0] + 1), 1, -(mon.coeffs[1] + 1)): c for mon, c in zip(mons, vec) if c}
-        for vec in _grassmann_kernel(k, m, 1).basis
+        {(-(a + 1), 1, -(b + 1)): c for (a, b), c in zip(pairs, vec) if c}
+        for vec in _grassmann_kernel(M1).basis
     ]
 
 
-def _grassmann_is_identity(poly, h: Action, rows_by_degree, k: int, m: int):
-    """Identity test against the level-m truncation via the reduced rows:
-    the vectorization must combine the reduced evaluation rows to zero.
-    Only the coefficient algebra of h is read."""
-    comps = multilinearize(poly) if not isinstance(poly, dict) else [poly]
-    for comp in comps:
-        if isinstance(comp, dict):
-            vec = {}
-            for w, c in comp.items():
-                mon = GenMonomial(1, (1,), (-(w[0] + 1), -(w[2] + 1)))
-                vec[mon.rank(h.s)] = c
-            d = 1
-        else:
-            d = len(variables_of(comp))
-            if d == 0:
-                continue
-            vec = vectorize(comp, h, d)
-        if d not in rows_by_degree:
-            rows_by_degree[d] = _grassmann_reduced_rows(k, m, d)
-        rows_data = rows_by_degree[d]
-        acc: dict = {}
-        for r, c in vec.items():
-            for col, v in rows_data[r].items():
-                nv = acc.get(col, _ZERO) + c * v
-                if nv:
-                    acc[col] = nv
-                else:
-                    acc.pop(col, None)
-        if acc:
-            return False
-    return True
+def _grassmann_is_identity(vec: dict, M: np.ndarray) -> bool:
+    """Whether the coefficient vector vec ({row: rational}) is an identity:
+    its integer multiple times the parity-class matrix M is zero."""
+    den = lcm(*(c.denominator for c in vec.values()))
+    coeffs = np.array([int(c * den) for c in vec.values()], dtype=object)
+    return not (coeffs @ M[list(vec)]).any()
 
 
 def grassmann_generators(k: int):
@@ -914,16 +889,16 @@ def verify_grassmann_generating_set(k: int, n: int, generators=None) -> bool:
 
 
 def _verify_grassmann(k: int, n: int, generators) -> bool:
-    cn, m = _grassmann_stabilized(k, n)
+    matrix = cache(partial(_grassmann_matrix, k))  # one parity-class matrix per degree
+    M = matrix(n)
     h = grassmann_action(k, k)  # coefficient structure only; A unused below
-    rows_by_degree: dict = {}
     gens = [parse(g) if isinstance(g, str) else g for g in generators]
-    comps = (c for g in gens if not isinstance(g, dict) for c in multilinearize(g))
-    if not all(_grassmann_is_identity(c, h, rows_by_degree, k, m)
-               for c in comps if 0 < len(variables_of(c)) <= n):
-        return False
+    for c in (c for g in gens if not isinstance(g, dict) for c in multilinearize(g)):
+        d = len(variables_of(c))
+        if 0 < d <= n and not _grassmann_is_identity(vectorize(c, h, d), matrix(d)):
+            return False
     rows = basis_size(n, h.s)
-    return _span_reaches(list(gens) + _grassmann_structural_identities(k, m), h, n, rows - cn)
+    return _span_reaches(gens + _grassmann_structural_identities(matrix(1)), h, n, rows - _grassmann_rank(M))
 
 
 # -- growth reports ----------------------------------------------------------------

@@ -22,13 +22,14 @@ from genpi.actions import (
 from genpi import codim
 from genpi.actions import make_action
 from genpi.algebras import StructureAlgebra, builtin
-from genpi.errors import BadDegree, BasisMismatch, BudgetExceeded
+from genpi.errors import BadDegree, BasisMismatch, BudgetExceeded, GenpiError
 from genpi.multipliers import Multiplier
 from genpi.codim import (
     _distinct_rows,
     _evaluation_blocks,
     _grassmann_kernel,
-    _grassmann_reduced_rank,
+    _grassmann_matrix,
+    _grassmann_rank,
     _grassmann_stabilized,
     _master_chunks,
     _span,
@@ -48,6 +49,7 @@ from genpi.codim import (
     verify_grassmann_generating_set,
 )
 from genpi.polynomials import GenMonomial, basis_size, enumerate_basis, parse, vectorize
+from grassmann_oracle import orbit_kernel, orbit_rank
 
 
 def sympy_rank(rows_dicts, ncols):
@@ -451,7 +453,7 @@ def test_grassmann_reduced_matches_brute_force():
     # differs from the numeric order of the word masks: (3) precedes (1,2)
     for k, m, n in ((1, 3, 1), (1, 3, 2), (2, 3, 1), (1, 4, 2), (3, 3, 1), (2, 4, 2)):
         h = grassmann_action(k, m)
-        assert codimension(h, n) == _grassmann_reduced_rank(k, m, n), (k, m, n)
+        assert codimension(h, n) == orbit_rank(k, m, n), (k, m, n)
 
 
 def test_grassmann_stabilized_small():
@@ -468,17 +470,55 @@ def test_grassmann_values_at_level_k_plus_n():
         assert _grassmann_stabilized(k, n) == (want, k + n), (k, n)
 
 
+def test_grassmann_values_past_the_orbit_rows():
+    # the orbit rows took about 50 s for (1, 5) and 119 s for (2, 4)
+    for (k, n), want in {(1, 4): 24, (1, 5): 48, (2, 4): 56}.items():
+        assert grassmann_codim_stabilized(k, n) == want, (k, n)
+
+
+def test_grassmann_matrix_checks_the_byte_cap(monkeypatch):
+    # (1, 3): 96 rows x 40 columns of int8
+    monkeypatch.setattr(codim, "STREAM_BYTES", 96 * 40)
+    assert grassmann_codim_stabilized(1, 3) == 12
+    monkeypatch.setattr(codim, "STREAM_BYTES", 96 * 40 - 1)
+    with pytest.raises(BudgetExceeded):
+        grassmann_codim_stabilized(1, 3)
+    # (2, 4): 24,576 rows x 576 columns, 13.5 MiB, refused unallocated
+    monkeypatch.setattr(codim, "STREAM_BYTES", 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GenpiError) as e:
+            grassmann_codim_stabilized(2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(e.value, BudgetExceeded) and (e.value.rows, e.value.cols) == (24576, 576)
+    assert peak < 2 ** 18
+
+
 def test_grassmann_levels_k_plus_n_and_next_agree():
     # the parity-class lemma through the orbit rows: one more generator
     # changes neither the rank nor the left kernel
     for k, n in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)):
-        assert _grassmann_reduced_rank(k, k + n, n) == _grassmann_reduced_rank(k, k + n + 1, n), (k, n)
-        assert _grassmann_kernel(k, k + n, n) == _grassmann_kernel(k, k + n + 1, n), (k, n)
+        assert orbit_rank(k, k + n, n) == orbit_rank(k, k + n + 1, n), (k, n)
+        assert orbit_kernel(k, k + n, n) == orbit_kernel(k, k + n + 1, n), (k, n)
+
+
+def test_parity_class_matrix_matches_orbit_oracle():
+    # the matrix that is built has the rank and the left kernel of the orbit
+    # rows at the proved level and at the next one
+    for k, n in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)):
+        M = _grassmann_matrix(k, n)
+        assert M.shape[0] == basis_size(n, 2 ** k)
+        rank, kernel = _grassmann_rank(M), _grassmann_kernel(M)
+        for m in (k + n, k + n + 1):
+            assert orbit_rank(k, m, n) == rank, (k, n, m)
+            assert orbit_kernel(k, m, n) == kernel, (k, n, m)
 
 
 def test_grassmann_monotone_in_truncation():
     for k, n in ((1, 1), (1, 2), (2, 1)):
-        values = [_grassmann_reduced_rank(k, m, n) for m in range(max(k, n), 2 * n + k + 2)]
+        values = [orbit_rank(k, m, n) for m in range(max(k, n), 2 * n + k + 2)]
         assert all(a <= b for a, b in zip(values, values[1:])), (k, n, values)
 
 
@@ -500,7 +540,7 @@ def test_verify_grassmann_generating_set_degree1():
 
 
 def test_verify_grassmann_generating_set():
-    for k, n in ((2, 1), (1, 2), (1, 3)):
+    for k, n in ((2, 1), (1, 2), (1, 3), (2, 3)):
         assert verify_grassmann_generating_set(k, n), (k, n)
 
 
@@ -536,10 +576,32 @@ def test_grassmann_preset_generators():
 
 
 def test_budget_error(monkeypatch):
+    # the row budget holds where the 96 evaluation rows are built; the
+    # codimension builds no such row and is held to its bytes instead
     monkeypatch.setenv("GENPI_MAX_ROWS", "10")
-    with pytest.raises(BudgetExceeded) as e:
-        codimension(preset_action("ut2D"), 3)
-    assert e.value.rows == 96
+    for call in (evaluation_matrix, identity_kernel_basis):
+        with pytest.raises(BudgetExceeded) as e:
+            call(preset_action("ut2D"), 3)
+        assert e.value.rows == 96
+    assert codimension(preset_action("ut2D"), 3) == 14
+
+
+def test_codimension_budget_counts_bytes(monkeypatch):
+    # a chunk of master rows, or a block of isotypic rows, holds at least
+    # one row of 3^4 int64 entries at n = 3
+    h = preset_action("ut2D")
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 3 ** 4)
+    assert codimension(h, 3) == 14
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 3 ** 4 - 1)
+    with pytest.raises(BudgetExceeded):
+        codimension(h, 3)
+
+
+def test_codimension_past_the_row_budget():
+    # degree 7 of ut2full has 7! * 3^8 = 33,067,440 evaluation rows, over
+    # the default row budget; the cocharacter path never builds them
+    rep = growth_report(preset_action("ut2full"), 7)
+    assert rep.values == [5, 10, 22, 50, 114, 258, 578]
 
 
 def test_evaluation_row_matches_direct_evaluation():

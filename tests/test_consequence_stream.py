@@ -17,9 +17,9 @@ from genpi._fastrank import BLOCK, FastIntRowSpace
 from genpi.actions import action_from_subalgebra, grassmann_action, preset_action
 from genpi.algebras import builtin
 from genpi.codim import (
-    _compositions,
     _consequence_blocks,
     _generator_words,
+    _grassmann_matrix,
     _grassmann_structural_identities,
     _groups,
     _span,
@@ -35,6 +35,7 @@ from genpi.codim import (
 from genpi.errors import BudgetExceeded
 from genpi.linalg import Subspace, _row_space
 from genpi.polynomials import GenMonomial, basis_size
+from grassmann_oracle import compositions
 
 
 def _num(c):
@@ -82,7 +83,7 @@ def naive_stream(gens, h, n):
         gw = _generator_words(g, h)
         if gw is not None and gw[0] <= n:
             d, terms = gw[0], [(_num(c), w) for c, w in gw[1]]
-            for comp in _compositions(n, d + 2, [0] + [1] * d + [0]):
+            for comp in compositions(n, d + 2, [0] + [1] * d + [0]):
                 for arr in permutations(range(1, n + 1)):
                     skeletons.append((n + d + 2, terms, comp, arr))
     out = []
@@ -161,7 +162,7 @@ def _stream_case(name):
     """(action, generators, degree) of a STREAM_CASES entry."""
     preset, gens, with_structural, n = STREAM_CASES[name]
     if preset == "grassmann":
-        return grassmann_action(1, 1), list(gens) + _grassmann_structural_identities(1, 4), n
+        return grassmann_action(1, 1), list(gens) + _grassmann_structural_identities(_grassmann_matrix(1, 1)), n
     h = preset_action(preset) if preset else fractional_w_action()
     return h, list(gens) + (structural_identities(h) if with_structural else []), n
 
