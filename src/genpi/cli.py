@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a checked mathematical verdict is false, 2 usage
 or validation errors, 3 budget exceeded.  GENPI_MAX_ROWS overrides the
-evaluation-matrix row budget.  --json emits one machine-readable object
+row budget (evaluation rows; master rows for codimensions).  --json emits one machine-readable object
 with the same content as the text output.
 """
 

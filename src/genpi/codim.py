@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from itertools import chain, islice, permutations, product
-from math import isqrt, lcm
+from math import lcm
 
 import numpy as np
 
@@ -93,7 +93,8 @@ DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
 # byte cap of one dense int64 buffer: a block of the consequence stream or
 # of the coefficient closure, the transposed matrix of the kernel, 256
-# chunks of master rows; and of the int8 Grassmann parity-class matrix
+# chunks of master rows; and of the int8 Grassmann parity-class matrix,
+# which its rank and kernel read in place, a group of BLOCK rows at a time
 STREAM_BYTES = 1 << 28
 STREAM_ROWS = 1024  # most rows of a block of the consequence stream or closure
 
@@ -309,15 +310,12 @@ def codimension(h: Action, n: int) -> int:
     """Rank of the degree-n evaluation matrix, as the cocharacter sum
     sum_lambda d_lambda m_lambda of the S_n-module its rows span, generated
     by the master rows (_specht.isotypic_blocks).  That matrix is never
-    built: its rows come as chunks of master rows and blocks of isotypic
-    rows, each of at most _chunk_rows(cols) rows of the cols evaluation
-    columns, so BudgetExceeded is raised, before anything is allocated,
-    when a single such row is over STREAM_BYTES.  (The echelon bases grow
-    with the ranks, which no budget bounds in advance.)"""
+    built: the row budget and the width guard hold the s^(n+1) master rows
+    that are, and their columns.  (The echelon bases grow with the ranks,
+    which no budget bounds in advance.)"""
     _check_degree(n)
     cols = h.A.dim ** n * h.A.dim
-    if 8 * cols > STREAM_BYTES:
-        raise BudgetExceeded(1, cols, 0)
+    _check_budget(h.s ** (n + 1), cols)
     R = _module_generators((M for M, _ in _master_chunks(h, n, cols)), cols)
     parts = isotypic_blocks(R, (h.A.dim,), n, _chunk_rows(cols))
     return sum(d * _span(blocks, ncols).rank for _, d, ncols, blocks in parts)
@@ -810,7 +808,7 @@ def _grassmann_matrix(k: int, n: int) -> np.ndarray:
 
 
 def _grassmann_rank(M: np.ndarray) -> int:
-    return _span([M[_distinct_rows(M)]], M.shape[1]).rank
+    return _span([M], M.shape[1]).rank
 
 
 def _grassmann_kernel(M: np.ndarray) -> Subspace:
@@ -854,13 +852,13 @@ def grassmann_codim_stabilized(k: int, n: int) -> int:
     return _grassmann_stabilized(k, n)[0]
 
 
-def _grassmann_structural_identities(M1: np.ndarray):
-    """Degree-1 identities of the action whose degree-1 parity-class
-    matrix is M1, over the s^2 monomials w_a x_1 w_b."""
-    pairs = list(product(range(isqrt(len(M1))), repeat=2))
+def _grassmann_structural_identities(k: int):
+    """Degree-1 identities of the k-generator action, over the monomials
+    w_a x_1 w_b."""
+    pairs = list(product(range(2 ** k), repeat=2))
     return [
         {(-(a + 1), 1, -(b + 1)): c for (a, b), c in zip(pairs, vec) if c}
-        for vec in _grassmann_kernel(M1).basis
+        for vec in _grassmann_kernel(_grassmann_matrix(k, 1)).basis
     ]
 
 
@@ -897,8 +895,11 @@ def _verify_grassmann(k: int, n: int, generators) -> bool:
         d = len(variables_of(c))
         if 0 < d <= n and not _grassmann_is_identity(vectorize(c, h, d), matrix(d)):
             return False
+    for d, words in filter(None, (_generator_words(g, h) for g in gens if isinstance(g, dict))):
+        if 0 < d <= n and not _grassmann_is_identity(vectorize_words({w: c for c, w in words}, h.W, d), matrix(d)):
+            return False
     rows = basis_size(n, h.s)
-    return _span_reaches(gens + _grassmann_structural_identities(matrix(1)), h, n, rows - _grassmann_rank(M))
+    return _span_reaches(gens + _grassmann_structural_identities(k), h, n, rows - _grassmann_rank(M))
 
 
 # -- growth reports ----------------------------------------------------------------

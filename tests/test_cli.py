@@ -126,7 +126,7 @@ def test_degree_below_one_exit_code(capsys, argv, n):
 
 def test_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("GENPI_MAX_ROWS", "10")
-    rc = main(["codim", "kernel", "ut2D", "-n", "3"])
+    rc = main(["codim", "compute", "ut2D", "-n", "3"])
     assert rc == 3
     assert "budget" in capsys.readouterr().err
 

@@ -544,6 +544,13 @@ def test_verify_grassmann_generating_set():
         assert verify_grassmann_generating_set(k, n), (k, n)
 
 
+def test_verify_grassmann_rejects_non_identity_word_dict():
+    # x1*e1, given as resolved words, is not an identity; e1*x1*e1 is one
+    for n in (1, 2):
+        assert verify_grassmann_generating_set(1, n, grassmann_generators(1) + [{(-1, 1, -2): 1}]) is False, n
+        assert verify_grassmann_generating_set(1, n, grassmann_generators(1) + [{(-2, 1, -2): 1}]), n
+
+
 def test_verify_grassmann_rejects_incomplete_set():
     # leaves out [e1,x1,x2]
     gens = ["[x1,x2,x3]", "e2*x1", "x1*e2"]
@@ -576,30 +583,39 @@ def test_grassmann_preset_generators():
 
 
 def test_budget_error(monkeypatch):
-    # the row budget holds where the 96 evaluation rows are built; the
-    # codimension builds no such row and is held to its bytes instead
+    # the evaluation matrix and the kernel build the 3! * 2^4 evaluation
+    # rows; the codimension builds the 2^4 master rows alone
     monkeypatch.setenv("GENPI_MAX_ROWS", "10")
     for call in (evaluation_matrix, identity_kernel_basis):
         with pytest.raises(BudgetExceeded) as e:
             call(preset_action("ut2D"), 3)
         assert e.value.rows == 96
+    with pytest.raises(BudgetExceeded) as e:
+        codimension(preset_action("ut2D"), 3)
+    assert e.value.rows == 16
+    monkeypatch.setenv("GENPI_MAX_ROWS", "16")
     assert codimension(preset_action("ut2D"), 3) == 14
 
 
-def test_codimension_budget_counts_bytes(monkeypatch):
-    # a chunk of master rows, or a block of isotypic rows, holds at least
-    # one row of 3^4 int64 entries at n = 3
-    h = preset_action("ut2D")
-    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 3 ** 4)
-    assert codimension(h, 3) == 14
-    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 3 ** 4 - 1)
-    with pytest.raises(BudgetExceeded):
-        codimension(h, 3)
+def test_codimension_width_guard():
+    # grassmann_full(4) at n = 4: 16^5 master rows, within the row budget,
+    # of 16^5 columns each, over the width guard; refused unallocated
+    h = preset_action("grassmann_full(4)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as e:
+            codimension(h, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (e.value.rows, e.value.cols) == (16 ** 5, 16 ** 5)
+    assert peak < 2 ** 16
 
 
 def test_codimension_past_the_row_budget():
     # degree 7 of ut2full has 7! * 3^8 = 33,067,440 evaluation rows, over
-    # the default row budget; the cocharacter path never builds them
+    # the default row budget; the cocharacter path never builds them, and
+    # its 3^8 master rows are within it
     rep = growth_report(preset_action("ut2full"), 7)
     assert rep.values == [5, 10, 22, 50, 114, 258, 578]
 

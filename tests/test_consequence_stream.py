@@ -19,7 +19,6 @@ from genpi.algebras import builtin
 from genpi.codim import (
     _consequence_blocks,
     _generator_words,
-    _grassmann_matrix,
     _grassmann_structural_identities,
     _groups,
     _span,
@@ -162,7 +161,7 @@ def _stream_case(name):
     """(action, generators, degree) of a STREAM_CASES entry."""
     preset, gens, with_structural, n = STREAM_CASES[name]
     if preset == "grassmann":
-        return grassmann_action(1, 1), list(gens) + _grassmann_structural_identities(_grassmann_matrix(1, 1)), n
+        return grassmann_action(1, 1), list(gens) + _grassmann_structural_identities(1), n
     h = preset_action(preset) if preset else fractional_w_action()
     return h, list(gens) + (structural_identities(h) if with_structural else []), n
 
