@@ -22,6 +22,7 @@ from .algebras import (
     LinOp,
     StructureAlgebra,
     _grassmann_words,
+    _parse_name,
     _word_mask,
     builtin,
     grassmann_algebra,
@@ -466,8 +467,7 @@ def grassmann_action(k: int, m: int, full=False, name=None) -> Action:
 def preset_action(name: str) -> Action:
     """Named actions: ut2F, ut2D, ut2C, ut2full, grassmann_Ek(k,M),
     grassmann_full(M), selfaction(<algebra>)."""
-    raw = name.strip()
-    low = raw.lower()
+    low = name.strip().lower()
     if low == "ut2f":
         A, basis = _ut2_subalgebra_action(["1"])
         return action_from_subalgebra(A, basis, labels=["1"], kernel_tail=True, name="ut2F")
@@ -480,35 +480,19 @@ def preset_action(name: str) -> Action:
     if low == "ut2full":
         A, basis = _ut2_subalgebra_action(["1", "e22", "e12"])
         return action_from_subalgebra(A, basis, labels=["1", "e22", "e12"], kernel_tail=True, name="ut2full")
-    base, args = _parse_preset(raw)
+    arity = {"grassmann_ek": 2, "grassmann_full": 1, "selfaction": "name"}
+    base, args = _parse_name(name, arity, "action preset")
     if base == "grassmann_ek":
         k, m = args
         return grassmann_action(k, m, name=f"grassmann_Ek({k},{m})")
     if base == "grassmann_full":
         (m,) = args
         return grassmann_action(m, m, full=True, name=f"grassmann_full({m})")
-    if base == "selfaction":
-        A = load_algebra(raw[raw.index("(") + 1 : -1] if "(" in raw else raw.split(":", 1)[1])
-        if A.unit is None:
-            raise UnsupportedName("selfaction needs a unital algebra")
-        return action_from_subalgebra(A, A.basis_elements(), labels=list(A.labels),
-                                      name=f"selfaction({A.name})")
-    raise UnsupportedName(f"unknown action preset {name!r}")
-
-
-def _parse_preset(name):
-    if "(" in name and name.endswith(")"):
-        base, rest = name.split("(", 1)
-        args = rest[:-1]
-    elif ":" in name:
-        base, args = name.split(":", 1)
-    else:
-        return name.lower(), ()
-    try:
-        parsed = tuple(int(a) for a in args.split(",") if a.strip())
-    except ValueError:
-        parsed = ()
-    return base.strip().lower(), parsed
+    A = load_algebra(args)  # selfaction
+    if A.unit is None:
+        raise UnsupportedName("selfaction needs a unital algebra")
+    return action_from_subalgebra(A, A.basis_elements(), labels=list(A.labels),
+                                  name=f"selfaction({A.name})")
 
 
 PRESET_NAMES = ("ut2F", "ut2D", "ut2C", "ut2full")

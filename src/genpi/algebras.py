@@ -14,6 +14,7 @@ axioms are checked on every basis element.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -504,11 +505,15 @@ def grassmann_algebra(m: int, unital: bool = True) -> StructureAlgebra:
     return StructureAlgebra(len(words), labels, rule, unit=unit, name=name)
 
 
+_BUILTIN_ARITY = {"ut": 1, "mat": 1, "block_ut": "+", "grassmann": 1, "grassmann_unital": 1,
+                  "zero_mult": 1, "diag_d": 0, "sub_c": 0}
+
+
 def builtin(name: str) -> StructureAlgebra:
     """Named constructors: ut(n), mat(n), block_ut(t1,..,tk), grassmann(M),
     grassmann_unital(M), zero_mult(d), diag_D, sub_C.  Accepts ut(2), ut:2
     and plain names."""
-    base, args = _parse_name(name)
+    base, args = _parse_name(name, _BUILTIN_ARITY, "builtin algebra")
     if base == "ut":
         (n,) = args
         if n < 1:
@@ -525,7 +530,7 @@ def builtin(name: str) -> StructureAlgebra:
         positions = [(i, j) for i in range(n) for j in range(n)]
         return _matrix_unit_algebra(positions, n, f"mat({n})")
     if base == "block_ut":
-        if not args or any(t < 1 for t in args):
+        if any(t < 1 for t in args):
             raise UnsupportedName("block_ut needs positive block sizes")
         n = sum(args)
         bounds = []
@@ -568,17 +573,28 @@ def builtin(name: str) -> StructureAlgebra:
     raise UnsupportedName(f"unknown builtin algebra {name!r}")
 
 
-def _parse_name(name: str):
-    name = name.strip()
-    if "(" in name and name.endswith(")"):
-        base, rest = name.split("(", 1)
-        argstr = rest[:-1]
-    elif ":" in name:
-        base, argstr = name.split(":", 1)
-    else:
-        base, argstr = name, ""
-    base = base.strip().lower()
-    args = tuple(int(a) for a in argstr.split(",") if a.strip()) if argstr.strip() else ()
+_NAME = re.compile(r"([^(:]*)(?:\((.*)\)|:(.*))?", re.DOTALL)
+
+
+def _parse_name(name: str, arity: dict, kind: str):
+    """(base, args) of a constructor name written base(a1,..,ak),
+    base:a1,..,ak or base, the base lower-cased.  arity[base] is the number
+    of integer arguments the base takes, "+" for one or more, or "name" for
+    one argument kept as text (it may hold parentheses of its own).  Raises
+    UnsupportedName for any other base, argument count or argument."""
+    m = _NAME.fullmatch(name.strip())
+    base = m[1].strip().lower() if m else None
+    if base not in arity:
+        raise UnsupportedName(f"unknown {kind} {name!r}")
+    text, want = (m[2] if m[2] is not None else m[3] or "").strip(), arity[base]
+    if want == "name":
+        return base, text
+    try:
+        args = tuple(int(a) for a in text.split(",")) if text else ()
+    except ValueError:
+        raise UnsupportedName(f"{kind} {name!r}: arguments must be integers") from None
+    if not args if want == "+" else len(args) != want:
+        raise UnsupportedName(f"{kind} {name!r}: wrong number of arguments")
     return base, args
 
 

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a checked mathematical verdict is false, 2 usage
-or validation errors, 3 budget exceeded.  GENPI_MAX_ROWS overrides the
-row budget (evaluation rows; master rows for codimensions).  --json emits one machine-readable object
-with the same content as the text output.
+or validation errors (malformed algebra, action and generator input among
+them: a wrong name or argument, a generator of more than one multilinear
+component), 3 budget exceeded.  GENPI_MAX_ROWS overrides the row budget
+(evaluation rows; master rows for codimensions and containment).  --json
+emits one machine-readable object with the same content as the text
+output.
 """
 
 from __future__ import annotations

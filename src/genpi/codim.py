@@ -29,18 +29,25 @@ which grows one space pass by pass.
 
 Consequence spans realize the multilinear degree-n part of the ideal
 generated by a set of identities under substitutions, two-sided monomial
-multiplication and coefficient multiplication; generating-set verification
-compares that span with the identity kernel.  The degree-1 operator
-relations of an action (its structural identities) are always counted as
-available generators during verification, matching how the source theorems
-treat coefficient rewriting as free.  The span is built degree by degree
-(Giambruno & Zaicev, Polynomial Identities and Asymptotic Methods, AMS
-2005): the degree-d part is spanned by the one-variable extensions of the
-degree-(d-1) part, each a column map of integer rows, and by the
-generators of degree exactly d closed under their coefficient fillings
-(_consequence_blocks), as dense integer blocks of distinct rows.  The
-degrees below n are spanned in full; degree n streams, and ends as soon as
-the answer is known.
+multiplication and coefficient multiplication.  Generating-set
+verification (_verify) takes one path for every action, on an evaluation
+source: per degree, integer row blocks with the rank and the left kernel
+of the evaluation matrix, and their row scales (the permuted master
+blocks, or the exterior algebra's parity-class matrix below).  Every
+generator, a polynomial or a resolved-word dict, is renumbered to
+x1..xd and vectorized, and must combine the rows of its degree to zero
+(_vanishes).  The degree-1 left kernel, the operator relations of the
+action (its structural identities), joins the generators, matching how
+the source theorems treat coefficient rewriting as free, and the span of
+their consequences must reach the rank of the identity kernel.
+
+The span is built degree by degree (Giambruno & Zaicev, Polynomial
+Identities and Asymptotic Methods, AMS 2005): the degree-d part is
+spanned by the one-variable extensions of the degree-(d-1) part, each a
+column map of integer rows, and by the generators of degree exactly d
+closed under their coefficient fillings (_consequence_blocks), as dense
+integer blocks of distinct rows.  The degrees below n are spanned in
+full; degree n streams, and ends as soon as the answer is known.
 
 The exterior algebra acted on by the words in its first k generators gets
 one integer matrix per degree n, over parity-class columns: each of
@@ -61,28 +68,17 @@ from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from itertools import chain, islice, permutations, product
-from math import lcm
+from math import factorial, lcm
 
 import numpy as np
 
 from ._fastrank import BLOCK, FastIntRowSpace
 from ._specht import isotypic_blocks, orbit_width
 from .actions import Action, grassmann_action
-from .algebras import _grassmann_words, _word_mask
-from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotSplit
+from .algebras import _grassmann_words, _parse_name, _word_mask
+from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotMultilinear, NotSplit
 from .linalg import Subspace, int_rows, reversed_kernel
-from .polynomials import (
-    basis_size,
-    enumerate_basis,
-    is_identity,
-    multilinearize,
-    parse,
-    renumber_variables,
-    resolved_words,
-    variables_of,
-    vectorize,
-    vectorize_words,
-)
+from .polynomials import basis_size, enumerate_basis, multilinearize, parse, resolved_words, vectorize_words
 from .structure import pi_exponent
 
 _ONE = Fraction(1)
@@ -324,10 +320,9 @@ def codimension(h: Action, n: int) -> int:
 def identity_kernel_basis(h: Action, n: int) -> Subspace:
     """Canonical basis of the multilinear identities of degree n, as
     coefficient vectors over the monomial basis: the left kernel of the
-    evaluation matrix, read off the row space of its columns with the row
-    order reversed (linalg.reversed_kernel).  That transposed matrix is
-    dense, and BudgetExceeded is raised before it is allocated when it is
-    over STREAM_BYTES."""
+    evaluation matrix (_left_kernel).  That matrix is dense, and
+    BudgetExceeded is raised before it is allocated when it is over
+    STREAM_BYTES."""
     _check_degree(n)
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
@@ -336,10 +331,17 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
         raise BudgetExceeded(rows, cols, STREAM_BYTES // (8 * cols))
     M, scales = next(_master_chunks(h, n))
     m = len(M)
-    T = np.empty((cols, rows), dtype=M.dtype)
+    E = np.empty((rows, cols), dtype=M.dtype)
     for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
-        T[:, rows - (p + 1) * m : rows - p * m] = X[::-1].T
-    return reversed_kernel(_span([T], rows), scales * (rows // m))
+        E[p * m : (p + 1) * m] = X
+    return _left_kernel(E, scales * (rows // m))
+
+
+def _left_kernel(E: np.ndarray, scales=None) -> Subspace:
+    """Canonical basis of the left kernel of the integer matrix E, row i
+    divided by scales[i]: read off the row space of its columns with the
+    row order reversed (linalg.reversed_kernel)."""
+    return reversed_kernel(_span([E.T[:, ::-1]], len(E)), scales)
 
 
 def identity_kernel_polynomials(h: Action, n: int):
@@ -362,17 +364,13 @@ def identity_kernel_polynomials(h: Action, n: int):
 def structural_identities(h: Action):
     """Degree-1 identities of the action (operator relations among the
     composites lambda_i rho_j), as multilinear word polynomials."""
-    sub = identity_kernel_basis(h, 1)
-    mons = list(enumerate_basis(1, h.s))
-    gens = []
-    for vec in sub.basis:
-        words = {}
-        for i, c in enumerate(vec):
-            if c != 0:
-                m = mons[i]
-                words[(-(m.coeffs[0] + 1), 1, -(m.coeffs[1] + 1))] = c
-        gens.append(words)
-    return gens
+    return _degree_one_words(identity_kernel_basis(h, 1), h.s)
+
+
+def _degree_one_words(kernel: Subspace, s: int):
+    """The vectors of a degree-1 kernel, over the monomials w_a x_1 w_b of
+    rank a * s + b, as resolved-word generators."""
+    return [{(-(r // s + 1), 1, -(r % s + 1)): c for r, c in enumerate(vec) if c} for vec in kernel.basis]
 
 
 # -- consequence spans -----------------------------------------------------------
@@ -388,7 +386,7 @@ def _generator_words(g, h: Action):
     else:
         comps = multilinearize(g)
         if len(comps) != 1:
-            raise ValueError("generators must be multilinear (one component)")
+            raise NotMultilinear(f"generator {g} has {len(comps)} multilinear components, not one")
         words = resolved_words(comps[0], h)
     s = h.s
     words = {
@@ -404,9 +402,17 @@ def _generator_words(g, h: Action):
     for w, c in words.items():
         got = [sym for sym in w if sym > 0]
         if sorted(got) != vars_seen:
-            raise ValueError("generator is not multilinear")
+            raise NotMultilinear("generator is not multilinear")
         out.append((c, tuple(ren[sym] if sym > 0 else sym for sym in w)))
     return len(vars_seen), out
+
+
+def _generator_vector(g, h: Action):
+    """(degree d, coefficient vector {row: rational} over the degree-d
+    monomials) of one generator, its variables renumbered 1..d; None for
+    generators that vanish in coordinates."""
+    gw = _generator_words(g, h)
+    return None if gw is None else (gw[0], vectorize_words({w: c for c, w in gw[1]}, h.W, gw[0]))
 
 
 def _arrangements(d: int) -> dict:
@@ -586,10 +592,9 @@ def _consequence_blocks(gens, h: Action, n: int):
         raise InternalError("consequence spans need a unital coefficient algebra")
     tables = _product_tables(W)
     vecs: dict = {}  # degree -> generator vectors
-    for g in gens:
-        gw = _generator_words(g, h)
-        if gw is not None and gw[0] <= n and (vec := vectorize_words({w: c for c, w in gw[1]}, W, gw[0])):
-            vecs.setdefault(gw[0], []).append(vec)
+    for d, vec in filter(None, (_generator_vector(g, h) for g in gens)):
+        if d <= n and vec:
+            vecs.setdefault(d, []).append(vec)
     B = np.zeros((0, 1), dtype=np.int64)  # I_0
     for d in range(1, n + 1):
         ncols, seen = basis_size(d, s), set()
@@ -617,16 +622,13 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     """Membership of one multilinear polynomial in the consequence span,
     decided by streaming the span and reducing the target vector."""
     _check_degree(n)
-    if isinstance(poly, str):
-        poly = parse(poly)
-    comps = multilinearize(poly)
-    if len(comps) != 1:
-        raise ValueError("membership needs a single multilinear component")
-    target = vectorize(renumber_variables(comps[0]), h, n)
-    if not target:
+    dv = _generator_vector(poly, h)
+    if dv is None or not dv[1]:
         return True
+    if dv[0] != n:
+        raise NotMultilinear(f"membership at degree {n} needs a target of that degree, not {dv[0]}")
     rows = basis_size(n, h.s)
-    residual, seen = int_rows([target], rows), 0
+    residual, seen = int_rows([dv[1]], rows), 0
 
     def holds(span):
         # the residual is zero at the pivots of the first seen basis rows,
@@ -638,57 +640,68 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     return holds(_span(_consequence_blocks(list(generators), h, n), rows, stop=holds))
 
 
-def _span_reaches(gens, h: Action, n: int, target: int) -> bool:
-    """Whether the degree-n consequence span of gens, which must lie in the
-    identity kernel, has rank target (streamed with early stop)."""
-    span = _span(_consequence_blocks(gens, h, n), basis_size(n, h.s), target)
+def _vanishes(vec: dict, blocks, scales=None) -> bool:
+    """Whether the coefficient vector vec ({row: rational}) is an identity:
+    it combines the rows of the stacked integer blocks, row r divided by
+    scales[r] (by 1 without scales), to zero.  The blocks are pulled in
+    order, and only up to the one that holds the last row of vec."""
+    cs = {r: Fraction(c) if scales is None else c / scales[r] for r, c in vec.items()}
+    den = lcm(*(c.denominator for c in cs.values()))
+    total, start, last = 0, 0, max(cs, default=-1)
+    for X in blocks:
+        if start > last:
+            break
+        idx = [r - start for r in cs if start <= r < start + len(X)]
+        total = total + np.array([int(cs[start + i] * den) for i in idx], dtype=object) @ X[idx]
+        start += len(X)
+    return not np.any(total)
+
+
+def _verify(gens, h: Action, n: int, evaluation, codim) -> bool:
+    """Generating-set certificate at degree n on one evaluation source:
+    evaluation(d) gives (integer row blocks, row scales or None) of a
+    matrix with the rank and the left kernel of the degree-d evaluation
+    matrix, and codim() its rank at degree n.
+
+    A generator of degree 1..n that is not an identity (_vanishes) gives
+    False at once.  Otherwise the consequence span of the generators and
+    of the structural identities (the degree-1 left kernel) lies in the
+    identity kernel, so the two are equal iff the span, streamed with an
+    early stop, reaches the rank basis_size - codim()."""
+    _check_degree(n)
+    gens = list(gens)
+    for d, vec in filter(None, (_generator_vector(g, h) for g in gens)):
+        if d <= n and not _vanishes(vec, *evaluation(d)):
+            return False
+    blocks, scales = evaluation(1)
+    structural = _degree_one_words(_left_kernel(np.concatenate(list(blocks)), scales), h.s)
+    ncols = basis_size(n, h.s)
+    target = ncols - codim()
+    span = _span(_consequence_blocks(gens + structural, h, n), ncols, target)
     if span.rank > target:
         raise InternalError("consequence span escaped the identity kernel")
     return span.rank == target
-
-
-def _words_vanish(g: dict, h: Action, n: int) -> bool:
-    """Whether the resolved-word generator g, if of degree 1..n, is an
-    identity: its coefficient vector combines the evaluation rows of its
-    degree to zero."""
-    gw = _generator_words(g, h)
-    if gw is None or not 1 <= gw[0] <= n:
-        return True
-    d = gw[0]
-    M, scales = next(_master_chunks(h, d))
-    picked: dict = {}  # permutation block -> [(master row, coefficient)]
-    for r, c in vectorize_words({w: c for c, w in gw[1]}, h.W, d).items():
-        p, i = divmod(r, len(M))
-        picked.setdefault(p, []).append((i, c / scales[i]))
-    total = np.zeros(h.A.dim ** (d + 1), dtype=object)
-    for p, X in enumerate(_evaluation_blocks(M, h.A.dim, d)):
-        for i, c in picked.get(p, ()):
-            total = total + c * X[i].astype(object)
-    return not total.any()
 
 
 def verify_generating_set(generators, h: Action, n: int, codim_value: int | None = None) -> bool:
     """True iff the consequence span of the generators together with the
     action's structural identities equals the degree-n identity kernel.
 
-    Generators that are not identities fail immediately: polynomials by
-    evaluation at basis tuples, resolved-word dicts by their vectors
-    against the evaluation rows.  The kernel is never materialized: the
-    span is contained in it once every generator is an identity, so
-    equality is a rank comparison against rows - codimension; pass
-    codim_value to supply a known codimension.
+    Every generator, a polynomial or a resolved-word dict, is renumbered to
+    variables x1..xd and vectorized; one of degree d <= n that does not
+    combine the degree-d evaluation rows to zero is not an identity, and
+    the answer is False.  The kernel is never materialized: the span is
+    contained in it once every generator is an identity, so equality is a
+    rank comparison against rows - codimension (_verify); pass codim_value
+    to supply a known codimension.
     """
-    _check_degree(n)
-    gens = [parse(g) if isinstance(g, str) else g for g in generators]
-    comps = (c for g in gens if not isinstance(g, dict) for c in multilinearize(g))
-    if not all(is_identity(c, h)[0] for c in comps if len(variables_of(c)) <= n):
-        return False
-    if not all(_words_vanish(g, h, n) for g in gens if isinstance(g, dict)):
-        return False
-    rows = basis_size(n, h.s)
-    if codim_value is None:
-        codim_value = codimension(h, n)
-    return _span_reaches(list(gens) + structural_identities(h), h, n, rows - codim_value)
+    masters = cache(lambda d: next(_master_chunks(h, d)))  # one master chunk per degree
+
+    def evaluation(d):
+        M, scales = masters(d)
+        return _evaluation_blocks(M, h.A.dim, d), scales * factorial(d)
+
+    return _verify(generators, h, n, evaluation, lambda: codimension(h, n) if codim_value is None else codim_value)
 
 
 # -- variety containment -----------------------------------------------------------
@@ -719,7 +732,8 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
     algebra in the variety of the first: every multilinear identity of the
     first of degree <= n is an identity of the second, decided by
     rank([E_A | E_B]) = rank(E_A) per degree, one isotypic component at a
-    time (see _specht.isotypic_blocks)."""
+    time (see _specht.isotypic_blocks).  The row budget and the width guard
+    hold the s^(m+1) joint master rows that are built, and their columns."""
     _check_degree(n)
     if not _same_coefficient_presentation(hA, hB):
         raise BasisMismatch(
@@ -727,9 +741,8 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
         )
     dims = (hA.A.dim, hB.A.dim)
     for m in range(1, n + 1):
-        rows = basis_size(m, hA.s)
         cols = hA.A.dim ** (m + 1) + hB.A.dim ** (m + 1)
-        _check_budget(rows, cols)
+        _check_budget(hA.s ** (m + 1), cols)
         chunks = zip(_master_chunks(hA, m, cols), _master_chunks(hB, m, cols))
         R = _module_generators((_joint_masters(cA, cB) for cA, cB in chunks), cols)
         for shape, _, ncols, blocks in isotypic_blocks(R, dims, m, _chunk_rows(cols)):
@@ -811,12 +824,6 @@ def _grassmann_rank(M: np.ndarray) -> int:
     return _span([M], M.shape[1]).rank
 
 
-def _grassmann_kernel(M: np.ndarray) -> Subspace:
-    """Left kernel of a parity-class matrix, from the row space of its
-    columns with the row order reversed (linalg.reversed_kernel)."""
-    return reversed_kernel(_span([M.T[:, ::-1]], M.shape[0]))
-
-
 def _grassmann_stabilized(k: int, n: int):
     """(codimension, truncation level) of the k-generator action at degree
     n: the rank of the parity-class matrix, which is that of the
@@ -852,24 +859,6 @@ def grassmann_codim_stabilized(k: int, n: int) -> int:
     return _grassmann_stabilized(k, n)[0]
 
 
-def _grassmann_structural_identities(k: int):
-    """Degree-1 identities of the k-generator action, over the monomials
-    w_a x_1 w_b."""
-    pairs = list(product(range(2 ** k), repeat=2))
-    return [
-        {(-(a + 1), 1, -(b + 1)): c for (a, b), c in zip(pairs, vec) if c}
-        for vec in _grassmann_kernel(_grassmann_matrix(k, 1)).basis
-    ]
-
-
-def _grassmann_is_identity(vec: dict, M: np.ndarray) -> bool:
-    """Whether the coefficient vector vec ({row: rational}) is an identity:
-    its integer multiple times the parity-class matrix M is zero."""
-    den = lcm(*(c.denominator for c in vec.values()))
-    coeffs = np.array([int(c * den) for c in vec.values()], dtype=object)
-    return not (coeffs @ M[list(vec)]).any()
-
-
 def grassmann_generators(k: int):
     gens = ["[x1,x2,x3]"]
     gens += [f"[e{i},x1,x2]" for i in range(1, k + 1)]
@@ -880,26 +869,12 @@ def grassmann_generators(k: int):
 def verify_grassmann_generating_set(k: int, n: int, generators=None) -> bool:
     """Generating-set certificate for the k-generator action at degree n,
     with the identity kernels taken at truncation level k + n, where every
-    kernel of degree <= n is final (see _grassmann_stabilized)."""
-    if generators is None:
-        generators = grassmann_generators(k)
-    return _verify_grassmann(k, n, list(generators))
-
-
-def _verify_grassmann(k: int, n: int, generators) -> bool:
-    matrix = cache(partial(_grassmann_matrix, k))  # one parity-class matrix per degree
-    M = matrix(n)
+    kernel of degree <= n is final (see _grassmann_stabilized): _verify on
+    the parity-class matrices, one per degree, each built once per call."""
+    matrix = cache(partial(_grassmann_matrix, k))
     h = grassmann_action(k, k)  # coefficient structure only; A unused below
-    gens = [parse(g) if isinstance(g, str) else g for g in generators]
-    for c in (c for g in gens if not isinstance(g, dict) for c in multilinearize(g)):
-        d = len(variables_of(c))
-        if 0 < d <= n and not _grassmann_is_identity(vectorize(c, h, d), matrix(d)):
-            return False
-    for d, words in filter(None, (_generator_words(g, h) for g in gens if isinstance(g, dict))):
-        if 0 < d <= n and not _grassmann_is_identity(vectorize_words({w: c for c, w in words}, h.W, d), matrix(d)):
-            return False
-    rows = basis_size(n, h.s)
-    return _span_reaches(gens + _grassmann_structural_identities(k), h, n, rows - _grassmann_rank(M))
+    gens = grassmann_generators(k) if generators is None else generators
+    return _verify(gens, h, n, lambda d: ([matrix(d)], None), lambda: _grassmann_rank(matrix(n)))
 
 
 # -- growth reports ----------------------------------------------------------------
@@ -974,8 +949,5 @@ def preset_generators(name: str):
     as zero)."""
     if name in PRESET_GENERATORS:
         return list(PRESET_GENERATORS[name])
-    low = name.strip().lower()
-    if low.startswith("grassmann_ek"):
-        args = name[name.index("(") + 1 : -1] if "(" in name else name.split(":", 1)[1]
-        return grassmann_generators(int(args.split(",")[0]))
-    raise KeyError(f"no published generating set for {name!r}")
+    _, (k, _) = _parse_name(name, {"grassmann_ek": 2}, "published generating set")
+    return grassmann_generators(k)

@@ -73,6 +73,11 @@ class BadDegree(GenpiError, ValueError):
     """A degree, or a generator count, below 1."""
 
 
+class NotMultilinear(GenpiError, ValueError):
+    """A generator or target of more than one multilinear component, or a
+    word whose variables are not x1..xn once each."""
+
+
 class BudgetExceeded(GenpiError):
     def __init__(self, rows, cols, budget):
         self.rows = rows

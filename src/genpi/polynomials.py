@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .errors import ParseError, UnassignedVariable, UnknownCoefficient
+from .errors import NotMultilinear, ParseError, UnassignedVariable, UnknownCoefficient
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -607,7 +607,7 @@ def vectorize_words(words: dict, W, n: int) -> dict:
             else:
                 runs[-1].append(-(sym + 1))
         if sorted(perm) != list(range(1, n + 1)):
-            raise ValueError(
+            raise NotMultilinear(
                 f"word is not multilinear of degree {n}: variables {perm}"
             )
         merged = []

@@ -36,6 +36,17 @@ def test_preset_actions_validate():
     grassmann_action(1, 4).validate()
 
 
+def test_presets_with_arguments():
+    # a nested algebra name survives both spellings of selfaction
+    for name in ("selfaction(ut(2))", "selfaction:ut(2)"):
+        h = preset_action(name)
+        assert (h.name, h.s, h.A.dim) == ("selfaction(ut(2))", 3, 3)
+    assert preset_action("grassmann_Ek(1,2)").s == 2
+    for name in ("grassmann_Ek(1)", "grassmann_full(x)", "grassmann_full", "selfaction()"):
+        with pytest.raises(UnsupportedName):
+            preset_action(name)
+
+
 def test_subalgebra_unit_checked_at_every_size():
     A = builtin("ut(8)")
     assert A.dim == 36

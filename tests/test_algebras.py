@@ -112,6 +112,18 @@ def test_unsupported_name():
         builtin("frobnicate(3)")
 
 
+def test_name_parser():
+    arity = {"ut": 1, "block_ut": "+", "diag_d": 0, "selfaction": "name"}
+    good = {" UT(2) ": ("ut", (2,)), "ut:2": ("ut", (2,)), "block_ut(1, 2)": ("block_ut", (1, 2)),
+            "diag_D": ("diag_d", ()), "selfaction(ut(2))": ("selfaction", "ut(2)"),
+            "selfaction:ut(2)": ("selfaction", "ut(2)")}
+    for name, want in good.items():
+        assert algebras._parse_name(name, arity, "test name") == want, name
+    for name in ("ut(2,3)", "ut(x)", "ut", "ut()", "ut(2", "ut(2,)", "block_ut()", "diag_D(1)", "frob(1)"):
+        with pytest.raises(UnsupportedName):
+            algebras._parse_name(name, arity, "test name")
+
+
 def test_parent_mismatch():
     A, B = builtin("ut(2)"), builtin("ut(2)")
     with pytest.raises(ParentMismatch):

@@ -115,6 +115,22 @@ def test_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["algebra", "info", "ut(2,3)"], ["algebra", "info", "ut(x)"], ["algebra", "info", "grassmann"],
+    ["codim", "compute", "grassmann_Ek(1)", "-n", "1"],
+])
+def test_malformed_name_exit_code(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_generator_of_two_components_exit_code(tmp_path, capsys):
+    p = tmp_path / "gens.txt"
+    p.write_text("[x1,x2]*[x3,x4] + [x1,x2]*[x1,x2]\n")
+    assert main(["codim", "verify-gens", "ut2F", str(p), "-n", "4"]) == 2
+    assert "multilinear components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["compute", "ut2D", "-n"], ["kernel", "ut2D", "-n"], ["verify-gens", "ut2D", "preset", "-n"],
     ["contains", "ut2F", "ut2D", "-n"], ["grassmann", "-k", "1", "-n"], ["growth", "ut2D", "--to"],
 ])

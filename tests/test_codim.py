@@ -1,6 +1,7 @@
 """Evaluation matrices, codimensions, kernels, consequence spans."""
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -22,15 +23,15 @@ from genpi.actions import (
 from genpi import codim
 from genpi.actions import make_action
 from genpi.algebras import StructureAlgebra, builtin
-from genpi.errors import BadDegree, BasisMismatch, BudgetExceeded, GenpiError
+from genpi.errors import BadDegree, BasisMismatch, BudgetExceeded, GenpiError, NotMultilinear
 from genpi.multipliers import Multiplier
 from genpi.codim import (
     _distinct_rows,
     _evaluation_blocks,
-    _grassmann_kernel,
     _grassmann_matrix,
     _grassmann_rank,
     _grassmann_stabilized,
+    _left_kernel,
     _master_chunks,
     _span,
     codimension,
@@ -48,7 +49,7 @@ from genpi.codim import (
     verify_generating_set,
     verify_grassmann_generating_set,
 )
-from genpi.polynomials import GenMonomial, basis_size, enumerate_basis, parse, vectorize
+from genpi.polynomials import GenMonomial, basis_size, enumerate_basis, parse, resolved_words, vectorize
 from grassmann_oracle import orbit_kernel, orbit_rank
 
 
@@ -289,6 +290,57 @@ def test_verify_rejects_non_identity_word_dict():
         assert verify_generating_set([{(-1, 1, -1): 1}], h, n) is False, n
         # e22*x1 - e22*x1*e22 = e22*x1*e11 is one
         assert verify_generating_set([*preset_generators("ut2D"), {(-2, 1, -1): 1, (-2, 1, -2): -1}], h, n), n
+        # e22*x1 alone is not
+        assert verify_generating_set([*preset_generators("ut2D"), {(-2, 1, -1): 1}], h, n) is False, n
+
+
+def _spellings(gens, h):
+    """The generators as written, as resolved-word dicts, and with every
+    variable index raised by one."""
+    return {
+        "strings": list(gens),
+        "word dicts": [resolved_words(parse(g), h) for g in gens],
+        "shifted variables": [re.sub(r"x(\d+)", lambda m: f"x{int(m[1]) + 1}", g) for g in gens],
+    }
+
+
+# verifier of (generators, n), the action that resolves their words, a
+# generating set, the set without one generator and a non-identity
+VERIFIERS = {
+    "ut2D": (lambda gens, n: verify_generating_set(gens, preset_action("ut2D"), n), preset_action("ut2D"),
+             preset_generators("ut2D"), ["w2*x1", "x1*w2", "[x1,x2]*[x3,x4]"], "w1*x1"),
+    "grassmann k = 1": (lambda gens, n: verify_grassmann_generating_set(1, n, gens), grassmann_action(1, 1),
+                        grassmann_generators(1), ["[x1,x2,x3]", "e2*x1", "x1*e2"], "x1*e1"),
+}
+
+
+@pytest.mark.parametrize("spelling", ["strings", "word dicts", "shifted variables"])
+@pytest.mark.parametrize("name", list(VERIFIERS))
+def test_verifiers_agree_on_every_spelling(name, spelling):
+    # one verdict per degree 1..3, whatever the spelling: shifted variables
+    # are renumbered, word dicts are checked for being identities
+    verify, h, complete, incomplete, bad = VERIFIERS[name]
+    verdicts = [
+        [verify(_spellings(gens, h)[spelling], n) for n in (1, 2, 3)]
+        for gens in (complete, incomplete, [*complete, bad])
+    ]
+    assert verdicts == [[True] * 3, [True, False, False], [False] * 3]
+
+
+def test_generator_of_two_components_is_rejected():
+    # [x1,x2]*[x1,x2] linearizes to a component of its own
+    h = preset_action("ut2F")
+    two = "[x1,x2]*[x3,x4] + [x1,x2]*[x1,x2]"
+    calls = [
+        lambda: verify_generating_set([two], h, 4),
+        lambda: consequences_span([two], h, 4),
+        lambda: in_consequence_span(two, ["[x1,x2]*[x3,x4]"], h, 4),
+        lambda: in_consequence_span("[x1,x2]", ["[x1,x2]*[x3,x4]"], h, 4),  # degree 2, not 4
+    ]
+    for call in calls:
+        with pytest.raises(NotMultilinear):
+            call()
+    assert issubclass(NotMultilinear, GenpiError) and issubclass(NotMultilinear, ValueError)
 
 
 def test_classical_consequence():
@@ -443,6 +495,19 @@ def test_master_chunks_within_the_byte_cap(monkeypatch):
     assert got == want and want[1] == [True, False]
 
 
+def test_variety_contains_budgets_its_master_rows(monkeypatch):
+    # ut2full beside ut2D at n = 3: the 3^4 = 81 joint master rows are
+    # built, the 3! * 3^4 = 486 evaluation rows are not
+    pair = shared_family_presentations("ut2full", "ut2D")
+    want = variety_contains(*pair, 3)
+    monkeypatch.setenv("GENPI_MAX_ROWS", "100")
+    assert variety_contains(*pair, 3) == want
+    monkeypatch.setenv("GENPI_MAX_ROWS", "80")
+    with pytest.raises(BudgetExceeded) as e:
+        variety_contains(*pair, 3)
+    assert e.value.rows == 81
+
+
 def test_variety_contains_needs_shared_coefficients():
     with pytest.raises(BasisMismatch):
         variety_contains(preset_action("ut2full"), preset_action("ut2D"), 2)
@@ -510,7 +575,7 @@ def test_parity_class_matrix_matches_orbit_oracle():
     for k, n in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)):
         M = _grassmann_matrix(k, n)
         assert M.shape[0] == basis_size(n, 2 ** k)
-        rank, kernel = _grassmann_rank(M), _grassmann_kernel(M)
+        rank, kernel = _grassmann_rank(M), _left_kernel(M)
         for m in (k + n, k + n + 1):
             assert orbit_rank(k, m, n) == rank, (k, n, m)
             assert orbit_kernel(k, m, n) == kernel, (k, n, m)

@@ -18,9 +18,11 @@ from genpi.actions import action_from_subalgebra, grassmann_action, preset_actio
 from genpi.algebras import builtin
 from genpi.codim import (
     _consequence_blocks,
+    _degree_one_words,
     _generator_words,
-    _grassmann_structural_identities,
+    _grassmann_matrix,
     _groups,
+    _left_kernel,
     _span,
     _stream_rows,
     consequences_span,
@@ -161,7 +163,7 @@ def _stream_case(name):
     """(action, generators, degree) of a STREAM_CASES entry."""
     preset, gens, with_structural, n = STREAM_CASES[name]
     if preset == "grassmann":
-        return grassmann_action(1, 1), list(gens) + _grassmann_structural_identities(1), n
+        return grassmann_action(1, 1), list(gens) + _degree_one_words(_left_kernel(_grassmann_matrix(1, 1)), 2), n
     h = preset_action(preset) if preset else fractional_w_action()
     return h, list(gens) + (structural_identities(h) if with_structural else []), n
 
