@@ -7,12 +7,20 @@ RREF row is that row divided by d_k.  Pivoting is first nonzero in column
 order and rows are taken in caller order, so every result is deterministic
 and the RREF is the canonical one.
 
-Rows are fed in blocks of BLOCK rows.  A block is reduced against the basis
-by one product: with L the lcm of the pivot values it hits, each row b
-becomes L*b - sum_k b[p_k] (L/d_k) B_k, which vanishes at every pivot.  Its
-rows are then taken in order, one new pivot at a time: a nonzero row is made
-primitive, clears its pivot column from the basis and from the later rows of
-the block, and joins the basis.
+Rows are fed in blocks of BLOCK rows, and a block joins the basis at once.
+It is reduced against the basis by one product: with L the lcm of the pivot
+values it hits, each row b becomes L*b - sum_k b[p_k] (L/d_k) B_k, which
+vanishes at every pivot.  The block is then brought to its own
+fraction-free reduced echelon form over the free columns, rows in order and
+columns in column order, so each new pivot is the first nonzero of its row
+once the earlier new pivots are cleared from it, as if the rows came one
+at a time; its k rows Y are primitive with pivot values e_j > 0.  The basis
+rows that hit the new pivots P are cleared by one product per chunk of
+rows: with L the lcm of the e_j the chunk hits, each row b becomes
+L*b - (b[P] L/e) @ Y, made primitive.  A chunk has at most BLOCK rows or
+_CLEAR_BYTES per temporary, whichever is more.  One exchange over the at
+most 2k positions involved then moves the new pivots next to the old ones,
+and Y joins the basis.
 
 Columns are held in a physical order with the pivot columns first, so the
 part of the basis a product reads is one contiguous slice.  Arithmetic is
@@ -32,6 +40,7 @@ import numpy as np
 BLOCK = 16
 _LIMIT = float(1 << 52)  # half of 2^53, a margin for the rounding of the bound itself
 _GROWTH = 1 << 20  # rows of a block are made primitive again past this size
+_CLEAR_BYTES = 1 << 21  # one temporary of the clearing product
 
 
 def _ints(X: np.ndarray) -> np.ndarray:
@@ -127,68 +136,155 @@ class FastIntRowSpace:
         out[:, self._col] = _primitive(X)
         return out
 
-    def _swap(self, X: np.ndarray, p: int, q: int):
-        """Exchange physical positions p and q in the layout, the basis and X."""
-        if p != q:
-            for M in (self._col, X.T, self._B[: self._r].T):
-                M[[p, q]] = M[[q, p]]
-
-    def _insert(self, X: np.ndarray, i: int) -> np.ndarray:
-        """Make reduced row X[i] a basis row: its first nonzero in column
-        order becomes the pivot, at physical position r, and is cleared from
-        the basis and from the later rows of X.  Returns X."""
+    def _echelon(self, X: np.ndarray):
+        """(Y, P) for a block X that is zero at every pivot: its rows in
+        reduced echelon form over the free positions r.., one row per new
+        pivot, or None when X adds none.  Rows are taken in order and the
+        free columns in column order, so new pivot j is the first nonzero
+        of the j-th independent row once the earlier ones are cleared from
+        it; it sits at physical position P[j].  Each row of Y is primitive,
+        positive at its pivot and zero at the other new pivots."""
         r = self._r
-        nz = r + np.flatnonzero(X[i, r:])
-        self._swap(X, r, int(nz[np.argmin(self._col[nz])]))
-        v = X[i] if abs(X[i, r]) == 1 else _primitive(X[i : i + 1])[0]
-        v = -v if v[r] < 0 else v
-        a, vmax = v[r], np.abs(v).max()
-        touched = np.flatnonzero(self._B[:r, r])
-        later = i + 1 + np.flatnonzero(X[i + 1 :, r])
-        Bt, Xl = self._B[touched], X[later]
-        if not self.exact and (touched.size or later.size):
-            size = max(self._rowmax[touched].max(initial=0), np.abs(Xl).max(initial=0))
-            col = max(np.abs(Bt[:, r]).max(initial=0), np.abs(Xl[:, r]).max(initial=0))
-            X, Bt, Xl, v = self._exact_if(a * size + vmax * col, X, Bt, Xl, v)
-            a = v[r]
-        if touched.size:
-            c = Bt[:, r : r + 1].copy()
-            if a != 1:
-                Bt *= a
-            Bt -= c * v
-            grown = Bt[np.arange(touched.size), touched] > 1
-            if grown.any():
-                Bt[grown] = _primitive(Bt[grown])
-            self._B[touched] = Bt
+        cols = r + X[:, r:].any(axis=0).nonzero()[0]
+        if not cols.size:
+            return None
+        cols = cols[np.argsort(self._col[cols])]
+        Z = X[:, cols]
+        top = np.abs(Z).max()  # bounds every |entry| of Z
+        rows, piv = [], []
+        for i in Z.any(axis=1).nonzero()[0].tolist():
+            z = Z[i]
+            nz = z.nonzero()[0]
+            if not nz.size:
+                continue
+            p = int(nz[0])
+            if abs(z[p]) != 1:
+                z[:] = _primitive(Z[i : i + 1])[0]
+            if z[p] < 0:
+                z *= -1
+            c = Z[:, p].copy()
+            c[i] = 0
+            if c.any():
+                # |a z_h - c_h z| <= a |z_h| + |c_h| |z| <= (a + top) top
+                a = z[p]
+                bound = (a + top) * top
+                if not self.exact and bound >= _LIMIT:
+                    bound = a * np.abs(Z[c != 0]).max() + np.abs(c).max() * np.abs(z).max()
+                    Z, c = self._exact_if(bound, Z, c)
+                    z, a = Z[i], Z[i, p]
+                if a == 1:
+                    Z -= c[:, None] * z
+                else:  # scale only the rows that change
+                    hit = np.flatnonzero(c)
+                    Z[hit] = a * Z[hit] - c[hit, None] * z
+                top = max(top, bound)
+                if top >= _GROWTH:
+                    Z = _primitive(Z)
+                    top = np.abs(Z).max()
+            rows.append(i)
+            piv.append(p)
+        if not rows:
+            return None
+        Zp = Z[rows]
+        if (Zp[np.arange(len(rows)), piv] != 1).any():
+            Zp = _primitive(Zp)
+        Y = np.zeros((len(rows), self.ncols), dtype=Z.dtype)
+        Y[:, cols] = Zp
+        return Y, cols[piv]
+
+    def _place(self, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """Clear the new pivots, at physical positions P of the rows Y, from
+        the basis (_clear), and move them to positions r..r+k-1 by one
+        exchange over the at most 2k positions involved, in the layout, the
+        basis and Y.  Returns Y, in the number type of the basis."""
+        r, k, P = self._r, len(P), P.tolist()
+        dst = np.array([*range(r, r + k), *(p for p in P if p >= r + k)])
+        src = np.array([*P, *sorted(set(range(r, r + k)).difference(P))])
+        S = np.take(self._B[:r], src, axis=1)
+        touched = S[:, :k].any(axis=1)
+        # position r+j takes the column at P[j], and a position of P past
+        # r+k-1 a column of r..r+k-1 that P does not hold: a basis row that
+        # is zero at P (untouched) is zero at r..r+k-1 after the exchange,
+        # and the touched rows are exchanged in _clear
+        moved = np.flatnonzero(~touched & S[:, k:].any(axis=1))
+        if moved.size:
+            self._B[moved[:, None], dst[k:]] = S[moved, k:]
+            self._B[moved, r : r + k] = 0
+        Y = self._clear(Y, np.flatnonzero(touched), dst - r, src - r)
+        for M in (self._col, Y.T):
+            M[dst] = M[src]
+        return Y
+
+    def _clear(self, Y: np.ndarray, touched: np.ndarray, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+        """Clear the new pivots, at free positions P = src[:k] (counted from
+        r) of the rows Y, from the touched basis rows, and move their free
+        positions src to dst.  With L the lcm of the pivot values e a chunk
+        of rows hits, each row b becomes L*b - (b[P] L/e) @ Y, made
+        primitive; a chunk has at most BLOCK rows or _CLEAR_BYTES per
+        temporary, whichever is more.  Returns Y, in the number type of the
+        basis."""
+        r, k = self._r, len(Y)
+        if not touched.size:
+            return Y
+        P = src[:k]
+        e = Y[np.arange(k), r + P]
+        ymax = None if self.exact else np.abs(Y).max(axis=1)
+        size = max(BLOCK, _CLEAR_BYTES // (8 * (self.ncols - r)))
+        for start in range(0, touched.size, size):
+            t = touched[start : start + size]
+            T = self._B[t, r:]
+            C = T[:, P]
+            L = lcm(*{int(v) for v in e[C.any(axis=0)].tolist() if v != 1})
             if not self.exact:
-                self._rowmax[touched] = np.abs(Bt).max(axis=1)
-        if later.size:
-            Xl = (Xl if a == 1 else a * Xl) - Xl[:, r : r + 1] * v
-            X[later] = _primitive(Xl) if np.abs(Xl).max() >= _GROWTH else Xl
-        if r == len(self._B):  # the rank never exceeds ncols
-            cap = min(2 * r, self.ncols)
+                # |L b - sum_j b[P_j] (L/e_j) Y_j| <= L |b| + sum_j |b[P_j]| (L/e_j) max|Y_j|
+                bound = L
+                if L < _LIMIT:
+                    bound = L * self._rowmax[t].max() + (np.abs(C) @ ((L // e) * ymax)).max()
+                T, C, Y = self._exact_if(bound, T, C, Y)
+                e = Y[np.arange(k), r + P]
+            if L != 1:
+                T *= L
+            T -= (C * (L // e)) @ Y[:, r:]
+            T[:, dst] = T[:, src]
+            d = self._B[t, t] * L
+            grown = d > 1
+            if grown.any():
+                G = _primitive(np.column_stack([d[grown], T[grown]]))
+                d[grown], T[grown] = G[:, 0], G[:, 1:]
+            self._B[t, r:] = T
+            self._B[t, t] = d
+            if not self.exact:
+                self._rowmax[t] = np.maximum(d, np.abs(T).max(axis=1))
+        return Y
+
+    def _append(self, Y: np.ndarray):
+        """Make the rows Y, with their pivots at positions r..r+k-1 and
+        cleared from the basis, the next basis rows."""
+        r, k = self._r, len(Y)
+        if r + k > len(self._B):  # the rank never exceeds ncols
+            cap = min(2 * len(self._B), self.ncols)
             B, self._B = self._B, np.zeros((cap, self.ncols), self._B.dtype)
-            self._B[:r] = B
+            self._B[:r] = B[:r]
             rowmax, self._rowmax = self._rowmax, np.zeros(cap)
-            self._rowmax[:r] = rowmax
-        self._B[r] = v
+            self._rowmax[:r] = rowmax[:r]
+        self._B[r : r + k] = Y
         if not self.exact:
-            self._rowmax[r] = vmax
-        self._r += 1
-        return X
+            self._rowmax[r : r + k] = np.abs(Y).max(axis=1)
+        self._r += k
 
     def add_rows(self, B) -> int:
-        """Feed rows in order; returns the number of new pivots."""
+        """Feed rows in order, BLOCK at a time; returns the number of new
+        pivots.  A block is reduced against the basis (_reduce) and brought
+        to its own reduced echelon form (_echelon); its new pivots are
+        cleared from the basis and moved next to the old ones (_place), and
+        its rows join the basis (_append)."""
         B = np.asarray(B)
         B = B[None, :] if B.ndim == 1 else B
         before = self._r
         for start in range(0, B.shape[0], BLOCK):
-            X = self._load(B[start : start + BLOCK])
-            if self._r:
-                X = self._reduce(X)
-            for i in range(X.shape[0]):
-                if X[i, self._r :].any():
-                    X = self._insert(X, i)
+            new = self._echelon(self._reduce(self._load(B[start : start + BLOCK])))
+            if new is not None:
+                self._append(self._place(*new))
         return self._r - before
 
     def rref(self):

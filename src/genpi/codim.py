@@ -721,9 +721,15 @@ def _same_coefficient_presentation(hA: Action, hB: Action) -> bool:
 def _joint_masters(cA, cB) -> np.ndarray:
     """Master rows [M_A | M_B] of master chunks of two actions with one
     coefficient presentation, the two halves of a row scaled jointly to
-    sa.numerator * sb.numerator times the rational row."""
+    sa.numerator * sb.numerator times the rational row; in int64 when both
+    products fit, else in Python integers."""
     (MA, sA), (MB, sB) = cA, cB
-    f = np.array([[sa.denominator * sb.numerator, sb.denominator * sa.numerator] for sa, sb in zip(sA, sB)], dtype=object)
+    f = [(sa.denominator * sb.numerator, sb.denominator * sa.numerator) for sa, sb in zip(sA, sB)]
+    fits = all(
+        M.dtype != object and int(np.abs(M).max(initial=0)) * max(abs(v) for v in fj) < _INT64_LIMIT
+        for M, fj in zip((MA, MB), zip(*f))
+    )
+    f = np.array(f, dtype=np.int64 if fits else object)
     return _coprime(np.hstack([MA * f[:, :1], MB * f[:, 1:]]))[0]
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
@@ -31,6 +32,7 @@ from genpi.codim import (
     _grassmann_matrix,
     _grassmann_rank,
     _grassmann_stabilized,
+    _joint_masters,
     _left_kernel,
     _master_chunks,
     _span,
@@ -358,6 +360,42 @@ def test_variety_contains_instances():
     assert variety_contains(hA, hB, 3)
     hA, hB = shared_family_presentations("ut2F", "ut2D")
     assert not variety_contains(hA, hB, 3)
+
+
+def joint_rows_in_python(cA, cB):
+    """The joint master rows [M_A * f_A | M_B * f_B] in Python integers,
+    each divided by the gcd of its entries (oracle for _joint_masters)."""
+    (MA, sA), (MB, sB) = cA, cB
+    out = []
+    for a, b, sa, sb in zip(MA.tolist(), MB.tolist(), sA, sB):
+        row = [x * sa.denominator * sb.numerator for x in a] + [x * sb.denominator * sa.numerator for x in b]
+        g = gcd(*row) or 1
+        out.append([x // g for x in row])
+    return out
+
+
+def test_joint_masters_in_int64_and_python_integers(monkeypatch):
+    # the dtype that _coprime receives tells the two paths apart
+    seen = []
+    coprime = codim._coprime
+    monkeypatch.setattr(codim, "_coprime", lambda M: (seen.append(M.dtype), coprime(M))[1])
+    pairs = [("ut2full", "ut2D"), ("ut2full", "ut2F"), ("ut2D", "ut2F"), ("ut2C", "ut2F")]
+    for a, b in pairs:
+        hA, hB = shared_family_presentations(a, b)
+        for m in range(1, 5):
+            cols = hA.A.dim ** (m + 1) + hB.A.dim ** (m + 1)
+            for cA, cB in zip(_master_chunks(hA, m, cols), _master_chunks(hB, m, cols)):
+                seen.clear()
+                assert _joint_masters(cA, cB).tolist() == joint_rows_in_python(cA, cB)
+                assert seen == [np.int64]
+    # a factor past 2^63 takes the Python-integer path
+    hA, hB = shared_family_presentations("ut2full", "ut2D")
+    (MA, sA), cB = next(zip(_master_chunks(hA, 3, 512), _master_chunks(hB, 3, 512)))
+    cA = (MA, [s * (2 ** 64 + 1) for s in sA])
+    seen.clear()
+    J = _joint_masters(cA, cB)
+    assert seen == [object] and max(abs(x) for x in J.flat) >= 2 ** 63
+    assert J.tolist() == joint_rows_in_python(cA, cB)
 
 
 def test_variety_contains_reflexive_and_transitive_instance():

@@ -288,3 +288,120 @@ def test_residual_reduced_against_the_new_rows_only(big):
             residual, seen = space.reduce_rows(residual, seen), space.rank
             assert (residual == space.reduce_rows(target)).all()
         assert residual.any() == (naive_rank([*rows.tolist(), target.tolist()]) > naive_rank(rows.tolist()))
+
+
+# -- block insertion: each BLOCK-row group joins the basis at once -----------------
+
+
+def _rref_of(space):
+    """The RREF rows of a FastIntRowSpace as Fractions, in pivot order."""
+    pivots, rows = space.rref()
+    return [[Fraction(x, int(row[p])) for x in row.tolist()] for p, row in zip(pivots.tolist(), rows)]
+
+
+def _group_rows(rng, nr, nc):
+    """Random sparse integer rows with assorted leading columns; some are
+    combinations of two earlier rows of their own 16-row group."""
+    rows = []
+    for i in range(nr):
+        start = i - i % 16
+        if i - start >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(range(start, i), 2)
+            rows.append([rng.randint(-2, 2) * x + rng.randint(1, 2) * y for x, y in zip(rows[a], rows[b])])
+        else:
+            lead = rng.randrange(nc)
+            rows.append([0] * lead + [rng.randint(-5, 5) if rng.random() < 0.4 else 0 for _ in range(nc - lead)])
+    return rows
+
+
+def test_block_insertion_matches_oracle_randomized():
+    # whole 16-row groups: the pivots a group adds sit at physical positions
+    # both inside r..r+k-1 and past it before the exchange moves them there
+    rng = random.Random(1416)
+    inside = past = 0
+    for _ in range(8):
+        nc = rng.randint(17, 64)
+        rows = _group_rows(rng, 16 * rng.randint(2, 3), nc)
+        space = FastIntRowSpace(nc)
+        for i in range(0, len(rows), 16):
+            r, layout = space.rank, space._col.copy()
+            space.add_rows(np.array(rows[i:i + 16], dtype=np.int64))
+            where = np.flatnonzero(np.isin(layout, space.pivots[r:]))
+            inside += int((where < space.rank).sum())
+            past += int((where >= space.rank).sum())
+        assert _rref_of(space) == naive_rref(rows)
+    assert inside and past
+
+
+def test_exchange_carries_the_rows_a_block_misses():
+    # the new pivot, column 3, moves to position 1, where the basis row
+    # e0 + e1 it misses holds its entry of column 1: that entry moves to
+    # position 3 and position 1 is left zero
+    rows = [[1, 1, 0, 0, 0], [0, 0, 0, 1, 0]]
+    space = FastIntRowSpace(5)
+    for row in rows:
+        space.add_rows(np.array([row], dtype=np.int64))
+    assert _rref_of(space) == naive_rref(rows)
+
+
+def test_block_insertion_moves_to_python_integers():
+    big = 2 ** 27
+    # in the group's own elimination: both rows have their pivot in column 0
+    rows = [[big + 1, big - 3, 0, 1], [big - 1, big + 5, 1, 0]]
+    space = FastIntRowSpace(4)
+    space.add_rows(np.array(rows, dtype=np.int64))
+    assert space.exact and _rref_of(space) == naive_rref(rows)
+    # in the clearing product: the new pivot in column 1 is cleared from the
+    # basis row, which is the only row it hits
+    rows = [[1, big + 1, 0, 3], [0, big - 1, 5, 7]]
+    space = FastIntRowSpace(4)
+    space.add_rows(np.array(rows[:1], dtype=np.int64))
+    assert not space.exact
+    space.add_rows(np.array(rows[1:], dtype=np.int64))
+    assert space.exact and _rref_of(space) == naive_rref(rows)
+
+
+def test_group_size_leaves_the_echelon_unchanged():
+    # rows whose rank grows slowly, fed 1, 7, 16 and 33 at a time
+    rng = random.Random(1417)
+    nc = 40
+    base = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(28)]
+    rows = []
+    for i in range(132):
+        picks = [(rng.randint(1, 2), b) for b in rng.sample(base[: min(28, i // 4 + 1)], min(3, i // 4 + 1))]
+        rows.append([sum(a * b[j] for a, b in picks) for j in range(nc)])
+    results = {}
+    for size in (1, 7, 16, 33):
+        space, ranks = FastIntRowSpace(nc), {}
+        for i in range(0, len(rows), size):
+            space.add_rows(np.array(rows[i:i + size], dtype=np.int64))
+            ranks[min(i + size, len(rows))] = space.rank
+        pivots, echelon = space.rref()
+        results[size] = (space.pivots.tolist(), pivots.tolist(), echelon.tolist()), ranks
+    (one, ranks_one) = results[1]
+    assert ranks_one[len(rows)] == naive_rank(rows) > 20
+    for size, (echelon, ranks) in results.items():
+        assert echelon == one
+        assert all(ranks_one[n] == rank for n, rank in ranks.items())
+
+
+def test_clearing_a_block_from_the_whole_basis_is_chunked():
+    # 1008 basis rows of width 3072 (capacity 1024), every one hit by the 16
+    # pivots of the next block: the touched rows at once would be a 16 MiB
+    # temporary, and the clearing product another
+    nc, r = 3072, 1008
+    rows = np.zeros((r, nc), dtype=np.int64)
+    rows[:, :r] = np.eye(r, dtype=np.int64)
+    rows[:, r:r + 16] = 1
+    tracemalloc.start()
+    try:
+        space = FastIntRowSpace(nc)
+        space.add_rows(rows)
+        tracemalloc.reset_peak()
+        space.add_rows(np.eye(16, nc, r, dtype=np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.rank == r + 16
+    assert not space.reduce_rows(np.eye(1, nc, dtype=np.int64)).any()
+    assert peak < space._B.nbytes + 8 * 2 ** 20
