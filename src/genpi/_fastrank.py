@@ -289,9 +289,33 @@ class FastIntRowSpace:
 
     def rref(self):
         """(pivot columns ascending, integer rows in column order): the RREF
-        row with pivot pivots[k] is rows[k] / rows[k, pivots[k]]."""
+        row with pivot pivots[k] is rows[k] / rows[k, pivots[k]].  Rows are
+        int64 in float mode and Python integers once exact, copied BLOCK
+        rows at a time, so no float64 copy of the basis is made."""
         r = self._r
         order = np.argsort(self._col[:r])
-        rows = np.empty((r, self.ncols), dtype=self._B.dtype)
-        rows[:, self._col] = self._B[order]
-        return self._col[:r][order], _ints(rows)
+        rows = np.empty((r, self.ncols), dtype=object if self.exact else np.int64)
+        for start in range(0, r, BLOCK):
+            rows[start : start + BLOCK, self._col] = self._B[order[start : start + BLOCK]]
+        return self._col[:r][order], rows
+
+    @classmethod
+    def from_rref(cls, pivots, rows) -> "FastIntRowSpace":
+        """The space whose rref() is (pivots, rows), without elimination:
+        rows are integer rows in column order, each primitive, positive at
+        its pivot and zero at the other pivots, pivots ascending."""
+        rows = np.asarray(rows)
+        space = cls(rows.shape[1])
+        r = len(pivots)
+        free = np.ones(space.ncols, dtype=bool)
+        free[pivots] = False
+        space._col = np.concatenate([pivots, np.flatnonzero(free)]).astype(np.intp)
+        X = rows[:, space._col]
+        top = int(max(X.max(initial=0), -X.min(initial=0)))
+        space._B = np.zeros((max(r, BLOCK), space.ncols), dtype=object if top >= _LIMIT else np.float64)
+        space._B[:r] = X
+        space._rowmax = np.zeros(len(space._B))
+        if not space.exact:
+            space._rowmax[:r] = np.abs(space._B[:r]).max(axis=1, initial=0)
+        space._r = r
+        return space

@@ -28,6 +28,7 @@ from .errors import (
     NotAssociative,
     NotClosed,
     ParentMismatch,
+    UnknownOperation,
     UnsupportedName,
 )
 from .linalg import RatMatrix, Subspace, int_rows, rat, solve_right
@@ -643,10 +644,8 @@ def generated_ideal(A: StructureAlgebra, gens) -> Subspace:
 
 def subspace_product(A: StructureAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """span{ x*y : x in u, y in v } from basis pair products."""
-    vecs = []
-    for x in u.basis:
-        for y in v.basis:
-            vecs.append(A.multiply_coords(list(x), list(y)))
+    vb = v.basis
+    vecs = [A.multiply_coords(list(x), list(y)) for x in u.basis for y in vb]
     return Subspace.from_vectors(A.dim, vecs)
 
 
@@ -690,7 +689,7 @@ def predicates(A: StructureAlgebra, kind: str) -> bool:
         if jacobson_radical(A).dim != 0:
             return False
         return center_subspace(A).dim == 1
-    raise ValueError(f"unknown predicate {kind!r}")
+    raise UnknownOperation(f"unknown predicate {kind!r}")
 
 
 def _find_unit(A: StructureAlgebra):
@@ -755,15 +754,12 @@ def quotient_algebra(A: StructureAlgebra, ideal: Subspace):
     lift sends quotient basis vectors to coset representatives in A."""
     if ideal.ambient_dim != A.dim:
         raise DimensionMismatch("ideal lives in a different ambient space")
-    pivots = []
-    for vec in ideal.basis:
-        lead = next(i for i, x in enumerate(vec) if x != 0)
-        pivots.append(lead)
+    basis, pivots = ideal.basis, ideal.pivots.tolist()
     comp = [i for i in range(A.dim) if i not in pivots]
 
     def reduce_coords(v):
         v = list(v)
-        for vec, p in zip(ideal.basis, pivots):
+        for vec, p in zip(basis, pivots):
             c = v[p]
             if c != 0:
                 for i, x in enumerate(vec):

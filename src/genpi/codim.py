@@ -283,7 +283,7 @@ def _span(blocks, ncols: int, target: int | None = None, stop=None) -> FastIntRo
 def _module_generators(chunks, ncols: int) -> np.ndarray:
     """Integer rows of the reduced echelon basis of the span of the
     distinct nonzero rows of the master chunks."""
-    return _echelon_rows(_span((M[_distinct_rows(M)] for M in chunks), ncols))
+    return _span((M[_distinct_rows(M)] for M in chunks), ncols).rref()[1]
 
 
 def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
@@ -318,11 +318,11 @@ def codimension(h: Action, n: int) -> int:
 
 
 def identity_kernel_basis(h: Action, n: int) -> Subspace:
-    """Canonical basis of the multilinear identities of degree n, as
-    coefficient vectors over the monomial basis: the left kernel of the
-    evaluation matrix (_left_kernel).  That matrix is dense, and
-    BudgetExceeded is raised before it is allocated when it is over
-    STREAM_BYTES."""
+    """The multilinear identities of degree n, as a Subspace of
+    coefficient vectors over the monomial basis in its canonical integer
+    form: the left kernel of the evaluation matrix (_left_kernel).  That
+    matrix is dense, and BudgetExceeded is raised before it is allocated
+    when it is over STREAM_BYTES."""
     _check_degree(n)
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
@@ -334,13 +334,19 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
     E = np.empty((rows, cols), dtype=M.dtype)
     for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
         E[p * m : (p + 1) * m] = X
-    return _left_kernel(E, scales * (rows // m))
+    return _left_kernel(E, [np.tile(x, rows // m) for x in _ratio_parts(scales)])
+
+
+def _ratio_parts(scales):
+    """(numerators, denominators) of rational scales, as integer arrays."""
+    return np.array([x.numerator for x in scales]), np.array([x.denominator for x in scales])
 
 
 def _left_kernel(E: np.ndarray, scales=None) -> Subspace:
-    """Canonical basis of the left kernel of the integer matrix E, row i
-    divided by scales[i]: read off the row space of its columns with the
-    row order reversed (linalg.reversed_kernel)."""
+    """The left kernel of the integer matrix E, row i divided by
+    numerators[i] / denominators[i] given scales = (numerators,
+    denominators): read off the row space of its columns with the row order
+    reversed (linalg.reversed_kernel), in integers throughout."""
     return reversed_kernel(_span([E.T[:, ::-1]], len(E)), scales)
 
 
@@ -348,14 +354,7 @@ def identity_kernel_polynomials(h: Action, n: int):
     """Kernel basis rendered as readable monomial combinations."""
     sub = identity_kernel_basis(h, n)
     mons = list(enumerate_basis(n, h.s))
-    out = []
-    for vec in sub.basis:
-        terms = []
-        for i, c in enumerate(vec):
-            if c != 0:
-                terms.append((c, mons[i].label(h)))
-        out.append(terms)
-    return out
+    return [[(c, mons[i].label(h)) for i, c in row] for row in sub.sparse_basis()]
 
 
 # -- structural identities -------------------------------------------------------
@@ -368,9 +367,9 @@ def structural_identities(h: Action):
 
 
 def _degree_one_words(kernel: Subspace, s: int):
-    """The vectors of a degree-1 kernel, over the monomials w_a x_1 w_b of
-    rank a * s + b, as resolved-word generators."""
-    return [{(-(r // s + 1), 1, -(r % s + 1)): c for r, c in enumerate(vec) if c} for vec in kernel.basis]
+    """The canonical basis vectors of a degree-1 kernel, over the
+    monomials w_a x_1 w_b of rank a * s + b, as resolved-word generators."""
+    return [{(-(r // s + 1), 1, -(r % s + 1)): c for r, c in row} for row in kernel.sparse_basis()]
 
 
 # -- consequence spans -----------------------------------------------------------
@@ -529,14 +528,6 @@ def _spread(B, maps, ncols: int, seen: set):
             yield Y
 
 
-def _echelon_rows(space: FastIntRowSpace):
-    """Integer rows of the reduced echelon basis of space: int64 unless the
-    space has moved to Python integers (in float64 mode every basis entry
-    is an integer below 2^52)."""
-    rows = space.rref()[1]
-    return rows if space.exact else rows.astype(np.int64)
-
-
 def _closure(vec, d: int, ncols: int, tables):
     """Integer basis rows of the span of every coefficient filling of the
     degree-d vector vec ({column: value}): one pass per family of
@@ -547,13 +538,13 @@ def _closure(vec, d: int, ncols: int, tables):
     space = FastIntRowSpace(ncols)
     space.add_rows(int_rows([vec], ncols))
     for slots, table in _coefficient_families(d, *tables):
-        C = _echelon_rows(space)
+        C = space.rref()[1]
         for M in table:
             if (M == M[0, 0] * np.eye(len(M), dtype=object)).all():
                 continue  # a multiple of the identity, as the unit's table is, adds nothing
             for X in _chunks(C, size):
                 space.add_rows(_multiply_slots(X, slots, M))
-    return _echelon_rows(space)
+    return space.rref()[1]
 
 
 def _consequence_blocks(gens, h: Action, n: int):
@@ -606,7 +597,7 @@ def _consequence_blocks(gens, h: Action, n: int):
         if d == n:
             yield from blocks
         else:
-            B = _echelon_rows(_span(blocks, ncols))
+            B = _span(blocks, ncols).rref()[1]
 
 
 def consequences_span(generators, h: Action, n: int) -> Subspace:
@@ -674,7 +665,8 @@ def _verify(gens, h: Action, n: int, evaluation, codim) -> bool:
         if d <= n and not _vanishes(vec, *evaluation(d)):
             return False
     blocks, scales = evaluation(1)
-    structural = _degree_one_words(_left_kernel(np.concatenate(list(blocks)), scales), h.s)
+    kernel = _left_kernel(np.concatenate(list(blocks)), None if scales is None else _ratio_parts(scales))
+    structural = _degree_one_words(kernel, h.s)
     ncols = basis_size(n, h.s)
     target = ncols - codim()
     span = _span(_consequence_blocks(gens + structural, h, n), ncols, target)

@@ -69,8 +69,17 @@ class BasisMismatch(GenpiError):
     pass
 
 
+class NotRational(GenpiError, TypeError):
+    """A value that is not an exact rational (an int, a Fraction or a
+    'p/q' string), such as a float."""
+
+
+class UnknownOperation(GenpiError, ValueError):
+    """An operation or predicate name that the dispatcher does not know."""
+
+
 class BadDegree(GenpiError, ValueError):
-    """A degree, or a generator count, below 1."""
+    """A degree, or a generator or coefficient count, below 1."""
 
 
 class NotMultilinear(GenpiError, ValueError):

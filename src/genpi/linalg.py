@@ -7,8 +7,11 @@ its reduced row echelon form, so no rational arithmetic happens during
 elimination.  Pivoting is deterministic (first nonzero entry in column
 order), hence every derived object is reproducible bit for bit.
 
-Subspaces are stored in reduced row echelon form with leading entries 1, so
-equal subspaces compare equal structurally.
+Subspaces hold the integer form of their reduced row echelon form: the
+pivot columns and one primitive integer row per pivot, positive at its
+pivot and zero at every other pivot, so equal subspaces compare equal
+structurally.  Rationals appear only at the edges: the Fraction basis,
+leading entries 1, is made when a caller reads it.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from math import lcm
 import numpy as np
 
 from ._fastrank import FastIntRowSpace
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotRational, UnknownOperation
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_INT64_LIMIT = 1 << 63
+_INT_TYPES = tuple(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64))
 
 
 def rat(x) -> Fraction:
@@ -34,7 +38,7 @@ def rat(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    raise NotRational(f"not an exact rational: {x!r}")
 
 
 def int_rows(vectors, ncols: int) -> np.ndarray:
@@ -55,6 +59,19 @@ def int_rows(vectors, ncols: int) -> np.ndarray:
     return out
 
 
+def _int_type(top: int) -> np.dtype:
+    """The narrowest of int8, int16, int32 and int64 that holds every
+    integer of absolute value at most top; object past int64."""
+    return next((t for t in _INT_TYPES if top <= np.iinfo(t).max), np.dtype(object))
+
+
+def _narrowest(X: np.ndarray) -> np.ndarray:
+    """Integer array X in the narrowest type that holds its entries
+    (_int_type)."""
+    top = int(max(X.max(initial=0), -X.min(initial=0)))
+    return X.astype(_int_type(top), copy=False)
+
+
 def _row_space(vectors, ncols: int) -> FastIntRowSpace:
     """The exact row space of rational vectors (see int_rows)."""
     space = FastIntRowSpace(ncols)
@@ -64,59 +81,76 @@ def _row_space(vectors, ncols: int) -> FastIntRowSpace:
     return space
 
 
-def _rref_basis(space: FastIntRowSpace, start: int = 0) -> tuple:
-    """The RREF rows of space whose pivot is at column start or later, as
-    tuples of Fractions over columns start, start + 1, ..."""
-    out = []
-    pivots, rows = space.rref()
-    for p, row in zip(pivots.tolist(), rows.tolist()):
-        if p >= start:
-            out.append(tuple(Fraction(v, row[p]) if v else _ZERO for v in row[start:]))
-    return tuple(out)
-
-
 def reversed_kernel(space: FastIntRowSpace, scales=None) -> "Subspace":
-    """Canonical basis of the x in Q^n with sum_j row[n - 1 - j] x_j = 0 for
+    """Canonical form of the x in Q^n with sum_j row[n - 1 - j] x_j = 0 for
     every row of space: space holds the constraints with their entries in
     reversed order.
 
-    In reversed coordinates each free position f gives the kernel vector
-    e_f - sum_k (B[k, f] / B[k, p_k]) e_{p_k}, with p_k < f at every nonzero
-    term.  Back in the original order (position j is n - 1 - j) its leading
-    entry is that 1 and its other entries sit at pivots, where every other
-    such vector is zero: the vectors already are the RREF basis.  With
-    scales, the basis is that of the kernel's image under
-    x_j -> scales[j] * x_j, with leading entries 1."""
+    In reversed coordinates, with B the rows of the RREF of space, p_k
+    their pivots, d_k = B[k, p_k] and L the lcm of the d_k, each free
+    position f gives the kernel vector L e_f - sum_k B[k, f] (L/d_k)
+    e_{p_k}, with p_k < f at every nonzero term.  Back in the original
+    order (position j is n - 1 - j) its leading entry is that L and its
+    other entries sit at pivots, where every other such vector is zero: made
+    primitive, the vectors already are the canonical rows.  With scales,
+    a pair (numerators, denominators) of positive integers, the subspace is
+    the kernel's image under x_j -> (numerators[j] / denominators[j]) x_j:
+    entry j is multiplied by the integer numerators[j] * D /
+    denominators[j], D the lcm of the denominators.  Arithmetic is int64
+    when a bound on every entry fits, else Python integers."""
     n = space.ncols
-    pivots, rows = space.rref()
-    pivots = pivots.tolist()
-    lead = [rows[k, p] for k, p in enumerate(pivots)]
-    columns = rows.T.tolist()
-    basis = []
-    for f in sorted(set(range(n)) - set(pivots), reverse=True):
-        vec = [_ZERO] * n
-        vec[n - 1 - f] = _ONE
-        for k, b in enumerate(columns[f]):
-            if b:
-                i, c = n - 1 - pivots[k], Fraction(-b, lead[k])
-                vec[i] = c if scales is None else c * scales[i] / scales[n - 1 - f]
-        basis.append(tuple(vec))
-    return Subspace(n, tuple(basis))
+    pivots, B = space.rref()
+    r = len(pivots)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)[::-1]
+    lead, at = n - 1 - free, n - 1 - pivots
+    d = B[np.arange(r), pivots].tolist()
+    L = lcm(*set(d))
+    top = L * int(np.abs(B).max(initial=1))
+    if scales is None:
+        scale = np.ones(n, dtype=np.int64)
+    else:
+        num, den = (np.asarray(x) for x in scales)
+        D = lcm(*set(den.tolist()))
+        if int(num.max(initial=1)) * D >= _INT64_LIMIT:
+            num, den = num.astype(object), den.astype(object)
+        scale = num * (D // den)
+        top *= int(scale.max(initial=1))
+    dtype = np.int64 if top < _INT64_LIMIT else object
+    B, scale = B.astype(dtype, copy=False), scale.astype(dtype, copy=False)
+    V = np.empty((len(free), 1 + r), dtype=dtype)
+    V[:, 0] = L * scale[lead]
+    V[:, 1:] = -B[:, free].T * (np.array([L // x for x in d], dtype=dtype) * scale[at])
+    V //= np.gcd.reduce(V, axis=1, keepdims=True)
+    K = np.zeros((len(free), n), dtype=_int_type(top))
+    K[np.arange(len(free)), lead] = V[:, 0]
+    K[:, at] = V[:, 1:]
+    return Subspace(n, lead, K)
 
 
 class Subspace:
-    """A subspace of Q^n held as a canonical reduced-echelon basis.
+    """A subspace of Q^n held as the integer form of its reduced row
+    echelon form.
 
-    Two Subspace objects are equal iff they are the same subspace: the
-    stored basis is the unique RREF basis (leading entries 1, zeros above
-    and below pivots, pivot columns increasing).
+    pivots are the pivot columns, ascending.  rows[k] is the RREF basis
+    vector with pivot pivots[k] times a positive integer: primitive,
+    positive at its pivot, zero at every other pivot, in the narrowest of
+    int8, int16, int32 and int64 that holds every entry (Python integers
+    past int64).  That form, its type included, depends on the subspace
+    alone, so two Subspace objects are equal iff they are the same
+    subspace.  The basis of Fractions (leading entries 1) is made only when
+    a caller reads it.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "pivots", "rows")
 
-    def __init__(self, ambient_dim: int, basis: tuple):
+    def __init__(self, ambient_dim: int, pivots, rows):
         self.ambient_dim = ambient_dim
-        self.basis = basis  # tuple of tuples of Fraction, canonical
+        self.pivots = np.asarray(pivots, dtype=np.intp)
+        self.rows = _narrowest(np.asarray(rows))
+        # equality and the hash read the arrays: they must not change
+        self.pivots.flags.writeable = self.rows.flags.writeable = False
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -130,32 +164,66 @@ class Subspace:
 
     @classmethod
     def from_space(cls, space: FastIntRowSpace) -> "Subspace":
-        return cls(space.ncols, _rref_basis(space))
+        return cls(space.ncols, *space.rref())
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        return cls(ambient_dim, (), np.zeros((0, ambient_dim), dtype=np.int8))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(
-            ambient_dim,
-            [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)],
-        )
+        return cls(ambient_dim, range(ambient_dim), np.eye(ambient_dim, dtype=np.int8))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
+
+    def sparse_basis(self) -> list:
+        """The canonical basis at its nonzero entries: one list of
+        (column, Fraction) pairs per basis vector, columns ascending, the
+        entry v of a row with pivot value d being Fraction(v, d).  One
+        Fraction is made per distinct pair (v, d)."""
+        flat = np.flatnonzero(self.rows)
+        r, c = np.divmod(flat, self.ambient_dim)
+        vals, cols = self.rows.ravel()[flat].tolist(), c.tolist()
+        leads = self.rows[np.arange(self.dim), self.pivots].tolist()
+        ends = np.searchsorted(r, np.arange(1, self.dim + 1)).tolist()
+        made: dict = {}
+        out, i = [], 0
+        for d, end in zip(leads, ends):
+            row = []
+            for j in range(i, end):
+                key = (vals[j], d)
+                x = made.get(key)
+                if x is None:
+                    x = made[key] = Fraction(*key)
+                row.append((cols[j], x))
+            out.append(row)
+            i = end
+        return out
+
+    @property
+    def basis(self) -> tuple:
+        """The canonical basis as tuples of Fractions: the RREF rows, with
+        leading entries 1."""
+        vec, out = [_ZERO] * self.ambient_dim, []
+        for row in self.sparse_basis():
+            for c, x in row:
+                vec[c] = x
+            out.append(tuple(vec))
+            for c, _ in row:
+                vec[c] = _ZERO
+        return tuple(out)
+
+    def _key(self):
+        rows = tuple(self.rows.ravel().tolist()) if self.rows.dtype == object else self.rows.tobytes()
+        return self.ambient_dim, self.pivots.tobytes(), rows
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash(self._key())
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -166,21 +234,30 @@ class Subspace:
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
             )
 
+    def _space(self) -> FastIntRowSpace:
+        return FastIntRowSpace.from_rref(self.pivots, self.rows)
+
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
+        space = self._space()
+        space.add_rows(other.rows)
+        return Subspace.from_space(space)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the rows of RREF[U|U; V|0] with zero left block are the
-        canonical basis of the intersection in the right block."""
+        canonical rows of the intersection in the right block."""
         self._check_ambient(other)
         n = self.ambient_dim
-        rows = [list(v) + list(v) for v in self.basis] + [list(v) + [_ZERO] * n for v in other.basis]
-        return Subspace(n, _rref_basis(_row_space(rows, 2 * n), n))
+        U, V = self.rows, other.rows
+        space = FastIntRowSpace(2 * n)
+        space.add_rows(np.block([[U, U], [V, np.zeros_like(V)]]))
+        pivots, rows = space.rref()
+        keep = pivots >= n
+        return Subspace(n, pivots[keep] - n, rows[keep, n:])
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return not self._space().reduce_rows(other.rows).any()
 
     def coordinates(self, vec) -> list[Fraction] | None:
         """Coefficients of vec in the canonical basis, or None when vec is
@@ -190,14 +267,9 @@ class Subspace:
             raise DimensionMismatch(
                 f"vector of length {len(vec)} in ambient dimension {self.ambient_dim}"
             )
-        rest = [rat(x) for x in vec]
-        coords = []
-        for b in self.basis:
-            c = rest[next(i for i, x in enumerate(b) if x)]
-            coords.append(c)
-            if c:
-                rest = [x - c * y for x, y in zip(rest, b)]
-        return None if any(rest) else coords
+        if self._space().reduce_rows(int_rows([vec], self.ambient_dim)).any():
+            return None
+        return [rat(vec[p]) for p in self.pivots.tolist()]
 
     def contains_vector(self, vec) -> bool:
         return self.coordinates(vec) is not None
@@ -212,7 +284,7 @@ def subspace_ops(a: Subspace, b: Subspace, kind: str):
         return a.intersection(b)
     if kind == "contains":
         return a.contains(b)
-    raise ValueError(f"unknown subspace operation {kind!r}")
+    raise UnknownOperation(f"unknown subspace operation {kind!r}")
 
 
 class RatMatrix:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .errors import NotMultilinear, ParseError, UnassignedVariable, UnknownCoefficient
+from .errors import BadDegree, NotMultilinear, ParseError, UnassignedVariable, UnknownCoefficient
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -499,7 +499,7 @@ def _mixed_radix(coeffs, s):
 def enumerate_basis(n: int, s: int):
     """All n! * s^(n+1) monomials in lexicographic (perm, coeffs) order."""
     if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
+        raise BadDegree(f"need n >= 1 and s >= 1, got n = {n}, s = {s}")
     for perm in permutations(range(1, n + 1)):
         for coeffs in product(range(s), repeat=n + 1):
             yield GenMonomial(n, perm, coeffs)

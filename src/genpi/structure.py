@@ -105,9 +105,10 @@ def _verify_radical(A: StructureAlgebra, J: Subspace):
         raise InternalError("computed radical is not nilpotent")
     if power.dim != 0:
         raise InternalError("computed radical is not nilpotent")
+    basis = J.basis
     for i in range(A.dim):
         e = A._unit_vec(i)
-        for v in J.basis:
+        for v in basis:
             if not J.contains_vector(A.multiply_coords(e, list(v))):
                 raise InternalError("computed radical is not a left ideal")
             if not J.contains_vector(A.multiply_coords(list(v), e)):
@@ -412,8 +413,9 @@ def multiplier_radical_invariance(A: StructureAlgebra, MA: MultiplierAlgebra | N
     if MA is None:
         MA = multiplier_algebra(A)
     J = jacobson_radical(A)
+    basis = J.basis
     for m in MA.basis:
-        for v in J.basis:
+        for v in basis:
             if not J.contains_vector(m.R.apply(list(v))):
                 return False
             if not J.contains_vector(m.L.apply(list(v))):
@@ -423,9 +425,9 @@ def multiplier_radical_invariance(A: StructureAlgebra, MA: MultiplierAlgebra | N
     except NotSplit:
         return True  # block refinement needs a split complement
     for blk in wm.blocks:
-        target = blk.sum(J)
+        target, basis = blk.sum(J), blk.basis
         for m in MA.basis:
-            for v in blk.basis:
+            for v in basis:
                 if not target.contains_vector(m.R.apply(list(v))):
                     return False
                 if not target.contains_vector(m.L.apply(list(v))):

@@ -16,7 +16,7 @@ from genpi.algebras import (
     regular_reps,
     subalgebra_presentation,
 )
-from genpi.errors import BadUnit, NotAssociative, NotClosed, ParentMismatch, UnsupportedName
+from genpi.errors import BadUnit, GenpiError, NotAssociative, NotClosed, ParentMismatch, UnsupportedName
 from genpi.linalg import Subspace
 
 
@@ -343,3 +343,9 @@ def test_associativity_check_in_chunks_keeps_its_verdicts(monkeypatch):
     monkeypatch.setattr(algebras, "ASSOCIATIVITY_CHUNK", 1)
     test_associativity_check_accepts_associative_algebras()
     test_associativity_check_finds_a_late_failure()
+
+
+def test_an_unknown_predicate_is_a_genpi_error():
+    with pytest.raises(GenpiError) as info:
+        predicates(builtin("ut(2)"), "commutative")
+    assert isinstance(info.value, ValueError)

@@ -466,6 +466,23 @@ def test_codimension_memory_bound():
     assert peak < 24 * 2 ** 20
 
 
+def test_identity_kernel_memory_bound():
+    # ut2D, n = 4: 734 kernel vectors of 768 entries, 1,664 of them nonzero
+    # (all +-1) besides the leading ones; held as one int8 array, not as
+    # tuples of Fractions.  A degree-1 call first does the lazy imports of
+    # numpy that the first call makes
+    h = preset_action("ut2D")
+    identity_kernel_basis(h, 1)
+    tracemalloc.start()
+    try:
+        kernel = identity_kernel_basis(h, 4)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kernel.dim == 734
+    assert retained < 2 ** 20
+
+
 def test_codimension_memory_bound_at_degree_7():
     # 256 master rows of 3^8 entries and 7! = 5,040 variable orders
     h = preset_action("ut2D")

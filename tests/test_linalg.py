@@ -1,5 +1,6 @@
 """Exact linear algebra substrate: rank, kernels, canonical subspaces."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,8 +9,20 @@ import numpy as np
 import pytest
 
 from genpi._fastrank import FastIntRowSpace
-from genpi.errors import DimensionMismatch
-from genpi.linalg import RatMatrix, Subspace, left_kernel_basis, rank, solve_right, subspace_ops
+from genpi.errors import DimensionMismatch, GenpiError
+from genpi.linalg import (
+    RatMatrix,
+    Subspace,
+    _row_space,
+    int_rows,
+    left_kernel_basis,
+    rank,
+    reversed_kernel,
+    solve_right,
+    subspace_ops,
+)
+
+import subspace_oracle
 
 
 def naive_rref(rows):
@@ -405,3 +418,157 @@ def test_clearing_a_block_from_the_whole_basis_is_chunked():
     assert space.rank == r + 16
     assert not space.reduce_rows(np.eye(1, nc, dtype=np.int64)).any()
     assert peak < space._B.nbytes + 8 * 2 ** 20
+
+
+# -- Subspace's integer form against the Fraction readers it replaced ------------
+
+
+def _check_form(sub, basis):
+    """sub holds the integer form of the canonical basis given as Fraction
+    tuples: pivots, primitive rows positive at their pivot and zero at the
+    other pivots, in the narrowest integer type; its basis is the given one."""
+    pivots = [next(c for c, x in enumerate(v) if x) for v in basis]
+    assert sub.pivots.tolist() == pivots and sub.dim == len(basis)
+    rows = sub.rows.tolist()
+    assert sub.rows.shape == (len(basis), sub.ambient_dim)
+    for row, vec, p in zip(rows, basis, pivots):
+        assert row[p] > 0 and math.gcd(*row) == 1
+        assert [Fraction(x, row[p]) for x in row] == list(vec)
+    top = max((abs(x) for row in rows for x in row), default=0)
+    want = next((t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max), object)
+    assert sub.rows.dtype == np.dtype(want)
+    assert sub.basis == basis
+
+
+def _big_rows(rng, nr, nc):
+    """Random integer rows, some entries past 2^63 and some rows dependent."""
+    rows = [[rng.choice([0, 0, rng.randint(-5, 5), rng.randint(-2 ** 70, 2 ** 70)]) for _ in range(nc)]
+            for _ in range(nr)]
+    if nr > 2:
+        rows[-1] = [x - 3 * y + 2 ** 66 * z for x, y, z in zip(*rows[:3])]
+    return rows
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["small", "past 2^63"])
+def test_subspace_form_matches_fraction_oracle(big):
+    rng = random.Random(1501)
+    for _ in range(30):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _big_rows(rng, nr, nc) if big else _random_rows(rng, nr, nc)
+        space = _row_space(rows, nc)
+        sub = Subspace.from_space(space)
+        _check_form(sub, subspace_oracle.rref_basis(space))
+        assert sub.basis == tuple(map(tuple, naive_rref(rows)))
+        again = Subspace.from_vectors(nc, sub.basis)
+        assert again == sub and hash(again) == hash(sub)
+
+
+def test_subspace_form_past_int64():
+    # an RREF entry of 2^64 + 1 keeps the rows as Python integers; a
+    # multiple of that space reads the same
+    vec = [1, 2 ** 64 + 1, 0]
+    sub = Subspace.from_vectors(3, [vec])
+    assert sub.rows.dtype == object and sub.rows.tolist() == [vec]
+    assert sub == Subspace.from_vectors(3, [[Fraction(x, 7) for x in vec]])
+    _check_form(sub, ((Fraction(1), Fraction(2 ** 64 + 1), Fraction(0)),))
+
+
+def _random_scales(rng, n, big):
+    top = 2 ** 70 if big else 6
+    return [Fraction(rng.randint(1, top), rng.randint(1, top)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("big", [False, True], ids=["small", "past 2^63"])
+def test_reversed_kernel_matches_fraction_oracle(scaled, big):
+    rng = random.Random(1502 + 2 * big + scaled)
+    for _ in range(30):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 8)
+        rows = _big_rows(rng, nr, nc) if big else _random_rows(rng, nr, nc)
+        space = _row_space(rows, nc)
+        scales = _random_scales(rng, nc, big) if scaled else None
+        parts = None if scales is None else ([x.numerator for x in scales], [x.denominator for x in scales])
+        kernel = reversed_kernel(space, parts)
+        _check_form(kernel, subspace_oracle.reversed_kernel(space, scales))
+        # the kernel of the reversed rows, scaled, from the naive oracle
+        want = naive_kernel([r[::-1] for r in naive_rref(rows)], nc)
+        if scales is not None:
+            want = naive_rref([[x * c for x, c in zip(v, scales)] for v in want])
+        assert [list(v) for v in kernel.basis] == want
+
+
+def test_equal_spaces_are_equal_across_constructors():
+    # one kernel as reversed_kernel, from_vectors of its basis, from_space of
+    # a mixed generating set, and the sum and intersection that give it back
+    rng = random.Random(1503)
+    for _ in range(20):
+        nr, nc = rng.randint(1, 5), rng.randint(2, 8)
+        rows = _random_rows(rng, nr, nc)
+        kernel = reversed_kernel(_row_space(rows, nc))
+        basis = [list(v) for v in kernel.basis]
+        coeffs = [[rng.randint(-2, 2) for _ in basis] for _ in range(len(basis) + 2)]
+        mixed = [[sum(c * v[j] for c, v in zip(cs, basis)) for j in range(nc)] for cs in coeffs]
+        mixed += [[3 * x for x in v] for v in basis]
+        same = [
+            Subspace.from_vectors(nc, basis),
+            Subspace.from_space(_row_space(mixed[::-1], nc)),
+            kernel.sum(Subspace.zero(nc)),
+            kernel.intersection(Subspace.full(nc)),
+            Subspace.full(nc).intersection(kernel),
+        ]
+        for sub in same:
+            assert sub == kernel and hash(sub) == hash(kernel)
+        assert len({kernel, *same}) == 1
+        if kernel.dim:
+            assert kernel != Subspace.zero(nc) and kernel != Subspace.from_vectors(nc, basis[1:])
+
+
+def test_empty_cases():
+    assert Subspace.from_vectors(0, []) == Subspace.full(0) == Subspace.zero(0)
+    assert Subspace.full(0).basis == () and Subspace.full(0).dim == 0
+    kernel = RatMatrix.zeros(0, 3).right_kernel_basis()
+    assert kernel.dim == 3 and kernel == Subspace.full(3)
+    assert RatMatrix.zeros(3, 0).right_kernel_basis() == Subspace.zero(0)
+    assert solve_right(RatMatrix.zeros(2, 0), [0, 0]) == []
+    assert solve_right(RatMatrix.zeros(2, 0), [1, 0]) is None
+    a = Subspace.from_vectors(3, [[1, 2, 3]])
+    assert a.sum(Subspace.zero(3)) == a and a.intersection(Subspace.zero(3)) == Subspace.zero(3)
+    assert a.contains(Subspace.zero(3)) and not Subspace.zero(3).contains(a)
+    assert a.coordinates([2, 4, 6]) == [Fraction(2)] and a.coordinates([0, 0, 1]) is None
+
+
+def test_space_from_rref_reduces_as_the_eliminated_one():
+    rng = random.Random(1504)
+    for big in (False, True):
+        for _ in range(15):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            rows = _big_rows(rng, nr, nc) if big else _random_rows(rng, nr, nc)
+            space = _row_space(rows, nc)
+            loaded = FastIntRowSpace.from_rref(*space.rref())
+            assert loaded.rank == space.rank
+            for got, want in zip(loaded.rref(), space.rref()):
+                assert got.tolist() == want.tolist()
+            probe = int_rows([[rng.randint(-3, 3) for _ in range(nc)] for _ in range(4)], nc)
+            assert loaded.reduce_rows(probe).tolist() == space.reduce_rows(probe).tolist()
+            extra = int_rows(_random_rows(rng, 3, nc), nc)
+            loaded.add_rows(extra)
+            assert loaded.rref()[1].tolist() == _row_space(rows + extra.tolist(), nc).rref()[1].tolist()
+
+
+def test_rref_rows_are_int64_until_exact():
+    space = _row_space([[1, 2, 0], [0, 3, 5]], 3)
+    assert not space.exact and space.rref()[1].dtype == np.int64
+    space = _row_space([[1, 2 ** 60, 0], [0, 3, 5]], 3)
+    assert space.exact and space.rref()[1].dtype == object
+
+
+def test_a_float_entry_is_a_genpi_error():
+    with pytest.raises(GenpiError) as info:
+        Subspace.from_vectors(2, [[0.5, 1]])
+    assert isinstance(info.value, TypeError)
+
+
+def test_an_unknown_subspace_operation_is_a_genpi_error():
+    with pytest.raises(GenpiError) as info:
+        subspace_ops(Subspace.full(2), Subspace.zero(2), "union")
+    assert isinstance(info.value, ValueError)

@@ -8,7 +8,7 @@ import pytest
 
 from genpi.actions import grassmann_action, preset_action
 from genpi.algebras import builtin
-from genpi.errors import ParseError, UnassignedVariable, UnknownCoefficient
+from genpi.errors import BadDegree, ParseError, UnassignedVariable, UnknownCoefficient
 from genpi.polynomials import (
     Comm,
     GenMonomial,
@@ -254,3 +254,9 @@ def test_vectorize_grassmann_sign():
     k = h.W.labels.index("g{1,2}")
     expected_rank = GenMonomial(1, (1,), (k, 0)).rank(h.s)
     assert v == {expected_rank: Fraction(-1)}
+
+
+def test_enumerate_basis_below_degree_one_is_bad_degree():
+    with pytest.raises(BadDegree) as info:
+        list(enumerate_basis(0, 2))
+    assert isinstance(info.value, ValueError)
