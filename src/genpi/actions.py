@@ -70,12 +70,6 @@ class Action:
         """Number of listed coefficient basis elements."""
         return self.W.dim
 
-    def rho(self, i: int) -> LinOp:
-        return self.pairs[i].R
-
-    def lam(self, i: int) -> LinOp:
-        return self.pairs[i].L
-
     def validate(self):
         for i, m in enumerate(self.pairs):
             w = multiplier_violation(self.A, m.R, m.L)
@@ -106,12 +100,6 @@ class Action:
         for k, c in terms:
             out = out.add(self.pairs[k].scale(c))
         return out
-
-    def left_act(self, i: int, a: AlgElement) -> AlgElement:
-        return self.A.element(self.pairs[i].L.apply(a.coords))
-
-    def right_act(self, i: int, a: AlgElement) -> AlgElement:
-        return self.A.element(self.pairs[i].R.apply(a.coords))
 
     def __repr__(self):
         nm = self.name or "action"
@@ -186,9 +174,6 @@ class EffectiveAction:
     image_algebra: StructureAlgebra
     image_pairs: list              # Multiplier per image basis element
     projection: RatMatrix          # W coordinates -> image coordinates
-
-    def as_action(self, A: StructureAlgebra, kernel_tail=False, name=None) -> Action:
-        return Action(self.image_algebra, A, self.image_pairs, kernel_tail=kernel_tail, name=name)
 
 
 def effective_image(h: Action) -> EffectiveAction:

@@ -86,12 +86,6 @@ class StructureAlgebra:
             self._table[key] = hit
         return hit or ()
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        for kk, v in self.product_basis(i, j):
-            if kk == k:
-                return v
-        return _ZERO
-
     def multiply_coords(self, u, v):
         out = [_ZERO] * self.dim
         for i, ci in enumerate(u):
@@ -607,10 +601,6 @@ def load_algebra(spec: str) -> StructureAlgebra:
 
 
 # -- operations ---------------------------------------------------------------
-
-
-def multiply(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a * b
 
 
 def regular_reps(a: AlgElement):

@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 a checked mathematical verdict is false, 2 usage
 or validation errors (malformed algebra, action and generator input among
 them: a wrong name or argument, a generator of more than one multilinear
 component), 3 budget exceeded.  GENPI_MAX_ROWS overrides the row budget
-(evaluation rows; master rows for codimensions and containment).  --json
-emits one machine-readable object with the same content as the text
-output.
+(evaluation rows for kernels; master rows for codimensions and
+containment).  poly check builds one master row at a time, each within
+the engine's byte cap.  --json emits one machine-readable object with the
+same content as the text output.
 """
 
 from __future__ import annotations
@@ -29,18 +30,19 @@ from .codim import (
     growth_report,
     identity_kernel_polynomials,
     identity_kernel_basis,
+    identity_witness,
     preset_generators,
     variety_contains,
     verify_generating_set,
 )
-from .errors import BasisMismatch, BudgetExceeded, GenpiError
+from .errors import BasisMismatch, BudgetExceeded, GenpiError, InternalError
 from .multipliers import (
     inner_ideal_check,
     inner_multiplier_map,
     multiplier_algebra,
     permutability_check,
 )
-from .polynomials import is_identity, parse as parse_poly
+from .polynomials import parse as parse_poly
 from .structure import jacobson_radical, pi_exponent, wedderburn_malcev
 
 
@@ -180,7 +182,8 @@ def cmd_action(args):
 def cmd_poly(args):
     h = load_action(args.action)
     node = parse_poly(args.poly)
-    ok, witness = is_identity(node, h)
+    witness = identity_witness(node, h)
+    ok = witness is None
     lines = [f"identity: {ok}"]
     payload = {"action": args.action, "poly": args.poly, "identity": ok}
     if not ok:
@@ -259,7 +262,7 @@ def cmd_codim(args):
         if rep.exponent is not None:
             lines.append(f"block-linking exponent: {rep.exponent}")
         return lines, rep.to_dict() | {"action": args.action}, 0
-    raise AssertionError("unreachable")
+    raise InternalError(f"unknown codim verb {args.verb!r}")
 
 
 def build_parser():

@@ -12,20 +12,24 @@ the transfer operators of the coefficient slots against the structure
 constants of A, as coprime integers equal to a positive scale times the
 exact rational row.  A permutation of the variables only permutes tuple
 positions, so its block of rows is the master matrix with its tuple axes
-transposed (_evaluation_blocks); the materialized matrix and the kernel
-read those blocks and divide the scales back out.  The rank does not: the
-rows span a right Q[S_n]-module generated by the masters, and the
-codimension is its cocharacter sum c_n = sum_lambda d_lambda m_lambda over
-the partitions lambda of n with at most dim A parts.  The masters, built
-in chunks within the byte cap STREAM_BYTES, give one echelon basis of
-their span; each multiplicity m_lambda is the rank of that basis under
-sigma_T' b_T a_T, one standard tableau T' at a time, in the columns of
-the row orbits of T (_specht.py, where the lemma is).  Containment of
-varieties tests the same components of two actions side by side.  Ranks,
-spans and kernels all come from the one exact elimination,
-FastIntRowSpace (_fastrank.py).  One feeder, _span, gives it the rows of
-every span in this module except the coefficient closure (_closure),
-which grows one space pass by pass.
+transposed (_evaluation_blocks); the kernel reads those blocks and divides
+the scales back out.  The rank does not: the rows span a right
+Q[S_n]-module generated by the masters, and the codimension is its
+cocharacter sum c_n = sum_lambda d_lambda m_lambda over the partitions
+lambda of n with at most dim A parts.  The masters, built in chunks within
+the byte cap STREAM_BYTES, give one echelon basis of their span; each
+multiplicity m_lambda is the rank of that basis under sigma_T' b_T a_T,
+one standard tableau T' at a time, in the columns of the row orbits of T
+(_specht.py, where the lemma is).  Containment of varieties tests the same
+components of two actions side by side.  Ranks, spans and kernels all come
+from the one exact elimination, FastIntRowSpace (_fastrank.py).  One
+feeder, _span, gives it the rows of every span in this module except the
+coefficient closure (_closure), which grows one space pass by pass.
+
+One polynomial is tested on the same rows (identity_witness): each of its
+multilinear components is one combination of permuted master rows, built
+for the coefficient fillings of its words alone, and its first nonzero
+column is the first basis tuple at which the component does not vanish.
 
 Consequence spans realize the multilinear degree-n part of the ideal
 generated by a set of identities under substitutions, two-sided monomial
@@ -78,7 +82,16 @@ from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _parse_name, _word_mask
 from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotMultilinear, NotSplit
 from .linalg import Subspace, int_rows, reversed_kernel
-from .polynomials import basis_size, enumerate_basis, multilinearize, parse, resolved_words, vectorize_words
+from .polynomials import (
+    basis_size,
+    enumerate_basis,
+    multilinearize,
+    parse,
+    resolved_words,
+    variables_of,
+    vectorize_words,
+    word_runs,
+)
 from .structure import pi_exponent
 
 _ONE = Fraction(1)
@@ -86,7 +99,7 @@ _ONE = Fraction(1)
 _INT64_LIMIT = 1 << 63
 
 DEFAULT_MAX_ROWS = 2_000_000
-MAX_DENSE_COLUMNS = 200_000  # width guard for materialized matrices
+MAX_DENSE_COLUMNS = 200_000  # width guard of the master rows and of the kernel's matrix
 # byte cap of one dense int64 buffer: a block of the consequence stream or
 # of the coefficient closure, the transposed matrix of the kernel, 256
 # chunks of master rows; and of the int8 Grassmann parity-class matrix,
@@ -121,27 +134,7 @@ def _stream_rows(ncols: int) -> int:
     return min(STREAM_ROWS, fit)
 
 
-# -- evaluation matrix ----------------------------------------------------------
-
-
-@dataclass
-class EvaluationMatrix:
-    """Materialized evaluation matrix in deterministic (perm, coeffs) row
-    order.
-
-    Column tuple_rank * dim + k holds output coordinate k at the basis tuple
-    of that rank.  Each row is stored as its exact rational entries
-    {col: Fraction}: the integer row of _evaluation_blocks divided by the
-    row's positive scale."""
-
-    action: Action
-    n: int
-    rows: int
-    cols: int
-    row_data: list  # list of {col: Fraction}
-
-    def row(self, i: int) -> dict:
-        return self.row_data[i]
+# -- evaluation rows ------------------------------------------------------------
 
 
 def _int_matrix(M):
@@ -174,22 +167,17 @@ def _master_chunks(h: Action, n: int, width: int | None = None):
     against the operator, shared by every coefficient tuple with that
     prefix.  Entries are exact integers over a tracked denominator, in int64
     when a magnitude bound on every partial product is below 2^63."""
-    A = h.A
-    dim = A.dim
-    consts = list(A.iter_nonzero_constants())
-    dc = lcm(*(v.denominator for *_, v in consts))
-    consts = [(i, j, k, v.numerator * (dc // v.denominator)) for i, j, k, v in consts]
+    dim = h.A.dim
+    consts, dc = _int_constants(h.A)
     Ls = [_int_matrix(p.L.matrix) for p in h.pairs]
     Rs = [_int_matrix(p.R.matrix) for p in h.pairs]
-    steps = []
+    steps, growth = [], 0
     for D, dd in Rs:
-        # S[k1, j, k3] = sum_k2 c(k1, k2, k3) D[k2, j]
-        S = np.zeros((dim, dim, dim), dtype=object)
-        for i, j, k, v in consts:
-            S[i, :, k] += v * D[j, :]
-        steps.append((S.reshape(dim, dim * dim), dd * dc))
-    top = [max(int(np.abs(X).max(initial=0)) for X, _ in Xs) for Xs in (Ls, Rs, steps)]
-    dtype = np.int64 if top[0] * top[1] * dim * (top[2] * dim) ** (n - 1) < _INT64_LIMIT else object
+        S, g = _contraction(consts, D)
+        steps.append((S, dd * dc))
+        growth = max(growth, g)
+    top = [max(int(np.abs(X).max(initial=0)) for X, _ in Xs) for Xs in (Ls, Rs)]
+    dtype = np.int64 if top[0] * top[1] * dim * growth ** (n - 1) < _INT64_LIMIT else object
     Ls, Rs, steps = ([(X.astype(dtype), d) for X, d in Xs] for Xs in (Ls, Rs, steps))
 
     def extend(depth, T, den):
@@ -204,6 +192,27 @@ def _master_chunks(h: Action, n: int, width: int | None = None):
     while part := list(islice(rows, size)):
         M, g = _coprime(np.array([row for row, _ in part], dtype=dtype))
         yield M, [Fraction(den, v) if v else _ONE for (_, den), v in zip(part, g)]
+
+
+def _int_constants(A):
+    """(constants, den): the nonzero structure constants (i, j, k, v) of A
+    with integer values v, den times the rational ones."""
+    consts = list(A.iter_nonzero_constants())
+    den = lcm(*(v.denominator for *_, v in consts))
+    return [(i, j, k, v.numerator * (den // v.denominator)) for i, j, k, v in consts], den
+
+
+def _contraction(consts, D: np.ndarray):
+    """(S, growth) of the integer operator D against the integer structure
+    constants: S[k1, j * dim + k3] = sum_k2 c(k1, k2, k3) D[k2, j], in
+    Python integers, and dim * max |S|, which bounds how much one product
+    T @ S, one more factor D(a) of a partial product T, grows the largest
+    entry of T."""
+    dim = len(D)
+    S = np.zeros((dim, dim, dim), dtype=object)
+    for i, j, k, v in consts:
+        S[i, :, k] += v * D[j, :]
+    return S.reshape(dim, dim * dim), dim * int(np.abs(S).max(initial=0))
 
 
 def _chunk_rows(width: int) -> int:
@@ -229,9 +238,14 @@ def _evaluation_blocks(M: np.ndarray, dim: int, n: int):
     so its block is M with the tuple axes transposed by the inverse of perm
     (tuple axis q of the block is axis perm.index(q) of the master); the
     output axis stays last."""
+    return (_permuted(M, dim, n, perm) for perm in permutations(range(n)))
+
+
+def _permuted(M: np.ndarray, dim: int, n: int, perm) -> np.ndarray:
+    """The block of the variable order perm (0-based) of the master rows M
+    (see _evaluation_blocks)."""
     T = M.reshape(len(M), *(dim,) * (n + 1))
-    for perm in permutations(range(n)):
-        yield T.transpose(0, *(perm.index(q) + 1 for q in range(n)), n + 1).reshape(len(M), dim ** (n + 1))
+    return T.transpose(0, *(perm.index(q) + 1 for q in range(n)), n + 1).reshape(len(M), dim ** (n + 1))
 
 
 def _distinct_rows(M: np.ndarray) -> np.ndarray:
@@ -284,22 +298,6 @@ def _module_generators(chunks, ncols: int) -> np.ndarray:
     """Integer rows of the reduced echelon basis of the span of the
     distinct nonzero rows of the master chunks."""
     return _span((M[_distinct_rows(M)] for M in chunks), ncols).rref()[1]
-
-
-def evaluation_matrix(h: Action, n: int) -> EvaluationMatrix:
-    """Materialized evaluation matrix (budget-guarded)."""
-    _check_degree(n)
-    rows = basis_size(n, h.s)
-    cols = h.A.dim ** n * h.A.dim
-    _check_budget(rows, cols)
-    data, m, start = [None] * rows, h.s ** (n + 1), 0
-    for M, scales in _master_chunks(h, n, cols):
-        for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
-            for i, (row, scale) in enumerate(zip(X, scales)):
-                nz = np.flatnonzero(row)
-                data[p * m + start + i] = {c: Fraction(v) / scale for c, v in zip(nz.tolist(), row[nz].tolist())}
-        start += len(M)
-    return EvaluationMatrix(h, n, rows, cols, data)
 
 
 def codimension(h: Action, n: int) -> int:
@@ -696,18 +694,84 @@ def verify_generating_set(generators, h: Action, n: int, codim_value: int | None
     return _verify(generators, h, n, evaluation, lambda: codimension(h, n) if codim_value is None else codim_value)
 
 
+# -- identity test ---------------------------------------------------------------------
+
+
+def identity_witness(node, h: Action):
+    """None when the polynomial vanishes under every substitution from A,
+    else (variables, labels): the basis elements its variables take at the
+    first basis tuple, in product order, where its first failing
+    multilinear component does not vanish (these decide in characteristic
+    zero).  A component, renumbered to x1..xd without tail words
+    (_generator_words), is a sum of master rows moved to the variable
+    orders of its words (_permuted): each row that of w_0 x_1 w_1 ... x_d
+    w_d (_master_chunks) with the composition of the lambda (slot 0) or rho
+    operators of a word's coefficient run in each slot, the identity for an
+    empty run, so W's unit and product are not used.  The sum is in
+    integers, int64 when a magnitude bound fits; a row over STREAM_BYTES
+    raises BudgetExceeded before it is allocated."""
+    dim = h.A.dim
+    consts, dc = _int_constants(h.A)
+    ops = [[_int_matrix((p.L if left else p.R).matrix) for p in h.pairs] for left in (False, True)]
+
+    def slot(run, left):
+        """(integer operator, denominator) of a coefficient slot holding run."""
+        X, den = np.identity(dim, dtype=object), 1
+        for D, dd in (ops[left][k] for k in (run if left else run[::-1])):
+            X, den = X @ D, den * dd
+        return X, den
+
+    @cache
+    def master(runs):
+        """([first factor, contractions], denominator, magnitude bound) of
+        the master row of the slot runs."""
+        (L, dl), (R, dr) = slot(runs[0], True), slot(runs[1], False)
+        factors, den = [(L @ R).T], dl * dr
+        bound = int(np.abs(factors[0]).max(initial=0))
+        for D, dd in (slot(run, False) for run in runs[2:]):
+            S, growth = _contraction(consts, D)
+            factors, den, bound = factors + [S], den * dd * dc, bound * growth
+        return factors, den, bound
+
+    for comp in multilinearize(node):
+        variables = sorted(variables_of(comp))
+        gw = _generator_words(resolved_words(comp, h), h) if variables else None
+        if gw is None:
+            continue
+        d, words = gw
+        ncols = dim ** (d + 1)
+        _stream_rows(ncols)
+        groups: dict = {}  # slot runs -> [(rational weight of the row, variable order)]
+        for c, w in words:
+            order, runs = word_runs(w)
+            if master(runs)[2]:  # the row is not zero
+                groups.setdefault(runs, []).append((c / master(runs)[1], [v - 1 for v in order]))
+        den = lcm(*(q.denominator for g in groups.values() for q, _ in g))
+        bound = sum(abs(q) * den * master(runs)[2] for runs, g in groups.items() for q, _ in g)
+        dtype = np.int64 if bound < _INT64_LIMIT else object
+        total = np.zeros((1, ncols), dtype=dtype)
+        for runs, g in groups.items():
+            first, *steps = master(runs)[0]
+            X = first.astype(dtype)
+            for S in steps:
+                X = (X @ S.astype(dtype)).reshape(-1, dim)
+            for q, perm in g:
+                total += int(q * den) * _permuted(X.reshape(1, ncols), dim, d, perm)
+        nz = np.flatnonzero(total)
+        if nz.size:
+            tup = np.unravel_index(int(nz[0]) // dim, (dim,) * d)
+            return variables, tuple(h.A.labels[int(t)] for t in tup)
+    return None
+
+
 # -- variety containment -----------------------------------------------------------
 
 
 def _same_coefficient_presentation(hA: Action, hB: Action) -> bool:
     WA, WB = hA.W, hB.W
-    if WA.dim != WB.dim or WA.labels != WB.labels:
-        return False
-    for i in range(WA.dim):
-        for j in range(WA.dim):
-            if WA.product_basis(i, j) != WB.product_basis(i, j):
-                return False
-    return True
+    return WA.labels == WB.labels and all(
+        WA.product_basis(i, j) == WB.product_basis(i, j) for i, j in product(range(WA.dim), repeat=2)
+    )
 
 
 def _joint_masters(cA, cB) -> np.ndarray:
@@ -907,18 +971,8 @@ def growth_report(h: Action, n_max: int) -> GrowthReport:
             values.append(codimension(h, n))
         except BudgetExceeded:
             values.append(None)
-    ratios = []
-    roots = []
-    for i, n in enumerate(degrees):
-        v = values[i]
-        prev = values[i - 1] if i else None
-        if v is None or (i and prev in (None, 0)):
-            ratios.append(None)
-        elif i:
-            ratios.append(Fraction(v, prev))
-        else:
-            ratios.append(None)
-        roots.append(None if v is None else float(v) ** (1.0 / n))
+    ratios = [None] + [None if v is None or not prev else Fraction(v, prev) for prev, v in zip(values, values[1:])]
+    roots = [None if v is None else float(v) ** (1.0 / n) for n, v in zip(degrees, values)]
     exponent = note = None
     if h.A.unit is None:
         note = "the algebra has no unit"

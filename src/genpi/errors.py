@@ -79,7 +79,13 @@ class UnknownOperation(GenpiError, ValueError):
 
 
 class BadDegree(GenpiError, ValueError):
-    """A degree, or a generator or coefficient count, below 1."""
+    """A degree, or a generator or coefficient count, below 1; or a
+    monomial whose coefficient slots are not one more than its degree."""
+
+
+class NotPolynomial(GenpiError, TypeError):
+    """A value given where a polynomial node (an element of the parsed
+    syntax tree) is expected."""
 
 
 class NotMultilinear(GenpiError, ValueError):
@@ -104,10 +110,6 @@ class ParseError(GenpiError):
 
 
 class UnknownCoefficient(GenpiError):
-    pass
-
-
-class UnassignedVariable(GenpiError):
     pass
 
 

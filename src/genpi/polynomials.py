@@ -21,11 +21,12 @@ Internally a polynomial expands to words: tuples mixing positive ints
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .errors import BadDegree, NotMultilinear, ParseError, UnassignedVariable, UnknownCoefficient
+from .errors import BadDegree, NotMultilinear, NotPolynomial, ParseError, UnknownCoefficient
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -68,14 +69,8 @@ class Sum:
     def __str__(self):
         parts = []
         for i, t in enumerate(self.terms):
-            neg = isinstance(t, Scalar) and t.value < 0
-            if neg:
-                inner = Scalar(-t.value, t.body)
-                if inner.value == 1:
-                    s = _factor_str(inner.body) if isinstance(inner.body, (Var, Coeff, Comm)) else str(inner.body)
-                    s = str(inner.body) if isinstance(inner.body, Prod) else s
-                else:
-                    s = str(inner)
+            if isinstance(t, Scalar) and t.value < 0:
+                s = str(t.body) if t.value == -1 else str(Scalar(-t.value, t.body))
                 parts.append(("-" if i == 0 else " - ") + s)
             else:
                 parts.append(("" if i == 0 else " + ") + str(t))
@@ -261,7 +256,16 @@ def expand_commutators(node):
             ee = expand_commutators(e)
             acc = Sum((Prod((acc, ee)), _scale(Prod((ee, acc)), Fraction(-1))))
         return acc
-    raise TypeError(f"not a polynomial node: {node!r}")
+    raise NotPolynomial(f"not a polynomial node: {node!r}")
+
+
+def _add(out: dict, key, c):
+    """out[key] += c, the key dropped when the sum is zero."""
+    c = out.get(key, _ZERO) + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
 
 
 def _symbol_words(node) -> dict:
@@ -274,11 +278,7 @@ def _symbol_words(node) -> dict:
         out: dict = {}
         for t in node.terms:
             for w, c in _symbol_words(t).items():
-                nc = out.get(w, _ZERO) + c
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
+                _add(out, w, c)
         return out
     if isinstance(node, Prod):
         out = {(): _ONE}
@@ -287,43 +287,16 @@ def _symbol_words(node) -> dict:
             nxt: dict = {}
             for w1, c1 in out.items():
                 for w2, c2 in fw.items():
-                    w = w1 + w2
-                    nc = nxt.get(w, _ZERO) + c1 * c2
-                    if nc:
-                        nxt[w] = nc
-                    else:
-                        nxt.pop(w, None)
+                    _add(nxt, w1 + w2, c1 * c2)
             out = nxt
         return out
     if isinstance(node, Comm):
         return _symbol_words(expand_commutators(node))
-    raise TypeError(f"not a polynomial node: {node!r}")
+    raise NotPolynomial(f"not a polynomial node: {node!r}")
 
 
 def variables_of(node) -> set:
     return {s.index for w in _symbol_words(node) for s in w if isinstance(s, Var)}
-
-
-def renumber_variables(node):
-    """Relabel the variables 1..n preserving their index order."""
-    mapping = {v: i + 1 for i, v in enumerate(sorted(variables_of(node)))}
-
-    def walk(nd):
-        if isinstance(nd, Var):
-            return Var(mapping[nd.index])
-        if isinstance(nd, Coeff):
-            return nd
-        if isinstance(nd, Scalar):
-            return Scalar(nd.value, walk(nd.body))
-        if isinstance(nd, Sum):
-            return Sum(tuple(walk(t) for t in nd.terms))
-        if isinstance(nd, Prod):
-            return Prod(tuple(walk(f) for f in nd.factors))
-        if isinstance(nd, Comm):
-            return Comm(tuple(walk(e) for e in nd.entries))
-        raise TypeError(f"not a polynomial node: {nd!r}")
-
-    return walk(node)
 
 
 # -- resolution against an action -------------------------------------------------
@@ -356,11 +329,7 @@ def resolved_words(node, action) -> dict:
             s.index if isinstance(s, Var) else -(resolve_coefficient(action, s.name) + 1)
             for s in w
         )
-        nc = out.get(key, _ZERO) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
+        _add(out, key, c)
     return out
 
 
@@ -368,11 +337,7 @@ def resolved_words(node, action) -> dict:
 
 
 def _word_multidegree(word):
-    deg: dict = {}
-    for s in word:
-        if isinstance(s, Var):
-            deg[s.index] = deg.get(s.index, 0) + 1
-    return tuple(sorted(deg.items()))
+    return tuple(sorted(Counter(s.index for s in word if isinstance(s, Var)).items()))
 
 
 def multilinearize(node) -> list:
@@ -389,30 +354,19 @@ def multilinearize(node) -> list:
         if all(d == 1 for _, d in deg):
             out.append(_words_to_node(part))
             continue
-        renumber = {}
-        for idx, d in deg:
-            for t in range(d):
-                renumber[(idx, t)] = len(renumber) + 1
+        renumber = {key: i + 1 for i, key in enumerate((idx, t) for idx, d in deg for t in range(d))}
         lin: dict = {}
         for w, c in part.items():
             positions: dict = {}
             for p, s in enumerate(w):
                 if isinstance(s, Var):
                     positions.setdefault(s.index, []).append(p)
-            choices = []
-            for idx, d in deg:
-                choices.append(list(permutations(range(d))))
-            for combo in product(*choices):
+            for combo in product(*(permutations(range(d)) for _, d in deg)):
                 neww = list(w)
                 for (idx, d), perm in zip(deg, combo):
                     for slot, p in enumerate(positions[idx]):
                         neww[p] = Var(renumber[(idx, perm[slot])])
-                key = tuple(neww)
-                nc = lin.get(key, _ZERO) + c
-                if nc:
-                    lin[key] = nc
-                else:
-                    lin.pop(key, None)
+                _add(lin, tuple(neww), c)
         if lin:
             out.append(_words_to_node(lin))
     return out
@@ -449,18 +403,10 @@ class GenMonomial:
 
     def __post_init__(self):
         if len(self.coeffs) != self.n + 1:
-            raise ValueError("need n+1 coefficient slots")
+            raise BadDegree(f"degree {self.n} needs {self.n + 1} coefficient slots, got {len(self.coeffs)}")
 
     def rank(self, s: int) -> int:
         return _perm_rank(self.perm) * s ** (self.n + 1) + _mixed_radix(self.coeffs, s)
-
-    def as_word(self):
-        """Resolved-word form (coefficient k as -(k+1), unit slots kept)."""
-        out = [-(self.coeffs[0] + 1)]
-        for t in range(self.n):
-            out.append(self.perm[t])
-            out.append(-(self.coeffs[t + 1] + 1))
-        return tuple(out)
 
     def label(self, action=None):
         parts = []
@@ -512,71 +458,21 @@ def basis_size(n: int, s: int) -> int:
     return out
 
 
-# -- evaluation --------------------------------------------------------------------
-
-
-def _eval_word(word, action, assignment):
-    s = action.s
-    # tail coefficient kills the monomial
-    for sym in word:
-        if sym < 0 and -(sym + 1) >= s:
-            return action.A.zero()
-    i = 0
-    while i < len(word) and word[i] < 0:
-        i += 1
-    if i == len(word):
-        raise UnassignedVariable("monomial without a variable cannot be evaluated")
-    head = word[i]
-    if head not in assignment:
-        raise UnassignedVariable(f"variable x{head} not assigned")
-    val = assignment[head]
-    for sym in word[i + 1 :]:
-        if sym > 0:
-            if sym not in assignment:
-                raise UnassignedVariable(f"variable x{sym} not assigned")
-            val = val * assignment[sym]
-        else:
-            val = action.right_act(-(sym + 1), val)
-    for j in range(i - 1, -1, -1):
-        val = action.left_act(-(word[j] + 1), val)
-    return val
-
-
-def evaluate(node, action, assignment):
-    """Evaluate at AlgElements of the acted-on algebra; coefficients act
-    through the pairs, tail coefficients annihilate their monomial."""
-    assignment = {
-        (k.index if isinstance(k, Var) else int(k)): v for k, v in assignment.items()
-    }
-    total = action.A.zero()
-    for word, c in resolved_words(node, action).items():
-        v = _eval_word(word, action, assignment)
-        total = total + c * v
-    return total
-
-
-def is_identity(node, action):
-    """(bool, witness): vanishes under all substitutions; multilinear
-    components are checked on all basis tuples, which suffices in
-    characteristic zero."""
-    A = action.A
-    for comp in multilinearize(node):
-        vs = sorted(variables_of(comp))
-        if not vs:
-            continue
-        words = resolved_words(comp, action)
-        for tup in product(range(A.dim), repeat=len(vs)):
-            assignment = {v: A.basis_element(t) for v, t in zip(vs, tup)}
-            total = A.zero()
-            for word, c in words.items():
-                total = total + c * _eval_word(word, action, assignment)
-            if not total.is_zero():
-                witness = tuple(A.labels[t] for t in tup)
-                return False, (vs, witness)
-    return True, None
-
-
 # -- coordinates in the multilinear monomial space ---------------------------------
+
+
+def word_runs(word):
+    """(variable order, coefficient runs) of a resolved word: its variables
+    in order, and the runs of coefficient indices before, between and after
+    them, as tuples."""
+    order, runs = [], [[]]
+    for sym in word:
+        if sym > 0:
+            order.append(sym)
+            runs.append([])
+        else:
+            runs[-1].append(-(sym + 1))
+    return tuple(order), tuple(map(tuple, runs))
 
 
 def vectorize(node, action, n: int) -> dict:
@@ -598,17 +494,10 @@ def vectorize_words(words: dict, W, n: int) -> dict:
     for word, c in words.items():
         if any(sym < 0 and -(sym + 1) >= s for sym in word):
             continue  # tail monomials are identically zero in these coordinates
-        runs = [[]]
-        perm = []
-        for sym in word:
-            if sym > 0:
-                perm.append(sym)
-                runs.append([])
-            else:
-                runs[-1].append(-(sym + 1))
+        perm, runs = word_runs(word)
         if sorted(perm) != list(range(1, n + 1)):
             raise NotMultilinear(
-                f"word is not multilinear of degree {n}: variables {perm}"
+                f"word is not multilinear of degree {n}: variables {list(perm)}"
             )
         merged = []
         for run in runs:
@@ -620,10 +509,5 @@ def vectorize_words(words: dict, W, n: int) -> dict:
         for slot in merged:
             total = [(ks + (k,), cc * v) for ks, cc in total for k, v in slot]
         for ks, cc in total:
-            r = GenMonomial(n, tuple(perm), ks).rank(s)
-            nc = out.get(r, _ZERO) + cc
-            if nc:
-                out[r] = nc
-            else:
-                out.pop(r, None)
+            _add(out, GenMonomial(n, perm, ks).rank(s), cc)
     return out

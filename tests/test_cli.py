@@ -1,10 +1,13 @@
 """Command-line surface: every documented example, byte-for-byte."""
 
+import argparse
 import json
 
 import pytest
 
-from genpi.cli import main
+from genpi import codim
+from genpi.cli import cmd_codim, main
+from genpi.errors import InternalError
 
 # (argv, expected stdout, expected exit code): the documented examples
 GOLDEN = [
@@ -68,6 +71,11 @@ GOLDEN = [
     (
         ["poly", "check", "ut2full", "[x1,x2]"],
         "identity: False\nwitness: x1 = e11, x2 = e12\n",
+        1,
+    ),
+    (
+        ["poly", "check", "grassmann_full(4)", "[x1,x2]*[x3,x4]"],
+        "identity: False\nwitness: x1 = e1, x2 = e2, x3 = e3, x4 = e4\n",
         1,
     ),
     (
@@ -193,3 +201,29 @@ def test_json_grassmann_marks_the_proved_level(capsys):
     }
     main(["codim", "grassmann", "-k", "2", "-n", "1"])
     assert capsys.readouterr().out == "7\n"
+
+
+def test_poly_check_with_a_nonunital_coefficient_algebra(tmp_path, capsys):
+    # W = zero_mult(1), without a unit, acts on ut(2) through the inner pair
+    # of e12: x -> x e12 and x -> e12 x, columns the images of e11, e22, e12
+    p = tmp_path / "nonunital.json"
+    p.write_text(json.dumps({
+        "algebra": "ut(2)", "W": "zero_mult(1)", "mode": "pairs",
+        "pairs": [{"R": [[0, 0, 0], [0, 0, 0], [1, 0, 0]], "L": [[0, 0, 0], [0, 0, 0], [0, 1, 0]]}],
+    }))
+    assert main(["poly", "check", str(p), "x1*x2"]) == 1
+    assert capsys.readouterr().out == "identity: False\nwitness: x1 = e11, x2 = e11\n"
+    assert main(["poly", "check", str(p), "w0*w0*x1 + x1*w0*x2*w0"]) == 0
+    assert capsys.readouterr().out == "identity: True\n"
+
+
+def test_poly_check_budget_exit_code(capsys, monkeypatch):
+    # one master row of ut2full at degree 2 is 3^3 int64 entries
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 3 ** 3 - 1)
+    assert main(["poly", "check", "ut2full", "[x1,x2]"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def test_unknown_codim_verb_is_an_internal_error():
+    with pytest.raises(InternalError):
+        cmd_codim(argparse.Namespace(verb="frobnicate"))

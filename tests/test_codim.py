@@ -24,7 +24,7 @@ from genpi.actions import (
 from genpi import codim
 from genpi.actions import make_action
 from genpi.algebras import StructureAlgebra, builtin
-from genpi.errors import BadDegree, BasisMismatch, BudgetExceeded, GenpiError, NotMultilinear
+from genpi.errors import BadDegree, BasisMismatch, BudgetExceeded, GenpiError, NotMultilinear, NotPolynomial
 from genpi.multipliers import Multiplier
 from genpi.codim import (
     _distinct_rows,
@@ -38,7 +38,6 @@ from genpi.codim import (
     _span,
     codimension,
     consequences_span,
-    evaluation_matrix,
     grassmann_codim_stabilized,
     grassmann_generators,
     growth_report,
@@ -52,6 +51,7 @@ from genpi.codim import (
     verify_grassmann_generating_set,
 )
 from genpi.polynomials import GenMonomial, basis_size, enumerate_basis, parse, resolved_words, vectorize
+from evaluation_oracle import evaluate
 from grassmann_oracle import orbit_kernel, orbit_rank
 
 
@@ -64,6 +64,19 @@ def sympy_rank(rows_dicts, ncols):
         for c, v in row.items():
             m[i, c] = sympy.Rational(v.numerator, v.denominator)
     return m.rank()
+
+
+def evaluation_rows(h, n):
+    """The degree-n evaluation rows in enumerate_basis order, as exact
+    rational rows {column: Fraction}: the permuted blocks of the master
+    chunks, each row divided by its scale."""
+    rows, m, start = [None] * basis_size(n, h.s), h.s ** (n + 1), 0
+    for M, scales in _master_chunks(h, n, h.A.dim ** (n + 1)):
+        for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
+            for i, (row, scale) in enumerate(zip(X.tolist(), scales)):
+                rows[p * m + start + i] = {c: Fraction(v) / scale for c, v in enumerate(row) if v}
+        start += len(M)
+    return rows
 
 
 def permuted_master_rank(h, n):
@@ -122,9 +135,8 @@ def test_evaluation_rows_match_direct_evaluator():
     cases.append((ut2d_rescaled(2), 3))  # a rational structure constant
     for h, top in cases:
         for n in range(1, top + 1):
-            em = evaluation_matrix(h, n)
             mons = list(enumerate_basis(n, h.s))
-            assert [direct_row(h, mon, n) for mon in mons] == em.row_data, (h, n)
+            assert [direct_row(h, mon, n) for mon in mons] == evaluation_rows(h, n), (h, n)
             M, scales = next(_master_chunks(h, n))
             for row, scale in zip(M.tolist(), scales):
                 assert scale > 0 and gcd(*row) in (0, 1)
@@ -160,13 +172,13 @@ def test_codimension_in_random_unimodular_bases_matches_sympy(ops, n):
         if i != j:
             C[i, :] += k * C[j, :]
     h = ut2d_in_basis(C)
-    em = evaluation_matrix(h, n)
+    em = evaluation_rows(h, n)
     rows = {i: {c: QQ(v.numerator, v.denominator) for c, v in row.items()}
-            for i, row in enumerate(em.row_data) if row}
+            for i, row in enumerate(em) if row}
     c = codimension(h, n)
-    assert c == DomainMatrix(rows, (em.rows, em.cols), QQ).rank() == [3, 6, 14][n - 1]
+    assert c == DomainMatrix(rows, (len(em), 3 ** (n + 1)), QQ).rank() == [3, 6, 14][n - 1]
     assert c == permuted_master_rank(h, n)
-    assert identity_kernel_basis(h, n).dim == em.rows - c
+    assert identity_kernel_basis(h, n).dim == len(em) - c
 
 
 def test_rows_beyond_int64_take_the_exact_path():
@@ -196,12 +208,12 @@ def test_consequence_entries_beyond_int64():
 
 
 def test_matrix_shapes():
-    em = evaluation_matrix(preset_action("ut2F"), 1)
-    assert (em.rows, em.cols) == (1, 9)
-    em = evaluation_matrix(preset_action("ut2D"), 1)
-    assert (em.rows, em.cols) == (4, 9)
-    em = evaluation_matrix(preset_action("ut2full"), 2)
-    assert (em.rows, em.cols) == (54, 27)
+    # one row per monomial; dim^n basis tuples times dim outputs as columns
+    for name, n, shape in (("ut2F", 1, (1, 9)), ("ut2D", 1, (4, 9)), ("ut2full", 2, (54, 27))):
+        h = preset_action(name)
+        rows = evaluation_rows(h, n)
+        assert (len(rows), h.A.dim ** (n + 1)) == shape
+        assert max(c for row in rows for c in row) < shape[1]
 
 
 def test_codimension_small_values():
@@ -213,8 +225,7 @@ def test_codimension_small_values():
 def test_codimension_matches_sympy_oracle():
     for name, n in (("ut2D", 1), ("ut2D", 2), ("ut2full", 1), ("ut2C", 2)):
         h = preset_action(name)
-        em = evaluation_matrix(h, n)
-        assert codimension(h, n) == sympy_rank(em.row_data, em.cols), (name, n)
+        assert codimension(h, n) == sympy_rank(evaluation_rows(h, n), 3 ** (n + 1)), (name, n)
 
 
 def test_rank_plus_kernel_is_rows():
@@ -412,9 +423,10 @@ def stacked_rank_verdicts(hA, hB, n):
     ends at the first degree where it does not."""
     out = []
     for m in range(1, n + 1):
-        ea, eb = evaluation_matrix(hA, m), evaluation_matrix(hB, m)
-        rows = [ra | {ea.cols + c: v for c, v in rb.items()} for ra, rb in zip(ea.row_data, eb.row_data)]
-        out.append(sympy_rank(rows, ea.cols + eb.cols) == sympy_rank(ea.row_data, ea.cols))
+        ea, eb = evaluation_rows(hA, m), evaluation_rows(hB, m)
+        ca, cb = hA.A.dim ** (m + 1), hB.A.dim ** (m + 1)
+        rows = [ra | {ca + c: v for c, v in rb.items()} for ra, rb in zip(ea, eb)]
+        out.append(sympy_rank(rows, ca + cb) == sympy_rank(ea, ca))
         if not out[-1]:
             break
     return out
@@ -496,7 +508,6 @@ def test_codimension_memory_bound_at_degree_7():
 
 
 DEGREE_CALLS = {
-    "evaluation_matrix": evaluation_matrix,
     "codimension": codimension,
     "identity_kernel_basis": identity_kernel_basis,
     "identity_kernel_polynomials": identity_kernel_polynomials,
@@ -515,6 +526,12 @@ DEGREE_CALLS = {
 def test_degree_below_one_is_rejected(name, n):
     with pytest.raises(BadDegree, match=">= 1"):
         DEGREE_CALLS[name](preset_action("ut2D"), n)
+
+
+def test_non_polynomial_generator_is_a_genpi_error():
+    with pytest.raises(NotPolynomial) as e:
+        verify_generating_set([5], preset_action("ut2D"), 2)
+    assert isinstance(e.value, TypeError)
 
 
 def test_grassmann_needs_a_generator():
@@ -542,11 +559,11 @@ def test_master_chunks_within_the_byte_cap(monkeypatch):
     actions = [preset_action("ut2D"), ut2d_rescaled(2 ** 70), skew]
     pairs = [(ut2d_rescaled(3), skew), shared_family_presentations("ut2F", "ut2D")]
     want = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
-            [variety_contains(hA, hB, 3) for hA, hB in pairs], evaluation_matrix(skew, 3).row_data)
+            [variety_contains(hA, hB, 3) for hA, hB in pairs], evaluation_rows(skew, 3))
     monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 256 * 3 ** 4 * 2)
     assert [len(M) for M, _ in _master_chunks(skew, 2, 3 ** 4)] == [2, 2, 2, 2]
     got = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
-           [variety_contains(hA, hB, 3) for hA, hB in pairs], evaluation_matrix(skew, 3).row_data)
+           [variety_contains(hA, hB, 3) for hA, hB in pairs], evaluation_rows(skew, 3))
     assert got == want and want[1] == [True, False]
 
 
@@ -703,13 +720,12 @@ def test_grassmann_preset_generators():
 
 
 def test_budget_error(monkeypatch):
-    # the evaluation matrix and the kernel build the 3! * 2^4 evaluation
-    # rows; the codimension builds the 2^4 master rows alone
+    # the kernel builds the 3! * 2^4 evaluation rows; the codimension
+    # builds the 2^4 master rows alone
     monkeypatch.setenv("GENPI_MAX_ROWS", "10")
-    for call in (evaluation_matrix, identity_kernel_basis):
-        with pytest.raises(BudgetExceeded) as e:
-            call(preset_action("ut2D"), 3)
-        assert e.value.rows == 96
+    with pytest.raises(BudgetExceeded) as e:
+        identity_kernel_basis(preset_action("ut2D"), 3)
+    assert e.value.rows == 96
     with pytest.raises(BudgetExceeded) as e:
         codimension(preset_action("ut2D"), 3)
     assert e.value.rows == 16
@@ -743,10 +759,9 @@ def test_codimension_past_the_row_budget():
 def test_evaluation_row_matches_direct_evaluation():
     # entry spot check: row of a monomial equals its evaluation outputs
     h = preset_action("ut2D")
-    em = evaluation_matrix(h, 2)
+    em = evaluation_rows(h, 2)
     rng = random.Random(8)
     mons = list(enumerate_basis(2, 2))
-    from genpi.polynomials import evaluate
 
     for _ in range(12):
         ri = rng.randrange(len(mons))
@@ -755,17 +770,17 @@ def test_evaluation_row_matches_direct_evaluation():
         node = parse(mon.label(h).replace("e22", "w1"))
         val = evaluate(node, h, {1: h.A.basis_element(t1), 2: h.A.basis_element(t2)})
         tuple_rank = t1 * 3 + t2
-        got = [em.row_data[ri].get(tuple_rank * 3 + k, Fraction(0)) for k in range(3)]
+        got = [em[ri].get(tuple_rank * 3 + k, Fraction(0)) for k in range(3)]
         assert got == list(val.coords)
 
 
 def test_vectorize_round_trip_with_kernel():
     # a vectorized identity combines evaluation rows to zero
     h = preset_action("ut2D")
-    em = evaluation_matrix(h, 2)
+    em = evaluation_rows(h, 2)
     vec = vectorize(parse("[x1,x2]-[x1,x2,w1]"), h, 2)
     acc = {}
     for r, c in vec.items():
-        for col, v in em.row_data[r].items():
+        for col, v in em[r].items():
             acc[col] = acc.get(col, Fraction(0)) + c * v
     assert all(v == 0 for v in acc.values())

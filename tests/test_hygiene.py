@@ -1,5 +1,6 @@
-"""Source hygiene of the package: no module-level import goes unused, and
-no private module-level name lives on without a reader in the package."""
+"""Source hygiene of the package: no module-level import goes unused, no
+private module-level name lives on without a reader in the package, and
+every raise names a GenpiError subclass."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,23 @@ def unreferenced_private_names(paths) -> list:
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names(SOURCES) == []
+
+
+def foreign_raises(paths, errors: Path) -> list:
+    """The raise statements of the modules in paths whose exception is not
+    constructed from (or named by) a class defined in the module errors;
+    a bare re-raise is not one."""
+    known = {node.name for node in ast.parse(errors.read_text()).body if isinstance(node, ast.ClassDef)}
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", ast.unparse(exc))
+                if name not in known:
+                    out.append(f"{path.name}:{node.lineno} {name}")
+    return out
+
+
+def test_every_raise_names_a_package_error():
+    assert foreign_raises(SOURCES, SOURCES[0].parent / "errors.py") == []
