@@ -1,11 +1,13 @@
-"""The one exact elimination of genpi: the row space over Q of integer rows.
+"""Blocked exact elimination of dense integer rows: the row space over Q.
 
 FastIntRowSpace holds the reduced row echelon form of the rows fed so far
 as integer rows: basis row k has its pivot value d_k > 0 at its pivot
 column, zeros at every other pivot column and coprime entries, so the
 RREF row is that row divided by d_k.  Pivoting is first nonzero in column
 order and rows are taken in caller order, so every result is deterministic
-and the RREF is the canonical one.
+and the RREF is the canonical one.  It serves the dense rows, evaluation
+rows above all; sparse rows whose basis stays sparse go to
+SparseIntRowSpace (_sparserank.py), which holds the same canonical form.
 
 Rows are fed in blocks of BLOCK rows, and a block joins the basis at once.
 It is reduced against the basis by one product: with L the lcm of the pivot
@@ -97,41 +99,36 @@ class FastIntRowSpace:
         (X,) = self._exact_if(np.abs(X).max(), X)
         return X if self.exact else X.astype(np.float64)
 
-    def _reduce(self, X: np.ndarray, start: int = 0) -> np.ndarray:
-        """Rows X (physical order), zero at the pivots of the basis rows
-        before start, reduced against the basis rows from start on: zero at
-        every pivot, each a positive multiple of its remainder modulo the
-        span."""
+    def _reduce(self, X: np.ndarray) -> np.ndarray:
+        """Rows X (physical order) reduced against the basis: zero at every
+        pivot, each a positive multiple of its remainder modulo the span."""
         r = self._r
-        C = X[:, start:r]
+        C = X[:, :r]
         hit = C.any(axis=0)
         if not hit.any():
             return X
-        d = np.diagonal(self._B[start:r, start:r])
+        d = np.diagonal(self._B[:r, :r])
         dh = d[hit]
         L = lcm(*{int(v) for v in dh[dh != 1].tolist()})
         if not self.exact:
             # |L b - sum_k b[p_k] (L/d_k) B_k| <= L |b| + sum_k |b[p_k]| (L/d_k) max|B_k|
             bound = L
             if L < _LIMIT:
-                bound = L * np.abs(X).max() + (np.abs(C) @ (self._rowmax[start:r] * (L // d))).max()
+                bound = L * np.abs(X).max() + (np.abs(C) @ (self._rowmax[:r] * (L // d))).max()
             X, C = self._exact_if(bound, X, C)
-            d = np.diagonal(self._B[start:r, start:r])
+            d = np.diagonal(self._B[:r, :r])
         D = C if L == 1 else C * (L // d)
         out = np.zeros_like(X)
-        out[:, r:] = (X[:, r:] if L == 1 else L * X[:, r:]) - D @ self._B[start:r, r:]
+        out[:, r:] = (X[:, r:] if L == 1 else L * X[:, r:]) - D @ self._B[:r, r:]
         return out
 
-    def reduce_rows(self, B, start: int = 0) -> np.ndarray:
+    def reduce_rows(self, B) -> np.ndarray:
         """Rows of B reduced against the basis and made primitive, in column
         order and the number type of the basis; a row comes back zero iff it
-        lies in the span.  Given start, the rows must be zero at the pivots
-        of the first start basis rows, as rows reduced when the rank was
-        start are (a basis row is zero at every other pivot), and only the
-        later basis rows are read."""
+        lies in the span."""
         X = self._load(B)
-        if self._r > start and X.size:
-            X = self._reduce(X, start)
+        if self._r and X.size:
+            X = self._reduce(X)
         out = np.empty_like(X)
         out[:, self._col] = _primitive(X)
         return out

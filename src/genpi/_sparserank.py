@@ -1,0 +1,163 @@
+"""Exact elimination of sparse integer rows: the row space over Q.
+
+SparseIntRowSpace holds the same canonical basis as FastIntRowSpace: one
+integer row per pivot, the pivot its first nonzero, primitive, positive at
+its pivot and zero at every other pivot, so rref() gives the same arrays.
+It is meant for rows with few nonzeros whose basis stays sparse, as the
+consequence spans of generating sets are (shifts of a few generators, like
+the rows of a Macaulay matrix); on dense rows the blocked float64 products
+of FastIntRowSpace are faster.
+
+Rows are {column: int} dicts of Python integers, so there is no magnitude
+bound and no second number type.  A row is reduced fraction-free, one pivot
+at a time, v <- d_p v - v[p] B_p with d_p the pivot value of basis row B_p;
+as B_p is zero at every other pivot, the pivots to clear are the ones where
+v is nonzero on arrival.  A column index maps each non-pivot column to the
+basis rows that are nonzero there: when a reduced row brings a new pivot,
+it names the basis rows to clear of it, each by the same step.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+import numpy as np
+
+_INT64_LIMIT = 1 << 63
+
+
+def _primitive(v: dict) -> dict:
+    """v divided by the gcd of its entries (positive), in place; an empty v
+    stays empty."""
+    g = gcd(*v.values())
+    if g != 1:
+        for c in v:
+            v[c] //= g
+    return v
+
+
+def _top(rows) -> int:
+    """The largest absolute entry of the dict rows (0 when there is none)."""
+    return max((abs(x) for v in rows for x in v.values()), default=0)
+
+
+class SparseIntRowSpace:
+    """Incremental row space of sparse vectors in Z^ncols; rank over Q."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._rows: dict = {}  # pivot column -> basis row {column: int}
+        self._index: dict = {}  # non-pivot column -> pivots of the rows nonzero there
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """The pivot columns, ascending."""
+        return np.array(sorted(self._rows), dtype=np.intp)
+
+    @staticmethod
+    def _dicts(B) -> list:
+        """The rows of the integer array B (1-D or 2-D) as {column: int}
+        dicts of Python integers."""
+        B = np.asarray(B)
+        B = B[None, :] if B.ndim == 1 else B
+        flat = np.flatnonzero(B != 0)  # much faster than np.nonzero(B) on integers
+        r, c = np.divmod(flat, B.shape[1])
+        ends = np.searchsorted(r, np.arange(1, len(B) + 1)).tolist()
+        cols, vals = c.tolist(), B.ravel()[flat].tolist()
+        out, i = [], 0
+        for end in ends:
+            out.append(dict(zip(cols[i:end], vals[i:end])))
+            i = end
+        return out
+
+    def _reduce(self, v: dict) -> dict:
+        """v reduced against the basis, in place: zero at every pivot, a
+        positive multiple of its remainder modulo the span."""
+        rows = self._rows
+        for p in [c for c in v if c in rows]:
+            B, a = rows[p], v[p]
+            d = B[p]
+            if d != 1:
+                for c in v:
+                    v[c] *= d
+            for c, x in B.items():
+                y = v.get(c, 0) - a * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+        return v
+
+    def _add(self, v: dict) -> bool:
+        """Feed one row; whether it brought a new pivot."""
+        v = self._reduce(v)
+        if not v:
+            return False
+        p = min(v)
+        e = v[p]
+        if e < 0:
+            for c in v:
+                v[c] = -v[c]
+            e = -e
+        if e != 1:
+            e = _primitive(v)[p]
+        index = self._index
+        for q in index.pop(p, ()):  # clear p from the rows nonzero there
+            B = self._rows[q]
+            b = B.pop(p)
+            if e != 1:
+                for c in B:
+                    B[c] *= e
+            for c, x in v.items():
+                if c == p:
+                    continue
+                y = B.get(c, 0) - b * x
+                if y:
+                    if c not in B:
+                        index.setdefault(c, set()).add(q)
+                    B[c] = y
+                else:
+                    del B[c]
+                    index[c].discard(q)
+            if B[q] != 1:
+                _primitive(B)
+        for c in v:
+            if c != p:
+                index.setdefault(c, set()).add(p)
+        self._rows[p] = v
+        return True
+
+    def add_rows(self, B) -> int:
+        """Feed integer rows in order; returns the number of new pivots."""
+        return sum(self._add(v) for v in self._dicts(B))
+
+    def _dense(self, rows: list, dtype=None) -> np.ndarray:
+        """The dict rows as one integer array: in dtype, by default int64
+        when every entry fits, else Python integers."""
+        if dtype is None:
+            dtype = np.int64 if _top(rows) < _INT64_LIMIT else object
+        out = np.zeros((len(rows), self.ncols), dtype=dtype)
+        for i, v in enumerate(rows):
+            out[i, list(v)] = list(v.values())
+        return out
+
+    def reduce_rows(self, B) -> np.ndarray:
+        """Rows of B reduced against the basis and made primitive, in
+        column order; a row comes back zero iff it lies in the span."""
+        return self._dense([_primitive(self._reduce(v)) for v in self._dicts(B)])
+
+    def max_entry(self) -> int:
+        """The largest absolute entry of the basis rows (0 when empty)."""
+        return _top(self._rows.values())
+
+    def rref(self, dtype=None):
+        """(pivot columns ascending, integer rows in column order): the RREF
+        row with pivot pivots[k] is rows[k] / rows[k, pivots[k]].  Rows are
+        in dtype, by default int64 when every entry fits, else Python
+        integers."""
+        pivots = sorted(self._rows)
+        return np.array(pivots, dtype=np.intp), self._dense([self._rows[p] for p in pivots], dtype)

@@ -21,10 +21,14 @@ the byte cap STREAM_BYTES, give one echelon basis of their span; each
 multiplicity m_lambda is the rank of that basis under sigma_T' b_T a_T,
 one standard tableau T' at a time, in the columns of the row orbits of T
 (_specht.py, where the lemma is).  Containment of varieties tests the same
-components of two actions side by side.  Ranks, spans and kernels all come
-from the one exact elimination, FastIntRowSpace (_fastrank.py).  One
-feeder, _span, gives it the rows of every span in this module except the
-coefficient closure (_closure), which grows one space pass by pass.
+components of two actions side by side.  Ranks, spans and kernels come
+from one of two exact eliminations with the same canonical form, chosen by
+the source of the rows: the spans of evaluation rows, which are dense,
+from the blocked FastIntRowSpace (_fastrank.py), and the consequence
+spans, whose rows and bases are sparse, from SparseIntRowSpace
+(_sparserank.py).  One feeder, _span, gives either the rows of every span
+in this module except the coefficient closure (_closure), which grows one
+sparse space pass by pass.
 
 One polynomial is tested on the same rows (identity_witness): each of its
 multilinear components is one combination of permuted master rows, built
@@ -77,6 +81,7 @@ from math import factorial, lcm
 import numpy as np
 
 from ._fastrank import BLOCK, FastIntRowSpace
+from ._sparserank import SparseIntRowSpace
 from ._specht import isotypic_blocks, orbit_width
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _parse_name, _word_mask
@@ -279,13 +284,14 @@ def _groups(blocks):
         yield np.concatenate(held)
 
 
-def _span(blocks, ncols: int, target: int | None = None, stop=None) -> FastIntRowSpace:
-    """Row space of the rows of the blocks, fed in order to one
-    FastIntRowSpace in whole BLOCK-row groups.  The feed, and the pulling
+def _span(blocks, ncols: int, target: int | None = None, stop=None, kernel=FastIntRowSpace):
+    """Row space of the rows of the blocks, fed in order to one new space
+    of the kernel class (FastIntRowSpace for dense rows, SparseIntRowSpace
+    for sparse ones) in whole BLOCK-row groups.  The feed, and the pulling
     of blocks, ends after the first group that brings the rank to target or
     more, or after which stop(space) is true; both are asked after each
     group that added pivots."""
-    space = FastIntRowSpace(ncols)
+    space = kernel(ncols)
     for X in _groups(blocks):
         if not space.add_rows(X):
             continue
@@ -506,10 +512,11 @@ def _spread(B, maps, ncols: int, seen: set):
     whose key is in seen (the keys of the rows kept join it).  A row's key
     is its column bytes and value bytes in column order, or (column bytes,
     values) for Python integers: equal exactly for equal rows."""
-    maps = list(maps)
+    maps, ncols_in = list(maps), B.shape[1]
     for X in _chunks(B, _stream_rows(ncols)):
-        r, c = np.nonzero(X)
-        p, vals = (8 * np.searchsorted(r, np.arange(len(X) + 1))).tolist(), X[r, c]
+        flat = np.flatnonzero(X != 0)  # much faster than np.nonzero(X) on integers
+        r, c = np.divmod(flat, ncols_in)
+        p, vals = (8 * np.searchsorted(r, np.arange(len(X) + 1))).tolist(), X.ravel()[flat]
         for idx in maps:
             cols = idx[c]
             order = np.lexsort((cols, r))
@@ -526,35 +533,40 @@ def _spread(B, maps, ncols: int, seen: set):
             yield Y
 
 
-def _closure(vec, d: int, ncols: int, tables):
+def _closure(vecs, d: int, ncols: int, tables) -> np.ndarray:
     """Integer basis rows of the span of every coefficient filling of the
-    degree-d vector vec ({column: value}): one pass per family of
-    _coefficient_families, in dense blocks of at most _stream_rows(ncols)
-    rows.  Every pass grows the one space, which a fresh _span per pass
-    would have to refill with the basis so far."""
+    degree-d vectors vecs ({column: value} each), grown in one sparse
+    space: one pass per family of _coefficient_families, which feeds the
+    images of the basis so far under every table of the family in one
+    add_rows per dense block of at most _stream_rows(ncols) rows.  Tables
+    that are multiples of the identity, as the unit's is, add nothing and
+    are skipped."""
     size = _stream_rows(ncols)
-    space = FastIntRowSpace(ncols)
-    space.add_rows(int_rows([vec], ncols))
-    for slots, table in _coefficient_families(d, *tables):
-        C = space.rref()[1]
-        for M in table:
-            if (M == M[0, 0] * np.eye(len(M), dtype=object)).all():
-                continue  # a multiple of the identity, as the unit's table is, adds nothing
-            for X in _chunks(C, size):
-                space.add_rows(_multiply_slots(X, slots, M))
+    left, right = ([M for M in T if not (M == M[0, 0] * np.eye(len(M), dtype=object)).all()] for T in tables)
+    space = SparseIntRowSpace(ncols)
+    space.add_rows(int_rows(vecs, ncols))
+    for slots, table in _coefficient_families(d, left, right):
+        if not table:
+            continue
+        for X in _chunks(space.rref()[1], max(1, size // len(table))):
+            space.add_rows(np.concatenate([_multiply_slots(X, slots, M) for M in table]))
     return space.rref()[1]
 
 
-def _consequence_blocks(gens, h: Action, n: int):
+def _consequence_blocks(vecs, h: Action, n: int):
     """Yield dense blocks of integer vectors that span the degree-n
-    multilinear consequences of the generators, degree by degree:
+    multilinear consequences of the generators, given as (degree d,
+    coefficient vector over the degree-d monomials) pairs
+    (_generator_vector), degree by degree:
 
-        I_d = span(tau_j E(I_(d-1)), j = 1..d) + C(S_d G_d).
+        I_d = span(tau_j E(I_(d-1)), j = 1..d) + S_d C(G_d).
 
     E runs the basis of I_(d-1) through the elementary extensions and tau_j
     swaps the labels j and d (_extensions); G_d are the generators of
-    degree d, C closes one under its coefficient fillings (_closure) and
-    S_d relabels the closure.  A pass of C adds {M_w(v): v in the span so
+    degree d, C closes their span under its coefficient fillings
+    (_closure) and S_d relabels the closure.  The closure of a span is the
+    sum of the closures of its vectors, as every filling is linear, so one
+    closure serves all of G_d.  A pass of C adds {M_w(v): v in the span so
     far, w listed} for one family; the unit of W is a combination of the
     listed basis, so that is the span of the images alone, and the
     families commute, so one pass each reaches every filling.  The degrees
@@ -566,7 +578,7 @@ def _consequence_blocks(gens, h: Action, n: int):
     Lemma: I_d is the span of the instances u0 g(v_1..v_e) u1 of the
     generators g of degree e <= d (coefficients at every position running
     over the listed basis).  Proof of the recursion: at e = d the instance
-    is a coefficient filling of a relabelled generator, in C(S_d G_d).  If
+    is a coefficient filling of a relabelled generator, in S_d C(G_d).  If
     e < d, some variable sits in u0 or u1, or in a substituted block v_t of
     length >= 2; relabel the last variable of that block x_d.  If the block
     has another variable, the one x_i just before x_d, delete x_d with the
@@ -580,22 +592,27 @@ def _consequence_blocks(gens, h: Action, n: int):
     if W.unit is None:
         raise InternalError("consequence spans need a unital coefficient algebra")
     tables = _product_tables(W)
-    vecs: dict = {}  # degree -> generator vectors
-    for d, vec in filter(None, (_generator_vector(g, h) for g in gens)):
+    by_degree: dict = {}  # degree -> generator vectors
+    for d, vec in vecs:
         if d <= n and vec:
-            vecs.setdefault(d, []).append(vec)
+            by_degree.setdefault(d, []).append(vec)
     B = np.zeros((0, 1), dtype=np.int64)  # I_0
     for d in range(1, n + 1):
         ncols, seen = basis_size(d, s), set()
         blocks = _spread(B, _extensions(d, s), ncols, seen)
-        if d in vecs:
+        if d in by_degree:
             relabel = [_relabelling(d, s, pi) for pi in permutations(range(1, d + 1))]
-            closed = [_closure(vec, d, ncols, tables) for vec in vecs[d]]
-            blocks = chain(blocks, *(_spread(C, relabel, ncols, seen) for C in closed))
+            blocks = chain(blocks, _spread(_closure(by_degree[d], d, ncols, tables), relabel, ncols, seen))
         if d == n:
             yield from blocks
         else:
-            B = _span(blocks, ncols).rref()[1]
+            B = _span(blocks, ncols, kernel=SparseIntRowSpace).rref()[1]
+
+
+def _generator_vectors(gens, h: Action) -> list:
+    """The (degree, vector) pairs of the generators that do not vanish in
+    coordinates (_generator_vector), each generator normalized once."""
+    return [gv for g in gens if (gv := _generator_vector(g, h)) is not None]
 
 
 def consequences_span(generators, h: Action, n: int) -> Subspace:
@@ -604,7 +621,8 @@ def consequences_span(generators, h: Action, n: int) -> Subspace:
     _check_degree(n)
     rows = basis_size(n, h.s)
     _check_budget(rows, 1)
-    return Subspace.from_space(_span(_consequence_blocks(list(generators), h, n), rows))
+    blocks = _consequence_blocks(_generator_vectors(generators, h), h, n)
+    return Subspace.from_space(_span(blocks, rows, kernel=SparseIntRowSpace))
 
 
 def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
@@ -617,16 +635,17 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     if dv[0] != n:
         raise NotMultilinear(f"membership at degree {n} needs a target of that degree, not {dv[0]}")
     rows = basis_size(n, h.s)
-    residual, seen = int_rows([dv[1]], rows), 0
+    residual = int_rows([dv[1]], rows)
 
     def holds(span):
-        # the residual is zero at the pivots of the first seen basis rows,
-        # so only the rows added since it was reduced are read
-        nonlocal residual, seen
-        residual, seen = span.reduce_rows(residual, seen), span.rank
+        # the residual is zero at the pivots it was reduced against, so
+        # only the pivots added since are cleared from it
+        nonlocal residual
+        residual = span.reduce_rows(residual)
         return not residual.any()
 
-    return holds(_span(_consequence_blocks(list(generators), h, n), rows, stop=holds))
+    blocks = _consequence_blocks(_generator_vectors(generators, h), h, n)
+    return holds(_span(blocks, rows, stop=holds, kernel=SparseIntRowSpace))
 
 
 def _vanishes(vec: dict, blocks, scales=None) -> bool:
@@ -658,16 +677,16 @@ def _verify(gens, h: Action, n: int, evaluation, codim) -> bool:
     identity kernel, so the two are equal iff the span, streamed with an
     early stop, reaches the rank basis_size - codim()."""
     _check_degree(n)
-    gens = list(gens)
-    for d, vec in filter(None, (_generator_vector(g, h) for g in gens)):
+    vecs = _generator_vectors(gens, h)
+    for d, vec in vecs:
         if d <= n and not _vanishes(vec, *evaluation(d)):
             return False
     blocks, scales = evaluation(1)
     kernel = _left_kernel(np.concatenate(list(blocks)), None if scales is None else _ratio_parts(scales))
-    structural = _degree_one_words(kernel, h.s)
+    vecs += _generator_vectors(_degree_one_words(kernel, h.s), h)
     ncols = basis_size(n, h.s)
     target = ncols - codim()
-    span = _span(_consequence_blocks(gens + structural, h, n), ncols, target)
+    span = _span(_consequence_blocks(vecs, h, n), ncols, target, kernel=SparseIntRowSpace)
     if span.rank > target:
         raise InternalError("consequence span escaped the identity kernel")
     return span.rank == target

@@ -1,6 +1,6 @@
 """Exact rational linear algebra: matrices, rank, kernels, subspace arithmetic.
 
-Everything here runs on the one exact elimination of the package,
+Everything here runs on the blocked exact elimination of the package,
 FastIntRowSpace (_fastrank.py): rational rows are scaled to integer rows,
 and ranks, memberships, canonical bases, kernels and solutions are read off
 its reduced row echelon form, so no rational arithmetic happens during
@@ -23,6 +23,7 @@ from math import lcm
 import numpy as np
 
 from ._fastrank import FastIntRowSpace
+from ._sparserank import SparseIntRowSpace
 from .errors import DimensionMismatch, NotRational, UnknownOperation
 
 _ZERO = Fraction(0)
@@ -163,7 +164,12 @@ class Subspace:
         return cls.from_space(_row_space(vectors, ambient_dim))
 
     @classmethod
-    def from_space(cls, space: FastIntRowSpace) -> "Subspace":
+    def from_space(cls, space) -> "Subspace":
+        """The subspace a FastIntRowSpace or SparseIntRowSpace spans.  The
+        sparse rows are written at once in the narrowest type, with no
+        int64 copy of the basis."""
+        if isinstance(space, SparseIntRowSpace):
+            return cls(space.ncols, *space.rref(_int_type(space.max_entry())))
         return cls(space.ncols, *space.rref())
 
     @classmethod

@@ -19,6 +19,7 @@ from genpi.algebras import builtin
 from genpi.codim import (
     _consequence_blocks,
     _degree_one_words,
+    _generator_vectors,
     _generator_words,
     _grassmann_matrix,
     _groups,
@@ -179,13 +180,13 @@ def test_blocks_match_naive_enumeration(name):
 
 def test_blocks_beyond_int64_are_python_ints():
     h, gens, n = _stream_case("2^70 coefficient")
-    blocks = list(_consequence_blocks(gens, h, n))
+    blocks = list(_consequence_blocks(_generator_vectors(gens, h), h, n))
     assert any(b.dtype == object for b in blocks)
 
 
 def test_blocks_hold_no_repeated_row():
     h, gens, n = _stream_case("ut2full+structural")
-    rows = np.concatenate(list(_consequence_blocks(gens, h, n)))
+    rows = np.concatenate(list(_consequence_blocks(_generator_vectors(gens, h), h, n)))
     assert rows.dtype == np.int64 and len(np.unique(rows, axis=0)) == len(rows)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from genpi._fastrank import FastIntRowSpace
+from genpi._sparserank import SparseIntRowSpace
 from genpi.errors import DimensionMismatch, GenpiError
 from genpi.linalg import (
     RatMatrix,
@@ -285,9 +286,10 @@ def test_basis_grows_without_a_temporary():
 
 @pytest.mark.parametrize("big", [False, True], ids=["int64", "beyond 2^52"])
 def test_residual_reduced_against_the_new_rows_only(big):
-    # a row reduced when the rank was k, reduced again against the basis
-    # rows added since, equals the row reduced against the whole basis
-    # (both primitive positive multiples of one remainder)
+    # the streamed membership of in_consequence_span: a row reduced when the
+    # rank was k, reduced again after more rows joined, equals the row
+    # reduced against the whole basis (both primitive positive multiples of
+    # one remainder), and it is zero iff the row lies in the span
     rng = random.Random(91)
     scale = 2 ** 60 if big else 1
     for _ in range(10):
@@ -295,10 +297,10 @@ def test_residual_reduced_against_the_new_rows_only(big):
         rows = np.array([[rng.randint(-3, 3) * scale for _ in range(nc)] for _ in range(rng.randint(4, 40))],
                         dtype=object if big else np.int64)
         target = np.array([rng.randint(-3, 3) for _ in range(nc)], dtype=np.int64)
-        space, residual, seen = FastIntRowSpace(nc), target, 0
+        space, residual = SparseIntRowSpace(nc), target
         for i in range(0, len(rows), 5):
             space.add_rows(rows[i:i + 5])
-            residual, seen = space.reduce_rows(residual, seen), space.rank
+            residual = space.reduce_rows(residual)
             assert (residual == space.reduce_rows(target)).all()
         assert residual.any() == (naive_rank([*rows.tolist(), target.tolist()]) > naive_rank(rows.tolist()))
 

@@ -1,0 +1,130 @@
+"""The sparse exact row space against FastIntRowSpace, and the answers of
+the consequence engine that runs on it."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genpi._fastrank import FastIntRowSpace
+from genpi._sparserank import SparseIntRowSpace
+from genpi.actions import grassmann_action, preset_action
+from genpi.codim import (
+    grassmann_generators,
+    in_consequence_span,
+    preset_generators,
+    verify_generating_set,
+    verify_grassmann_generating_set,
+)
+from genpi.linalg import Subspace
+
+
+@st.composite
+def sparse_feeds(draw):
+    """(ncols, groups of integer rows): sparse rows with small, unit and
+    beyond-2^63 entries, zero rows, repeats and combinations of earlier
+    rows, cut into groups of random sizes."""
+    ncols = draw(st.integers(1, 70))
+    entry = st.one_of(st.sampled_from([1, -1]), st.integers(-5, 5), st.integers(-2 ** 70, 2 ** 70))
+    rows = []
+    for _ in range(draw(st.integers(0, 48))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "zero", "repeat", "combination"]))
+        if kind == "zero" or not rows and kind != "sparse":
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-3, 3))
+            rows.append([k * x + y for x, y in zip(a, b)])
+        else:
+            row = [0] * ncols
+            for c in draw(st.lists(st.integers(0, ncols - 1), max_size=4)):
+                row[c] = draw(entry)
+            rows.append(row)
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=5)))
+    return ncols, [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+
+
+def _array(rows, ncols):
+    big = any(abs(x) >= 1 << 63 for row in rows for x in row)
+    return np.array(rows, dtype=object if big else np.int64).reshape(len(rows), ncols)
+
+
+@settings(max_examples=100)
+@given(sparse_feeds())
+def test_sparse_space_matches_fast_space(feed):
+    ncols, groups = feed
+    sparse, fast = SparseIntRowSpace(ncols), FastIntRowSpace(ncols)
+    probe = _array([[(c * 7 + k) % 5 - 2 for c in range(ncols)] for k in range(3)], ncols)
+    for rows in groups:
+        B = _array(rows, ncols)
+        assert sparse.add_rows(B) == fast.add_rows(B)
+        assert sparse.rank == fast.rank
+        (ps, rs), (pf, rf) = sparse.rref(), fast.rref()
+        assert ps.tolist() == pf.tolist() == sparse.pivots.tolist()
+        # the same canonical rows; the number type too, unless the fast
+        # space moved to Python integers for its intermediate values
+        assert rs.tolist() == rf.tolist()
+        assert rs.dtype == rf.dtype or fast.exact
+        assert sparse.reduce_rows(probe).tolist() == [[int(x) for x in row] for row in fast.reduce_rows(probe).tolist()]
+        assert Subspace.from_space(sparse) == Subspace.from_space(fast)
+
+
+def test_sparse_subspace_is_written_in_the_narrowest_type():
+    space = SparseIntRowSpace(4)
+    space.add_rows(np.array([[1, 0, 200, 3], [0, 1, -1, 0]]))
+    sub = Subspace.from_space(space)
+    assert sub.rows.dtype == np.int16
+    assert space.rref()[1].dtype == np.int64
+    space.add_rows(np.array([[0, 0, 2 ** 70, 1]], dtype=object))
+    assert space.rref()[1].dtype == object == Subspace.from_space(space).rows.dtype
+
+
+# (verify_generating_set, in_consequence_span of each target of the degree)
+# on the preset generating sets; the Grassmann rows verify with
+# verify_grassmann_generating_set and test membership on grassmann_action(k, k)
+TARGETS = {
+    1: ["w1*x1", "x1*w2"],
+    2: ["[x1,x2]", "w1*[x1,x2]"],
+    3: ["[x1,x2]*x3", "[x1,x2,x3]"],
+    4: ["[x1,x2]*[x3,x4]", "[x1,x2]*x3*x4"],
+}
+ANSWERS = {
+    ("ut2F", 1): [True, True, True],
+    ("ut2F", 2): [True, False, True],
+    ("ut2F", 3): [True, False, False],
+    ("ut2F", 4): [True, True, False],
+    ("ut2D", 1): [True, False, True],
+    ("ut2D", 2): [True, False, True],
+    ("ut2D", 3): [True, False, False],
+    ("ut2D", 4): [True, True, False],
+    ("ut2C", 1): [True, False, True],
+    ("ut2C", 2): [True, False, True],
+    ("ut2C", 3): [True, False, False],
+    ("ut2C", 4): [True, True, False],
+    ("ut2full", 1): [True, False, False],
+    ("ut2full", 2): [True, False, True],
+    ("ut2full", 3): [True, False, False],
+    ("ut2full", 4): [True, True, False],
+    (1, 4): [True, False, False],  # Grassmann, k = 1
+    (2, 3): [True, False, True],  # Grassmann, k = 2
+}
+
+
+def _case_id(case):
+    name, n = case
+    return f"{name}-{n}" if isinstance(name, str) else f"grassmann{name}-{n}"
+
+
+@pytest.mark.parametrize("case", list(ANSWERS), ids=_case_id)
+def test_consequence_answers_are_unchanged(case):
+    name, n = case
+    if isinstance(name, int):
+        k = name
+        h, gens = grassmann_action(k, k), grassmann_generators(k)
+        verdict = verify_grassmann_generating_set(k, n)
+    else:
+        h, gens = preset_action(name), preset_generators(name)
+        verdict = verify_generating_set(gens, h, n)
+    assert [verdict, *(in_consequence_span(p, gens, h, n) for p in TARGETS[n])] == ANSWERS[case]
