@@ -8,11 +8,14 @@ consequence spans of generating sets are (shifts of a few generators, like
 the rows of a Macaulay matrix); on dense rows the blocked float64 products
 of FastIntRowSpace are faster.
 
-Rows are {column: int} dicts of Python integers, so there is no magnitude
-bound and no second number type.  A row is reduced fraction-free, one pivot
-at a time, v <- d_p v - v[p] B_p with d_p the pivot value of basis row B_p;
-as B_p is zero at every other pivot, the pivots to clear are the ones where
-v is nonzero on arrival.  A column index maps each non-pivot column to the
+Rows go in and come out as {column: int} dicts of Python integers, so there
+is no magnitude bound, no second number type and no dense row on the way;
+dict_rows and dense_rows convert between them and integer arrays, for
+the callers that compute on dense rows, and rref() writes the basis out
+dense.  A row is reduced fraction-free, one pivot at a time,
+v <- d_p v - v[p] B_p with d_p the pivot value of basis row B_p; as B_p is
+zero at every other pivot, the pivots to clear are the ones where v is
+nonzero on arrival.  A column index maps each non-pivot column to the
 basis rows that are nonzero there: when a reduced row brings a new pivot,
 it names the basis rows to clear of it, each by the same step.
 """
@@ -36,6 +39,35 @@ def _primitive(v: dict) -> dict:
     return v
 
 
+def dict_rows(B) -> list:
+    """The rows of the integer array B (1-D or 2-D) as {column: int} dicts
+    of their nonzero entries, the values Python integers (never numpy
+    scalars, which would wrap in the in-place products of the
+    elimination)."""
+    B = np.asarray(B)
+    B = B[None, :] if B.ndim == 1 else B
+    flat = np.flatnonzero(B != 0)  # much faster than np.nonzero(B) on integers
+    r, c = np.divmod(flat, B.shape[1])
+    ends = np.searchsorted(r, np.arange(1, len(B) + 1)).tolist()
+    cols, vals = c.tolist(), B.ravel()[flat].tolist()
+    out, i = [], 0
+    for end in ends:
+        out.append(dict(zip(cols[i:end], vals[i:end])))
+        i = end
+    return out
+
+
+def dense_rows(rows, ncols: int, dtype=None) -> np.ndarray:
+    """The {column: int} rows as one integer array of ncols columns: in
+    dtype, by default int64 when every entry fits, else Python integers."""
+    if dtype is None:
+        dtype = np.int64 if _top(rows) < _INT64_LIMIT else object
+    out = np.zeros((len(rows), ncols), dtype=dtype)
+    for i, v in enumerate(rows):
+        out[i, list(v)] = list(v.values())
+    return out
+
+
 def _top(rows) -> int:
     """The largest absolute entry of the dict rows (0 when there is none)."""
     return max((abs(x) for v in rows for x in v.values()), default=0)
@@ -57,22 +89,6 @@ class SparseIntRowSpace:
     def pivots(self) -> np.ndarray:
         """The pivot columns, ascending."""
         return np.array(sorted(self._rows), dtype=np.intp)
-
-    @staticmethod
-    def _dicts(B) -> list:
-        """The rows of the integer array B (1-D or 2-D) as {column: int}
-        dicts of Python integers."""
-        B = np.asarray(B)
-        B = B[None, :] if B.ndim == 1 else B
-        flat = np.flatnonzero(B != 0)  # much faster than np.nonzero(B) on integers
-        r, c = np.divmod(flat, B.shape[1])
-        ends = np.searchsorted(r, np.arange(1, len(B) + 1)).tolist()
-        cols, vals = c.tolist(), B.ravel()[flat].tolist()
-        out, i = [], 0
-        for end in ends:
-            out.append(dict(zip(cols[i:end], vals[i:end])))
-            i = end
-        return out
 
     def _reduce(self, v: dict) -> dict:
         """v reduced against the basis, in place: zero at every pivot, a
@@ -131,24 +147,21 @@ class SparseIntRowSpace:
         self._rows[p] = v
         return True
 
-    def add_rows(self, B) -> int:
-        """Feed integer rows in order; returns the number of new pivots."""
-        return sum(self._add(v) for v in self._dicts(B))
+    def add_rows(self, rows) -> int:
+        """Feed {column: int} rows in order; returns the number of new
+        pivots.  The rows are taken over: each is reduced in place, and one
+        that brings a pivot becomes a basis row."""
+        return sum(self._add(v) for v in rows)
 
-    def _dense(self, rows: list, dtype=None) -> np.ndarray:
-        """The dict rows as one integer array: in dtype, by default int64
-        when every entry fits, else Python integers."""
-        if dtype is None:
-            dtype = np.int64 if _top(rows) < _INT64_LIMIT else object
-        out = np.zeros((len(rows), self.ncols), dtype=dtype)
-        for i, v in enumerate(rows):
-            out[i, list(v)] = list(v.values())
-        return out
+    def reduce_rows(self, rows) -> list:
+        """Copies of the {column: int} rows reduced against the basis and
+        made primitive; a row comes back empty iff it lies in the span."""
+        return [_primitive(self._reduce(dict(v))) for v in rows]
 
-    def reduce_rows(self, B) -> np.ndarray:
-        """Rows of B reduced against the basis and made primitive, in
-        column order; a row comes back zero iff it lies in the span."""
-        return self._dense([_primitive(self._reduce(v)) for v in self._dicts(B)])
+    def rows(self) -> list:
+        """The basis rows in pivot order, as the space's own {column: int}
+        dicts: read them, do not change them."""
+        return [self._rows[p] for p in sorted(self._rows)]
 
     def max_entry(self) -> int:
         """The largest absolute entry of the basis rows (0 when empty)."""
@@ -159,5 +172,4 @@ class SparseIntRowSpace:
         row with pivot pivots[k] is rows[k] / rows[k, pivots[k]].  Rows are
         in dtype, by default int64 when every entry fits, else Python
         integers."""
-        pivots = sorted(self._rows)
-        return np.array(pivots, dtype=np.intp), self._dense([self._rows[p] for p in pivots], dtype)
+        return self.pivots, dense_rows(self.rows(), self.ncols, dtype)

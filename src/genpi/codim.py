@@ -52,10 +52,11 @@ their consequences must reach the rank of the identity kernel.
 The span is built degree by degree (Giambruno & Zaicev, Polynomial
 Identities and Asymptotic Methods, AMS 2005): the degree-d part is
 spanned by the one-variable extensions of the degree-(d-1) part, each a
-column map of integer rows, and by the generators of degree exactly d
-closed under their coefficient fillings (_consequence_blocks), as dense
-integer blocks of distinct rows.  The degrees below n are spanned in
-full; degree n streams, and ends as soon as the answer is known.
+column map of {column: int} rows, and by the generators of degree
+exactly d closed under their coefficient fillings (_consequence_blocks),
+as lists of distinct sparse rows that go to SparseIntRowSpace as they
+are; no dense row is written on the way.  The degrees below n are spanned
+in full; degree n streams, and ends as soon as the answer is known.
 
 The exterior algebra acted on by the words in its first k generators gets
 one integer matrix per degree n, over parity-class columns: each of
@@ -75,18 +76,18 @@ import os
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
-from itertools import chain, islice, permutations, product
+from itertools import accumulate, chain, islice, permutations, product
 from math import factorial, lcm
 
 import numpy as np
 
 from ._fastrank import BLOCK, FastIntRowSpace
-from ._sparserank import SparseIntRowSpace
+from ._sparserank import SparseIntRowSpace, dense_rows, dict_rows
 from ._specht import isotypic_blocks, orbit_width
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _parse_name, _word_mask
 from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotMultilinear, NotSplit
-from .linalg import Subspace, int_rows, reversed_kernel
+from .linalg import Subspace, int_dict, reversed_kernel
 from .polynomials import (
     basis_size,
     enumerate_basis,
@@ -105,12 +106,13 @@ _INT64_LIMIT = 1 << 63
 
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard of the master rows and of the kernel's matrix
-# byte cap of one dense int64 buffer: a block of the consequence stream or
-# of the coefficient closure, the transposed matrix of the kernel, 256
-# chunks of master rows; and of the int8 Grassmann parity-class matrix,
-# which its rank and kernel read in place, a group of BLOCK rows at a time
+# byte cap of one dense int64 buffer: a block of the coefficient closure's
+# products, the transposed matrix of the kernel, 256 chunks of master rows;
+# of the int8 Grassmann parity-class matrix, which its rank and kernel read
+# in place, a group of BLOCK rows at a time; and, through _stream_rows, of
+# the rows of a list of the sparse consequence stream, had they been dense
 STREAM_BYTES = 1 << 28
-STREAM_ROWS = 1024  # most rows of a block of the consequence stream or closure
+STREAM_ROWS = 1024  # most rows of a list of the consequence stream or of a closure block
 
 
 def row_budget() -> int:
@@ -265,9 +267,10 @@ def _distinct_rows(M: np.ndarray) -> np.ndarray:
 
 
 def _groups(blocks):
-    """The rows of the integer blocks, in order, as groups of BLOCK rows
-    (the last one may be shorter): a block's last rows wait for the next
-    block, and only a group that spans two blocks is copied."""
+    """The rows of the blocks, integer arrays or lists of dict rows, in
+    order, as groups of BLOCK rows (the last one may be shorter): a block's
+    last rows wait for the next block, and only a group that spans two
+    blocks is copied, into one array or one list."""
     held, count = [], 0
     for X in blocks:
         if count:
@@ -276,21 +279,27 @@ def _groups(blocks):
             count += len(held[-1])
             if count < BLOCK:
                 continue
-            yield np.concatenate(held)
+            yield _joined(held)
         cut = len(X) - len(X) % BLOCK
         yield from (X[i : i + BLOCK] for i in range(0, cut, BLOCK))
         held, count = [X[cut:]], len(X) - cut
     if count:
-        yield np.concatenate(held)
+        yield _joined(held)
+
+
+def _joined(parts):
+    """The rows of the parts, arrays or lists, as one array or one list."""
+    return list(chain.from_iterable(parts)) if isinstance(parts[0], list) else np.concatenate(parts)
 
 
 def _span(blocks, ncols: int, target: int | None = None, stop=None, kernel=FastIntRowSpace):
     """Row space of the rows of the blocks, fed in order to one new space
-    of the kernel class (FastIntRowSpace for dense rows, SparseIntRowSpace
-    for sparse ones) in whole BLOCK-row groups.  The feed, and the pulling
-    of blocks, ends after the first group that brings the rank to target or
-    more, or after which stop(space) is true; both are asked after each
-    group that added pivots."""
+    of the kernel class in whole BLOCK-row groups: FastIntRowSpace for
+    blocks of dense integer rows, SparseIntRowSpace for lists of
+    {column: int} rows.  The feed, and the pulling of blocks, ends after
+    the first group that brings the rank to target or more, or after which
+    stop(space) is true; both are asked after each group that added
+    pivots."""
     space = kernel(ncols)
     for X in _groups(blocks):
         if not space.add_rows(X):
@@ -506,58 +515,61 @@ def _chunks(B, size: int):
     return (B[i : i + size] for i in range(0, len(B), size))
 
 
-def _spread(B, maps, ncols: int, seen: set):
-    """Dense blocks, of at most _stream_rows(ncols) rows, of the rows of B
-    through each injective column map into ncols columns, without the rows
-    whose key is in seen (the keys of the rows kept join it).  A row's key
-    is its column bytes and value bytes in column order, or (column bytes,
-    values) for Python integers: equal exactly for equal rows."""
-    maps, ncols_in = list(maps), B.shape[1]
-    for X in _chunks(B, _stream_rows(ncols)):
-        flat = np.flatnonzero(X != 0)  # much faster than np.nonzero(X) on integers
-        r, c = np.divmod(flat, ncols_in)
-        p, vals = (8 * np.searchsorted(r, np.arange(len(X) + 1))).tolist(), X.ravel()[flat]
+def _spread(rows, maps, ncols: int, seen: set):
+    """Lists, of at most _stream_rows(ncols) rows each, of the {column: int}
+    rows through each injective column map into ncols columns, without the
+    rows whose key is in seen (the keys of the rows kept join it).  A row's
+    key is its (column, value) pairs in column order.  The rows go in
+    chunks of that size, and each chunk through every map in turn: the map
+    gathers the columns of all the chunk's entries at once."""
+    size = _stream_rows(ncols)
+    if not rows:
+        return
+    maps = list(maps)
+    for chunk in _chunks(rows, size):
+        cols = np.fromiter(chain.from_iterable(chunk), dtype=np.intp)
+        vals = [x for v in chunk for x in v.values()]
+        ends = list(accumulate(map(len, chunk)))
         for idx in maps:
-            cols = idx[c]
-            order = np.lexsort((cols, r))
-            cb, v = cols[order].tobytes(), vals[order]
-            if v.dtype == object:
-                v = v.tolist()
-                keys = [(cb[a:b], tuple(v[a // 8 : b // 8])) for a, b in zip(p, p[1:])]
-            else:
-                vb = v.tobytes()
-                keys = [cb[a:b] + vb[a:b] for a, b in zip(p, p[1:])]
-            new = [i for i, key in enumerate(keys) if not (key in seen or seen.add(key))]
-            Y = np.zeros((len(new), ncols), dtype=X.dtype)
-            Y[:, idx] = X[new]
-            yield Y
+            mapped, out, a = idx[cols].tolist(), [], 0
+            for b in ends:
+                key = tuple(sorted(zip(mapped[a:b], vals[a:b])))
+                a = b
+                if key not in seen:
+                    seen.add(key)
+                    out.append(dict(key))
+            yield out
 
 
-def _closure(vecs, d: int, ncols: int, tables) -> np.ndarray:
-    """Integer basis rows of the span of every coefficient filling of the
-    degree-d vectors vecs ({column: value} each), grown in one sparse
-    space: one pass per family of _coefficient_families, which feeds the
-    images of the basis so far under every table of the family in one
-    add_rows per dense block of at most _stream_rows(ncols) rows.  Tables
-    that are multiples of the identity, as the unit's is, add nothing and
-    are skipped."""
+def _closure(vecs, d: int, ncols: int, tables) -> list:
+    """The {column: int} basis rows, in pivot order, of the span of every
+    coefficient filling of the degree-d vectors vecs ({column: value}
+    each), grown in one sparse space: one pass per family of
+    _coefficient_families.  A pass writes the basis as it stood before the
+    pass dense, one block at a time, of at most _stream_rows(ncols) rows
+    over all the tables of the family, and feeds the dict rows of the
+    block's images under every table of the family in one add_rows.
+    Tables that are multiples of the identity, as the unit's is, add
+    nothing and are skipped."""
     size = _stream_rows(ncols)
     left, right = ([M for M in T if not (M == M[0, 0] * np.eye(len(M), dtype=object)).all()] for T in tables)
     space = SparseIntRowSpace(ncols)
-    space.add_rows(int_rows(vecs, ncols))
+    space.add_rows(int_dict(v) for v in vecs)
     for slots, table in _coefficient_families(d, left, right):
         if not table:
             continue
-        for X in _chunks(space.rref()[1], max(1, size // len(table))):
-            space.add_rows(np.concatenate([_multiply_slots(X, slots, M) for M in table]))
-    return space.rref()[1]
+        basis = [dict(v) for v in space.rows()]  # the span before the pass; add_rows changes the rows
+        for rows in _chunks(basis, max(1, size // len(table))):
+            X = dense_rows(rows, ncols)
+            space.add_rows(dict_rows(np.concatenate([_multiply_slots(X, slots, M) for M in table])))
+    return space.rows()
 
 
 def _consequence_blocks(vecs, h: Action, n: int):
-    """Yield dense blocks of integer vectors that span the degree-n
-    multilinear consequences of the generators, given as (degree d,
-    coefficient vector over the degree-d monomials) pairs
-    (_generator_vector), degree by degree:
+    """Yield lists of {column: int} rows that span the degree-n multilinear
+    consequences of the generators, given as (degree d, coefficient vector
+    over the degree-d monomials) pairs (_generator_vector), degree by
+    degree:
 
         I_d = span(tau_j E(I_(d-1)), j = 1..d) + S_d C(G_d).
 
@@ -570,10 +582,10 @@ def _consequence_blocks(vecs, h: Action, n: int):
     far, w listed} for one family; the unit of W is a combination of the
     listed basis, so that is the span of the images alone, and the
     families commute, so one pass each reaches every filling.  The degrees
-    below n are spanned in full, and the blocks of degree n come out
-    lazily.  No row comes out twice within a degree, and no block, nor any
-    block of the coefficient passes, holds more than _stream_rows(columns)
-    rows.
+    below n are spanned in full and kept as the basis dicts of their
+    sparse space, and the lists of degree n come out lazily.  No row comes
+    out twice within a degree, and no list, nor any dense block of the
+    coefficient passes, holds more than _stream_rows(columns) rows.
 
     Lemma: I_d is the span of the instances u0 g(v_1..v_e) u1 of the
     generators g of degree e <= d (coefficients at every position running
@@ -596,17 +608,17 @@ def _consequence_blocks(vecs, h: Action, n: int):
     for d, vec in vecs:
         if d <= n and vec:
             by_degree.setdefault(d, []).append(vec)
-    B = np.zeros((0, 1), dtype=np.int64)  # I_0
+    rows = []  # the basis of I_0
     for d in range(1, n + 1):
         ncols, seen = basis_size(d, s), set()
-        blocks = _spread(B, _extensions(d, s), ncols, seen)
+        blocks = _spread(rows, _extensions(d, s), ncols, seen)
         if d in by_degree:
             relabel = [_relabelling(d, s, pi) for pi in permutations(range(1, d + 1))]
             blocks = chain(blocks, _spread(_closure(by_degree[d], d, ncols, tables), relabel, ncols, seen))
         if d == n:
             yield from blocks
         else:
-            B = _span(blocks, ncols, kernel=SparseIntRowSpace).rref()[1]
+            rows = _span(blocks, ncols, kernel=SparseIntRowSpace).rows()
 
 
 def _generator_vectors(gens, h: Action) -> list:
@@ -635,14 +647,14 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     if dv[0] != n:
         raise NotMultilinear(f"membership at degree {n} needs a target of that degree, not {dv[0]}")
     rows = basis_size(n, h.s)
-    residual = int_rows([dv[1]], rows)
+    residual = int_dict(dv[1])
 
     def holds(span):
         # the residual is zero at the pivots it was reduced against, so
         # only the pivots added since are cleared from it
         nonlocal residual
-        residual = span.reduce_rows(residual)
-        return not residual.any()
+        (residual,) = span.reduce_rows([residual])
+        return not residual
 
     blocks = _consequence_blocks(_generator_vectors(generators, h), h, n)
     return holds(_span(blocks, rows, stop=holds, kernel=SparseIntRowSpace))

@@ -23,7 +23,7 @@ from math import lcm
 import numpy as np
 
 from ._fastrank import FastIntRowSpace
-from ._sparserank import SparseIntRowSpace
+from ._sparserank import SparseIntRowSpace, dense_rows
 from .errors import DimensionMismatch, NotRational, UnknownOperation
 
 _ZERO = Fraction(0)
@@ -42,22 +42,21 @@ def rat(x) -> Fraction:
     raise NotRational(f"not an exact rational: {x!r}")
 
 
+def int_dict(v) -> dict:
+    """v, a sequence or a {col: value} dict of rationals, times a positive
+    rational, as the {col: int} dict of its nonzero entries: the lcm of the
+    denominators clears them, and the values are Python integers."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    items = [(c, x if isinstance(x, int) else rat(x)) for c, x in items]
+    items = [(c, x) for c, x in items if x]
+    den = lcm(*(x.denominator for _, x in items))
+    return {c: x.numerator * (den // x.denominator) for c, x in items}
+
+
 def int_rows(vectors, ncols: int) -> np.ndarray:
-    """Integer rows: row i is vectors[i], a sequence or a {col: value} dict
-    of rationals, times a positive rational.  int64 when every entry fits,
-    else Python integers (an object array)."""
-    rows = []
-    for v in vectors:
-        items = v.items() if isinstance(v, dict) else enumerate(v)
-        items = [(c, x if isinstance(x, int) else rat(x)) for c, x in items]
-        items = [(c, x) for c, x in items if x]
-        den = lcm(*(x.denominator for _, x in items))
-        rows.append(([c for c, _ in items], [x.numerator * (den // x.denominator) for _, x in items]))
-    big = any(abs(x) >> 63 for _, vals in rows for x in vals)
-    out = np.zeros((len(rows), ncols), dtype=object if big else np.int64)
-    for i, (cols, vals) in enumerate(rows):
-        out[i, cols] = vals
-    return out
+    """Integer rows: row i is int_dict(vectors[i]) written out dense.
+    int64 when every entry fits, else Python integers (an object array)."""
+    return dense_rows([int_dict(v) for v in vectors], ncols)
 
 
 def _int_type(top: int) -> np.dtype:
@@ -141,10 +140,11 @@ class Subspace:
     past int64).  That form, its type included, depends on the subspace
     alone, so two Subspace objects are equal iff they are the same
     subspace.  The basis of Fractions (leading entries 1) is made only when
-    a caller reads it.
+    a caller reads it.  The membership tests load the basis into a
+    FastIntRowSpace once, on first use, and keep it.
     """
 
-    __slots__ = ("ambient_dim", "pivots", "rows")
+    __slots__ = ("ambient_dim", "pivots", "rows", "_loaded")
 
     def __init__(self, ambient_dim: int, pivots, rows):
         self.ambient_dim = ambient_dim
@@ -152,6 +152,7 @@ class Subspace:
         self.rows = _narrowest(np.asarray(rows))
         # equality and the hash read the arrays: they must not change
         self.pivots.flags.writeable = self.rows.flags.writeable = False
+        self._loaded = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -243,6 +244,14 @@ class Subspace:
     def _space(self) -> FastIntRowSpace:
         return FastIntRowSpace.from_rref(self.pivots, self.rows)
 
+    def _reducer(self) -> FastIntRowSpace:
+        """The space of the basis, loaded on the first call and kept, for
+        reduce_rows alone: a reduction leaves the span as it is, where
+        add_rows (sum) needs a fresh load."""
+        if self._loaded is None:
+            self._loaded = self._space()
+        return self._loaded
+
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         space = self._space()
@@ -263,7 +272,7 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return not self._space().reduce_rows(other.rows).any()
+        return not self._reducer().reduce_rows(other.rows).any()
 
     def coordinates(self, vec) -> list[Fraction] | None:
         """Coefficients of vec in the canonical basis, or None when vec is
@@ -273,7 +282,7 @@ class Subspace:
             raise DimensionMismatch(
                 f"vector of length {len(vec)} in ambient dimension {self.ambient_dim}"
             )
-        if self._space().reduce_rows(int_rows([vec], self.ambient_dim)).any():
+        if self._reducer().reduce_rows(int_rows([vec], self.ambient_dim)).any():
             return None
         return [rat(vec[p]) for p in self.pivots.tolist()]
 

@@ -2,6 +2,7 @@
 the span feeder on Python integers and its stops, the byte budget, and the
 rank paths against sympy."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import genpi.codim as codim
 from genpi._fastrank import BLOCK, FastIntRowSpace
+from genpi._sparserank import SparseIntRowSpace
 from genpi.actions import action_from_subalgebra, grassmann_action, preset_action
 from genpi.algebras import builtin
 from genpi.codim import (
@@ -178,16 +180,43 @@ def test_blocks_match_naive_enumeration(name):
     assert consequences_span(gens, h, n) == Subspace.from_space(naive)
 
 
+def _stream(name):
+    """The lists of dict rows that _consequence_blocks yields for a
+    STREAM_CASES entry, with its column count."""
+    h, gens, n = _stream_case(name)
+    return list(_consequence_blocks(_generator_vectors(gens, h), h, n)), basis_size(n, h.s)
+
+
 def test_blocks_beyond_int64_are_python_ints():
-    h, gens, n = _stream_case("2^70 coefficient")
-    blocks = list(_consequence_blocks(_generator_vectors(gens, h), h, n))
-    assert any(b.dtype == object for b in blocks)
+    # the generator's 2^70 + 1 arrives exact in the degree-4 rows
+    blocks, _ = _stream("2^70 coefficient")
+    assert all(isinstance(block, list) for block in blocks)
+    assert any(abs(x) >= 1 << 63 for block in blocks for v in block for x in v.values())
+    assert any(x % (2 ** 70 + 1) == 0 and x for block in blocks for v in block for x in v.values())
 
 
 def test_blocks_hold_no_repeated_row():
-    h, gens, n = _stream_case("ut2full+structural")
-    rows = np.concatenate(list(_consequence_blocks(_generator_vectors(gens, h), h, n)))
-    assert rows.dtype == np.int64 and len(np.unique(rows, axis=0)) == len(rows)
+    # ut2full plus its structural identities at degree 3: 928 distinct rows
+    blocks, ncols = _stream("ut2full+structural")
+    rows = [tuple(sorted(v.items())) for block in blocks for v in block]
+    assert len(set(rows)) == len(rows) == 928
+    assert all(v and 0 <= min(v) and max(v) < ncols for block in blocks for v in block)
+
+
+@pytest.mark.parametrize("name", ["2^70 coefficient", "ut2full+structural"])
+def test_stream_values_are_python_ints(name):
+    # numpy scalars would wrap in the in-place products of SparseIntRowSpace
+    # (the spans take their rows over, so the yielded rows are read first)
+    blocks, ncols = _stream(name)
+    h, gens, n = _stream_case(name)
+    rows = [v for block in blocks for v in block]
+    assert rows and all(type(c) is int and type(x) is int for v in rows for c, x in v.items())
+    spaces = [_span(blocks, ncols, kernel=SparseIntRowSpace)]
+    for d in range(1, n):
+        lower = _consequence_blocks(_generator_vectors(gens, h), h, d)
+        spaces.append(_span(lower, basis_size(d, h.s), kernel=SparseIntRowSpace))
+    rows = [v for space in spaces for v in space.rows()]
+    assert rows and all(type(c) is int and type(x) is int for v in rows for c, x in v.items())
 
 
 @pytest.mark.parametrize("name", ["2^40 coefficients", "2^70 coefficient"])
@@ -197,6 +226,45 @@ def test_large_coefficients_take_the_exact_path(name):
     target = "[x1,x2]*x3" if n == 3 else "[x1,x2]*[x3,x4]"
     assert verify_generating_set(gens, h, n)
     assert in_consequence_span(target, gens, h, n) is (n == 4)
+
+
+def test_ut2full_certificate_at_degree_5():
+    # 87,480 columns: about 1.1 s and 110 MB with sparse rows throughout,
+    # where dense row blocks of that width took a minute and 0.9 GB
+    h = preset_action("ut2full")
+    assert verify_generating_set(preset_generators("ut2full"), h, 5)
+
+
+def test_membership_writes_no_dense_row_block():
+    # the degree-4 stream of ut2full has 5,832 columns; dense blocks of
+    # 1,024 rows of it and a dense basis of I_3 peaked at 47.5 MiB traced,
+    # dict rows peak at about 5 MiB
+    h = preset_action("ut2full")
+    tracemalloc.start()
+    try:
+        member = in_consequence_span("[x1,x2]*x3*x4", preset_generators("ut2full"), h, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert member is False
+    assert peak < 16 * 2 ** 20
+
+
+def test_closure_writes_one_block_dense_at_a_time(monkeypatch):
+    # the coefficient closure of [x1,x2]*[x3,x4] over ut2full reaches rank
+    # 901 of 5,832 columns; under a cap of 64 such rows per block, its whole
+    # basis written dense (42 MB, 81.7 MiB traced peak) would dwarf the
+    # blocks: one block at a time peaks at about 9 MiB
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 5832 * 64)
+    h = preset_action("ut2full")
+    tracemalloc.start()
+    try:
+        member = in_consequence_span("[x1,x3]*x2*x4", ["[x1,x2]*[x3,x4]"], h, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert member is False
+    assert peak < 24 * 2 ** 20
 
 
 def test_stream_batches_from_byte_cap(monkeypatch):

@@ -256,6 +256,43 @@ def test_subspace_operations_match_oracle_randomized():
         assert a.contains(b) is (naive_rank(u + v) == naive_rank(u))
 
 
+def test_subspace_membership_loads_the_space_once(monkeypatch):
+    # contains, coordinates and contains_vector share one FastIntRowSpace
+    # per Subspace; sum, which adds rows, loads its own each time
+    loads = []
+    from_rref = FastIntRowSpace.from_rref.__func__
+
+    def counted(cls, pivots, rows):
+        loads.append(len(pivots))
+        return from_rref(cls, pivots, rows)
+
+    monkeypatch.setattr(FastIntRowSpace, "from_rref", classmethod(counted))
+    rng = random.Random(608)
+    for big in (False, True):
+        n = 6
+        rows = _big_rows(rng, 4, n) if big else _random_rows(rng, 3, n)
+        space = _row_space(rows, n)
+        a = Subspace.from_space(space)
+        basis = subspace_oracle.rref_basis(space)
+        other = Subspace.from_vectors(n, _random_rows(rng, 2, n))
+        loads.clear()
+        for _ in range(3):
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis]
+            vec = [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(n)]
+            assert a.coordinates(vec) == coeffs and a.contains_vector(vec)
+            outside = [Fraction(x) for x in vec]
+            free = next((j for j in range(n) if j not in a.pivots.tolist()), None)
+            if free is not None:
+                outside[free] += 1
+                assert a.coordinates(outside) is None and not a.contains_vector(outside)
+            assert a.contains(other) is (naive_rank(rows + [list(r) for r in other.basis]) == naive_rank(rows))
+        assert len(loads) == 1
+        assert [list(x) for x in a.sum(other).basis] == naive_rref(rows + [list(r) for r in other.basis])
+        assert a.sum(other) == a.sum(other) and len(loads) == 4
+        # the kept space still reads the basis alone
+        assert a.contains(Subspace.from_vectors(n, basis)) and len(loads) == 4
+
+
 def test_rank_with_entries_up_to_2_70():
     rng = random.Random(607)
     for _ in range(20):
@@ -286,23 +323,24 @@ def test_basis_grows_without_a_temporary():
 
 @pytest.mark.parametrize("big", [False, True], ids=["int64", "beyond 2^52"])
 def test_residual_reduced_against_the_new_rows_only(big):
-    # the streamed membership of in_consequence_span: a row reduced when the
-    # rank was k, reduced again after more rows joined, equals the row
-    # reduced against the whole basis (both primitive positive multiples of
-    # one remainder), and it is zero iff the row lies in the span
+    # the streamed membership of in_consequence_span: a {column: int} row
+    # reduced when the rank was k, reduced again after more rows joined,
+    # equals the row reduced against the whole basis (both primitive
+    # positive multiples of one remainder), and it is empty iff the row
+    # lies in the span
     rng = random.Random(91)
     scale = 2 ** 60 if big else 1
     for _ in range(10):
         nc = rng.randint(4, 12)
-        rows = np.array([[rng.randint(-3, 3) * scale for _ in range(nc)] for _ in range(rng.randint(4, 40))],
-                        dtype=object if big else np.int64)
-        target = np.array([rng.randint(-3, 3) for _ in range(nc)], dtype=np.int64)
+        rows = [[rng.randint(-3, 3) * scale for _ in range(nc)] for _ in range(rng.randint(4, 40))]
+        target = {c: x for c in range(nc) if (x := rng.randint(-3, 3))}
         space, residual = SparseIntRowSpace(nc), target
         for i in range(0, len(rows), 5):
-            space.add_rows(rows[i:i + 5])
-            residual = space.reduce_rows(residual)
-            assert (residual == space.reduce_rows(target)).all()
-        assert residual.any() == (naive_rank([*rows.tolist(), target.tolist()]) > naive_rank(rows.tolist()))
+            space.add_rows({c: x for c, x in enumerate(row) if x} for row in rows[i:i + 5])
+            (residual,) = space.reduce_rows([residual])
+            assert [residual] == space.reduce_rows([target])
+        full = [target.get(c, 0) for c in range(nc)]
+        assert bool(residual) == (naive_rank([*rows, full]) > naive_rank(rows))
 
 
 # -- block insertion: each BLOCK-row group joins the basis at once -----------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpi._fastrank import FastIntRowSpace
-from genpi._sparserank import SparseIntRowSpace
+from genpi._sparserank import SparseIntRowSpace, dict_rows
 from genpi.actions import grassmann_action, preset_action
 from genpi.codim import (
     grassmann_generators,
@@ -51,15 +51,21 @@ def _array(rows, ncols):
     return np.array(rows, dtype=object if big else np.int64).reshape(len(rows), ncols)
 
 
+def _dicts(rows):
+    """The rows as {column: int} dicts of their nonzero entries."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
 @settings(max_examples=100)
 @given(sparse_feeds())
 def test_sparse_space_matches_fast_space(feed):
+    # dict rows into the sparse space, the same rows as dense blocks into
+    # FastIntRowSpace, which is the oracle
     ncols, groups = feed
     sparse, fast = SparseIntRowSpace(ncols), FastIntRowSpace(ncols)
-    probe = _array([[(c * 7 + k) % 5 - 2 for c in range(ncols)] for k in range(3)], ncols)
+    probe = [[(c * 7 + k) % 5 - 2 for c in range(ncols)] for k in range(3)]
     for rows in groups:
-        B = _array(rows, ncols)
-        assert sparse.add_rows(B) == fast.add_rows(B)
+        assert sparse.add_rows(_dicts(rows)) == fast.add_rows(_array(rows, ncols))
         assert sparse.rank == fast.rank
         (ps, rs), (pf, rf) = sparse.rref(), fast.rref()
         assert ps.tolist() == pf.tolist() == sparse.pivots.tolist()
@@ -67,18 +73,33 @@ def test_sparse_space_matches_fast_space(feed):
         # space moved to Python integers for its intermediate values
         assert rs.tolist() == rf.tolist()
         assert rs.dtype == rf.dtype or fast.exact
-        assert sparse.reduce_rows(probe).tolist() == [[int(x) for x in row] for row in fast.reduce_rows(probe).tolist()]
+        assert sparse.rows() == _dicts(rf.tolist())
+        assert sparse.reduce_rows(_dicts(probe)) == _dicts(fast.reduce_rows(_array(probe, ncols)).tolist())
         assert Subspace.from_space(sparse) == Subspace.from_space(fast)
 
 
 def test_sparse_subspace_is_written_in_the_narrowest_type():
     space = SparseIntRowSpace(4)
-    space.add_rows(np.array([[1, 0, 200, 3], [0, 1, -1, 0]]))
+    space.add_rows([{0: 1, 2: 200, 3: 3}, {1: 1, 2: -1}])
     sub = Subspace.from_space(space)
     assert sub.rows.dtype == np.int16
     assert space.rref()[1].dtype == np.int64
-    space.add_rows(np.array([[0, 0, 2 ** 70, 1]], dtype=object))
+    space.add_rows([{2: 2 ** 70, 3: 1}])
     assert space.rref()[1].dtype == object == Subspace.from_space(space).rows.dtype
+
+
+def test_dict_rows_hold_python_ints():
+    # int64 and object arrays alike give exact Python integers
+    B = np.array([[0, 3, 0, -(2 ** 62)], [0, 0, 0, 0], [5, 0, 0, 0]], dtype=np.int64)
+    rows = dict_rows(B)
+    assert rows == [{1: 3, 3: -(2 ** 62)}, {}, {0: 5}]
+    assert all(type(c) is int and type(x) is int for v in rows for c, x in v.items())
+    assert dict_rows(np.array([0, 2 ** 70], dtype=object)) == [{1: 2 ** 70}]
+    # a value fed as an int64 would wrap when the pivot value 3 scales it
+    space = SparseIntRowSpace(3)
+    space.add_rows(dict_rows(np.array([[3, 1, 0]])))
+    (v,) = space.reduce_rows(dict_rows(np.array([[1, 2 ** 62, 2]])))
+    assert v == {1: 3 * 2 ** 62 - 1, 2: 6}
 
 
 # (verify_generating_set, in_consequence_span of each target of the degree)
