@@ -7,10 +7,25 @@ multiplicity of the simple module of lambda in the module that a set of
 such tensors generates; the lemma is in its docstring.  The rows come from
 standard tableaux and symmetrizers applied to the tensors as numpy axis
 operations, in int64 or, past a magnitude bound, Python integers.
+
+The tensors of a batch are stacked along a last axis, after the n position
+axes and the output axis, so that every axis swap and orbit sum moves
+whole runs of the batch and numpy's inner loops run over the batch, not
+over an axis of length dim.
+
+Two tables depend on the shape alone and are computed once per process
+(functools.cache): the standard permutations of a partition, and the
+orbits of S_k on the index tuples of k axes of length dim.  The first
+holds d_lambda tuples of length n per partition lambda that some call
+transformed; the second holds at most 2 dim^k integers per (dim, k), and
+dim^k <= dim^n <= MAX_DENSE_COLUMNS / dim by the width guard on the
+dim^(n+1) columns that codimension and variety_contains apply before they
+get here.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, factorial, prod
 
 import numpy as np
@@ -29,7 +44,8 @@ def _partitions(n: int, parts: int, top: int | None = None):
                 yield (k, *rest)
 
 
-def _standard_permutations(shape) -> list:
+@cache
+def _standard_permutations(shape: tuple) -> tuple:
     """sigma_T' for the standard tableaux T' of the shape, where
     sigma_T' T = T' for the row-reading tableau T (row i holds the next
     shape[i] of the positions 0..n-1): as tuples g with g[i] = sigma_T'(i),
@@ -48,19 +64,34 @@ def _standard_permutations(shape) -> list:
                 lengths[i] -= 1
 
     fill(0)
-    return out
+    return tuple(out)
+
+
+@cache
+def _orbits(dim: int, k: int) -> tuple:
+    """(order, starts): the dim^k index tuples of k axes of length dim, in
+    C order, grouped by the multiset of their indices; order lists the
+    tuples orbit by orbit, in increasing order of the sorted tuple read in
+    base dim, and starts holds where each orbit begins in order.  Both
+    arrays are read-only, as the cache shares them."""
+    # the index tuples of the k axes, sorted, read in base dim
+    key = dim ** np.arange(k) @ np.sort(np.indices((dim,) * k).reshape(k, -1), axis=0)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
 
 
 def _antisymmetrize(X: np.ndarray, columns) -> np.ndarray:
-    """X (a stack of tensors with the batch axis first) times the column
+    """X (a stack of tensors with the batch axis last) times the column
     antisymmetrizer b_T, the columns of T given as lists of positions:
     Alt(p_1..p_k) = Alt(p_1..p_(k-1)) (1 - sum_(i<k) (p_i p_k)), and the
     transposition (p q) swaps the axes of positions p and q."""
     for col in columns:
         for k in range(1, len(col)):
-            Y = X - np.swapaxes(X, col[0] + 1, col[k] + 1)
+            Y = X - np.swapaxes(X, col[0], col[k])
             for p in col[1:k]:
-                Y -= np.swapaxes(X, p + 1, col[k] + 1)
+                Y -= np.swapaxes(X, p, col[k])
             X = Y
     return X
 
@@ -72,19 +103,18 @@ def orbit_width(dim: int, shape) -> int:
 
 
 def _orbit_sums(X: np.ndarray, dim: int, shape) -> np.ndarray:
-    """Rows of the tensors X (batch axis first, then the positions, then the
-    output axis) summed over the orbits of the row group of T on their
-    columns: the consecutive axes of each row of T become one axis over the
-    multisets of their indices."""
-    X = X.reshape(len(X), *(dim ** k for k in shape), dim)
-    for axis, k in enumerate(shape, 1):
+    """Rows of the tensors X (the positions, then the output axis, then the
+    batch axis) summed over the orbits of the row group of T on their
+    columns (_orbits): the consecutive axes of each row of T become one
+    axis over the multisets of their indices.  One row per tensor of the
+    batch, in its order."""
+    batch = X.shape[-1]
+    X = X.reshape(*(dim ** k for k in shape), dim, batch)
+    for axis, k in enumerate(shape):
         if k > 1:
-            # the index tuples of the k axes, sorted, read in base dim
-            key = dim ** np.arange(k) @ np.sort(np.indices((dim,) * k).reshape(k, -1), axis=0)
-            order = np.argsort(key, kind="stable")
-            starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+            order, starts = _orbits(dim, k)
             X = np.add.reduceat(X.take(order, axis=axis), starts, axis=axis)
-    return X.reshape(len(X), -1)
+    return X.reshape(-1, batch).T
 
 
 def _specht_blocks(R: np.ndarray, dims, n: int, shape, perms, size: int):
@@ -105,8 +135,8 @@ def _specht_blocks(R: np.ndarray, dims, n: int, shape, perms, size: int):
         for i in range(0, len(perms), step):
             halves = []
             for dim, a, b in zip(dims, [0, *ends], ends):
-                T = V[:, a:b].reshape(len(V), *(dim,) * (n + 1))
-                X = np.concatenate([T.transpose(0, *(g[q] + 1 for q in range(n)), n + 1) for g in perms[i : i + step]])
+                T = V[:, a:b].T.reshape(*(dim,) * (n + 1), len(V))
+                X = np.concatenate([T.transpose(*g, n, n + 1) for g in perms[i : i + step]], axis=-1)
                 halves.append(_orbit_sums(_antisymmetrize(X, columns), dim, shape))
             yield np.hstack(halves)
 
@@ -123,10 +153,10 @@ def isotypic_blocks(R: np.ndarray, dims, n: int, size: int):
 
     Lemma.  Let v.g be the tensor v with its position axes transposed by
     g in S_n: axis i of v.g is axis g(i) of v (numpy's
-    v.transpose(0, *(g[i] + 1 for i in range(n)), n + 1), the batch axis
-    first and the output axis last).  Then (v.g).h = v.(gh) for the
-    product (gh)(i) = g(h(i)), a right action; the rows of the evaluation
-    matrix (codim.py) are the m.g for its master rows m, so they span the right
+    v.transpose(*g, n, n + 1), the output axis and then the batch axis
+    last).  Then (v.g).h = v.(gh) for the product (gh)(i) = g(h(i)), a
+    right action; the rows of the evaluation matrix (codim.py) are the m.g
+    for its master rows m, so they span the right
     Q[S_n]-module U generated by the masters, or by any basis of their
     span, such as R.  (The anti-action, transposing by g^-1, gives other
     numbers: 15, 42, 105 for ut2F at n = 4, 5, 6, where c_n is 18, 50, 130.)

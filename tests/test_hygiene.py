@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module-level import goes unused, no
-private module-level name lives on without a reader in the package, and
-every raise names a GenpiError subclass."""
+private module-level name lives on without a reader in the package, every
+raise names a GenpiError subclass, and a module-level cache keys on ints
+and tuples only."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,47 @@ def foreign_raises(paths, errors: Path) -> list:
 
 def test_every_raise_names_a_package_error():
     assert foreign_raises(SOURCES, SOURCES[0].parent / "errors.py") == []
+
+
+def _is_cache(decorator) -> bool:
+    """Whether the decorator is functools.cache or functools.lru_cache,
+    bare, called, or read as an attribute of functools."""
+    d = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) in {"cache", "lru_cache"}
+
+
+def _key_annotation(annotation) -> bool:
+    """Whether the annotation is int, tuple or tuple[...]."""
+    a = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return isinstance(a, ast.Name) and a.id in {"int", "tuple"}
+
+
+def badly_keyed_caches(paths) -> list:
+    """The parameters of module-level functions decorated with
+    functools.cache or lru_cache that are not annotated int or tuple.  A
+    cache keyed on ints and tuples holds tables of a shape only, never an
+    Action, rows or an answer, which would live as long as the process."""
+    out = []
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_cache, node.decorator_list)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                out += [f"{path.name}:{node.lineno} {node.name}({p.arg})" for p in params
+                        if p.annotation is None or not _key_annotation(p.annotation)]
+    return out
+
+
+def test_module_level_caches_key_on_ints_and_tuples():
+    assert badly_keyed_caches(SOURCES) == []
+
+
+def test_cache_guard_flags_other_keys(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@cache\ndef ok(dim: int, shape: tuple[int, ...]) -> tuple: ...\n"
+        "@functools.lru_cache(maxsize=8)\ndef rows(h: Action, n: int): ...\n"
+        "@lru_cache\ndef bare(n): ...\n"
+    )
+    assert badly_keyed_caches([path]) == ["m.py:6 rows(h)", "m.py:8 bare(n)"]
