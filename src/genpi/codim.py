@@ -30,10 +30,11 @@ spans, whose rows and bases are sparse, from SparseIntRowSpace
 in this module except the coefficient closure (_closure), which grows one
 sparse space pass by pass.
 
-One polynomial is tested on the same rows (identity_witness): each of its
-multilinear components is one combination of permuted master rows, built
-for the coefficient fillings of its words alone, and its first nonzero
-column is the first basis tuple at which the component does not vanish.
+One polynomial is tested on the same rows (_word_rows, which
+identity_witness and membership share): each of its multilinear
+components is one combination of permuted master rows, built for the
+coefficient fillings of its words alone, and its first nonzero column is
+the first basis tuple at which the component does not vanish.
 
 Consequence spans realize the multilinear degree-n part of the ideal
 generated by a set of identities under substitutions, two-sided monomial
@@ -57,6 +58,15 @@ exactly d closed under their coefficient fillings (_consequence_blocks),
 as lists of distinct sparse rows that go to SparseIntRowSpace as they
 are; no dense row is written on the way.  The degrees below n are spanned
 in full; degree n streams, and ends as soon as the answer is known.
+
+Every consequence of identities of A is an identity of A: the span is
+spanned by the instances u0 g(v_1..v_e) u1 of the generators g, and
+substitution, multiplication by monomials and by the listed coefficients,
+which act through their multiplier pairs as W does, keep an identity one.
+So membership (in_consequence_span) answers False before any consequence
+row is built when every generator of degree <= n has a zero evaluation row
+and the target a nonzero one, which is the certificate; it streams
+otherwise.
 
 The exterior algebra acted on by the words in its first k generators gets
 one integer matrix per degree n, over parity-class columns: each of
@@ -419,11 +429,10 @@ def _generator_words(g, h: Action):
     return len(vars_seen), out
 
 
-def _generator_vector(g, h: Action):
+def _words_vector(gw, h: Action):
     """(degree d, coefficient vector {row: rational} over the degree-d
-    monomials) of one generator, its variables renumbered 1..d; None for
-    generators that vanish in coordinates."""
-    gw = _generator_words(g, h)
+    monomials) of the words gw of one generator that _generator_words gave;
+    None for generators that vanish in coordinates (gw None)."""
     return None if gw is None else (gw[0], vectorize_words({w: c for c, w in gw[1]}, h.W, gw[0]))
 
 
@@ -568,7 +577,7 @@ def _closure(vecs, d: int, ncols: int, tables) -> list:
 def _consequence_blocks(vecs, h: Action, n: int):
     """Yield lists of {column: int} rows that span the degree-n multilinear
     consequences of the generators, given as (degree d, coefficient vector
-    over the degree-d monomials) pairs (_generator_vector), degree by
+    over the degree-d monomials) pairs (_generator_vectors), degree by
     degree:
 
         I_d = span(tau_j E(I_(d-1)), j = 1..d) + S_d C(G_d).
@@ -623,8 +632,8 @@ def _consequence_blocks(vecs, h: Action, n: int):
 
 def _generator_vectors(gens, h: Action) -> list:
     """The (degree, vector) pairs of the generators that do not vanish in
-    coordinates (_generator_vector), each generator normalized once."""
-    return [gv for g in gens if (gv := _generator_vector(g, h)) is not None]
+    coordinates (_words_vector), each generator normalized once."""
+    return [gv for g in gens if (gv := _words_vector(_generator_words(g, h), h)) is not None]
 
 
 def consequences_span(generators, h: Action, n: int) -> Subspace:
@@ -638,14 +647,31 @@ def consequences_span(generators, h: Action, n: int) -> Subspace:
 
 
 def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
-    """Membership of one multilinear polynomial in the consequence span,
-    decided by streaming the span and reducing the target vector."""
+    """Membership of one multilinear polynomial in the consequence span.
+
+    The target and the generators are normalized once (_generator_words).
+    When every generator of degree <= n is an identity of h and the target
+    is not, the answer is False, and the target's nonzero evaluation row
+    (_word_rows) is the certificate; no consequence row is built.  Lemma:
+    every consequence of identities is an identity, as the span is spanned
+    by instances u0 g(v_1..v_e) u1 of the generators (_consequence_blocks),
+    and substituting, multiplying by monomials and by the listed
+    coefficients, which act through their multiplier pairs as W does (the
+    action is a homomorphism), keep an identity of A one.  The witness is
+    skipped when a degree-n evaluation row is over STREAM_BYTES.  Otherwise
+    the span streams, and the target vector is reduced against it after
+    every group that adds pivots, until it reduces to zero or the span is
+    exhausted."""
     _check_degree(n)
-    dv = _generator_vector(poly, h)
+    tw = _generator_words(poly, h)
+    dv = _words_vector(tw, h)
     if dv is None or not dv[1]:
         return True
     if dv[0] != n:
         raise NotMultilinear(f"membership at degree {n} needs a target of that degree, not {dv[0]}")
+    gws = [gw for g in generators if (gw := _generator_words(g, h)) is not None]
+    if _refuted(tw, gws, h, n):
+        return False
     rows = basis_size(n, h.s)
     residual = int_dict(dv[1])
 
@@ -656,8 +682,20 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
         (residual,) = span.reduce_rows([residual])
         return not residual
 
-    blocks = _consequence_blocks(_generator_vectors(generators, h), h, n)
+    blocks = _consequence_blocks([_words_vector(gw, h) for gw in gws], h, n)
     return holds(_span(blocks, rows, stop=holds, kernel=SparseIntRowSpace))
+
+
+def _refuted(target, gens, h: Action, n: int) -> bool:
+    """Whether evaluation rows certify that the degree-n target lies outside
+    the consequence span of the generators, all as normalized words: the
+    target's row is nonzero and that of every generator of degree <= n is
+    zero (see in_consequence_span).  False, with no row built, when a
+    degree-n row is over STREAM_BYTES."""
+    if 8 * h.A.dim ** (n + 1) > STREAM_BYTES:
+        return False
+    row = _word_rows(h)
+    return row(*target).any() and not any(row(*gw).any() for gw in gens if gw[0] <= n)
 
 
 def _vanishes(vec: dict, blocks, scales=None) -> bool:
@@ -728,19 +766,20 @@ def verify_generating_set(generators, h: Action, n: int, codim_value: int | None
 # -- identity test ---------------------------------------------------------------------
 
 
-def identity_witness(node, h: Action):
-    """None when the polynomial vanishes under every substitution from A,
-    else (variables, labels): the basis elements its variables take at the
-    first basis tuple, in product order, where its first failing
-    multilinear component does not vanish (these decide in characteristic
-    zero).  A component, renumbered to x1..xd without tail words
-    (_generator_words), is a sum of master rows moved to the variable
-    orders of its words (_permuted): each row that of w_0 x_1 w_1 ... x_d
-    w_d (_master_chunks) with the composition of the lambda (slot 0) or rho
-    operators of a word's coefficient run in each slot, the identity for an
-    empty run, so W's unit and product are not used.  The sum is in
-    integers, int64 when a magnitude bound fits; a row over STREAM_BYTES
-    raises BudgetExceeded before it is allocated."""
+def _word_rows(h: Action):
+    """The evaluator of normalized words on the master rows of h: a
+    function of (d, [(coeff, word)]) (_generator_words) that gives one
+    integer row over the dim^(d+1) evaluation columns, a positive multiple
+    of the exact evaluation of the sum of the words at every basis tuple.
+
+    Each word adds its master row moved to its variable order (_permuted):
+    the row of w_0 x_1 w_1 ... x_d w_d (_master_chunks) with the
+    composition of the lambda (slot 0) or rho operators of the word's
+    coefficient run in each slot, the identity for an empty run, so W's
+    unit and product are not used.  Words that share their slot runs share
+    one row, built once per evaluator.  The sum is in integers, int64 when
+    a magnitude bound fits; a row over STREAM_BYTES raises BudgetExceeded
+    before it is allocated."""
     dim = h.A.dim
     consts, dc = _int_constants(h.A)
     ops = [[_int_matrix((p.L if left else p.R).matrix) for p in h.pairs] for left in (False, True)]
@@ -764,19 +803,14 @@ def identity_witness(node, h: Action):
             factors, den, bound = factors + [S], den * dd * dc, bound * growth
         return factors, den, bound
 
-    for comp in multilinearize(node):
-        variables = sorted(variables_of(comp))
-        gw = _generator_words(resolved_words(comp, h), h) if variables else None
-        if gw is None:
-            continue
-        d, words = gw
+    def row(d: int, words) -> np.ndarray:
         ncols = dim ** (d + 1)
         _stream_rows(ncols)
         groups: dict = {}  # slot runs -> [(rational weight of the row, variable order)]
         for c, w in words:
             order, runs = word_runs(w)
             if master(runs)[2]:  # the row is not zero
-                groups.setdefault(runs, []).append((c / master(runs)[1], [v - 1 for v in order]))
+                groups.setdefault(runs, []).append((Fraction(c) / master(runs)[1], [v - 1 for v in order]))
         den = lcm(*(q.denominator for g in groups.values() for q, _ in g))
         bound = sum(abs(q) * den * master(runs)[2] for runs, g in groups.items() for q, _ in g)
         dtype = np.int64 if bound < _INT64_LIMIT else object
@@ -788,9 +822,29 @@ def identity_witness(node, h: Action):
                 X = (X @ S.astype(dtype)).reshape(-1, dim)
             for q, perm in g:
                 total += int(q * den) * _permuted(X.reshape(1, ncols), dim, d, perm)
-        nz = np.flatnonzero(total)
+        return total[0]
+
+    return row
+
+
+def identity_witness(node, h: Action):
+    """None when the polynomial vanishes under every substitution from A,
+    else (variables, labels): the basis elements its variables take at the
+    first basis tuple, in product order, where its first failing
+    multilinear component does not vanish (these decide in characteristic
+    zero).  Each component, renumbered to x1..xd without tail words
+    (_generator_words), is summed on the master rows by the evaluator that
+    membership shares (_word_rows); a row over STREAM_BYTES raises
+    BudgetExceeded before it is allocated."""
+    row = _word_rows(h)
+    for comp in multilinearize(node):
+        variables = sorted(variables_of(comp))
+        gw = _generator_words(resolved_words(comp, h), h) if variables else None
+        if gw is None:
+            continue
+        nz = np.flatnonzero(row(*gw))
         if nz.size:
-            tup = np.unravel_index(int(nz[0]) // dim, (dim,) * d)
+            tup = np.unravel_index(int(nz[0]) // h.A.dim, (h.A.dim,) * gw[0])
             return variables, tuple(h.A.labels[int(t)] for t in tup)
     return None
 

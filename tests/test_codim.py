@@ -197,6 +197,9 @@ def test_membership_survives_fast_path_overflow():
     gens = [f"{a}*x3*{d} + {b}*{d}*x3", f"{b}*x3*{d} + {a}*{d}*x3"]
     assert verify_generating_set(gens, h, 3)
     assert in_consequence_span("[x1,x2]*x3", gens, h, 3) is False
+    # [x1,x2]*x3 is refuted by its evaluation row; the member
+    # w1*x3*([x1,x2]-[x1,x2,w1]) streams the 2^40 rows
+    assert in_consequence_span("w1*x3*([x1,x2]-[x1,x2,w1])", gens, h, 3) is True
 
 
 def test_consequence_entries_beyond_int64():
@@ -349,6 +352,7 @@ def test_generator_of_two_components_is_rejected():
         lambda: consequences_span([two], h, 4),
         lambda: in_consequence_span(two, ["[x1,x2]*[x3,x4]"], h, 4),
         lambda: in_consequence_span("[x1,x2]", ["[x1,x2]*[x3,x4]"], h, 4),  # degree 2, not 4
+        lambda: in_consequence_span("[x1,x2]*x3*x4", ["[x1,x2]*[x3,x4]", two], h, 4),
     ]
     for call in calls:
         with pytest.raises(NotMultilinear):

@@ -31,15 +31,17 @@ from genpi.codim import (
     consequences_span,
     grassmann_generators,
     identity_kernel_basis,
+    identity_witness,
     in_consequence_span,
     preset_generators,
     structural_identities,
     verify_generating_set,
 )
-from genpi.errors import BudgetExceeded
+from genpi.errors import BudgetExceeded, UnknownCoefficient
 from genpi.linalg import Subspace, _row_space
-from genpi.polynomials import GenMonomial, basis_size
+from genpi.polynomials import GenMonomial, basis_size, parse
 from grassmann_oracle import compositions
+from test_identity_witness import nonunital_action
 
 
 def _num(c):
@@ -226,6 +228,10 @@ def test_large_coefficients_take_the_exact_path(name):
     target = "[x1,x2]*x3" if n == 3 else "[x1,x2]*[x3,x4]"
     assert verify_generating_set(gens, h, n)
     assert in_consequence_span(target, gens, h, n) is (n == 4)
+    # [x1,x2]*x3 is no identity, so it is refuted before the stream; the
+    # relabelled D*x3, a member, needs the 2^40 rows to cancel
+    if n == 3:
+        assert in_consequence_span("x1*([x2,x3]-[x2,x3,w1])", gens, h, n)
 
 
 def test_ut2full_certificate_at_degree_5():
@@ -238,32 +244,55 @@ def test_ut2full_certificate_at_degree_5():
 def test_membership_writes_no_dense_row_block():
     # the degree-4 stream of ut2full has 5,832 columns; dense blocks of
     # 1,024 rows of it and a dense basis of I_3 peaked at 47.5 MiB traced,
-    # dict rows peak at about 5 MiB
+    # dict rows peak at about 5 MiB.  [x1,x2]*x3*x4, no identity, is
+    # refuted by its evaluation row before the stream; the member
+    # ([x1,x2]-[x1,x2,w1])*x4*x3*w2 is reached only with the whole span
+    # of rank 5,782
     h = preset_action("ut2full")
     tracemalloc.start()
     try:
         member = in_consequence_span("[x1,x2]*x3*x4", preset_generators("ut2full"), h, 4)
+        late = in_consequence_span("([x1,x2]-[x1,x2,w1])*x4*x3*w2", preset_generators("ut2full"), h, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert member is False
+    assert late is True
     assert peak < 16 * 2 ** 20
+
+
+def _streams(monkeypatch):
+    """The degrees of the consequence streams started from now on."""
+    degrees, blocks = [], codim._consequence_blocks
+
+    def counted(vecs, h, n):
+        degrees.append(n)
+        return blocks(vecs, h, n)
+
+    monkeypatch.setattr(codim, "_consequence_blocks", counted)
+    return degrees
 
 
 def test_closure_writes_one_block_dense_at_a_time(monkeypatch):
     # the coefficient closure of [x1,x2]*[x3,x4] over ut2full reaches rank
     # 901 of 5,832 columns; under a cap of 64 such rows per block, its whole
     # basis written dense (42 MB, 81.7 MiB traced peak) would dwarf the
-    # blocks: one block at a time peaks at about 9 MiB
+    # blocks: one block at a time peaks at about 9 MiB.  [x1,x3]*x2*x4 is
+    # no identity and is refuted before the closure; the identity
+    # ([x1,x2]-[x1,x2,w1])*x3*x4 lies outside the span and streams it all
     monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 5832 * 64)
+    degrees = _streams(monkeypatch)
     h = preset_action("ut2full")
     tracemalloc.start()
     try:
         member = in_consequence_span("[x1,x3]*x2*x4", ["[x1,x2]*[x3,x4]"], h, 4)
+        outside = in_consequence_span("([x1,x2]-[x1,x2,w1])*x3*x4", ["[x1,x2]*[x3,x4]"], h, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert member is False
+    assert outside is False
+    assert degrees == [4]
     assert peak < 24 * 2 ** 20
 
 
@@ -277,13 +306,67 @@ def test_stream_batches_from_byte_cap(monkeypatch):
     with pytest.raises(BudgetExceeded):
         _stream_rows(101)
     # consequence streams of ut2D, n = 3 have 6 * 2^4 = 96 columns; their
-    # answers do not depend on the block size
+    # answers do not depend on the block size ([x1,x2]*x3, no identity, is
+    # refuted before the stream; the member x3*w1*([x1,x2]-[x1,x2,w1])
+    # streams)
     h = preset_action("ut2D")
     assert verify_generating_set(preset_generators("ut2D"), h, 3)
     assert in_consequence_span("[x1,x2]*x3", preset_generators("ut2D"), h, 3) is False
+    assert in_consequence_span("x3*w1*([x1,x2]-[x1,x2,w1])", preset_generators("ut2D"), h, 3) is True
     monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 95)
     with pytest.raises(BudgetExceeded):
         verify_generating_set(preset_generators("ut2D"), h, 3)
+
+
+# -- membership refuted by an evaluation row ----------------------------------
+
+
+def test_identity_generators_refute_a_non_identity_target(monkeypatch):
+    def no_stream(vecs, h, n):
+        raise AssertionError("a consequence row was built")
+
+    monkeypatch.setattr(codim, "_consequence_blocks", no_stream)
+    # the bench query: w3*x1 and x1*w3 vanish in coordinates, and
+    # [x1,x2]-[x1,x2,w1] is an identity of ut2full; [x1,x2]*x3 is not
+    assert in_consequence_span("[x1,x2]*x3", preset_generators("ut2full"), preset_action("ut2full"), 3) is False
+    # the structural identity of ut2D as a resolved-word dict of ints
+    gens = [{(-2, 1, -1): 1, (-2, 1, -2): -1}, *preset_generators("ut2D")]
+    assert in_consequence_span("[x1,x2]*x3", gens, preset_action("ut2D"), 3) is False
+    # x1*x2*x3, no identity, is above the degree and generates nothing there
+    gens = ["[x1,x2]*[x3,x4]", "x1*x2*x3"]
+    assert in_consequence_span("[x1,x2]", gens, preset_action("ut2F"), 2) is False
+
+
+def test_a_non_identity_generator_streams(monkeypatch):
+    # [x1,x2] is no identity of ut2(F), so the targets, no identities
+    # either, are decided by the span {[x1,x2]}
+    degrees = _streams(monkeypatch)
+    h = preset_action("ut2F")
+    assert in_consequence_span("x1*x2", ["[x1,x2]"], h, 2) is False
+    assert in_consequence_span("[x2,x1]", ["[x1,x2]"], h, 2) is True
+    assert degrees == [2, 2]
+
+
+def test_witness_over_the_byte_cap_streams(monkeypatch):
+    # ut2F, n = 3: a witness row has 3^4 = 81 entries and a stream row 6;
+    # under a cap of 80 entries the witness is skipped, not raised
+    h, gens, target = preset_action("ut2F"), preset_generators("ut2F"), "[x1,x2]*x3"
+    degrees = _streams(monkeypatch)
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 80)
+    assert in_consequence_span(target, gens, h, 3) is False
+    assert degrees == [3]
+    with pytest.raises(BudgetExceeded):
+        identity_witness(parse(target), h)
+    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 81)
+    assert in_consequence_span(target, gens, h, 3) is False
+    assert degrees == [3]
+
+
+def test_nonunital_coefficients_fail_before_the_witness():
+    # x1 is no identity of ut(2) and w0*w0*x1 is one, but the target's
+    # vector needs the unit that W = zero_mult(1) lacks
+    with pytest.raises(UnknownCoefficient):
+        in_consequence_span("x1", ["w0*w0*x1"], nonunital_action(), 1)
 
 
 def test_kernel_extraction_checks_the_byte_cap(monkeypatch):

@@ -10,6 +10,8 @@ from genpi._fastrank import FastIntRowSpace
 from genpi._sparserank import SparseIntRowSpace, dict_rows
 from genpi.actions import grassmann_action, preset_action
 from genpi.codim import (
+    _generator_vectors,
+    consequences_span,
     grassmann_generators,
     in_consequence_span,
     preset_generators,
@@ -149,3 +151,21 @@ def test_consequence_answers_are_unchanged(case):
         h, gens = preset_action(name), preset_generators(name)
         verdict = verify_generating_set(gens, h, n)
     assert [verdict, *(in_consequence_span(p, gens, h, n) for p in TARGETS[n])] == ANSWERS[case]
+
+
+@pytest.mark.parametrize("case", [case for case in ANSWERS if case[1] <= 3], ids=_case_id)
+def test_membership_matches_the_consequence_span(case):
+    # refuted by an evaluation row or streamed, each answer is that of the
+    # whole span
+    name, n = case
+    if isinstance(name, int):
+        h, gens = grassmann_action(name, name), grassmann_generators(name)
+    else:
+        h, gens = preset_action(name), preset_generators(name)
+    span = consequences_span(gens, h, n)
+    for p in TARGETS[n]:
+        vecs = _generator_vectors([p], h)  # empty for a target of tail words alone
+        vec = vecs[0][1] if vecs else {}
+        assert in_consequence_span(p, gens, h, n) is span.contains_vector(
+            [vec.get(i, 0) for i in range(span.ambient_dim)]
+        ), p
