@@ -10,9 +10,8 @@ of FastIntRowSpace are faster.
 
 Rows go in and come out as {column: int} dicts of Python integers, so there
 is no magnitude bound, no second number type and no dense row on the way;
-dict_rows and dense_rows convert between them and integer arrays, for
-the callers that compute on dense rows, and rref() writes the basis out
-dense.  A row is reduced fraction-free, one pivot at a time,
+dense_rows writes such rows out as an integer array, as rref() does with
+the basis.  A row is reduced fraction-free, one pivot at a time,
 v <- d_p v - v[p] B_p with d_p the pivot value of basis row B_p; as B_p is
 zero at every other pivot, the pivots to clear are the ones where v is
 nonzero on arrival.  A column index maps each non-pivot column to the
@@ -37,24 +36,6 @@ def _primitive(v: dict) -> dict:
         for c in v:
             v[c] //= g
     return v
-
-
-def dict_rows(B) -> list:
-    """The rows of the integer array B (1-D or 2-D) as {column: int} dicts
-    of their nonzero entries, the values Python integers (never numpy
-    scalars, which would wrap in the in-place products of the
-    elimination)."""
-    B = np.asarray(B)
-    B = B[None, :] if B.ndim == 1 else B
-    flat = np.flatnonzero(B != 0)  # much faster than np.nonzero(B) on integers
-    r, c = np.divmod(flat, B.shape[1])
-    ends = np.searchsorted(r, np.arange(1, len(B) + 1)).tolist()
-    cols, vals = c.tolist(), B.ravel()[flat].tolist()
-    out, i = [], 0
-    for end in ends:
-        out.append(dict(zip(cols[i:end], vals[i:end])))
-        i = end
-    return out
 
 
 def dense_rows(rows, ncols: int, dtype=None) -> np.ndarray:

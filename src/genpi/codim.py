@@ -28,7 +28,9 @@ from the blocked FastIntRowSpace (_fastrank.py), and the consequence
 spans, whose rows and bases are sparse, from SparseIntRowSpace
 (_sparserank.py).  One feeder, _span, gives either the rows of every span
 in this module except the coefficient closure (_closure), which grows one
-sparse space pass by pass.
+sparse space pass by pass: multiplying coefficient slot t by a table M
+sends each entry with digit a at place s^(d-t) to the columns with digit k
+there, scaled by M[a, k], so no dense row is written.
 
 One polynomial is tested on the same rows (_word_rows, which
 identity_witness and membership share): each of its multilinear
@@ -92,7 +94,7 @@ from math import factorial, lcm
 import numpy as np
 
 from ._fastrank import BLOCK, FastIntRowSpace
-from ._sparserank import SparseIntRowSpace, dense_rows, dict_rows
+from ._sparserank import SparseIntRowSpace
 from ._specht import isotypic_blocks, orbit_width
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _parse_name, _word_mask
@@ -102,6 +104,7 @@ from .polynomials import (
     basis_size,
     enumerate_basis,
     multilinearize,
+    order_ranks,
     parse,
     resolved_words,
     variables_of,
@@ -116,13 +119,13 @@ _INT64_LIMIT = 1 << 63
 
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard of the master rows and of the kernel's matrix
-# byte cap of one dense int64 buffer: a block of the coefficient closure's
-# products, the transposed matrix of the kernel, 256 chunks of master rows;
-# of the int8 Grassmann parity-class matrix, which its rank and kernel read
-# in place, a group of BLOCK rows at a time; and, through _stream_rows, of
-# the rows of a list of the sparse consequence stream, had they been dense
+# byte cap of one dense int64 buffer: the transposed matrix of the kernel,
+# 256 chunks of master rows; of the int8 Grassmann parity-class matrix,
+# which its rank and kernel read in place, a group of BLOCK rows at a time;
+# and, through _stream_rows, of the rows of a list of the sparse
+# consequence stream, had they been dense
 STREAM_BYTES = 1 << 28
-STREAM_ROWS = 1024  # most rows of a list of the consequence stream or of a closure block
+STREAM_ROWS = 1024  # most rows of a list of the consequence stream
 
 
 def row_budget() -> int:
@@ -436,17 +439,20 @@ def _words_vector(gw, h: Action):
     return None if gw is None else (gw[0], vectorize_words({w: c for c, w in gw[1]}, h.W, gw[0]))
 
 
-def _arrangements(d: int) -> dict:
-    """{variable order: its rank} of the degree-d monomials, in rank order."""
-    return {p: i for i, p in enumerate(permutations(range(1, d + 1)))}
+def _relabellings(d: int, pis) -> list:
+    """The degree-d substitutions x_i -> x_pi[i-1], one per pi, as maps of
+    order ranks (d! entries each): the monomial of variable order p, at
+    column r(p) * s^(d+1) + c (polynomials.monomial_index), goes to the one
+    of order pi(p) with the same coefficients, at new[r(p)] * s^(d+1) + c."""
+    ranks = order_ranks(d)
+    orders = np.array(list(ranks)) - 1
+    return [np.array([ranks[q] for q in map(tuple, np.take(pi, orders).tolist())]) for pi in pis]
 
 
-def _relabelling(d: int, s: int, pi) -> np.ndarray:
-    """Degree-d column map of the substitution x_i -> x_pi[i-1]."""
-    ranks = _arrangements(d)
-    new = np.array([ranks[tuple(pi[v - 1] for v in p)] for p in ranks], dtype=np.int64)
-    S = s ** (d + 1)
-    return (new[:, None] * S + np.arange(S)).ravel()
+def _relabelled(new: np.ndarray, S: int, cols: np.ndarray) -> np.ndarray:
+    """The columns cols through the map of order ranks new, at S = s^(d+1)
+    columns per order."""
+    return new[cols // S] * S + cols % S
 
 
 def _extensions(d: int, s: int):
@@ -455,24 +461,26 @@ def _extensions(d: int, s: int):
     (j = 1..d): for each listed coefficient w, f -> w*x_d*f, f -> f*x_d*w
     and, for every i < d, the substitution x_i -> x_i*w*x_d.  Each one puts
     x_d at place a of the variable order and w at coefficient slot q, the
-    later slots moving up by one."""
-    ranks, S, c = _arrangements(d), s ** (d + 1), np.arange(s ** d)
+    later slots moving up by one.  A map is the array of the images of all
+    degree-(d-1) columns."""
+    ranks, S, c = order_ranks(d), s ** (d + 1), np.arange(s ** d)
     swaps = [[d if v == j else j if v == d else v for v in range(1, d + 1)] for j in range(1, d + 1)]
-    taus = [_relabelling(d, s, pi) for pi in swaps]
-    sources = list(permutations(range(1, d)))
+    taus = _relabellings(d, swaps)
+    sources = list(order_ranks(d - 1))
     for op in (0, d, *range(1, d)):  # w*x_d*f, f*x_d*w, then x_i -> x_i*w*x_d for i = op
         for w in range(s):
-            parts = []
+            new, coeffs = [], []
             for sigma in sources:
                 if op == d:
                     a, q = d - 1, d
                 else:
                     a = q = sigma.index(op) + 1 if op else 0
                 lo = s ** (d - q)
-                parts.append(ranks[sigma[:a] + (d,) + sigma[a:]] * S + (c // lo * s + w) * lo + c % lo)
-            idx = np.concatenate(parts)
+                new.append(ranks[sigma[:a] + (d,) + sigma[a:]])
+                coeffs.append((c // lo * s + w) * lo + c % lo)
+            new, coeffs = np.array(new), np.array(coeffs)
             for tau in taus:
-                yield tau[idx]
+                yield (tau[new][:, None] * S + coeffs).ravel()
 
 
 def _product_tables(W):
@@ -493,7 +501,7 @@ def _coefficient_families(d: int, left, right):
     """The 2d + 2 coefficient families at degree d, as (slot of each variable
     order, table): w*f and f*w multiply the first and the last slot, and
     x_i -> w*x_i and x_i -> x_i*w the slot before and after x_i."""
-    orders = list(_arrangements(d))
+    orders = list(order_ranks(d))
     out = [([0] * len(orders), left), ([d] * len(orders), right)]
     for i in range(1, d + 1):
         out.append(([p.index(i) for p in orders], right))
@@ -501,46 +509,25 @@ def _coefficient_families(d: int, left, right):
     return out
 
 
-def _multiply_slots(X, slots, M):
-    """Rows X of degree d with, in the monomials of variable order p,
-    coefficient slot slots[p] multiplied through the table M: digit a
-    becomes sum_k M[a, k] b_k.  Python integers unless every sum of s
-    products fits in int64."""
-    s = len(M)
-    if X.dtype != object and s * int(np.abs(X).max()) * max(abs(v) for v in M.flat) >= _INT64_LIMIT:
-        X = X.astype(object)
-    M = M.astype(X.dtype)
-    slots = np.array(slots)
-    Y = X.reshape(X.shape[0], slots.size, -1)
-    out = np.empty_like(Y)
-    for t in set(slots.tolist()):
-        sel = np.flatnonzero(slots == t)
-        Z = Y[:, sel].reshape(-1, s, Y.shape[2] // s ** (t + 1))
-        out[:, sel] = (M.T @ Z).reshape(Y.shape[0], sel.size, -1)
-    return out.reshape(X.shape)
-
-
-def _chunks(B, size: int):
-    return (B[i : i + size] for i in range(0, len(B), size))
-
-
 def _spread(rows, maps, ncols: int, seen: set):
     """Lists, of at most _stream_rows(ncols) rows each, of the {column: int}
     rows through each injective column map into ncols columns, without the
-    rows whose key is in seen (the keys of the rows kept join it).  A row's
+    rows whose key is in seen (the keys of the rows kept join it).  A map
+    is a function of an array of columns that gives their images.  A row's
     key is its (column, value) pairs in column order.  The rows go in
     chunks of that size, and each chunk through every map in turn: the map
-    gathers the columns of all the chunk's entries at once."""
+    takes the columns of all the chunk's entries at once."""
     size = _stream_rows(ncols)
     if not rows:
         return
     maps = list(maps)
-    for chunk in _chunks(rows, size):
+    for start in range(0, len(rows), size):
+        chunk = rows[start : start + size]
         cols = np.fromiter(chain.from_iterable(chunk), dtype=np.intp)
         vals = [x for v in chunk for x in v.values()]
         ends = list(accumulate(map(len, chunk)))
-        for idx in maps:
-            mapped, out, a = idx[cols].tolist(), [], 0
+        for f in maps:
+            mapped, out, a = f(cols).tolist(), [], 0
             for b in ends:
                 key = tuple(sorted(zip(mapped[a:b], vals[a:b])))
                 a = b
@@ -554,23 +541,39 @@ def _closure(vecs, d: int, ncols: int, tables) -> list:
     """The {column: int} basis rows, in pivot order, of the span of every
     coefficient filling of the degree-d vectors vecs ({column: value}
     each), grown in one sparse space: one pass per family of
-    _coefficient_families.  A pass writes the basis as it stood before the
-    pass dense, one block at a time, of at most _stream_rows(ncols) rows
-    over all the tables of the family, and feeds the dict rows of the
-    block's images under every table of the family in one add_rows.
-    Tables that are multiples of the identity, as the unit's is, add
-    nothing and are skipped."""
-    size = _stream_rows(ncols)
-    left, right = ([M for M in T if not (M == M[0, 0] * np.eye(len(M), dtype=object)).all()] for T in tables)
+    _coefficient_families.  A pass multiplies slot t, the family's slot of
+    the variable order, of each basis row as it stood before the pass by
+    each table M of the family, and feeds all the images in one add_rows.
+    At place P = s^(d-t), an entry x at column base + a * P (a the digit
+    of slot t) goes to the columns base + k * P with the values x * M[a, k];
+    the digits of all the rows' columns are taken at once.  Tables that
+    are multiples of the identity, as the unit's is, add nothing and are
+    skipped."""
+    s = len(tables[0])
+    S = s ** (d + 1)
+    left, right = ([M for M in T if not (M == M[0, 0] * np.eye(s, dtype=object)).all()] for T in tables)
     space = SparseIntRowSpace(ncols)
     space.add_rows(int_dict(v) for v in vecs)
     for slots, table in _coefficient_families(d, left, right):
         if not table:
             continue
-        basis = [dict(v) for v in space.rows()]  # the span before the pass; add_rows changes the rows
-        for rows in _chunks(basis, max(1, size // len(table))):
-            X = dense_rows(rows, ncols)
-            space.add_rows(dict_rows(np.concatenate([_multiply_slots(X, slots, M) for M in table])))
+        basis = space.rows()  # the span before the pass, read before add_rows changes it
+        cols = np.fromiter(chain.from_iterable(basis), dtype=np.int64)
+        place = (s ** (d - np.array(slots)))[cols // S]
+        digit = cols // place % s
+        entries = zip((cols - digit * place).tolist(), place.tolist(), digit.tolist(),
+                      chain.from_iterable(v.values() for v in basis))
+        rows = [list(islice(entries, len(v))) for v in basis]
+        images = []
+        for M in table:
+            terms = [[(k, m) for k, m in enumerate(line) if m] for line in M.tolist()]
+            for row in rows:
+                out: dict = {}
+                for base, p, a, x in row:
+                    for k, m in terms[a]:
+                        out[base + k * p] = out.get(base + k * p, 0) + x * m
+                images.append({c: y for c, y in out.items() if y})
+        space.add_rows(images)
     return space.rows()
 
 
@@ -593,8 +596,8 @@ def _consequence_blocks(vecs, h: Action, n: int):
     families commute, so one pass each reaches every filling.  The degrees
     below n are spanned in full and kept as the basis dicts of their
     sparse space, and the lists of degree n come out lazily.  No row comes
-    out twice within a degree, and no list, nor any dense block of the
-    coefficient passes, holds more than _stream_rows(columns) rows.
+    out twice within a degree, and no list holds more than
+    _stream_rows(columns) rows.
 
     Lemma: I_d is the span of the instances u0 g(v_1..v_e) u1 of the
     generators g of degree e <= d (coefficients at every position running
@@ -620,9 +623,9 @@ def _consequence_blocks(vecs, h: Action, n: int):
     rows = []  # the basis of I_0
     for d in range(1, n + 1):
         ncols, seen = basis_size(d, s), set()
-        blocks = _spread(rows, _extensions(d, s), ncols, seen)
+        blocks = _spread(rows, (idx.take for idx in _extensions(d, s)), ncols, seen)
         if d in by_degree:
-            relabel = [_relabelling(d, s, pi) for pi in permutations(range(1, d + 1))]
+            relabel = (partial(_relabelled, new, s ** (d + 1)) for new in _relabellings(d, order_ranks(d)))
             blocks = chain(blocks, _spread(_closure(by_degree[d], d, ncols, tables), relabel, ncols, seen))
         if d == n:
             yield from blocks

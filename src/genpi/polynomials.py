@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 from .errors import BadDegree, NotMultilinear, NotPolynomial, ParseError, UnknownCoefficient
@@ -406,7 +407,7 @@ class GenMonomial:
             raise BadDegree(f"degree {self.n} needs {self.n + 1} coefficient slots, got {len(self.coeffs)}")
 
     def rank(self, s: int) -> int:
-        return _perm_rank(self.perm) * s ** (self.n + 1) + _mixed_radix(self.coeffs, s)
+        return monomial_index(self.perm, self.coeffs, s)
 
     def label(self, action=None):
         parts = []
@@ -424,31 +425,38 @@ class GenMonomial:
         return "*".join(parts)
 
 
-def _perm_rank(perm):
-    n = len(perm)
-    items = sorted(perm)
-    r = 0
-    for i, p in enumerate(perm):
-        k = items.index(p)
-        r = r * (n - i) + k
-        items.pop(k)
-    return r
-
-
-def _mixed_radix(coeffs, s):
-    r = 0
-    for c in coeffs:
-        r = r * s + c
-    return r
-
-
 def enumerate_basis(n: int, s: int):
     """All n! * s^(n+1) monomials in lexicographic (perm, coeffs) order."""
     if n < 1 or s < 1:
         raise BadDegree(f"need n >= 1 and s >= 1, got n = {n}, s = {s}")
-    for perm in permutations(range(1, n + 1)):
+    for perm in order_ranks(n):
         for coeffs in product(range(s), repeat=n + 1):
             yield GenMonomial(n, perm, coeffs)
+
+
+def monomial_index(order, coeffs, s: int) -> int:
+    """Column of w_(c_0) x_order(1) w_(c_1) ... x_order(d) w_(c_d) among the
+    degree-d monomials with s listed coefficients, in enumerate_basis order:
+
+        col = r(order) * s^(d+1) + sum_t c_t * s^(d-t),
+
+    r the lexicographic rank of the variable order, the number whose digit
+    i, of base d - i, counts the later variables below order[i].  So
+    col // s^(d+1) is the order's rank, and digit t of the rest, at place
+    s^(d-t), is the coefficient of slot t."""
+    d, col = len(order), 0
+    for i, v in enumerate(order):
+        col = col * (d - i) + sum(u < v for u in order[i + 1 :])
+    for c in coeffs:
+        col = col * s + c
+    return col
+
+
+@cache
+def order_ranks(d: int) -> dict:
+    """{variable order: its rank r (monomial_index)}: the orders of x_1..x_d,
+    as tuples, in rank order.  Shared: read it, do not change it."""
+    return {p: monomial_index(p, (), 1) for p in permutations(range(1, d + 1))}
 
 
 def basis_size(n: int, s: int) -> int:
@@ -509,5 +517,5 @@ def vectorize_words(words: dict, W, n: int) -> dict:
         for slot in merged:
             total = [(ks + (k,), cc * v) for ks, cc in total for k, v in slot]
         for ks, cc in total:
-            _add(out, GenMonomial(n, perm, ks).rank(s), cc)
+            _add(out, monomial_index(perm, ks, s), cc)
     return out

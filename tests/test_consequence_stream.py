@@ -39,7 +39,7 @@ from genpi.codim import (
 )
 from genpi.errors import BudgetExceeded, UnknownCoefficient
 from genpi.linalg import Subspace, _row_space
-from genpi.polynomials import GenMonomial, basis_size, parse
+from genpi.polynomials import GenMonomial, basis_size, parse, vectorize_words
 from grassmann_oracle import compositions
 from test_identity_witness import nonunital_action
 
@@ -273,13 +273,14 @@ def _streams(monkeypatch):
     return degrees
 
 
-def test_closure_writes_one_block_dense_at_a_time(monkeypatch):
+def test_closure_writes_no_dense_block(monkeypatch):
     # the coefficient closure of [x1,x2]*[x3,x4] over ut2full reaches rank
-    # 901 of 5,832 columns; under a cap of 64 such rows per block, its whole
-    # basis written dense (42 MB, 81.7 MiB traced peak) would dwarf the
-    # blocks: one block at a time peaks at about 9 MiB.  [x1,x3]*x2*x4 is
-    # no identity and is refuted before the closure; the identity
-    # ([x1,x2]-[x1,x2,w1])*x3*x4 lies outside the span and streams it all
+    # 901 of 5,832 columns; its whole basis written dense would take 42 MB
+    # (81.7 MiB traced peak), and the closure maps its dict rows slot by
+    # slot without writing any dense block.  The stream's lists hold at
+    # most 64 rows under this cap.  [x1,x3]*x2*x4 is no identity and is
+    # refuted before the closure; the identity ([x1,x2]-[x1,x2,w1])*x3*x4
+    # lies outside the span and streams it all
     monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 5832 * 64)
     degrees = _streams(monkeypatch)
     h = preset_action("ut2full")
@@ -294,6 +295,75 @@ def test_closure_writes_one_block_dense_at_a_time(monkeypatch):
     assert outside is False
     assert degrees == [4]
     assert peak < 24 * 2 ** 20
+
+
+def test_relabelling_maps_only_variable_orders():
+    # the degree-6 closure of ut2D is relabelled by 720 permutations over
+    # 92,160 columns: one full-width map each took 531 MB; the maps of
+    # order ranks, 720 entries each, peak at about 10.8 MiB traced in all
+    h = preset_action("ut2D")
+    tracemalloc.start()
+    try:
+        member = in_consequence_span("[x3,x1]*[x2,x4]*x6*x5", ["[x1,x2]*[x3,x4]*x5*x6"], h, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert member is True
+    assert peak < 16 * 2 ** 20
+
+
+def filling_span(gen, h) -> Subspace:
+    """The span of every coefficient filling u0*g(v1 x1 v1', ..., vd xd vd')*u1
+    of the generator, each written as a word with a listed coefficient at
+    each of its 2d + 2 places and vectorized by vectorize_words."""
+    d, terms = _generator_words(gen, h)
+    ncols, vectors = basis_size(d, h.s), []
+    for u0, *around, u1 in product(range(h.s), repeat=2 * d + 2):
+        words = {}
+        for c, w in terms:
+            word = [-u0 - 1]
+            for sym in w:
+                word += [-around[2 * sym - 2] - 1, sym, -around[2 * sym - 1] - 1] if sym > 0 else [sym]
+            word = tuple(word + [-u1 - 1])
+            words[word] = words.get(word, 0) + c
+        vec = vectorize_words(words, h.W, d)
+        vectors.append([vec.get(col, 0) for col in range(ncols)])
+    return Subspace.from_vectors(ncols, vectors)
+
+
+def _subalgebra_action(*basis):
+    """ut(2) acted on by the span of the given elements (over e11, e22, e12)."""
+    A = builtin("ut(2)")
+    return action_from_subalgebra(A, [A.unit, *basis])
+
+
+CLOSURE_ACTIONS = {
+    "ut2D": lambda: preset_action("ut2D"),
+    "ut2C": lambda: preset_action("ut2C"),
+    "ut2full": lambda: preset_action("ut2full"),
+    # (1, 1+e22): (1+e22)^2 = -2 + 3(1+e22), a table row of two nonzeros
+    "1, 1+e22": lambda: _subalgebra_action((1, 2, 0)),
+    # (1, 2^40 e22): table entries of 2^40
+    "1, 2^40 e22": lambda: _subalgebra_action((0, 2 ** 40, 0)),
+    "1, 1+e22, 3e22+5e12": lambda: _subalgebra_action((1, 2, 0), (0, 3, 5)),
+}
+
+
+# the cubic only where s = 2: at s = 3 the oracle's 3^8 fillings take over
+# a second
+CLOSURE_CASES = [(name, gen) for name in CLOSURE_ACTIONS for gen in ("[x1,x2]", "x1*w1*x2")]
+CLOSURE_CASES += [(name, "[x1,x2]*x3") for name in ("ut2D", "ut2C", "1, 1+e22", "1, 2^40 e22")]
+
+
+@pytest.mark.parametrize("name, gen", CLOSURE_CASES)
+def test_closure_spans_every_filling(name, gen):
+    h = CLOSURE_ACTIONS[name]()
+    ((d, vec),) = _generator_vectors([gen], h)
+    ncols = basis_size(d, h.s)
+    rows = codim._closure([vec], d, ncols, codim._product_tables(h.W))
+    assert rows and all(type(c) is int and type(x) is int for v in rows for c, x in v.items())
+    dense = [[v.get(col, 0) for col in range(ncols)] for v in rows]
+    assert Subspace.from_vectors(ncols, dense) == filling_span(gen, h)
 
 
 def test_stream_batches_from_byte_cap(monkeypatch):

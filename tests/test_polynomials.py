@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -18,7 +18,9 @@ from genpi.polynomials import (
     basis_size,
     enumerate_basis,
     expand_commutators,
+    monomial_index,
     multilinearize,
+    order_ranks,
     parse,
     resolved_words,
     vectorize,
@@ -119,6 +121,13 @@ def test_enumerate_basis_order_is_rank_order():
     for n, s in ((1, 2), (2, 2), (3, 2), (2, 3)):
         ranks = [m.rank(s) for m in enumerate_basis(n, s)]
         assert ranks == list(range(basis_size(n, s)))
+
+
+def test_monomial_index_is_order_rank_then_coefficient_digits():
+    # (2, 3, 1) is the fourth order of x1..x3; its digits at places 27, 9, 3, 1
+    assert order_ranks(3) == {p: r for r, p in enumerate(permutations(range(1, 4)))}
+    assert monomial_index((2, 3, 1), (1, 0, 2, 1), 3) == 3 * 3 ** 4 + 1 * 27 + 2 * 3 + 1
+    assert GenMonomial(3, (2, 3, 1), (1, 0, 2, 1)).rank(3) == 277
 
 
 def test_monomial_labels():
