@@ -103,11 +103,11 @@ from .linalg import Subspace, int_dict, reversed_kernel
 from .polynomials import (
     basis_size,
     enumerate_basis,
-    multilinearize,
+    multilinear_parts,
     order_ranks,
-    parse,
-    resolved_words,
-    variables_of,
+    parse_words,
+    resolve,
+    symbol_words,
     vectorize_words,
     word_runs,
 )
@@ -372,8 +372,9 @@ def _left_kernel(E: np.ndarray, scales=None) -> Subspace:
     """The left kernel of the integer matrix E, row i divided by
     numerators[i] / denominators[i] given scales = (numerators,
     denominators): read off the row space of its columns with the row order
-    reversed (linalg.reversed_kernel), in integers throughout."""
-    return reversed_kernel(_span([E.T[:, ::-1]], len(E)), scales)
+    reversed (linalg.reversed_kernel), in integers throughout.  A zero
+    column adds nothing to that space, so only the nonzero ones are fed."""
+    return reversed_kernel(_span([E.T[(E != 0).any(axis=0), ::-1]], len(E)), scales)
 
 
 def identity_kernel_polynomials(h: Action, n: int):
@@ -402,18 +403,29 @@ def _degree_one_words(kernel: Subspace, s: int):
 
 
 def _generator_words(g, h: Action):
-    """Normalize one generator to (degree, [(coeff, word)]) with variables
-    renumbered 1..d; None for generators that vanish in coordinates."""
-    if isinstance(g, str):
-        g = parse(g)
+    """Normalize one generator, a text, a polynomial or a resolved-word
+    dict, to (degree, [(coeff, word)]) with variables renumbered 1..d; None
+    for generators that vanish in coordinates.  A text or a polynomial is
+    expanded once, straight to words (polynomials.symbol_words), and
+    linearized and resolved on that dict; it must have one multilinear
+    component.  Coefficients are ints, or Fractions where a scalar is not
+    integral."""
     if isinstance(g, dict):
-        words = dict(g)
+        return _renumbered(g, h.s)
+    if isinstance(g, str):
+        g, words = parse_words(g)
     else:
-        comps = multilinearize(g)
-        if len(comps) != 1:
-            raise NotMultilinear(f"generator {g} has {len(comps)} multilinear components, not one")
-        words = resolved_words(comps[0], h)
-    s = h.s
+        words = symbol_words(g)
+    parts = multilinear_parts(words)
+    if len(parts) != 1:
+        raise NotMultilinear(f"generator {g} has {len(parts)} multilinear components, not one")
+    return _renumbered(resolve(parts[0], h), h.s)
+
+
+def _renumbered(words: dict, s: int):
+    """(degree, [(coeff, word)]) of resolved words without their tail words
+    (a coefficient index >= s), variables renumbered 1..d in order; None
+    when no word is left.  Every word must hold every variable once."""
     words = {
         w: c
         for w, c in words.items()
@@ -449,23 +461,23 @@ def _relabellings(d: int, pis) -> list:
     return [np.array([ranks[q] for q in map(tuple, np.take(pi, orders).tolist())]) for pi in pis]
 
 
-def _relabelled(new: np.ndarray, S: int, cols: np.ndarray) -> np.ndarray:
-    """The columns cols through the map of order ranks new, at S = s^(d+1)
-    columns per order."""
-    return new[cols // S] * S + cols % S
+def _swaps(d: int) -> list:
+    """The swaps tau_j of the labels j and d (j = 1..d), as maps of order
+    ranks (_relabellings)."""
+    return _relabellings(d, [[d if v == j else j if v == d else v for v in range(1, d + 1)] for j in range(1, d + 1)])
 
 
 def _extensions(d: int, s: int):
     """Column maps from degree d - 1 to degree d of the elementary
-    extensions, each followed by the swap tau_j of the labels j and d
-    (j = 1..d): for each listed coefficient w, f -> w*x_d*f, f -> f*x_d*w
-    and, for every i < d, the substitution x_i -> x_i*w*x_d.  Each one puts
-    x_d at place a of the variable order and w at coefficient slot q, the
-    later slots moving up by one.  A map is the array of the images of all
-    degree-(d-1) columns."""
+    extensions, before the swaps tau_j that follow each of them (_swaps):
+    for each listed coefficient w, f -> w*x_d*f, f -> f*x_d*w and, for
+    every i < d, the substitution x_i -> x_i*w*x_d.  Each one puts x_d at
+    place a of the variable order and w at coefficient slot q, the later
+    slots moving up by one.  A map is the array of the images of all
+    degree-(d-1) columns; the d swaps act on order ranks alone, so they are
+    applied when a map is (_spread), and the (d+1)*s maps are all that is
+    held."""
     ranks, S, c = order_ranks(d), s ** (d + 1), np.arange(s ** d)
-    swaps = [[d if v == j else j if v == d else v for v in range(1, d + 1)] for j in range(1, d + 1)]
-    taus = _relabellings(d, swaps)
     sources = list(order_ranks(d - 1))
     for op in (0, d, *range(1, d)):  # w*x_d*f, f*x_d*w, then x_i -> x_i*w*x_d for i = op
         for w in range(s):
@@ -478,9 +490,7 @@ def _extensions(d: int, s: int):
                 lo = s ** (d - q)
                 new.append(ranks[sigma[:a] + (d,) + sigma[a:]])
                 coeffs.append((c // lo * s + w) * lo + c % lo)
-            new, coeffs = np.array(new), np.array(coeffs)
-            for tau in taus:
-                yield (tau[new][:, None] * S + coeffs).ravel()
+            yield (np.array(new)[:, None] * S + np.array(coeffs)).ravel()
 
 
 def _product_tables(W):
@@ -509,32 +519,38 @@ def _coefficient_families(d: int, left, right):
     return out
 
 
-def _spread(rows, maps, ncols: int, seen: set):
+def _spread(rows, maps, news, ncols: int, seen: set):
     """Lists, of at most _stream_rows(ncols) rows each, of the {column: int}
     rows through each injective column map into ncols columns, without the
-    rows whose key is in seen (the keys of the rows kept join it).  A map
-    is a function of an array of columns that gives their images.  A row's
+    rows whose key is in seen (the keys of the rows kept join it).  The
+    column maps are the maps of maps, each an array of the images of all
+    columns or None for the identity, each followed by every map of order
+    ranks new of news (_relabellings): column r * S + c, at S = ncols /
+    len(new) columns per variable order, goes to new[r] * S + c.  A row's
     key is its (column, value) pairs in column order.  The rows go in
-    chunks of that size, and each chunk through every map in turn: the map
-    takes the columns of all the chunk's entries at once."""
+    chunks of that size, and each chunk through every column map in turn:
+    a map takes the columns of all the chunk's entries at once."""
     size = _stream_rows(ncols)
     if not rows:
         return
     maps = list(maps)
+    S = ncols // len(news[0])
     for start in range(0, len(rows), size):
         chunk = rows[start : start + size]
         cols = np.fromiter(chain.from_iterable(chunk), dtype=np.intp)
         vals = [x for v in chunk for x in v.values()]
         ends = list(accumulate(map(len, chunk)))
         for f in maps:
-            mapped, out, a = f(cols).tolist(), [], 0
-            for b in ends:
-                key = tuple(sorted(zip(mapped[a:b], vals[a:b])))
-                a = b
-                if key not in seen:
-                    seen.add(key)
-                    out.append(dict(key))
-            yield out
+            order, rest = np.divmod(cols if f is None else f.take(cols), S)
+            for new in news:
+                mapped, out, a = (new[order] * S + rest).tolist(), [], 0
+                for b in ends:
+                    key = tuple(sorted(zip(mapped[a:b], vals[a:b])))
+                    a = b
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(dict(key))
+                yield out
 
 
 def _closure(vecs, d: int, ncols: int, tables) -> list:
@@ -586,7 +602,7 @@ def _consequence_blocks(vecs, h: Action, n: int):
         I_d = span(tau_j E(I_(d-1)), j = 1..d) + S_d C(G_d).
 
     E runs the basis of I_(d-1) through the elementary extensions and tau_j
-    swaps the labels j and d (_extensions); G_d are the generators of
+    swaps the labels j and d (_extensions, _swaps); G_d are the generators of
     degree d, C closes their span under its coefficient fillings
     (_closure) and S_d relabels the closure.  The closure of a span is the
     sum of the closures of its vectors, as every filling is linear, so one
@@ -623,10 +639,10 @@ def _consequence_blocks(vecs, h: Action, n: int):
     rows = []  # the basis of I_0
     for d in range(1, n + 1):
         ncols, seen = basis_size(d, s), set()
-        blocks = _spread(rows, (idx.take for idx in _extensions(d, s)), ncols, seen)
+        blocks = _spread(rows, _extensions(d, s), _swaps(d), ncols, seen)
         if d in by_degree:
-            relabel = (partial(_relabelled, new, s ** (d + 1)) for new in _relabellings(d, order_ranks(d)))
-            blocks = chain(blocks, _spread(_closure(by_degree[d], d, ncols, tables), relabel, ncols, seen))
+            closure = _closure(by_degree[d], d, ncols, tables)
+            blocks = chain(blocks, _spread(closure, [None], _relabellings(d, order_ranks(d)), ncols, seen))
         if d == n:
             yield from blocks
         else:
@@ -779,18 +795,29 @@ def _word_rows(h: Action):
     the row of w_0 x_1 w_1 ... x_d w_d (_master_chunks) with the
     composition of the lambda (slot 0) or rho operators of the word's
     coefficient run in each slot, the identity for an empty run, so W's
-    unit and product are not used.  Words that share their slot runs share
-    one row, built once per evaluator.  The sum is in integers, int64 when
-    a magnitude bound fits; a row over STREAM_BYTES raises BudgetExceeded
-    before it is allocated."""
+    unit and product are not used.  An operator is turned into integers the
+    first time a run holds it, and words that share their slot runs share
+    one row, each built once per evaluator.  The sum is in integers, int64
+    when a magnitude bound fits; a row over STREAM_BYTES raises
+    BudgetExceeded before it is allocated."""
     dim = h.A.dim
     consts, dc = _int_constants(h.A)
-    ops = [[_int_matrix((p.L if left else p.R).matrix) for p in h.pairs] for left in (False, True)]
+    identity = np.identity(dim, dtype=object), 1
+
+    @cache
+    def op(k, left):
+        """(integer operator, denominator) of lambda (left) or rho of w_k."""
+        return _int_matrix((h.pairs[k].L if left else h.pairs[k].R).matrix)
 
     def slot(run, left):
-        """(integer operator, denominator) of a coefficient slot holding run."""
-        X, den = np.identity(dim, dtype=object), 1
-        for D, dd in (ops[left][k] for k in (run if left else run[::-1])):
+        """(integer operator, denominator) of a coefficient slot holding run:
+        the identity for an empty run, else the product of its operators."""
+        if not run:
+            return identity
+        ks = run if left else run[::-1]
+        X, den = op(ks[0], left)
+        for k in ks[1:]:
+            D, dd = op(k, left)
             X, den = X @ D, den * dd
         return X, den
 
@@ -799,8 +826,9 @@ def _word_rows(h: Action):
         """([first factor, contractions], denominator, magnitude bound) of
         the master row of the slot runs."""
         (L, dl), (R, dr) = slot(runs[0], True), slot(runs[1], False)
-        factors, den = [(L @ R).T], dl * dr
-        bound = int(np.abs(factors[0]).max(initial=0))
+        first = (L if not runs[1] else R if not runs[0] else L @ R).T
+        factors, den = [first], dl * dr
+        bound = int(np.abs(first).max(initial=0))
         for D, dd in (slot(run, False) for run in runs[2:]):
             S, growth = _contraction(consts, D)
             factors, den, bound = factors + [S], den * dd * dc, bound * growth
@@ -835,14 +863,17 @@ def identity_witness(node, h: Action):
     else (variables, labels): the basis elements its variables take at the
     first basis tuple, in product order, where its first failing
     multilinear component does not vanish (these decide in characteristic
-    zero).  Each component, renumbered to x1..xd without tail words
-    (_generator_words), is summed on the master rows by the evaluator that
-    membership shares (_word_rows); a row over STREAM_BYTES raises
+    zero).  The polynomial is expanded once, straight to words
+    (polynomials.symbol_words), with int or, past a non-integral scalar,
+    Fraction coefficients; each multilinear part of that dict with a
+    variable is resolved, renumbered to x1..xd without tail words
+    (_renumbered) and summed on the master rows by the evaluator that
+    membership shares (_word_rows).  A row over STREAM_BYTES raises
     BudgetExceeded before it is allocated."""
     row = _word_rows(h)
-    for comp in multilinearize(node):
-        variables = sorted(variables_of(comp))
-        gw = _generator_words(resolved_words(comp, h), h) if variables else None
+    for part in multilinear_parts(symbol_words(node)):
+        variables = sorted(s for s in next(iter(part)) if isinstance(s, int))  # those of every word
+        gw = _renumbered(resolve(part, h), h.s) if variables else None
         if gw is None:
             continue
         nz = np.flatnonzero(row(*gw))

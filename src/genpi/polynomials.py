@@ -15,13 +15,20 @@ coefficient algebra, any other token is looked up by label; unresolved
 symbols are tail coefficients (index >= listed size) when the action
 carries a kernel tail, and monomials containing them vanish identically.
 
-Internally a polynomial expands to words: tuples mixing positive ints
-(variable indices) and negative ints (-(k+1) for coefficient index k).
+A polynomial is normalized in one pass over its parse tree
+(symbol_words): each node expands once to a {word: coefficient} dict,
+commutators on the dicts of their entries, with no intermediate tree.  A
+word is a tuple of variable indices (int) and coefficient names (str);
+coefficients stay Python ints until a non-integral rational scalar makes
+them Fractions.  Linearization (multilinear_parts) and coefficient
+resolution (resolve) act on that dict; resolved words are tuples mixing
+positive ints (variable indices) and negative ints (-(k+1) for
+coefficient index k).  The tree forms that multilinearize returns are
+rebuilt from the dicts only for callers that ask for them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -224,18 +231,31 @@ def _scale(node, c: Fraction):
     return Scalar(c, node)
 
 
-def parse(text: str):
-    """Parse a generalized polynomial; every additive term must contain a
-    variable (coefficient-only terms are not elements of the free algebra)."""
+def _tree(text: str):
+    """The parse tree of the text, unchecked."""
     p = _Parser(text)
     node = p.poly()
     p.skip()
     if p.pos != len(text):
         p.error("trailing input")
-    for word, c in _symbol_words(node).items():
-        if c != 0 and not any(isinstance(s, Var) for s in word):
-            raise ParseError("term without any variable", 0)
     return node
+
+
+def parse_words(text: str):
+    """(tree, words): the parse tree of a generalized polynomial and its one
+    expansion (symbol_words), checked as parse checks it."""
+    node = _tree(text)
+    words = symbol_words(node)
+    for word, c in words.items():
+        if c and not any(isinstance(s, int) for s in word):
+            raise ParseError("term without any variable", 0)
+    return node, words
+
+
+def parse(text: str):
+    """Parse a generalized polynomial; every additive term must contain a
+    variable (coefficient-only terms are not elements of the free algebra)."""
+    return parse_words(text)[0]
 
 
 # -- expansion -------------------------------------------------------------------
@@ -262,42 +282,62 @@ def expand_commutators(node):
 
 def _add(out: dict, key, c):
     """out[key] += c, the key dropped when the sum is zero."""
-    c = out.get(key, _ZERO) + c
+    c = out.get(key, 0) + c
     if c:
         out[key] = c
     else:
         out.pop(key, None)
 
 
-def _symbol_words(node) -> dict:
-    """Expand to {word: coefficient} with word a tuple of Var/Coeff."""
-    if isinstance(node, Var) or isinstance(node, Coeff):
-        return {(node,): _ONE}
+def _times(u: dict, v: dict) -> dict:
+    """The product of two word dicts."""
+    out: dict = {}
+    for w1, c1 in u.items():
+        for w2, c2 in v.items():
+            _add(out, w1 + w2, c1 * c2)
+    return out
+
+
+def symbol_words(node) -> dict:
+    """The expansion of a polynomial to {word: coefficient}: a word is a
+    tuple of variable indices (int) and coefficient names as written (str),
+    and a coefficient an int until a non-integral scalar makes it a
+    Fraction.  Commutators expand on the word dicts of their entries,
+    left-normed: [a, b] = ab - ba, [a, b, c] = [[a, b], c].  Sums and
+    products drop the words whose coefficient cancels; a scalar 0 keeps
+    its words at coefficient 0."""
+    if isinstance(node, Var):
+        return {(node.index,): 1}
+    if isinstance(node, Coeff):
+        return {(node.name,): 1}
     if isinstance(node, Scalar):
-        return {w: c * node.value for w, c in _symbol_words(node.body).items()}
+        v = node.value
+        v = v.numerator if v.denominator == 1 else v
+        return {w: c * v for w, c in symbol_words(node.body).items()}
     if isinstance(node, Sum):
         out: dict = {}
         for t in node.terms:
-            for w, c in _symbol_words(t).items():
+            for w, c in symbol_words(t).items():
                 _add(out, w, c)
         return out
     if isinstance(node, Prod):
-        out = {(): _ONE}
+        out = {(): 1}
         for f in node.factors:
-            fw = _symbol_words(f)
-            nxt: dict = {}
-            for w1, c1 in out.items():
-                for w2, c2 in fw.items():
-                    _add(nxt, w1 + w2, c1 * c2)
-            out = nxt
+            out = _times(out, symbol_words(f))
         return out
     if isinstance(node, Comm):
-        return _symbol_words(expand_commutators(node))
+        acc = symbol_words(node.entries[0])
+        for e in node.entries[1:]:
+            ee = symbol_words(e)
+            acc, ba = _times(acc, ee), _times(ee, acc)
+            for w, c in ba.items():
+                _add(acc, w, -c)
+        return acc
     raise NotPolynomial(f"not a polynomial node: {node!r}")
 
 
 def variables_of(node) -> set:
-    return {s.index for w in _symbol_words(node) for s in w if isinstance(s, Var)}
+    return {s for w in symbol_words(node) for s in w if isinstance(s, int)}
 
 
 # -- resolution against an action -------------------------------------------------
@@ -321,56 +361,74 @@ def resolve_coefficient(action, name: str) -> int:
     raise UnknownCoefficient(f"unknown coefficient label {name!r}")
 
 
+def resolve(words: dict, action) -> dict:
+    """The word dict of symbol_words with each coefficient name replaced by
+    -(k+1), k its index (resolve_coefficient); words that become equal
+    merge, and those that cancel are dropped."""
+    index: dict = {}  # coefficient name -> its symbol
+    out: dict = {}
+    for w, c in words.items():
+        key = []
+        for s in w:
+            if not isinstance(s, int):
+                if s not in index:
+                    index[s] = -(resolve_coefficient(action, s) + 1)
+                s = index[s]
+            key.append(s)
+        _add(out, tuple(key), c)
+    return out
+
+
 def resolved_words(node, action) -> dict:
     """{word: coefficient} with word a tuple of ints: variable index i > 0,
     coefficient index k stored as -(k+1)."""
-    out = {}
-    for w, c in _symbol_words(node).items():
-        key = tuple(
-            s.index if isinstance(s, Var) else -(resolve_coefficient(action, s.name) + 1)
-            for s in w
-        )
-        _add(out, key, c)
-    return out
+    return resolve(symbol_words(node), action)
 
 
 # -- multilinearization -----------------------------------------------------------
 
 
-def _word_multidegree(word):
-    return tuple(sorted(Counter(s.index for s in word if isinstance(s, Var)).items()))
+def _multidegree(word):
+    vs = sorted(s for s in word if isinstance(s, int))
+    return tuple((v, vs.count(v)) for v in dict.fromkeys(vs))
 
 
-def multilinearize(node) -> list:
-    """Multilinear components of the standard characteristic-zero
-    linearization: split into multihomogeneous parts, replace each variable
-    of degree k by k fresh copies and keep the part linear in every copy.
-    Fresh variables are renumbered 1..n by (original index, copy)."""
-    words = _symbol_words(node)
+def multilinear_parts(words: dict) -> list:
+    """The multilinear components of the standard characteristic-zero
+    linearization of a word dict (symbol_words), as word dicts: split into
+    multihomogeneous parts, replace each variable of degree k by k fresh
+    copies and keep the part linear in every copy.  Fresh variables are
+    renumbered 1..n by (original index, copy); a part that is multilinear
+    already is kept as it is."""
     components: dict = {}
     for w, c in words.items():
-        components.setdefault(_word_multidegree(w), {})[w] = c
+        components.setdefault(_multidegree(w), {})[w] = c
     out = []
     for deg, part in sorted(components.items()):
         if all(d == 1 for _, d in deg):
-            out.append(_words_to_node(part))
+            out.append(part)
             continue
         renumber = {key: i + 1 for i, key in enumerate((idx, t) for idx, d in deg for t in range(d))}
         lin: dict = {}
         for w, c in part.items():
             positions: dict = {}
             for p, s in enumerate(w):
-                if isinstance(s, Var):
-                    positions.setdefault(s.index, []).append(p)
+                if isinstance(s, int):
+                    positions.setdefault(s, []).append(p)
             for combo in product(*(permutations(range(d)) for _, d in deg)):
                 neww = list(w)
                 for (idx, d), perm in zip(deg, combo):
                     for slot, p in enumerate(positions[idx]):
-                        neww[p] = Var(renumber[(idx, perm[slot])])
+                        neww[p] = renumber[(idx, perm[slot])]
                 _add(lin, tuple(neww), c)
         if lin:
-            out.append(_words_to_node(lin))
+            out.append(lin)
     return out
+
+
+def multilinearize(node) -> list:
+    """multilinear_parts of the node's expansion, each as a polynomial."""
+    return [_words_to_node(part) for part in multilinear_parts(symbol_words(node))]
 
 
 def _words_to_node(words: dict):
@@ -378,17 +436,16 @@ def _words_to_node(words: dict):
     for w, c in sorted(words.items(), key=lambda kv: _word_sort_key(kv[0])):
         if not w:
             continue
+        w = tuple(Var(s) if isinstance(s, int) else Coeff(s) for s in w)
         node = w[0] if len(w) == 1 else Prod(w)
-        terms.append(_scale(node, c))
+        terms.append(_scale(node, Fraction(c)))
     if not terms:
         return Scalar(_ZERO, Var(1))
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def _word_sort_key(word):
-    return tuple(
-        (0, s.index) if isinstance(s, Var) else (1, s.name) for s in word
-    )
+    return tuple((0, s) if isinstance(s, int) else (1, s) for s in word)
 
 
 # -- monomial basis of the multilinear space --------------------------------------

@@ -25,6 +25,7 @@ from genpi import codim
 from genpi.actions import make_action
 from genpi.algebras import StructureAlgebra, builtin
 from genpi.errors import BadDegree, BasisMismatch, BudgetExceeded, GenpiError, NotMultilinear, NotPolynomial
+from genpi.linalg import reversed_kernel
 from genpi.multipliers import Multiplier
 from genpi.codim import (
     _distinct_rows,
@@ -35,6 +36,7 @@ from genpi.codim import (
     _joint_masters,
     _left_kernel,
     _master_chunks,
+    _ratio_parts,
     _span,
     codimension,
     consequences_span,
@@ -250,6 +252,23 @@ def test_kernel_examples():
     from genpi.linalg import Subspace
 
     assert kernel.contains(Subspace.from_vectors(4, [vec]))
+
+
+@pytest.mark.parametrize("h,n,nonzero", [
+    (preset_action("ut2D"), 4, 34),
+    (preset_action("ut2full"), 3, 22),
+    (preset_action("ut2C"), 3, 22),
+    (ut2d_in_basis(sympy.Matrix([[2, 1, -1], [1, 3, 2], [-1, 1, 1]])), 3, 81),  # a dense basis
+], ids=["ut2D", "ut2full", "ut2C", "ut2D dense"])
+def test_left_kernel_of_the_nonzero_columns_is_that_of_all(h, n, nonzero):
+    # the kernel reads the nonzero columns of E alone: 34 of 243 for ut2D
+    # at n = 4, all 81 in the dense basis
+    M, scales = next(_master_chunks(h, n))
+    E = np.concatenate(list(_evaluation_blocks(M, h.A.dim, n)))
+    parts = [np.tile(x, len(E) // len(M)) for x in _ratio_parts(scales)]
+    assert (E != 0).any(axis=0).sum() == nonzero
+    full = reversed_kernel(_span([E.T[:, ::-1]], len(E)), parts)
+    assert _left_kernel(E, parts) == full == identity_kernel_basis(h, n)
 
 
 def test_kernel_polynomials_render():

@@ -21,6 +21,7 @@ from genpi.algebras import builtin
 from genpi.codim import (
     _consequence_blocks,
     _degree_one_words,
+    _extensions,
     _generator_vectors,
     _generator_words,
     _grassmann_matrix,
@@ -28,6 +29,7 @@ from genpi.codim import (
     _left_kernel,
     _span,
     _stream_rows,
+    _swaps,
     consequences_span,
     grassmann_generators,
     identity_kernel_basis,
@@ -39,7 +41,7 @@ from genpi.codim import (
 )
 from genpi.errors import BudgetExceeded, UnknownCoefficient
 from genpi.linalg import Subspace, _row_space
-from genpi.polynomials import GenMonomial, basis_size, parse, vectorize_words
+from genpi.polynomials import GenMonomial, basis_size, monomial_index, order_ranks, parse, vectorize_words
 from grassmann_oracle import compositions
 from test_identity_witness import nonunital_action
 
@@ -295,6 +297,42 @@ def test_closure_writes_no_dense_block(monkeypatch):
     assert outside is False
     assert degrees == [4]
     assert peak < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("d,s", [(1, 2), (2, 3), (3, 2), (4, 2)])
+def test_extension_maps_then_swaps_move_each_monomial(d, s):
+    # the monomial of variable order sigma and coefficients cs at degree
+    # d - 1, through w*x_d*f, f*x_d*w or x_i -> x_i*w*x_d and then the swap
+    # of the labels j and d, written out one monomial at a time
+    S, swaps = s ** (d + 1), _swaps(d)
+    got = [(tau[f // S] * S + f % S).tolist() for f in _extensions(d, s) for tau in swaps]
+    want = []
+    for op in (0, d, *range(1, d)):
+        for w in range(s):
+            for j in range(1, d + 1):
+                images = []
+                for sigma in order_ranks(d - 1):
+                    for cs in product(range(s), repeat=d):
+                        a = 0 if op == 0 else d - 1 if op == d else sigma.index(op) + 1
+                        q = d if op == d else a
+                        order = tuple(j if v == d else d if v == j else v for v in sigma[:a] + (d,) + sigma[a:])
+                        images.append(monomial_index(order, cs[:q] + (w,) + cs[q:], s))
+                want.append(images)
+    assert got == want
+
+
+def test_extension_maps_are_held_before_their_swaps():
+    # the 126 maps of degree 6 over s = 3 with their swaps applied were
+    # 87,480 int64 entries each, 85 MiB traced; the 21 maps before the
+    # swaps peak at about 15.6 MiB
+    tracemalloc.start()
+    try:
+        maps = list(_extensions(6, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == 21 and len(_swaps(6)) == 6
+    assert peak < 20 * 2 ** 20
 
 
 def test_relabelling_maps_only_variable_orders():

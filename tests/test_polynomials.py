@@ -24,8 +24,8 @@ from genpi.polynomials import (
     parse,
     resolved_words,
     vectorize,
+    symbol_words,
     variables_of,
-    _symbol_words,
 )
 from evaluation_oracle import evaluate, is_identity
 
@@ -33,8 +33,8 @@ from evaluation_oracle import evaluate, is_identity
 def words_str(node):
     """Stable readable form of the expansion for assertions."""
     out = {}
-    for w, c in _symbol_words(node).items():
-        key = "".join(str(s) for s in w)
+    for w, c in symbol_words(node).items():
+        key = "".join(f"x{s}" if isinstance(s, int) else s for s in w)
         out[key] = out.get(key, Fraction(0)) + c
     return {k: v for k, v in out.items() if v != 0}
 
@@ -233,7 +233,7 @@ def test_print_parse_round_trip_on_generator_corpus():
     for text in corpus:
         node = parse(text)
         again = parse(str(node))
-        assert _symbol_words(again) == _symbol_words(node), text
+        assert symbol_words(again) == symbol_words(node), text
 
 
 def test_vectorize_merges_coefficient_runs():
