@@ -365,17 +365,9 @@ def resolve(words: dict, action) -> dict:
     """The word dict of symbol_words with each coefficient name replaced by
     -(k+1), k its index (resolve_coefficient); words that become equal
     merge, and those that cancel are dropped."""
-    index: dict = {}  # coefficient name -> its symbol
     out: dict = {}
     for w, c in words.items():
-        key = []
-        for s in w:
-            if not isinstance(s, int):
-                if s not in index:
-                    index[s] = -(resolve_coefficient(action, s) + 1)
-                s = index[s]
-            key.append(s)
-        _add(out, tuple(key), c)
+        _add(out, tuple(s if isinstance(s, int) else -(resolve_coefficient(action, s) + 1) for s in w), c)
     return out
 
 
