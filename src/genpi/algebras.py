@@ -152,19 +152,6 @@ class StructureAlgebra:
                     raise BadUnit(i)
         return self
 
-    def _triple_product(self, i, j, k, left):
-        """(b_i b_j) b_k when left, else b_i (b_j b_k), as {index: coeff}."""
-        out = {}
-        if left:
-            for m, v in self.product_basis(i, j):
-                for n, w in self.product_basis(m, k):
-                    out[n] = out.get(n, _ZERO) + v * w
-        else:
-            for m, v in self.product_basis(j, k):
-                for n, w in self.product_basis(i, m):
-                    out[n] = out.get(n, _ZERO) + v * w
-        return {n: v for n, v in out.items() if v != 0}
-
     def _check_associative(self):
         """NotAssociative at the first basis triple (i, j, k), in
         lexicographic order, where (b_i b_j) b_k != b_i (b_j b_k).

@@ -98,7 +98,7 @@ from ._sparserank import SparseIntRowSpace
 from ._specht import isotypic_blocks, orbit_width
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _parse_name, _word_mask
-from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotMultilinear, NotSplit
+from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotMultilinear, NotSplit, UnknownCoefficient
 from .linalg import Subspace, int_dict, reversed_kernel
 from .polynomials import (
     basis_size,
@@ -677,22 +677,30 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     and substituting, multiplying by monomials and by the listed
     coefficients, which act through their multiplier pairs as W does (the
     action is a homomorphism), keep an identity of A one.  The witness is
-    skipped when a degree-n evaluation row is over STREAM_BYTES.  Otherwise
-    the span streams, and the target vector is reduced against it after
-    every group that adds pivots, until it reduces to zero or the span is
-    exhausted."""
+    skipped when a degree-n evaluation row is over STREAM_BYTES.  The
+    target's coordinates are built only when the witness does not decide:
+    a nonzero row already shows them nonzero, the row being a linear image
+    of them.  Otherwise the span streams, and the target vector is reduced
+    against it after every group that adds pivots, until it reduces to
+    zero or the span is exhausted."""
     _check_degree(n)
     tw = _generator_words(poly, h)
-    dv = _words_vector(tw, h)
-    if dv is None or not dv[1]:
+    if tw is None:
         return True
-    if dv[0] != n:
-        raise NotMultilinear(f"membership at degree {n} needs a target of that degree, not {dv[0]}")
+    if h.W.unit is None:  # the coordinates need it, whether the witness decides or not
+        raise UnknownCoefficient("vectorization needs a unital coefficient algebra")
+    target = cache(lambda: int_dict(_words_vector(tw, h)[1]))
+    row = _word_rows(h) if 8 * h.A.dim ** (n + 1) <= STREAM_BYTES else None
+    shown = tw[0] == n and row is not None and row(*tw).any()
+    if not shown and not target():
+        return True
+    if tw[0] != n:
+        raise NotMultilinear(f"membership at degree {n} needs a target of that degree, not {tw[0]}")
     gws = [gw for g in generators if (gw := _generator_words(g, h)) is not None]
-    if _refuted(tw, gws, h, n):
+    if shown and not any(row(*gw).any() for gw in gws if gw[0] <= n):
         return False
     rows = basis_size(n, h.s)
-    residual = int_dict(dv[1])
+    residual = target()
 
     def holds(span):
         # the residual is zero at the pivots it was reduced against, so
@@ -703,18 +711,6 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
 
     blocks = _consequence_blocks([_words_vector(gw, h) for gw in gws], h, n)
     return holds(_span(blocks, rows, stop=holds, kernel=SparseIntRowSpace))
-
-
-def _refuted(target, gens, h: Action, n: int) -> bool:
-    """Whether evaluation rows certify that the degree-n target lies outside
-    the consequence span of the generators, all as normalized words: the
-    target's row is nonzero and that of every generator of degree <= n is
-    zero (see in_consequence_span).  False, with no row built, when a
-    degree-n row is over STREAM_BYTES."""
-    if 8 * h.A.dim ** (n + 1) > STREAM_BYTES:
-        return False
-    row = _word_rows(h)
-    return row(*target).any() and not any(row(*gw).any() for gw in gens if gw[0] <= n)
 
 
 def _vanishes(vec: dict, blocks, scales=None) -> bool:

@@ -23,8 +23,10 @@ coefficients stay Python ints until a non-integral rational scalar makes
 them Fractions.  Linearization (multilinear_parts) and coefficient
 resolution (resolve) act on that dict; resolved words are tuples mixing
 positive ints (variable indices) and negative ints (-(k+1) for
-coefficient index k).  The tree forms that multilinearize returns are
-rebuilt from the dicts only for callers that ask for them.
+coefficient index k).  Text reaches coordinates one way: parse,
+symbol_words, multilinear_parts, resolve, then vectorize_words.  Nothing
+turns words back into a tree: the tree is parse's output, and str()
+prints it in a form that parse reads back.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from itertools import permutations, product
 
 from .errors import BadDegree, NotMultilinear, NotPolynomial, ParseError, UnknownCoefficient
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -62,7 +63,7 @@ class Coeff:
 @dataclass(frozen=True)
 class Scalar:
     value: Fraction
-    body: "Node"
+    body: "Var | Coeff | Prod | Comm"
 
     def __str__(self):
         v = self.value
@@ -77,9 +78,9 @@ class Sum:
     def __str__(self):
         parts = []
         for i, t in enumerate(self.terms):
-            if isinstance(t, Scalar) and t.value < 0:
+            if i and isinstance(t, Scalar) and t.value < 0:
                 s = str(t.body) if t.value == -1 else str(Scalar(-t.value, t.body))
-                parts.append(("-" if i == 0 else " - ") + s)
+                parts.append(" - " + s)
             else:
                 parts.append(("" if i == 0 else " + ") + str(t))
         return "".join(parts)
@@ -99,9 +100,6 @@ class Comm:
 
     def __str__(self):
         return "[" + ",".join(str(e) for e in self.entries) + "]"
-
-
-Node = (Var, Coeff, Scalar, Sum, Prod, Comm)
 
 
 def _factor_str(node):
@@ -261,25 +259,6 @@ def parse(text: str):
 # -- expansion -------------------------------------------------------------------
 
 
-def expand_commutators(node):
-    """Commutator-free AST: [a,b] -> ab - ba, left-normed recursively."""
-    if isinstance(node, Var) or isinstance(node, Coeff):
-        return node
-    if isinstance(node, Scalar):
-        return _scale(expand_commutators(node.body), node.value)
-    if isinstance(node, Sum):
-        return Sum(tuple(expand_commutators(t) for t in node.terms))
-    if isinstance(node, Prod):
-        return Prod(tuple(expand_commutators(f) for f in node.factors))
-    if isinstance(node, Comm):
-        acc = expand_commutators(node.entries[0])
-        for e in node.entries[1:]:
-            ee = expand_commutators(e)
-            acc = Sum((Prod((acc, ee)), _scale(Prod((ee, acc)), Fraction(-1))))
-        return acc
-    raise NotPolynomial(f"not a polynomial node: {node!r}")
-
-
 def _add(out: dict, key, c):
     """out[key] += c, the key dropped when the sum is zero."""
     c = out.get(key, 0) + c
@@ -336,10 +315,6 @@ def symbol_words(node) -> dict:
     raise NotPolynomial(f"not a polynomial node: {node!r}")
 
 
-def variables_of(node) -> set:
-    return {s for w in symbol_words(node) for s in w if isinstance(s, int)}
-
-
 # -- resolution against an action -------------------------------------------------
 
 
@@ -369,12 +344,6 @@ def resolve(words: dict, action) -> dict:
     for w, c in words.items():
         _add(out, tuple(s if isinstance(s, int) else -(resolve_coefficient(action, s) + 1) for s in w), c)
     return out
-
-
-def resolved_words(node, action) -> dict:
-    """{word: coefficient} with word a tuple of ints: variable index i > 0,
-    coefficient index k stored as -(k+1)."""
-    return resolve(symbol_words(node), action)
 
 
 # -- multilinearization -----------------------------------------------------------
@@ -416,28 +385,6 @@ def multilinear_parts(words: dict) -> list:
         if lin:
             out.append(lin)
     return out
-
-
-def multilinearize(node) -> list:
-    """multilinear_parts of the node's expansion, each as a polynomial."""
-    return [_words_to_node(part) for part in multilinear_parts(symbol_words(node))]
-
-
-def _words_to_node(words: dict):
-    terms = []
-    for w, c in sorted(words.items(), key=lambda kv: _word_sort_key(kv[0])):
-        if not w:
-            continue
-        w = tuple(Var(s) if isinstance(s, int) else Coeff(s) for s in w)
-        node = w[0] if len(w) == 1 else Prod(w)
-        terms.append(_scale(node, Fraction(c)))
-    if not terms:
-        return Scalar(_ZERO, Var(1))
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-
-def _word_sort_key(word):
-    return tuple((0, s) if isinstance(s, int) else (1, s) for s in word)
 
 
 # -- monomial basis of the multilinear space --------------------------------------
@@ -532,17 +479,12 @@ def word_runs(word):
     return tuple(order), tuple(map(tuple, runs))
 
 
-def vectorize(node, action, n: int) -> dict:
-    """Coefficient vector over the degree-n monomial basis, as a sparse
-    {rank: Fraction} map.  Coefficient runs between variables merge through
-    the coefficient algebra's product; monomials containing tail
-    coefficients vanish in these coordinates."""
-    return vectorize_words(resolved_words(node, action), action.W, n)
-
-
 def vectorize_words(words: dict, W, n: int) -> dict:
-    """vectorize for a {word: coefficient} map of resolved words over the
-    coefficient algebra W."""
+    """Coefficient vector of a {word: coefficient} map of resolved words
+    (resolve) over the degree-n monomial basis, as a sparse {rank:
+    rational} map.  Coefficient runs between variables merge through the
+    product of the coefficient algebra W; monomials containing tail
+    coefficients vanish in these coordinates."""
     s = W.dim
     if W.unit is None:
         raise UnknownCoefficient("vectorization needs a unital coefficient algebra")

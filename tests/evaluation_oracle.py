@@ -1,11 +1,12 @@
 """The AlgElement evaluator that genpi.codim.identity_witness replaced, kept
 as a test oracle: a polynomial evaluated one word and one basis tuple at a
 time, in Fractions, with each coefficient acting through its multiplier
-pair."""
+pair.  Its words and components come from the package's normalization
+(symbol_words, multilinear_parts, resolve)."""
 
 from itertools import product
 
-from genpi.polynomials import multilinearize, resolved_words, variables_of
+from genpi.polynomials import multilinear_parts, resolve, symbol_words
 
 
 def _eval_word(word, action, assignment):
@@ -33,7 +34,7 @@ def evaluate(node, action, assignment):
     """Evaluate at AlgElements of the acted-on algebra; coefficients act
     through the pairs, tail coefficients annihilate their monomial."""
     total = action.A.zero()
-    for word, c in resolved_words(node, action).items():
+    for word, c in resolve(symbol_words(node), action).items():
         total = total + c * _eval_word(word, action, assignment)
     return total
 
@@ -44,11 +45,11 @@ def is_identity(node, action):
     characteristic zero.  The witness is (variables, basis labels) at the
     first failing tuple in product order."""
     A = action.A
-    for comp in multilinearize(node):
-        vs = sorted(variables_of(comp))
+    for part in multilinear_parts(symbol_words(node)):
+        vs = sorted({s for w in part for s in w if isinstance(s, int)})
         if not vs:
             continue
-        words = resolved_words(comp, action)
+        words = resolve(part, action)
         for tup in product(range(A.dim), repeat=len(vs)):
             assignment = {v: A.basis_element(t) for v, t in zip(vs, tup)}
             total = A.zero()

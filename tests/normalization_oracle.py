@@ -1,9 +1,9 @@
 """The tree-based normalization that genpi.polynomials.symbol_words
 replaced, kept as a test oracle: the polynomial expanded by recursion over
-Var/Coeff words in Fractions, commutators through expand_commutators, each
-multilinear component rebuilt as a tree (words_to_node) and expanded
-again, then resolved against the action and renumbered as
-codim._generator_words does."""
+Var/Coeff words in Fractions, commutators rewritten as trees first
+(expand_commutators), each multilinear component rebuilt as a tree
+(words_to_node) and expanded again, then resolved against the action and
+renumbered as codim._generator_words does."""
 
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +17,6 @@ from genpi.polynomials import (
     Scalar,
     Sum,
     Var,
-    expand_commutators,
     parse,
     resolve_coefficient,
 )
@@ -42,6 +41,25 @@ def _scale(node, c):
     if isinstance(node, Sum):
         return Sum(tuple(_scale(t, c) for t in node.terms))
     return Scalar(c, node)
+
+
+def expand_commutators(node):
+    """Commutator-free tree: [a,b] -> ab - ba, left-normed recursively."""
+    if isinstance(node, (Var, Coeff)):
+        return node
+    if isinstance(node, Scalar):
+        return _scale(expand_commutators(node.body), node.value)
+    if isinstance(node, Sum):
+        return Sum(tuple(expand_commutators(t) for t in node.terms))
+    if isinstance(node, Prod):
+        return Prod(tuple(expand_commutators(f) for f in node.factors))
+    if isinstance(node, Comm):
+        acc = expand_commutators(node.entries[0])
+        for e in node.entries[1:]:
+            ee = expand_commutators(e)
+            acc = Sum((Prod((acc, ee)), _scale(Prod((ee, acc)), Fraction(-1))))
+        return acc
+    raise NotPolynomial(f"not a polynomial node: {node!r}")
 
 
 def tree_words(node) -> dict:
@@ -84,7 +102,9 @@ def words_to_node(words: dict):
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def multilinearize(node) -> list:
+def multilinear_words(node) -> list:
+    """The multilinear components of the node as {word: Fraction} dicts,
+    before they are rebuilt as trees (multilinearize)."""
     components: dict = {}
     for w, c in tree_words(node).items():
         deg = tuple(sorted(Counter(s.index for s in w if isinstance(s, Var)).items()))
@@ -92,7 +112,7 @@ def multilinearize(node) -> list:
     out = []
     for deg, part in sorted(components.items()):
         if all(d == 1 for _, d in deg):
-            out.append(words_to_node(part))
+            out.append(part)
             continue
         renumber = {key: i + 1 for i, key in enumerate((idx, t) for idx, d in deg for t in range(d))}
         lin: dict = {}
@@ -108,8 +128,12 @@ def multilinearize(node) -> list:
                         neww[p] = Var(renumber[(idx, perm[slot])])
                 _add(lin, tuple(neww), c)
         if lin:
-            out.append(words_to_node(lin))
+            out.append(lin)
     return out
+
+
+def multilinearize(node) -> list:
+    return [words_to_node(part) for part in multilinear_words(node)]
 
 
 def resolved_words(node, action) -> dict:

@@ -52,7 +52,7 @@ from genpi.codim import (
     verify_generating_set,
     verify_grassmann_generating_set,
 )
-from genpi.polynomials import GenMonomial, basis_size, enumerate_basis, parse, resolved_words, vectorize
+from genpi.polynomials import GenMonomial, basis_size, enumerate_basis, parse, resolve, symbol_words, vectorize_words
 from evaluation_oracle import evaluate
 from grassmann_oracle import orbit_kernel, orbit_rank
 
@@ -334,7 +334,7 @@ def _spellings(gens, h):
     variable index raised by one."""
     return {
         "strings": list(gens),
-        "word dicts": [resolved_words(parse(g), h) for g in gens],
+        "word dicts": [resolve(symbol_words(parse(g)), h) for g in gens],
         "shifted variables": [re.sub(r"x(\d+)", lambda m: f"x{int(m[1]) + 1}", g) for g in gens],
     }
 
@@ -801,7 +801,7 @@ def test_vectorize_round_trip_with_kernel():
     # a vectorized identity combines evaluation rows to zero
     h = preset_action("ut2D")
     em = evaluation_rows(h, 2)
-    vec = vectorize(parse("[x1,x2]-[x1,x2,w1]"), h, 2)
+    vec = vectorize_words(resolve(symbol_words(parse("[x1,x2]-[x1,x2,w1]")), h), h.W, 2)
     acc = {}
     for r, c in vec.items():
         for col, v in em[r].items():

@@ -39,7 +39,7 @@ from genpi.codim import (
     structural_identities,
     verify_generating_set,
 )
-from genpi.errors import BudgetExceeded, UnknownCoefficient
+from genpi.errors import BudgetExceeded, NotMultilinear, UnknownCoefficient
 from genpi.linalg import Subspace, _row_space
 from genpi.polynomials import GenMonomial, basis_size, monomial_index, order_ranks, parse, vectorize_words
 from grassmann_oracle import compositions
@@ -99,7 +99,7 @@ def naive_stream(gens, h, n):
         for ns, terms, comp, arr in skeletons:
             if idx >= s ** ns:
                 continue
-            # words as in resolved_words: variable i > 0, coefficient k as -(k+1)
+            # words as resolve gives them: variable i > 0, coefficient k as -(k+1)
             assign = iter([idx // s ** p % s for p in range(ns)])
             variables = iter(arr)
             pieces = []
@@ -475,6 +475,35 @@ def test_nonunital_coefficients_fail_before_the_witness():
     # vector needs the unit that W = zero_mult(1) lacks
     with pytest.raises(UnknownCoefficient):
         in_consequence_span("x1", ["w0*w0*x1"], nonunital_action(), 1)
+
+
+def test_a_refuted_target_is_not_vectorized(monkeypatch):
+    vectorized = []
+
+    def counted(words, W, n):
+        vectorized.append(words)
+        return vectorize_words(words, W, n)
+
+    monkeypatch.setattr(codim, "vectorize_words", counted)
+    h, gens = preset_action("ut2full"), preset_generators("ut2full")
+    assert in_consequence_span("[x1,x2]*x3", gens, h, 3) is False
+    assert vectorized == []
+    # a target the witness does not decide is vectorized once, then its
+    # generators
+    assert in_consequence_span("[x1,x2]*x3 - [x1,x2,w1]*x3", gens, h, 3) is True
+    assert len(vectorized) == 1 + sum(codim._generator_words(g, h) is not None for g in gens)
+
+
+def test_membership_keeps_the_answers_of_the_coordinates():
+    # w1*w1*x1 - w1*x1 cancels in the coordinates of ut2D (w1 = e22 is
+    # idempotent): True at every degree, before any generator is read
+    h, two = preset_action("ut2D"), "[x1,x2]*[x3,x4] + [x1,x2]*[x1,x2]"
+    for target, n in (("w1*w1*x1 - w1*x1", 1), ("w1*w1*x1 - w1*x1", 3), ("w1*w1*x1*x2*x3 - w1*x1*x2*x3", 3)):
+        assert in_consequence_span(target, [two], h, n) is True, (target, n)
+    with pytest.raises(NotMultilinear, match="needs a target of that degree, not 1"):
+        in_consequence_span("w1*x1", [two], h, 3)
+    with pytest.raises(NotMultilinear, match="2 multilinear components"):
+        in_consequence_span("[x1,x2]*x3", [two], h, 3)
 
 
 def test_kernel_extraction_checks_the_byte_cap(monkeypatch):

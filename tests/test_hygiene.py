@@ -1,7 +1,7 @@
 """Source hygiene of the package: no module-level import goes unused, no
-private module-level name lives on without a reader in the package, every
-raise names a GenpiError subclass, and a module-level cache keys on ints
-and tuples only."""
+private module-level name or method lives on without a reader in the
+package, every raise names a GenpiError subclass, and a module-level cache
+keys on ints and tuples only."""
 
 import ast
 from pathlib import Path
@@ -58,24 +58,57 @@ def _read_names(node) -> set:
     return out
 
 
+def _units(top) -> list:
+    """(statement, names it reads) of the readers in a module-level
+    statement: a class split into its header (bases, keywords and
+    decorators) and the statements of its body, any other statement
+    whole."""
+    if not isinstance(top, ast.ClassDef):
+        return [(top, _read_names(top))]
+    header = set().union(*map(_read_names, [*top.bases, *top.keywords, *top.decorator_list]))
+    return [(top, header)] + [(node, _read_names(node)) for node in top.body]
+
+
 def unreferenced_private_names(paths) -> list:
-    """Private module-level names (one leading underscore) of the modules
-    in paths that no statement of those modules reads, except the
-    statement that defines the name.  Tests are not among the readers, so
-    a private helper cannot live on as test-only code."""
-    statements = [(path, node) for path in paths for node in ast.parse(path.read_text()).body]
-    reads = [(node, _read_names(node)) for _, node in statements]
+    """Private names (one leading underscore) of the modules in paths,
+    bound at module level or as methods of module-level classes, that no
+    statement of those modules reads, except the statement that defines
+    the name (for a class, its whole body).  Tests are not among the
+    readers, so a private helper cannot live on as test-only code."""
+    units, defined = [], []  # defined: (label, name, the units that do not count as readers)
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            own = _units(top)
+            units += own
+            defined += [(f"{path.name}:{top.lineno} {name}", name, own) for name in _bound_names(top)]
+            if isinstance(top, ast.ClassDef):
+                defined += [
+                    (f"{path.name}:{m.lineno} {top.name}.{m.name}", m.name, [u for u in own if u[0] is m])
+                    for m in top.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
     return [
-        f"{path.name}:{node.lineno} {name}"
-        for path, node in statements
-        for name in _bound_names(node)
+        label
+        for label, name, own in defined
         if name.startswith("_") and not name.startswith("__")
-        and not any(other is not node and name in names for other, names in reads)
+        and not any(name in names for node, names in units if not any(node is u for u, _ in own))
     ]
 
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names(SOURCES) == []
+
+
+def test_private_name_guard_covers_methods(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "class _Used:\n    def _read(self): return self._helper()\n    def _helper(self): ...\n"
+        "    def _alone(self): return self._alone()\n    def __repr__(self): ...\n"
+        "class Public(_Used):\n    def _by_attribute(self): ...\n"
+        "def _unread(): ...\n"
+        "def f(x): return x._by_attribute()\n"
+    )
+    assert unreferenced_private_names([path]) == ["m.py:2 _Used._read", "m.py:4 _Used._alone", "m.py:8 _unread"]
 
 
 def foreign_raises(paths, errors: Path) -> list:

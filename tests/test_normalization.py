@@ -14,8 +14,8 @@ import genpi.polynomials as polynomials
 from genpi.actions import action_from_subalgebra, preset_action
 from genpi.algebras import builtin
 from genpi.codim import PRESET_GENERATORS, _generator_words, identity_witness, preset_generators
-from genpi.errors import GenpiError
-from genpi.polynomials import Coeff, Comm, Prod, Scalar, Sum, Var, multilinearize, parse, resolved_words, symbol_words
+from genpi.errors import GenpiError, ParseError
+from genpi.polynomials import Coeff, Comm, Prod, Scalar, Sum, Var, multilinear_parts, parse, resolve, symbol_words, vectorize_words
 import normalization_oracle as oracle
 from evaluation_oracle import is_identity
 
@@ -58,9 +58,9 @@ def assert_same_normalization(text):
     words = symbol_words(node)
     assert words == plain(oracle.tree_words(node)), text
     assert "/" in text or all(type(c) is int for c in words.values()), text
-    assert multilinearize(node) == oracle.multilinearize(node), text
+    assert multilinear_parts(words) == list(map(plain, oracle.multilinear_words(node))), text
     for name, h in ACTIONS.items():
-        assert resolved_words(node, h) == oracle.resolved_words(node, h), (text, name)
+        assert resolve(words, h) == oracle.resolved_words(node, h), (text, name)
         got = outcome(lambda: words_of(_generator_words(text, h)))
         assert got == outcome(lambda: words_of(oracle.generator_words(text, h))), (text, name)
 
@@ -86,7 +86,7 @@ def test_zero_terms_keep_their_components():
     # that vanishes, and x1 - x1 has none
     h = ACTIONS["ut2D"]
     assert symbol_words(parse("0*x1")) == {(1,): 0}
-    assert multilinearize(parse("0*x1")) == [Scalar(Fraction(0), Var(1))]
+    assert multilinear_parts(symbol_words(parse("0*x1"))) == [{(1,): 0}]
     assert _generator_words("0*x1", h) is None
     assert symbol_words(parse("x1 - x1 + x2*x3")) == {(2, 3): 1}
     assert outcome(_generator_words, "x1 - x1", h)[1] == "generator x1 - x1 has 0 multilinear components, not one"
@@ -96,9 +96,9 @@ ATOMS = st.sampled_from(["x1", "x2", "x3", "x1", "x2", "x4", "w0", "w1", "w2", "
 SCALARS = st.sampled_from(["", "", "2*", "-1/3*", "3/2*", "0*", "-4*", "5/5*"])
 
 
-def polys(factors):
+def polys(factors, scalars=SCALARS):
     """Texts of sums of scaled products of the factors."""
-    term = st.tuples(SCALARS, st.lists(factors, min_size=1, max_size=3)).map(lambda t: t[0] + "*".join(t[1]))
+    term = st.tuples(scalars, st.lists(factors, min_size=1, max_size=3)).map(lambda t: t[0] + "*".join(t[1]))
     rest = st.lists(st.tuples(st.sampled_from([" + ", " - "]), term), max_size=2)
     return st.tuples(term, rest).map(lambda t: t[0] + "".join(op + u for op, u in t[1]))
 
@@ -122,6 +122,18 @@ def test_drawn_polynomials_normalize_as_before(text):
     assert_same_normalization(text)
 
 
+@given(polys(FACTORS, st.one_of(SCALARS, st.just("-1*"))))
+@example("-1*[x1,x2] + x3")
+@example("x3 - (x1 + x2)")
+def test_printed_polynomials_parse_back(text):
+    # str() prints a form the grammar reads, a first term -1*t included
+    try:
+        node = parse(text)
+    except ParseError:
+        return  # a term without a variable
+    assert symbol_words(parse(str(node))) == symbol_words(node), str(node)
+
+
 def count_nodes(node) -> int:
     children = {Scalar: lambda n: (n.body,), Sum: lambda n: n.terms, Prod: lambda n: n.factors,
                 Comm: lambda n: n.entries}.get(type(node), lambda n: ())
@@ -143,8 +155,8 @@ def counted_expansions(monkeypatch) -> list:
 
 @pytest.mark.parametrize("text", ["[x1,x2]-[x1,x2,w1]", "[x1,x2]*[x3,x4]", "w1*[x1,x2]", "x1*w3"])
 def test_a_generator_is_expanded_once(monkeypatch, text):
-    # the tree-based path expanded the tree in parse, in multilinearize and
-    # again, rebuilt, in resolved_words
+    # the tree-based path (normalization_oracle) expanded the tree in parse,
+    # in multilinearize and again, rebuilt, in resolved_words
     calls = counted_expansions(monkeypatch)
     _generator_words(text, ACTIONS["ut2full"])
     root = calls[0]
@@ -163,7 +175,7 @@ def test_a_witness_expands_its_polynomial_once(monkeypatch):
 def test_vectorize_keeps_fraction_values():
     h = ACTIONS["ut2full"]
     for text in ("[x1,x2]-[x1,x2,w1]", "2*w1*x1*x2", "1/2*x2*w2*x1"):
-        vec = polynomials.vectorize(parse(text), h, 2)
+        vec = vectorize_words(resolve(symbol_words(parse(text)), h), h.W, 2)
         assert vec and all(type(c) is Fraction for c in vec.values()), text
 
 

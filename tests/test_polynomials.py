@@ -17,26 +17,29 @@ from genpi.polynomials import (
     Var,
     basis_size,
     enumerate_basis,
-    expand_commutators,
     monomial_index,
-    multilinearize,
+    multilinear_parts,
     order_ranks,
     parse,
-    resolved_words,
-    vectorize,
+    resolve,
     symbol_words,
-    variables_of,
+    vectorize_words,
 )
 from evaluation_oracle import evaluate, is_identity
 
 
-def words_str(node):
-    """Stable readable form of the expansion for assertions."""
+def words_str(words):
+    """Stable readable form of a word dict for assertions."""
     out = {}
-    for w, c in symbol_words(node).items():
+    for w, c in words.items():
         key = "".join(f"x{s}" if isinstance(s, int) else s for s in w)
         out[key] = out.get(key, Fraction(0)) + c
     return {k: v for k, v in out.items() if v != 0}
+
+
+def vector(text, h, n):
+    """Coordinates of the text over the degree-n monomials of h."""
+    return vectorize_words(resolve(symbol_words(parse(text)), h), h.W, n)
 
 
 def test_parse_commutator_product():
@@ -50,7 +53,7 @@ def test_parse_difference_of_commutators():
 
 
 def test_parse_coefficient_monomials():
-    assert words_str(parse("w1*x1")) == {"w1x1": Fraction(1)}
+    assert words_str(symbol_words(parse("w1*x1"))) == {"w1x1": Fraction(1)}
     with pytest.raises(ParseError):
         parse("w1*w2")
 
@@ -62,19 +65,19 @@ def test_parse_errors_have_positions():
 
 
 def test_parse_rational_scalars_and_unary_minus():
-    assert words_str(parse("-1/2*x1x2")) == {"x1x2": Fraction(-1, 2)}
-    assert words_str(parse("x1 - 2*x2x1")) == {"x1": Fraction(1), "x2x1": Fraction(-2)}
+    assert words_str(symbol_words(parse("-1/2*x1x2"))) == {"x1x2": Fraction(-1, 2)}
+    assert words_str(symbol_words(parse("x1 - 2*x2x1"))) == {"x1": Fraction(1), "x2x1": Fraction(-2)}
 
 
 def test_expand_commutator_pair():
-    assert words_str(expand_commutators(parse("[x1,x2]"))) == {
+    assert words_str(symbol_words(parse("[x1,x2]"))) == {
         "x1x2": Fraction(1),
         "x2x1": Fraction(-1),
     }
 
 
 def test_expand_left_normed_triple():
-    got = words_str(expand_commutators(parse("[x1,x2,x3]")))
+    got = words_str(symbol_words(parse("[x1,x2,x3]")))
     assert got == {
         "x1x2x3": Fraction(1),
         "x2x1x3": Fraction(-1),
@@ -84,27 +87,27 @@ def test_expand_left_normed_triple():
 
 
 def test_expand_coefficient_commutator():
-    assert words_str(expand_commutators(parse("[w1,x1]"))) == {
+    assert words_str(symbol_words(parse("[w1,x1]"))) == {
         "w1x1": Fraction(1),
         "x1w1": Fraction(-1),
     }
 
 
 def test_multilinearize_square():
-    comps = multilinearize(parse("x1*x1"))
+    comps = multilinear_parts(symbol_words(parse("x1*x1")))
     assert len(comps) == 1
     assert words_str(comps[0]) == {"x1x2": Fraction(1), "x2x1": Fraction(1)}
 
 
 def test_multilinearize_keeps_multilinear():
-    node = parse("[x1,x2]")
-    comps = multilinearize(node)
+    words = symbol_words(parse("[x1,x2]"))
+    comps = multilinear_parts(words)
     assert len(comps) == 1
-    assert words_str(comps[0]) == words_str(expand_commutators(node))
+    assert words_str(comps[0]) == words_str(words)
 
 
 def test_multilinearize_cube():
-    comps = multilinearize(parse("x1*x1*x1"))
+    comps = multilinear_parts(symbol_words(parse("x1*x1*x1")))
     assert len(comps) == 1
     words = words_str(comps[0])
     assert len(words) == 6 and all(c == 1 for c in words.values())
@@ -229,6 +232,7 @@ def test_print_parse_round_trip_on_generator_corpus():
         "w3*x1", "x1*w3",
         "[x1,x2,x3]", "[e1,x1,x2]", "[e2,x1,x2]", "e2*x1", "x1*e2",
         "[e1,x1]*[e1,x2]+2*[x1,x2]*e1*e1",
+        "-1*x1 + x2", "-1*[x1,x2] + x3",
     ]
     for text in corpus:
         node = parse(text)
@@ -239,26 +243,25 @@ def test_print_parse_round_trip_on_generator_corpus():
 def test_vectorize_merges_coefficient_runs():
     h = preset_action("ut2D")
     # w1*w1 merges to w1: w1w1 x1 = w1 x1
-    v1 = vectorize(parse("w1*w1*x1"), h, 1)
-    v2 = vectorize(parse("w1*x1"), h, 1)
+    v1 = vector("w1*w1*x1", h, 1)
+    v2 = vector("w1*x1", h, 1)
     assert v1 == v2
     # tail monomials vanish in coordinates
-    assert vectorize(parse("w2*x1"), h, 1) == {}
+    assert vector("w2*x1", h, 1) == {}
 
 
 def test_vectorize_ranks_match_enumeration():
     h = preset_action("ut2D")
     mons = list(enumerate_basis(1, 2))
     for m in mons:
-        node = parse(m.label(None).replace("w1", "w1"))
-        v = vectorize(parse(m.label(None)), h, 1)
+        v = vector(m.label(None), h, 1)
         assert v == {m.rank(2): Fraction(1)}
 
 
 def test_vectorize_grassmann_sign():
     h = grassmann_action(2, 3)
     # e2*e1 merges to -g{1,2}: coefficient -1 on the merged slot
-    v = vectorize(parse("e2*e1*x1"), h, 1)
+    v = vector("e2*e1*x1", h, 1)
     k = h.W.labels.index("g{1,2}")
     expected_rank = GenMonomial(1, (1,), (k, 0)).rank(h.s)
     assert v == {expected_rank: Fraction(-1)}
@@ -277,7 +280,6 @@ def test_monomial_with_wrong_slot_count_is_bad_degree():
 
 
 def test_non_polynomial_node_is_a_genpi_error():
-    for call in (expand_commutators, variables_of):
-        with pytest.raises(NotPolynomial) as info:
-            call(5)
-        assert isinstance(info.value, GenpiError) and isinstance(info.value, TypeError)
+    with pytest.raises(NotPolynomial) as info:
+        symbol_words(5)
+    assert isinstance(info.value, GenpiError) and isinstance(info.value, TypeError)
