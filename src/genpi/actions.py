@@ -19,7 +19,6 @@ from fractions import Fraction
 from ._fastrank import FastIntRowSpace
 from .algebras import (
     AlgElement,
-    LinOp,
     StructureAlgebra,
     _grassmann_words,
     _parse_name,
@@ -27,8 +26,8 @@ from .algebras import (
     builtin,
     grassmann_algebra,
     load_algebra,
+    operator_closure,
     quotient_algebra,
-    regular_reps,
     subalgebra_presentation,
 )
 from .errors import (
@@ -77,29 +76,20 @@ class Action:
                 raise NotMultiplier(i, w)
         for i in range(self.W.dim):
             for j in range(self.W.dim):
-                prod = self._pair_combination(self.W.product_basis(i, j))
+                prod = _combination(self.A, self.pairs, self.W.product_basis(i, j))
                 if self.pairs[i].mul(self.pairs[j]) != prod:
                     raise NotHomomorphism(i, j)
         for i in range(self.W.dim):
             for j in range(self.W.dim):
-                if self.pairs[j].R.compose(self.pairs[i].L) != self.pairs[i].L.compose(self.pairs[j].R):
+                if self.pairs[j].R.matmul(self.pairs[i].L) != self.pairs[i].L.matmul(self.pairs[j].R):
                     raise NotPermutable(i, j)
         return self._check_unit()
 
     def _check_unit(self):
         if self.W.unit is not None:
-            u = self._pair_combination(
-                [(k, c) for k, c in enumerate(self.W.unit) if c != 0]
-            )
-            if u != Multiplier.identity(self.A):
+            if _combination(self.A, self.pairs, enumerate(self.W.unit)) != Multiplier.identity(self.A):
                 raise UnitMismatch("unit of W does not act as the identity pair")
         return self
-
-    def _pair_combination(self, terms) -> Multiplier:
-        out = Multiplier(self.A, LinOp.zero(self.A.dim), LinOp.zero(self.A.dim))
-        for k, c in terms:
-            out = out.add(self.pairs[k].scale(c))
-        return out
 
     def __repr__(self):
         nm = self.name or "action"
@@ -114,8 +104,8 @@ class Action:
             "mode": "pairs",
             "pairs": [
                 {
-                    "R": [[str(m.R.matrix.entry(i, j)) for j in range(self.A.dim)] for i in range(self.A.dim)],
-                    "L": [[str(m.L.matrix.entry(i, j)) for j in range(self.A.dim)] for i in range(self.A.dim)],
+                    "R": [[str(x) for x in row] for row in m.R.to_lists()],
+                    "L": [[str(x) for x in row] for row in m.L.to_lists()],
                 }
                 for m in self.pairs
             ],
@@ -127,6 +117,15 @@ class Action:
             json.dump(self.to_dict(), fh)
 
 
+def _combination(A: StructureAlgebra, pairs, terms) -> Multiplier:
+    """The sum of c * pairs[k] over the (k, c) of terms."""
+    out = Multiplier.zero(A)
+    for k, c in terms:
+        if c:
+            out = out.add(pairs[k].scale(c))
+    return out
+
+
 def make_action(W, A, pairs, kernel_tail=False, name=None) -> Action:
     """Validate and wrap an explicit pair list as an action."""
     ms = []
@@ -134,11 +133,7 @@ def make_action(W, A, pairs, kernel_tail=False, name=None) -> Action:
         if isinstance(p, Multiplier):
             ms.append(p)
         else:
-            R, L = p
-            if not isinstance(R, LinOp):
-                R = LinOp(RatMatrix.from_rows(R))
-            if not isinstance(L, LinOp):
-                L = LinOp(RatMatrix.from_rows(L))
+            R, L = (M if isinstance(M, RatMatrix) else RatMatrix.from_rows(M) for M in p)
             ms.append(Multiplier(A, R, L))
     return Action(W, A, ms, kernel_tail=kernel_tail, name=name)
 
@@ -157,11 +152,7 @@ def action_from_subalgebra(A: StructureAlgebra, basis, labels=None, kernel_tail=
     (v x) u = v (x u).
     """
     W, _ = subalgebra_presentation(A, basis, labels=labels)
-    pairs = []
-    for v in basis:
-        elt = v if isinstance(v, AlgElement) else A.element(v)
-        R, L = regular_reps(elt)
-        pairs.append(Multiplier(A, R, L))
+    pairs = [Multiplier.inner(v if isinstance(v, AlgElement) else A.element(v)) for v in basis]
     return Action(W, A, pairs, kernel_tail=kernel_tail, name=name,
                   validate=False)._check_unit()
 
@@ -240,12 +231,7 @@ def semisimple_part_action(h: Action):
     new_pairs = []
     for i in range(h.W.dim):
         img = [eff.projection.entry(r, i) for r in range(Wbar.dim)]
-        proj = pi.matvec(img)
-        m = Multiplier(h.A, LinOp.zero(h.A.dim), LinOp.zero(h.A.dim))
-        for k, c in enumerate(proj):
-            if c:
-                m = m.add(eff.image_pairs[k].scale(c))
-        new_pairs.append(m)
+        new_pairs.append(_combination(h.A, eff.image_pairs, enumerate(pi.matvec(img))))
     act = Action(h.W, h.A, new_pairs, kernel_tail=h.kernel_tail,
                  name=f"ss({h.name or 'action'})")
     # hypothesis: image radical inside the inner pairs of J(A)
@@ -253,15 +239,9 @@ def semisimple_part_action(h: Action):
     inner = Subspace.from_vectors(
         2 * h.A.dim * h.A.dim, [Multiplier.inner(h.A.element(list(v))).flatten() for v in JA.basis]
     )
-    holds = True
-    for v in wm.radical.basis:
-        m = Multiplier(h.A, LinOp.zero(h.A.dim), LinOp.zero(h.A.dim))
-        for k, c in enumerate(v):
-            if c:
-                m = m.add(eff.image_pairs[k].scale(c))
-        if not inner.contains_vector(m.flatten()):
-            holds = False
-            break
+    holds = all(
+        inner.contains_vector(_combination(h.A, eff.image_pairs, enumerate(v)).flatten()) for v in wm.radical.basis
+    )
     return act, holds
 
 
@@ -285,11 +265,11 @@ def semidirect_product(h: Action):
                 table[(i, j)] = terms
     for i in range(k):
         for j in range(d):
-            img = eff.image_pairs[i].L.apply(h.A._unit_vec(j))
+            img = eff.image_pairs[i].L.matvec(h.A._unit_vec(j))
             terms = [(k + t, c) for t, c in enumerate(img) if c != 0]
             if terms:
                 table[(i, k + j)] = terms
-            img = eff.image_pairs[i].R.apply(h.A._unit_vec(j))
+            img = eff.image_pairs[i].R.matvec(h.A._unit_vec(j))
             terms = [(k + t, c) for t, c in enumerate(img) if c != 0]
             if terms:
                 table[(k + j, i)] = terms
@@ -319,44 +299,28 @@ def semidirect_product(h: Action):
                 Rr[r][c] = v
             for c, v in Lw.row_dict(r).items():
                 Lr[r][c] = v
-        Ra = h.pairs[i].R.matrix
-        La = h.pairs[i].L.matrix
         for r in range(d):
-            for c, v in Ra.row_dict(r).items():
+            for c, v in h.pairs[i].R.row_dict(r).items():
                 Rr[k + r][k + c] = v
-            for c, v in La.row_dict(r).items():
+            for c, v in h.pairs[i].L.row_dict(r).items():
                 Lr[k + r][k + c] = v
-        ind_pairs.append(Multiplier(sd, LinOp(RatMatrix(dim, dim, Rr)), LinOp(RatMatrix(dim, dim, Lr))))
+        ind_pairs.append(Multiplier(sd, RatMatrix(dim, dim, Rr), RatMatrix(dim, dim, Lr)))
     induced = Action(h.W, sd, ind_pairs, kernel_tail=h.kernel_tail,
                      name=f"induced({h.name or 'action'})")
     maps = {"i1": i1, "i2": i2, "pi1": pi1, "induced_action": induced}
     return sd, maps
 
 
+def _operators(h: Action) -> list:
+    """The regular operators L_i, R_i of the basis of A, then rho and
+    lambda of every acting pair."""
+    return [op for pair in h.A.basis_operators() for op in pair] + [op for m in h.pairs for op in (m.R, m.L)]
+
+
 def w_ideal_generated(h: Action, gens) -> Subspace:
     """Closure of the span of gens under products with A basis elements
     and under all acting operators."""
-    A = h.A
-    vectors = []
-    for g in gens:
-        vectors.append(list(g.coords) if isinstance(g, AlgElement) else [rat(x) for x in g])
-    space = FastIntRowSpace(A.dim)
-    work = [v for v in vectors if space.add_rows(int_rows([v], A.dim))]
-    ops = []
-    for i in range(A.dim):
-        e = A._unit_vec(i)
-        ops.append(A.left_mult_matrix(e))
-        ops.append(A.right_mult_matrix(e))
-    for m in h.pairs:
-        ops.append(m.R.matrix)
-        ops.append(m.L.matrix)
-    while work:
-        v = work.pop()
-        for op in ops:
-            img = op.matvec(v)
-            if space.add_rows(int_rows([img], A.dim)):
-                work.append(img)
-    return Subspace.from_space(space)
+    return operator_closure(h.A, gens, _operators(h))
 
 
 def is_w_simple(h: Action) -> bool:
@@ -401,20 +365,9 @@ def _w_simple_experimental(h: Action) -> bool:
     from .structure import _min_poly, _rational_roots
 
     A = h.A
-    ops = []
-    for i in range(A.dim):
-        e = A._unit_vec(i)
-        ops.append(A.left_mult_matrix(e))
-        ops.append(A.right_mult_matrix(e))
-    for m in h.pairs:
-        ops.append(m.R.matrix)
-        ops.append(m.L.matrix)
-    for op in ops:
-        mp = _min_poly(op)
-        for lam in _rational_roots(mp):
-            shifted = RatMatrix.from_rows(
-                [[op.entry(i, j) - (lam if i == j else 0) for j in range(A.dim)] for i in range(A.dim)]
-            )
+    for op in _operators(h):
+        for lam in _rational_roots(_min_poly(op)):
+            shifted = op.add(RatMatrix.identity(A.dim).scale(-lam))
             for v in shifted.right_kernel_basis().basis:
                 ideal = w_ideal_generated(h, [A.element(list(v))])
                 if 0 < ideal.dim < A.dim:
@@ -428,12 +381,13 @@ def _w_simple_experimental(h: Action) -> bool:
 # -- presets -------------------------------------------------------------------
 
 
-def _ut2_subalgebra_action(labels):
-    A = builtin("ut(2)")
-    idx = {lab: i for i, lab in enumerate(A.labels)}
-    unit = A.unit_element()
-    vecs = {"1": unit, "e22": A.basis_element(idx["e22"]), "e12": A.basis_element(idx["e12"])}
-    return A, [vecs[lab] for lab in labels]
+# the ut(2) presets: key -> (name, the elements of ut(2) that W lists)
+_UT2_PRESETS = {
+    "ut2f": ("ut2F", ("1",)),
+    "ut2d": ("ut2D", ("1", "e22")),
+    "ut2c": ("ut2C", ("1", "e12")),
+    "ut2full": ("ut2full", ("1", "e22", "e12")),
+}
 
 
 def grassmann_action(k: int, m: int, full=False, name=None) -> Action:
@@ -452,19 +406,12 @@ def grassmann_action(k: int, m: int, full=False, name=None) -> Action:
 def preset_action(name: str) -> Action:
     """Named actions: ut2F, ut2D, ut2C, ut2full, grassmann_Ek(k,M),
     grassmann_full(M), selfaction(<algebra>)."""
-    low = name.strip().lower()
-    if low == "ut2f":
-        A, basis = _ut2_subalgebra_action(["1"])
-        return action_from_subalgebra(A, basis, labels=["1"], kernel_tail=True, name="ut2F")
-    if low == "ut2d":
-        A, basis = _ut2_subalgebra_action(["1", "e22"])
-        return action_from_subalgebra(A, basis, labels=["1", "e22"], kernel_tail=True, name="ut2D")
-    if low == "ut2c":
-        A, basis = _ut2_subalgebra_action(["1", "e12"])
-        return action_from_subalgebra(A, basis, labels=["1", "e12"], kernel_tail=True, name="ut2C")
-    if low == "ut2full":
-        A, basis = _ut2_subalgebra_action(["1", "e22", "e12"])
-        return action_from_subalgebra(A, basis, labels=["1", "e22", "e12"], kernel_tail=True, name="ut2full")
+    key = name.strip().lower()
+    if key in _UT2_PRESETS:
+        preset, listed = _UT2_PRESETS[key]
+        A = builtin("ut(2)")
+        basis = [A.unit_element() if e == "1" else A.basis_element(A.labels.index(e)) for e in listed]
+        return action_from_subalgebra(A, basis, labels=list(listed), kernel_tail=True, name=preset)
     arity = {"grassmann_ek": 2, "grassmann_full": 1, "selfaction": "name"}
     base, args = _parse_name(name, arity, "action preset")
     if base == "grassmann_ek":
@@ -478,9 +425,6 @@ def preset_action(name: str) -> Action:
         raise UnsupportedName("selfaction needs a unital algebra")
     return action_from_subalgebra(A, A.basis_elements(), labels=list(A.labels),
                                   name=f"selfaction({A.name})")
-
-
-PRESET_NAMES = ("ut2F", "ut2D", "ut2C", "ut2full")
 
 
 def load_action(spec: str) -> Action:
@@ -502,20 +446,12 @@ def action_from_dict(data: dict) -> Action:
     if mode == "pairs":
         W = data["W"]
         W = load_algebra(W) if isinstance(W, str) else StructureAlgebra.from_dict(W)
-        pairs = []
-        for p in data["pairs"]:
-            R = LinOp(RatMatrix.from_rows(p["R"]))
-            L = LinOp(RatMatrix.from_rows(p["L"]))
-            pairs.append(Multiplier(A, R, L))
+        pairs = [Multiplier(A, RatMatrix.from_rows(p["R"]), RatMatrix.from_rows(p["L"])) for p in data["pairs"]]
         return Action(W, A, pairs, kernel_tail=kernel_tail)
     raise UnsupportedName(f"unknown action mode {mode!r}")
 
 
 # -- shared coefficient presentations for variety comparisons ------------------
-
-
-def _zero_pair(A):
-    return Multiplier(A, LinOp.zero(A.dim), LinOp.zero(A.dim))
 
 
 def shared_family_presentations(name_a: str, name_b: str):
@@ -524,8 +460,7 @@ def shared_family_presentations(name_a: str, name_b: str):
     {ut2full, ut2D, ut2F} (shared W from the full/diagonal subalgebra) and
     {ut2C, ut2F} (shared W from the radical-line subalgebra)."""
     a, b = name_a.strip().lower(), name_b.strip().lower()
-    fam = {"ut2full", "ut2d", "ut2f", "ut2c"}
-    if a not in fam or b not in fam:
+    if a not in _UT2_PRESETS or b not in _UT2_PRESETS:
         raise BasisMismatch(f"no shared coefficient presentation for {name_a!r}, {name_b!r}")
     if a == b:
         h = preset_action(name_a)
@@ -534,24 +469,13 @@ def shared_family_presentations(name_a: str, name_b: str):
     if "ut2c" in pair and pair != {"ut2c", "ut2f"}:
         raise BasisMismatch("the radical-line coefficient algebra maps onto F only")
 
-    def over(base: Action, kind: str) -> Action:
-        A = base.A
-        idpair = Multiplier.identity(A)
-        e22 = Multiplier.inner(A.basis_element(1))
-        e12 = Multiplier.inner(A.basis_element(2))
-        z = _zero_pair(A)
-        if base.name == "ut2full":
-            table = {"ut2full": [idpair, e22, e12], "ut2d": [idpair, e22, z], "ut2f": [idpair, z, z]}
-        elif base.name == "ut2D":
-            table = {"ut2d": [idpair, e22], "ut2f": [idpair, z]}
-        else:  # ut2C
-            table = {"ut2c": [idpair, e12], "ut2f": [idpair, z]}
-        return Action(base.W, A, table[kind], kernel_tail=True, name=f"{kind}|W={base.name}")
+    # W is that of the preset listing more elements; the other preset's
+    # unlisted ones act as zero pairs
+    base = preset_action(max(pair, key=lambda k: len(_UT2_PRESETS[k][1])))
 
-    if "ut2full" in pair:
-        base = preset_action("ut2full")
-    elif pair == {"ut2c", "ut2f"}:
-        base = preset_action("ut2C")
-    else:
-        base = preset_action("ut2D")
-    return over(base, a), over(base, b)
+    def over(key: str) -> Action:
+        listed = _UT2_PRESETS[key][1]
+        pairs = [m if e in listed else Multiplier.zero(base.A) for e, m in zip(base.W.labels, base.pairs)]
+        return Action(base.W, base.A, pairs, kernel_tail=True, name=f"{key}|W={base.name}")
+
+    return over(a), over(b)

@@ -9,6 +9,11 @@ dominate memory).
 Associativity is checked on every basis triple at every dimension, by a
 sparse join of the structure constants in chunks of bounded size; unit
 axioms are checked on every basis element.
+
+A linear operator on the algebra is a RatMatrix acting on coordinate
+columns.  The regular operators L_a: x -> ax and R_a: x -> xa are read off
+the product table (left_mult_matrix, right_mult_matrix), those of the basis
+elements by basis_operators.
 """
 
 from __future__ import annotations
@@ -64,11 +69,13 @@ class StructureAlgebra:
             self._table: dict = {}
         else:
             self._rule = None
-            self._table = {
-                key: tuple((k, rat(v)) for k, v in terms if rat(v) != 0)
-                for key, terms in products.items()
-            }
-            self._table = {key: t for key, t in self._table.items() if t}
+            self._table = {}
+            for (i, j), terms in products.items():
+                terms = [(k, rat(v)) for k, v in terms]
+                if not all(x in range(dim) for x in (i, j, *(k for k, _ in terms))):
+                    raise DimensionMismatch(f"structure constant of b{i}*b{j} has an index outside range({dim})")
+                if terms := tuple((k, v) for k, v in terms if v):
+                    self._table[(i, j)] = terms
         self.unit = tuple(rat(x) for x in unit) if unit is not None else None
         if self.unit is not None and len(self.unit) != dim:
             raise DimensionMismatch("unit vector length != dim")
@@ -146,8 +153,7 @@ class StructureAlgebra:
         self._check_associative()
         if self.unit is not None:
             for i in range(self.dim):
-                e = [_ZERO] * self.dim
-                e[i] = _ONE
+                e = self._unit_vec(i)
                 if self.multiply_coords(self.unit, e) != e or self.multiply_coords(e, self.unit) != e:
                     raise BadUnit(i)
         return self
@@ -204,23 +210,26 @@ class StructureAlgebra:
 
     def left_mult_matrix(self, coords) -> RatMatrix:
         """Matrix of x -> a*x on coordinate columns."""
-        entries = []
-        for j in range(self.dim):
-            col = self.multiply_coords(coords, self._unit_vec(j))
-            for i, v in enumerate(col):
-                if v != 0:
-                    entries.append((i, j, v))
-        return RatMatrix.from_entries(self.dim, self.dim, entries)
+        return self._mult_matrix(coords, left=True)
 
     def right_mult_matrix(self, coords) -> RatMatrix:
         """Matrix of x -> x*a on coordinate columns."""
-        entries = []
-        for j in range(self.dim):
-            col = self.multiply_coords(self._unit_vec(j), coords)
-            for i, v in enumerate(col):
-                if v != 0:
-                    entries.append((i, j, v))
-        return RatMatrix.from_entries(self.dim, self.dim, entries)
+        return self._mult_matrix(coords, left=False)
+
+    def _mult_matrix(self, coords, left):
+        """Column j of L_a is a*b_j = sum_i a_i b_i b_j, of R_a b_j*a: entry
+        (k, j) sums a_i c_ijk (left) or a_i c_jik over the product table."""
+        rows = [{} for _ in range(self.dim)]
+        for i, a in enumerate(coords):
+            if a:
+                for j in range(self.dim):
+                    for k, v in self.product_basis(i, j) if left else self.product_basis(j, i):
+                        rows[k][j] = rows[k].get(j, _ZERO) + a * v
+        return RatMatrix(self.dim, self.dim, [{j: v for j, v in r.items() if v} for r in rows])
+
+    def basis_operators(self) -> list:
+        """[(L_i, R_i)]: the matrices of x -> b_i*x and x -> x*b_i."""
+        return [(self.left_mult_matrix(e), self.right_mult_matrix(e)) for e in map(self._unit_vec, range(self.dim))]
 
     def _unit_vec(self, i):
         e = [_ZERO] * self.dim
@@ -309,67 +318,6 @@ class AlgElement:
 
     def __repr__(self):
         return f"<{self.parent.describe(self.coords)}>"
-
-
-class LinOp:
-    """A linear operator on an algebra's coordinate space."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: RatMatrix):
-        if matrix.nrows != matrix.ncols:
-            raise DimensionMismatch("operator matrix must be square")
-        self.matrix = matrix
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(RatMatrix.identity(dim))
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(RatMatrix.zeros(dim, dim))
-
-    @property
-    def dim(self):
-        return self.matrix.nrows
-
-    def apply(self, coords):
-        return self.matrix.matvec(list(coords))
-
-    def compose(self, other: "LinOp") -> "LinOp":
-        """self after other."""
-        return LinOp(self.matrix.matmul(other.matrix))
-
-    def add(self, other: "LinOp") -> "LinOp":
-        out = [dict(r) for r in self.matrix.iter_rows()]
-        for i, r in enumerate(other.matrix.iter_rows()):
-            for j, v in r.items():
-                nv = out[i].get(j, _ZERO) + v
-                if nv:
-                    out[i][j] = nv
-                else:
-                    out[i].pop(j, None)
-        return LinOp(RatMatrix(self.dim, self.dim, out))
-
-    def scale(self, c) -> "LinOp":
-        c = rat(c)
-        return LinOp(
-            RatMatrix(self.dim, self.dim, [{j: c * v for j, v in r.items()} for r in self.matrix.iter_rows()] if c else [dict() for _ in range(self.dim)])
-        )
-
-    def is_zero(self):
-        return self.matrix.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, LinOp) and self.matrix == other.matrix
-
-    def flatten(self):
-        """Row-major entry list of length dim^2 (operator-space coordinates)."""
-        out = [_ZERO] * (self.dim * self.dim)
-        for i, r in enumerate(self.matrix.iter_rows()):
-            for j, v in r.items():
-                out[i * self.dim + j] = v
-        return out
 
 
 # -- construction surface ----------------------------------------------------
@@ -590,15 +538,16 @@ def load_algebra(spec: str) -> StructureAlgebra:
 # -- operations ---------------------------------------------------------------
 
 
-def regular_reps(a: AlgElement):
-    """(R_a, L_a): right and left multiplication operators by a."""
-    A = a.parent
-    return LinOp(A.right_mult_matrix(a.coords)), LinOp(A.left_mult_matrix(a.coords))
-
-
 def generated_ideal(A: StructureAlgebra, gens) -> Subspace:
     """Smallest subspace containing gens closed under one-sided products
-    with all basis elements (closure iteration to a fixed point)."""
+    with all basis elements."""
+    return operator_closure(A, gens, [op for pair in A.basis_operators() for op in pair])
+
+
+def operator_closure(A: StructureAlgebra, gens, ops) -> Subspace:
+    """Smallest subspace of A containing gens (elements of A or coordinate
+    sequences) that every operator of ops maps into itself: each new
+    vector of the span is put through every operator, to a fixed point."""
     vectors = []
     for g in gens:
         if isinstance(g, AlgElement):
@@ -611,11 +560,10 @@ def generated_ideal(A: StructureAlgebra, gens) -> Subspace:
     work = [v for v in vectors if space.add_rows(int_rows([v], A.dim))]
     while work:
         v = work.pop()
-        for i in range(A.dim):
-            e = A._unit_vec(i)
-            for prod in (A.multiply_coords(e, v), A.multiply_coords(v, e)):
-                if space.add_rows(int_rows([prod], A.dim)):
-                    work.append(prod)
+        for op in ops:
+            img = op.matvec(v)
+            if space.add_rows(int_rows([img], A.dim)):
+                work.append(img)
     return Subspace.from_space(space)
 
 
@@ -628,23 +576,13 @@ def subspace_product(A: StructureAlgebra, u: Subspace, v: Subspace) -> Subspace:
 
 def center_subspace(A: StructureAlgebra) -> Subspace:
     """{x : xb = bx for all basis b}."""
-    rows = []
-    for i in range(A.dim):
-        e = A._unit_vec(i)
-        L = A.left_mult_matrix(e)
-        R = A.right_mult_matrix(e)
-        for r in range(A.dim):
-            rows.append([L.entry(r, c) - R.entry(r, c) for c in range(A.dim)])
+    rows = [row for L, R in A.basis_operators() for row in L.add(R.scale(-1)).to_lists()]
     return RatMatrix.from_rows(rows).right_kernel_basis() if rows else Subspace.full(A.dim)
 
 
 def predicates(A: StructureAlgebra, kind: str) -> bool:
     if kind == "non_degenerate":
-        rows = []
-        for i in range(A.dim):
-            e = A._unit_vec(i)
-            for m in (A.left_mult_matrix(e), A.right_mult_matrix(e)):
-                rows.extend(m.to_lists())
+        rows = [row for pair in A.basis_operators() for m in pair for row in m.to_lists()]
         stacked = RatMatrix.from_rows(rows)
         return stacked.right_kernel_basis().dim == 0
     if kind == "idempotent":
@@ -673,16 +611,10 @@ def _find_unit(A: StructureAlgebra):
     """Solve u*b_i = b_i = b_i*u; returns coords or None."""
     rows = []
     rhs = []
-    for i in range(A.dim):
+    for i, (L, R) in enumerate(A.basis_operators()):
         e = A._unit_vec(i)
-        R = A.right_mult_matrix(e)  # u -> u*b_i
-        L = A.left_mult_matrix(e)   # u -> b_i*u
-        for r in range(A.dim):
-            rows.append([R.entry(r, c) for c in range(A.dim)])
-            rhs.append(e[r])
-        for r in range(A.dim):
-            rows.append([L.entry(r, c) for c in range(A.dim)])
-            rhs.append(e[r])
+        rows += R.to_lists() + L.to_lists()  # u -> u*b_i, u -> b_i*u
+        rhs += e + e
     m = RatMatrix.from_rows(rows)
     return solve_right(m, rhs)
 

@@ -55,7 +55,7 @@ def _print(lines, payload, as_json):
 
 
 def _fmt_matrix(m):
-    return [[str(m.entry(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]
+    return [[str(x) for x in row] for row in m.to_lists()]
 
 
 def cmd_algebra(args):
@@ -100,7 +100,7 @@ def cmd_multiplier(args):
     ]
     if args.verbose:
         for i, m in enumerate(MA.basis):
-            lines.append(f"pair {i}: R={_fmt_matrix(m.R.matrix)} L={_fmt_matrix(m.L.matrix)}")
+            lines.append(f"pair {i}: R={_fmt_matrix(m.R)} L={_fmt_matrix(m.L)}")
     payload = {
         "algebra": args.algebra,
         "dim": MA.dim,
@@ -110,7 +110,7 @@ def cmd_multiplier(args):
         "permutability_witness": perm_witness,
         "inner_ideal": inner_ok,
         "pairs": [
-            {"R": _fmt_matrix(m.R.matrix), "L": _fmt_matrix(m.L.matrix)} for m in MA.basis
+            {"R": _fmt_matrix(m.R), "L": _fmt_matrix(m.L)} for m in MA.basis
         ],
     }
     return lines, payload, 0
@@ -265,6 +265,16 @@ def cmd_codim(args):
     raise InternalError(f"unknown codim verb {args.verb!r}")
 
 
+class _Text(argparse.Action):
+    """The rest of the command line joined into one text, so that a
+    polynomial may start with '-' (as str() prints -1*x1 + x2)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if not values:
+            parser.error(f"the following arguments are required: {self.dest}")
+        setattr(namespace, self.dest, " ".join(values))
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="genpi", description=__doc__)
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -296,7 +306,7 @@ def build_parser():
     pp = sub.add_parser("poly", help="check a polynomial against an action")
     pp.add_argument("verb", choices=["check"])
     pp.add_argument("action")
-    pp.add_argument("poly")
+    pp.add_argument("poly", nargs=argparse.REMAINDER, action=_Text)
     pp.set_defaults(func=cmd_poly)
 
     pd = sub.add_parser("codim", help="codimension engine")

@@ -189,8 +189,8 @@ def _master_chunks(h: Action, n: int, width: int | None = None):
     when a magnitude bound on every partial product is below 2^63."""
     dim = h.A.dim
     consts, dc = _int_constants(h.A)
-    Ls = [_int_matrix(p.L.matrix) for p in h.pairs]
-    Rs = [_int_matrix(p.R.matrix) for p in h.pairs]
+    Ls = [_int_matrix(p.L) for p in h.pairs]
+    Rs = [_int_matrix(p.R) for p in h.pairs]
     steps, growth = [], 0
     for D, dd in Rs:
         S, g = _contraction(consts, D)
@@ -803,7 +803,7 @@ def _word_rows(h: Action):
     @cache
     def op(k, left):
         """(integer operator, denominator) of lambda (left) or rho of w_k."""
-        return _int_matrix((h.pairs[k].L if left else h.pairs[k].R).matrix)
+        return _int_matrix(h.pairs[k].L if left else h.pairs[k].R)
 
     def slot(run, left):
         """(integer operator, denominator) of a coefficient slot holding run:

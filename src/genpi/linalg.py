@@ -399,6 +399,30 @@ class RatMatrix:
             data.append({j: v for j, v in acc.items() if v != 0})
         return RatMatrix(self.nrows, other.ncols, data)
 
+    def add(self, other: "RatMatrix") -> "RatMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionMismatch("add shape mismatch")
+        data = [dict(r) for r in self._rows]
+        for out, r in zip(data, other._rows):
+            for j, v in r.items():
+                if s := out.get(j, _ZERO) + v:
+                    out[j] = s
+                else:
+                    out.pop(j, None)
+        return RatMatrix(self.nrows, self.ncols, data)
+
+    def scale(self, c) -> "RatMatrix":
+        c = rat(c)
+        return RatMatrix(self.nrows, self.ncols, [{j: c * v for j, v in r.items()} if c else {} for r in self._rows])
+
+    def flatten(self) -> list[Fraction]:
+        """Row-major entry list of length nrows * ncols."""
+        out = [_ZERO] * (self.nrows * self.ncols)
+        for i, r in enumerate(self._rows):
+            for j, v in r.items():
+                out[i * self.ncols + j] = v
+        return out
+
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)

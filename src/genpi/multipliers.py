@@ -6,14 +6,16 @@ A multiplier of A is (R, L) with R(ab) = aR(b), L(ab) = L(a)b and
 R(a)b = aL(b) for all a, b; the full multiplier algebra is the solution
 space of this homogeneous linear system over operator pairs.  The product
 composes the R components in the opposite order:
-(R1, L1) * (R2, L2) = (R2 R1, L1 L2), with unit (id, id).
+(R1, L1) * (R2, L2) = (R2 R1, L1 L2), with unit (id, id).  R and L are
+RatMatrix operators on coordinate columns, d x d for an algebra of
+dimension d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebras import AlgElement, LinOp, StructureAlgebra
+from .algebras import AlgElement, StructureAlgebra
 from .errors import DimensionMismatch, InternalError
 from .linalg import RatMatrix, Subspace
 
@@ -26,30 +28,39 @@ LEFT_LAW = "L(ab)=L(a)b"
 LINK_LAW = "R(a)b=aL(b)"
 
 
+def _check_square(A: StructureAlgebra, R: RatMatrix, L: RatMatrix):
+    if any((M.nrows, M.ncols) != (A.dim, A.dim) for M in (R, L)):
+        raise DimensionMismatch("operator size does not match algebra dimension")
+
+
 class Multiplier:
     """An operator pair (R, L) on a fixed algebra."""
 
     __slots__ = ("parent", "R", "L")
 
-    def __init__(self, parent: StructureAlgebra, R: LinOp, L: LinOp):
-        if R.dim != parent.dim or L.dim != parent.dim:
-            raise DimensionMismatch("operator size does not match algebra dimension")
+    def __init__(self, parent: StructureAlgebra, R: RatMatrix, L: RatMatrix):
+        _check_square(parent, R, L)
         self.parent = parent
         self.R = R
         self.L = L
 
     @classmethod
     def identity(cls, parent) -> "Multiplier":
-        return cls(parent, LinOp.identity(parent.dim), LinOp.identity(parent.dim))
+        return cls(parent, RatMatrix.identity(parent.dim), RatMatrix.identity(parent.dim))
+
+    @classmethod
+    def zero(cls, parent) -> "Multiplier":
+        return cls(parent, RatMatrix.zeros(parent.dim, parent.dim), RatMatrix.zeros(parent.dim, parent.dim))
 
     @classmethod
     def inner(cls, a: AlgElement) -> "Multiplier":
+        """(R_a, L_a): right and left multiplication by a."""
         A = a.parent
-        return cls(A, LinOp(A.right_mult_matrix(a.coords)), LinOp(A.left_mult_matrix(a.coords)))
+        return cls(A, A.right_mult_matrix(a.coords), A.left_mult_matrix(a.coords))
 
     def mul(self, other: "Multiplier") -> "Multiplier":
         """(R1,L1)(R2,L2) = (R2 R1, L1 L2): R composes oppositely."""
-        return Multiplier(self.parent, other.R.compose(self.R), self.L.compose(other.L))
+        return Multiplier(self.parent, other.R.matmul(self.R), self.L.matmul(other.L))
 
     def add(self, other: "Multiplier") -> "Multiplier":
         return Multiplier(self.parent, self.R.add(other.R), self.L.add(other.L))
@@ -76,26 +87,25 @@ class Multiplier:
         return f"<multiplier pair on dim {self.parent.dim}>"
 
 
-def multiplier_violation(A: StructureAlgebra, R: LinOp, L: LinOp):
+def multiplier_violation(A: StructureAlgebra, R: RatMatrix, L: RatMatrix):
     """First violated constraint as (law, i, j) in basis-label order, or
     None when (R, L) is a multiplier."""
-    if R.dim != A.dim or L.dim != A.dim:
-        raise DimensionMismatch("operator size does not match algebra dimension")
+    _check_square(A, R, L)
     for i in range(A.dim):
         for j in range(A.dim):
             prod = A.multiply_coords(A._unit_vec(i), A._unit_vec(j))
             bi = A._unit_vec(i)
             bj = A._unit_vec(j)
-            if R.apply(prod) != A.multiply_coords(bi, R.apply(bj)):
+            if R.matvec(prod) != A.multiply_coords(bi, R.matvec(bj)):
                 return (RIGHT_LAW, i, j)
-            if L.apply(prod) != A.multiply_coords(L.apply(bi), bj):
+            if L.matvec(prod) != A.multiply_coords(L.matvec(bi), bj):
                 return (LEFT_LAW, i, j)
-            if A.multiply_coords(R.apply(bi), bj) != A.multiply_coords(bi, L.apply(bj)):
+            if A.multiply_coords(R.matvec(bi), bj) != A.multiply_coords(bi, L.matvec(bj)):
                 return (LINK_LAW, i, j)
     return None
 
 
-def is_multiplier(A: StructureAlgebra, R: LinOp, L: LinOp) -> bool:
+def is_multiplier(A: StructureAlgebra, R: RatMatrix, L: RatMatrix) -> bool:
     return multiplier_violation(A, R, L) is None
 
 
@@ -105,43 +115,33 @@ def _constraint_matrix(A: StructureAlgebra) -> RatMatrix:
     Unknowns: R[m,k] at m*d+k, then L[m,k] at d*d + m*d + k.
     """
     d = A.dim
-    Lmats = [A.left_mult_matrix(A._unit_vec(i)) for i in range(d)]
-    Rmats = [A.right_mult_matrix(A._unit_vec(i)) for i in range(d)]
+    ops = A.basis_operators()
+    Lmats, Rmats = [L for L, _ in ops], [R for _, R in ops]
     rows = []
     for i in range(d):
         for j in range(d):
-            prod = A.multiply_coords(A._unit_vec(i), A._unit_vec(j))
+            prod = A.product_basis(i, j)
             for r in range(d):
                 # R(b_i b_j) - b_i R(b_j) = 0
                 row: dict = {}
-                for k, c in enumerate(prod):
-                    if c:
-                        row[r * d + k] = row.get(r * d + k, _ZERO) + c
-                for m in range(d):
-                    c = Lmats[i].entry(r, m)
-                    if c:
-                        row[m * d + j] = row.get(m * d + j, _ZERO) - c
+                for k, c in prod:
+                    row[r * d + k] = row.get(r * d + k, _ZERO) + c
+                for m, c in Lmats[i].row_dict(r).items():
+                    row[m * d + j] = row.get(m * d + j, _ZERO) - c
                 rows.append({k: v for k, v in row.items() if v != 0})
                 # L(b_i b_j) - L(b_i) b_j = 0
                 row = {}
-                for k, c in enumerate(prod):
-                    if c:
-                        row[d * d + r * d + k] = row.get(d * d + r * d + k, _ZERO) + c
-                for m in range(d):
-                    c = Rmats[j].entry(r, m)
-                    if c:
-                        row[d * d + m * d + i] = row.get(d * d + m * d + i, _ZERO) - c
+                for k, c in prod:
+                    row[d * d + r * d + k] = row.get(d * d + r * d + k, _ZERO) + c
+                for m, c in Rmats[j].row_dict(r).items():
+                    row[d * d + m * d + i] = row.get(d * d + m * d + i, _ZERO) - c
                 rows.append({k: v for k, v in row.items() if v != 0})
                 # R(b_i) b_j - b_i L(b_j) = 0
                 row = {}
-                for m in range(d):
-                    c = Rmats[j].entry(r, m)
-                    if c:
-                        row[m * d + i] = row.get(m * d + i, _ZERO) + c
-                for m in range(d):
-                    c = Lmats[i].entry(r, m)
-                    if c:
-                        row[d * d + m * d + j] = row.get(d * d + m * d + j, _ZERO) - c
+                for m, c in Rmats[j].row_dict(r).items():
+                    row[m * d + i] = row.get(m * d + i, _ZERO) + c
+                for m, c in Lmats[i].row_dict(r).items():
+                    row[d * d + m * d + j] = row.get(d * d + m * d + j, _ZERO) - c
                 rows.append({k: v for k, v in row.items() if v != 0})
     return RatMatrix(3 * d * d * d if d else 0, 2 * d * d, rows)
 
@@ -153,7 +153,7 @@ def _unflatten(A: StructureAlgebra, vec) -> Multiplier:
         {j: vec[d * d + m * d + j] for j in range(d) if vec[d * d + m * d + j] != 0}
         for m in range(d)
     ]
-    return Multiplier(A, LinOp(RatMatrix(d, d, Rrows)), LinOp(RatMatrix(d, d, Lrows)))
+    return Multiplier(A, RatMatrix(d, d, Rrows), RatMatrix(d, d, Lrows))
 
 
 class MultiplierAlgebra:
@@ -259,6 +259,6 @@ def permutability_check(A: StructureAlgebra, MA: MultiplierAlgebra | None = None
         MA = multiplier_algebra(A)
     for i, mi in enumerate(MA.basis):
         for j, mj in enumerate(MA.basis):
-            if mj.R.compose(mi.L) != mi.L.compose(mj.R):
+            if mj.R.matmul(mi.L) != mi.L.matmul(mj.R):
                 return False, (i, j)
     return True, None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .algebras import (
     StructureAlgebra,
@@ -67,7 +67,7 @@ def jacobson_radical(A: StructureAlgebra) -> Subspace:
     hull_needed = A.unit is None
     H = _unital_hull(A) if hull_needed else A
     d = H.dim
-    Ls = [H.left_mult_matrix(H._unit_vec(i)) for i in range(d)]
+    Ls = [L for L, _ in H.basis_operators()]
     gram = []
     for i in range(d):
         row = []
@@ -228,8 +228,16 @@ def _check_section(A, quot, s_cols):
                 raise InternalError("lifted section is not multiplicative")
 
 
+def _divisors(n: int) -> list:
+    """The positive divisors of n >= 1, ascending: each d up to isqrt(n)
+    pairs with n // d."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def _rational_roots(poly):
-    """All rational roots of an integer polynomial (ascending coeffs)."""
+    """All rational roots of an integer polynomial (ascending coeffs): the
+    candidates p/q, p dividing the constant and q the leading coefficient."""
     while poly and poly[-1] == 0:
         poly = poly[:-1]
     if not poly:
@@ -240,8 +248,7 @@ def _rational_roots(poly):
     roots = [Fraction(0)] * (1 if shift else 0)
     poly = poly[shift:]
     a0, an = abs(poly[0]), abs(poly[-1])
-    ps = [d for d in range(1, a0 + 1) if a0 % d == 0]
-    qs = [d for d in range(1, an + 1) if an % d == 0]
+    ps, qs = _divisors(a0), _divisors(an)
     seen = set(roots)
     for p in ps:
         for q in qs:
@@ -258,16 +265,12 @@ def _rational_roots(poly):
 def _min_poly(op: RatMatrix):
     """Monic minimal polynomial coefficients (ascending) via first linear
     dependence among powers, returned as integers."""
-    n = op.nrows
-    powers = [RatMatrix.identity(n)]
-    vectors = [powers[0]]
-    flat = lambda m: [m.entry(i, j) for i in range(n) for j in range(n)]
-    rows = [flat(powers[0])]
-    for k in range(1, n + 1):
-        powers.append(powers[-1].matmul(op))
-        rows.append(flat(powers[-1]))
-        m = RatMatrix.from_rows([[rows[i][c] for c in range(n * n)] for i in range(k + 1)])
-        ker = m.left_kernel_basis()
+    power = RatMatrix.identity(op.nrows)
+    rows = [power.flatten()]
+    for _ in range(op.nrows):
+        power = power.matmul(op)
+        rows.append(power.flatten())
+        ker = RatMatrix.from_rows(rows).left_kernel_basis()
         if ker.dim > 0:
             combo = list(ker.basis[0])
             denom_lcm = 1
@@ -416,9 +419,9 @@ def multiplier_radical_invariance(A: StructureAlgebra, MA: MultiplierAlgebra | N
     basis = J.basis
     for m in MA.basis:
         for v in basis:
-            if not J.contains_vector(m.R.apply(list(v))):
+            if not J.contains_vector(m.R.matvec(list(v))):
                 return False
-            if not J.contains_vector(m.L.apply(list(v))):
+            if not J.contains_vector(m.L.matvec(list(v))):
                 return False
     try:
         wm = wedderburn_malcev(A)
@@ -428,8 +431,8 @@ def multiplier_radical_invariance(A: StructureAlgebra, MA: MultiplierAlgebra | N
         target, basis = blk.sum(J), blk.basis
         for m in MA.basis:
             for v in basis:
-                if not target.contains_vector(m.R.apply(list(v))):
+                if not target.contains_vector(m.R.matvec(list(v))):
                     return False
-                if not target.contains_vector(m.L.apply(list(v))):
+                if not target.contains_vector(m.L.matvec(list(v))):
                     return False
     return True

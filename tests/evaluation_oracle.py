@@ -24,9 +24,9 @@ def _eval_word(word, action, assignment):
         if sym > 0:
             val = val * assignment[sym]
         else:
-            val = A.element(action.pairs[-(sym + 1)].R.apply(val.coords))
+            val = A.element(action.pairs[-(sym + 1)].R.matvec(val.coords))
     for sym in reversed(word[:i]):
-        val = A.element(action.pairs[-(sym + 1)].L.apply(val.coords))
+        val = A.element(action.pairs[-(sym + 1)].L.matvec(val.coords))
     return val
 
 

@@ -13,11 +13,19 @@ from genpi.algebras import (
     generated_ideal,
     predicates,
     quotient_algebra,
-    regular_reps,
     subalgebra_presentation,
 )
-from genpi.errors import BadUnit, GenpiError, NotAssociative, NotClosed, ParentMismatch, UnsupportedName
+from genpi.errors import (
+    BadUnit,
+    DimensionMismatch,
+    GenpiError,
+    NotAssociative,
+    NotClosed,
+    ParentMismatch,
+    UnsupportedName,
+)
 from genpi.linalg import Subspace
+from genpi.multipliers import Multiplier
 
 
 def element(A, **labels):
@@ -130,29 +138,38 @@ def test_parent_mismatch():
         A.basis_element(0) * B.basis_element(0)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [{(0, 0): [(5, 1)]}, {(0, 0): [(-1, 1)]}, {(0, 3): [(0, 1)]}, {(-1, 0): [(0, 1)]}],
+    ids=["output 5", "output -1", "key (0,3)", "key (-1,0)"],
+)
+def test_structure_constant_indices_are_checked(table):
+    with pytest.raises(DimensionMismatch):
+        StructureAlgebra(2, ["a", "b"], table)
+
+
 def test_regular_reps_of_unit_are_identity():
     A = builtin("ut(2)")
-    R, L = regular_reps(A.unit_element())
-    assert R.matrix == L.matrix
-    assert R.matrix == A.left_mult_matrix(A.unit)
+    m = Multiplier.inner(A.unit_element())
+    assert m.R == m.L
+    assert m.R == A.left_mult_matrix(A.unit)
 
 
 def test_regular_reps_e12_table():
     # R_{e12}: e11 -> e11*e12 = e12, e22 -> e22*e12 = 0, e12 -> 0
     A = builtin("ut(2)")
     e12 = basis_by_label(A, "e12")
-    R, L = regular_reps(e12)
-    assert A.element(R.apply(A._unit_vec(0))) == e12
-    assert all(c == 0 for c in R.apply(A._unit_vec(1)))
-    assert all(c == 0 for c in R.apply(A._unit_vec(2)))
+    m = Multiplier.inner(e12)
+    assert A.element(m.R.matvec(A._unit_vec(0))) == e12
+    assert all(c == 0 for c in m.R.matvec(A._unit_vec(1)))
+    assert all(c == 0 for c in m.R.matvec(A._unit_vec(2)))
     # L_{e12}: e22 -> e12*e22 = e12
-    assert A.element(L.apply(A._unit_vec(1))) == e12
+    assert A.element(m.L.matvec(A._unit_vec(1))) == e12
 
 
 def test_regular_reps_of_zero():
     A = builtin("mat(2)")
-    R, L = regular_reps(A.zero())
-    assert R.is_zero() and L.is_zero()
+    assert Multiplier.inner(A.zero()).is_zero()
 
 
 def test_generated_ideal_ut2():

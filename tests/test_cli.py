@@ -105,6 +105,48 @@ GOLDEN = [
     ),
     (["algebra", "validate", "grassmann_unital:3"],
      "valid: dim 8, associativity and unit axioms hold\n", 0),
+    (
+        ["multiplier", "compute", "ut:2", "--verbose"],
+        "dim M(A): 3\n"
+        "canonical map injective: True\n"
+        "canonical map surjective: True\n"
+        "permutability: True\n"
+        "inner ideal: True\n"
+        "pair 0: R=[['1', '0', '0'], ['0', '0', '0'], ['0', '0', '0']] L=[['1', '0', '0'], ['0', '0', '0'], ['0', '0', '1']]\n"
+        "pair 1: R=[['0', '0', '0'], ['0', '1', '0'], ['0', '0', '1']] L=[['0', '0', '0'], ['0', '1', '0'], ['0', '0', '0']]\n"
+        "pair 2: R=[['0', '0', '0'], ['0', '0', '0'], ['1', '0', '0']] L=[['0', '0', '0'], ['0', '0', '0'], ['0', '1', '0']]\n",
+        0,
+    ),
+    (
+        ["--json", "multiplier", "compute", "zero_mult:2"],
+        '{"algebra": "zero_mult:2", "dim": 8, "injective": false, "surjective": false, "permutability": false, '
+        '"permutability_witness": [4, 1], "inner_ideal": true, "pairs": ['
+        '{"R": [["1", "0"], ["0", "0"]], "L": [["0", "0"], ["0", "0"]]}, '
+        '{"R": [["0", "1"], ["0", "0"]], "L": [["0", "0"], ["0", "0"]]}, '
+        '{"R": [["0", "0"], ["1", "0"]], "L": [["0", "0"], ["0", "0"]]}, '
+        '{"R": [["0", "0"], ["0", "1"]], "L": [["0", "0"], ["0", "0"]]}, '
+        '{"R": [["0", "0"], ["0", "0"]], "L": [["1", "0"], ["0", "0"]]}, '
+        '{"R": [["0", "0"], ["0", "0"]], "L": [["0", "1"], ["0", "0"]]}, '
+        '{"R": [["0", "0"], ["0", "0"]], "L": [["0", "0"], ["1", "0"]]}, '
+        '{"R": [["0", "0"], ["0", "0"]], "L": [["0", "0"], ["0", "1"]]}], "ok": true}\n',
+        0,
+    ),
+    (
+        ["structure", "wm", "block_ut:1,2", "--verbose"],
+        "radical dimension: 2\n"
+        "semisimple complement dimension: 5\n"
+        "block dimensions: [1, 4]\n"
+        "block 0:\n  e22\n  e33\n  e23\n  e32\n"
+        "block 1:\n  e11\n",
+        0,
+    ),
+    (
+        ["action", "semidirect", "ut2full"],
+        "semidirect product dimension: 6\n"
+        "unital: True\n"
+        "labels: W.1 W.e22 W.e12 A.e11 A.e22 A.e12\n",
+        0,
+    ),
 ]
 
 
@@ -146,6 +188,28 @@ def test_generator_of_two_components_exit_code(tmp_path, capsys):
 def test_degree_below_one_exit_code(capsys, argv, n):
     assert main(["codim", *argv, n]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_structure_constant_outside_the_basis_exit_code(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"dim": 2, "labels": ["a", "b"], "unit": None, "sc": [[0, 0, 5, "1"]]}))
+    assert main(["algebra", "validate", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["poly", "check", "ut2F", "-1*x2"], ["poly", "check", "ut2F", "--", "-1*x2"]])
+def test_poly_text_may_start_with_a_minus(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "identity: False\nwitness: x2 = e11\n"
+    assert main(["--json", *argv]) == 1
+    assert json.loads(capsys.readouterr().out)["poly"] == "-1*x2"
+
+
+def test_missing_poly_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["poly", "check", "ut2F"])
+    assert exit.value.code == 2
+    assert "the following arguments are required: poly" in capsys.readouterr().err
 
 
 def test_budget_exit_code(capsys, monkeypatch):

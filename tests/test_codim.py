@@ -121,11 +121,11 @@ def direct_row(h, mon, n):
     A = h.A
     row = {}
     for rank, tup in enumerate(product(range(A.dim), repeat=n)):
-        acc = h.pairs[mon.coeffs[0]].L.apply(A._unit_vec(tup[mon.perm[0] - 1]))
-        acc = h.pairs[mon.coeffs[1]].R.apply(acc)
+        acc = h.pairs[mon.coeffs[0]].L.matvec(A._unit_vec(tup[mon.perm[0] - 1]))
+        acc = h.pairs[mon.coeffs[1]].R.matvec(acc)
         for t in range(1, n):
             acc = A.multiply_coords(acc, A._unit_vec(tup[mon.perm[t] - 1]))
-            acc = h.pairs[mon.coeffs[t + 1]].R.apply(acc)
+            acc = h.pairs[mon.coeffs[t + 1]].R.matvec(acc)
         for k, v in enumerate(acc):
             if v != 0:
                 row[rank * A.dim + k] = v

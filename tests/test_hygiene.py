@@ -1,7 +1,7 @@
 """Source hygiene of the package: no module-level import goes unused, no
-private module-level name or method lives on without a reader in the
-package, every raise names a GenpiError subclass, and a module-level cache
-keys on ints and tuples only."""
+private module-level name or method and no public module constant lives
+on without a reader in the package, every raise names a GenpiError
+subclass, and a module-level cache keys on ints and tuples only."""
 
 import ast
 from pathlib import Path
@@ -69,12 +69,12 @@ def _units(top) -> list:
     return [(top, header)] + [(node, _read_names(node)) for node in top.body]
 
 
-def unreferenced_private_names(paths) -> list:
-    """Private names (one leading underscore) of the modules in paths,
-    bound at module level or as methods of module-level classes, that no
+def unread_names(paths, wanted) -> list:
+    """The names for which wanted(name) holds, bound at module level or as
+    methods of module-level classes of the modules in paths, that no
     statement of those modules reads, except the statement that defines
     the name (for a class, its whole body).  Tests are not among the
-    readers, so a private helper cannot live on as test-only code."""
+    readers, so a name cannot live on for tests alone."""
     units, defined = [], []  # defined: (label, name, the units that do not count as readers)
     for path in paths:
         for top in ast.parse(path.read_text()).body:
@@ -90,9 +90,20 @@ def unreferenced_private_names(paths) -> list:
     return [
         label
         for label, name, own in defined
-        if name.startswith("_") and not name.startswith("__")
-        and not any(name in names for node, names in units if not any(node is u for u, _ in own))
+        if wanted(name) and not any(name in names for node, names in units if not any(node is u for u, _ in own))
     ]
+
+
+def unreferenced_private_names(paths) -> list:
+    """Private names (one leading underscore) that nothing reads (see
+    unread_names)."""
+    return unread_names(paths, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def unread_public_constants(paths) -> list:
+    """Public upper-case names that nothing reads (see unread_names): a
+    constant no code reads configures nothing."""
+    return unread_names(paths, lambda name: name.isupper() and not name.startswith("_"))
 
 
 def test_no_unreferenced_private_names():
@@ -109,6 +120,20 @@ def test_private_name_guard_covers_methods(tmp_path):
         "def f(x): return x._by_attribute()\n"
     )
     assert unreferenced_private_names([path]) == ["m.py:2 _Used._read", "m.py:4 _Used._alone", "m.py:8 _unread"]
+
+
+def test_no_unread_public_constants():
+    assert unread_public_constants(SOURCES) == []
+
+
+def test_public_constant_guard_flags_unread_constants(tmp_path):
+    m, n = tmp_path / "m.py", tmp_path / "n.py"
+    m.write_text(
+        "READ = 1\nUNREAD = (READ,)\nBY_CLASS = 2\nIMPORTED = 3\nBY_ATTRIBUTE = 4\n_PRIVATE = 5\nlower = 6\n"
+        "class Holder:\n    X = BY_CLASS\n"
+    )
+    n.write_text("import m\nfrom m import IMPORTED\nY = m.BY_ATTRIBUTE\n")
+    assert unread_public_constants([m, n]) == ["m.py:2 UNREAD", "n.py:3 Y"]
 
 
 def foreign_raises(paths, errors: Path) -> list:

@@ -9,7 +9,7 @@ import pytest
 
 from genpi import codim
 from genpi.actions import make_action, preset_action
-from genpi.algebras import builtin, regular_reps
+from genpi.algebras import builtin
 from genpi.codim import identity_witness, preset_generators
 from genpi.errors import BudgetExceeded
 from genpi.multipliers import Multiplier
@@ -23,8 +23,7 @@ def nonunital_action():
     inner pair of e12 (x -> x e12, x -> e12 x); w0 squares to zero, as e12
     does."""
     A = builtin("ut(2)")
-    R, L = regular_reps(A.basis_element(2))
-    return make_action(builtin("zero_mult(1)"), A, [Multiplier(A, R, L)], kernel_tail=True, name="nonunital")
+    return make_action(builtin("zero_mult(1)"), A, [Multiplier.inner(A.basis_element(2))], kernel_tail=True, name="nonunital")
 
 
 ACTIONS = ["ut2F", "ut2D", "ut2C", "ut2full", "grassmann_Ek(1,2)", "nonunital"]
@@ -118,8 +117,7 @@ def test_zero_rows_beside_constants_beyond_int64():
     # f1 f2 = 2^70 f3; the inner pair of e12 gives w0 x1 w0 = e12 x1 e12 = 0,
     # a zero row whose 2^70 contraction is never cast to int64
     A = ut2d_rescaled(Fraction(1, 2 ** 70)).A
-    R, L = regular_reps(A.element([0, 0, 2 ** 70]))
-    h = make_action(builtin("zero_mult(1)"), A, [Multiplier(A, R, L)])
+    h = make_action(builtin("zero_mult(1)"), A, [Multiplier.inner(A.element([0, 0, 2 ** 70]))])
     assert identity_witness(parse("w0*x1*w0*x2"), h) is None
     node = parse("w0*x1*w0*x2 + x2*x1")
     assert identity_witness(node, h) == is_identity(node, h)[1] == ([1, 2], ("f1", "f1"))

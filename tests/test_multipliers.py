@@ -3,7 +3,8 @@
 import pytest
 from fractions import Fraction
 
-from genpi.algebras import LinOp, builtin, regular_reps, subalgebra_presentation
+from genpi.algebras import builtin, subalgebra_presentation
+from genpi.errors import DimensionMismatch
 from genpi.linalg import RatMatrix
 from genpi.multipliers import (
     Multiplier,
@@ -57,21 +58,31 @@ def sympy_multiplier_dim(A):
 def test_inner_pair_is_multiplier():
     A = builtin("ut(2)")
     e12 = A.basis_element(2)
-    R, L = regular_reps(e12)
-    assert is_multiplier(A, R, L)
+    m = Multiplier.inner(e12)
+    assert is_multiplier(A, m.R, m.L)
 
 
 def test_broken_pair_has_witness():
     A = builtin("ut(2)")
-    _, L = regular_reps(A.basis_element(2))
-    w = multiplier_violation(A, LinOp.identity(3), L)
+    L = Multiplier.inner(A.basis_element(2)).L
+    w = multiplier_violation(A, RatMatrix.identity(3), L)
     assert w is not None and len(w) == 3
+
+
+def test_operators_must_be_d_by_d():
+    A = builtin("ut(2)")
+    eye, wide = RatMatrix.identity(3), RatMatrix.zeros(3, 4)
+    for R, L in ((wide, eye), (eye, wide), (RatMatrix.identity(2), eye)):
+        with pytest.raises(DimensionMismatch):
+            Multiplier(A, R, L)
+        with pytest.raises(DimensionMismatch):
+            multiplier_violation(A, R, L)
 
 
 def test_trivial_algebra_all_pairs_are_multipliers():
     A = builtin("zero_mult(1)")
-    R = LinOp(RatMatrix.from_rows([[5]]))
-    L = LinOp(RatMatrix.from_rows([[-7]]))
+    R = RatMatrix.from_rows([[5]])
+    L = RatMatrix.from_rows([[-7]])
     assert is_multiplier(A, R, L)
 
 
@@ -160,5 +171,5 @@ def test_multiplier_permutes_with_inner():
         for m in MA.basis:
             for i in range(A.dim):
                 mu = Multiplier.inner(A.basis_element(i))
-                assert m.R.compose(mu.L) == mu.L.compose(m.R), name
-                assert mu.R.compose(m.L) == m.L.compose(mu.R), name
+                assert m.R.matmul(mu.L) == mu.L.matmul(m.R), name
+                assert mu.R.matmul(m.L) == m.L.matmul(mu.R), name

@@ -3,7 +3,7 @@
 import pytest
 from fractions import Fraction
 
-from genpi.algebras import builtin, quotient_algebra, subspace_product
+from genpi.algebras import StructureAlgebra, builtin, quotient_algebra, subspace_product
 from genpi.linalg import Subspace
 from genpi.structure import (
     jacobson_radical,
@@ -13,6 +13,17 @@ from genpi.structure import (
 )
 
 FIVE = ("ut(2)", "ut(3)", "mat(2)", "grassmann_unital(2)", "block_ut(1,2)")
+
+
+def test_wm_with_a_large_structure_constant():
+    # f1^2 = N f1, f2^2 = f2, unit f1/N + f2: the rational-root search of
+    # the block split divides constants near N, so it must not trial-divide
+    # up to them
+    N = 10 ** 12
+    A = StructureAlgebra(2, ["f1", "f2"], {(0, 0): [(0, N)], (1, 1): [(1, 1)]}, unit=[Fraction(1, N), 1])
+    wm = wedderburn_malcev(A)
+    assert wm.radical.dim == 0
+    assert wm.blocks == [Subspace.from_vectors(2, [[0, 1]]), Subspace.from_vectors(2, [[1, 0]])]
 
 
 def test_radical_ut2():
