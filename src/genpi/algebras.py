@@ -254,7 +254,10 @@ class StructureAlgebra:
     def from_dict(cls, data: dict) -> "StructureAlgebra":
         dim = data["dim"]
         table: dict = {}
-        for i, j, k, v in data["sc"]:
+        for row in data["sc"]:
+            if len(row) != 4:
+                raise DimensionMismatch(f"a structure constant is [i, j, k, value], not {row!r}")
+            i, j, k, v = row
             table.setdefault((i, j), []).append((k, rat(v)))
         unit = data.get("unit")
         return cls(dim, data["labels"], table, unit=unit)

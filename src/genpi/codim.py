@@ -6,18 +6,19 @@ x_{sigma(n)} w_{in}.  Their evaluations at basis tuples of A form the
 evaluation matrix; its rank is the n-th codimension and its left kernel is
 the space of multilinear identities of degree n.
 
-The rows of the identity permutation form the master matrix
-(_master_chunks): one dense row per coefficient tuple, the contraction of
-the transfer operators of the coefficient slots against the structure
-constants of A, as coprime integers equal to a positive scale times the
-exact rational row.  A permutation of the variables only permutes tuple
-positions, so its block of rows is the master matrix with its tuple axes
-transposed (_evaluation_blocks); the kernel reads those blocks and divides
-the scales back out.  The rank does not: the rows span a right
-Q[S_n]-module generated by the masters, and the codimension is its
-cocharacter sum c_n = sum_lambda d_lambda m_lambda over the partitions
-lambda of n with at most dim A parts.  The masters, built in chunks within
-the byte cap STREAM_BYTES, give one echelon basis of their span; each
+The rows of the identity permutation form the master matrix (_masters):
+one dense row per coefficient tuple, the contraction of the transfer
+operators of the coefficient slots against the structure constants of A,
+as coprime integers equal to a positive scale times the exact rational
+row, those of degree t lifted from those of degree t - 1 (_lift, where the
+lemma is).  A permutation of the variables only permutes tuple positions,
+so its block of rows is the master matrix with its tuple axes transposed
+(_evaluation_blocks); the kernel reads those blocks and divides the scales
+back out.  The rank does not: the rows span a right Q[S_n]-module
+generated by the masters, and the codimension is its cocharacter sum
+c_n = sum_lambda d_lambda m_lambda over the partitions lambda of n with at
+most dim A parts.  One echelon basis of the span of the masters is lifted
+from the distinct rows of each degree alone (_master_span); each
 multiplicity m_lambda is the rank of that basis under sigma_T' b_T a_T,
 one standard tableau T' at a time, in the columns of the row orbits of T
 (_specht.py, where the lemma is).  Containment of varieties tests the same
@@ -120,10 +121,10 @@ _INT64_LIMIT = 1 << 63
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard of the master rows and of the kernel's matrix
 # byte cap of one dense int64 buffer: the transposed matrix of the kernel,
-# 256 chunks of master rows; of the int8 Grassmann parity-class matrix,
-# which its rank and kernel read in place, a group of BLOCK rows at a time;
-# and, through _stream_rows, of the rows of a list of the sparse
-# consequence stream, had they been dense
+# 256 pieces of the last degree of a master span; of the int8 Grassmann
+# parity-class matrix, which its rank and kernel read in place, a group of
+# BLOCK rows at a time; and, through _stream_rows, of the rows of a list of
+# the sparse consequence stream, had they been dense
 STREAM_BYTES = 1 << 28
 STREAM_ROWS = 1024  # most rows of a list of the consequence stream
 
@@ -159,10 +160,7 @@ def _stream_rows(ncols: int) -> int:
 
 def _int_matrix(M):
     """(integer object array, positive denominator) whose quotient is M."""
-    den = 1
-    for r in M.iter_rows():
-        for v in r.values():
-            den = lcm(den, v.denominator)
+    den = lcm(*(v.denominator for r in M.iter_rows() for v in r.values()))
     out = np.zeros((M.nrows, M.ncols), dtype=object)
     for i, r in enumerate(M.iter_rows()):
         for j, v in r.items():
@@ -170,48 +168,90 @@ def _int_matrix(M):
     return out, den
 
 
-def _master_chunks(h: Action, n: int, width: int | None = None):
-    """(M, scales) of the identity-permutation monomials
-    w_{i0} x_1 w_{i1} ... x_n w_{in}, coefficient tuples in lexicographic
-    order: row i of M, over the evaluation columns, is scales[i] > 0 times
-    the exact rational evaluation row, with coprime entries (int64 when
-    every entry of the chunk fits).  One chunk, or, given a width, chunks of
-    at most 1/256 of STREAM_BYTES (1 MiB) of rows that wide, and at least
-    one row: a chunk, its temporaries and a permuted block are alive
-    together, and small chunks run no slower.
+def _operators(hs):
+    """(firsts, contractions, (dens, cdens)) of actions hs with one
+    coefficient presentation; per action, its degree-1 master rows (the
+    transposed lambda_(w_0) rho_(w_1), flattened, (w_0, w_1) in order, in
+    Python integers) and its contractions (_contraction) side by side,
+    [S_0 | S_1 | ...], in int64 when they fit.  Each w's operators are over
+    one denominator shared by the actions: dens holds those of the degree-1
+    rows and cdens those of the S_w."""
+    ops = []
+    for h in hs:
+        consts, dc = _int_constants(h.A)
+        Ls = [_int_matrix(p.L) for p in h.pairs]
+        Rs = [_int_matrix(p.R) for p in h.pairs]
+        ops.append((Ls, Rs, [(_contraction(consts, D), dd * dc) for D, dd in Rs]))
+    out, dens = [], []
+    for kind in zip(*ops):  # the lambdas, rhos or contractions of every action
+        dens.append([lcm(*(d for _, d in per_w)) for per_w in zip(*kind)])
+        out.append([[X * (den // d) for (X, d), den in zip(mats, dens[-1])] for mats in kind])
+    firsts = [np.array([(a @ b).T.ravel() for a, b in product(L, R)], dtype=object) for L, R, _ in zip(*out)]
+    Ss = [S.astype(np.int64) if np.abs(S).max(initial=0) < _INT64_LIMIT else S for S in map(np.hstack, out[2])]
+    return firsts, Ss, ([a * b for a, b in product(*dens[:2])], dens[2])
 
-    The monomial evaluates to D_1(a_1) D_2(a_2) ... D_n(a_n) with
-    D_1 = lambda_{i0} rho_{i1} and D_t = rho_{it}.  The partial products
-    over all basis prefixes form a (dim^t, dim) tensor, and one more factor
-    is one matrix product with the contraction of the structure constants
-    against the operator, shared by every coefficient tuple with that
-    prefix.  Entries are exact integers over a tracked denominator, in int64
-    when a magnitude bound on every partial product is below 2^63."""
-    dim = h.A.dim
-    consts, dc = _int_constants(h.A)
-    Ls = [_int_matrix(p.L) for p in h.pairs]
-    Rs = [_int_matrix(p.R) for p in h.pairs]
-    steps, growth = [], 0
-    for D, dd in Rs:
-        S, g = _contraction(consts, D)
-        steps.append((S, dd * dc))
-        growth = max(growth, g)
-    top = [max(int(np.abs(X).max(initial=0)) for X, _ in Xs) for Xs in (Ls, Rs)]
-    dtype = np.int64 if top[0] * top[1] * dim * growth ** (n - 1) < _INT64_LIMIT else object
-    Ls, Rs, steps = ([(X.astype(dtype), d) for X, d in Xs] for Xs in (Ls, Rs, steps))
 
-    def extend(depth, T, den):
-        if depth == n:
-            yield T.ravel(), den
-            return
-        for S, ds in steps:
-            yield from extend(depth + 1, (T @ S).reshape(-1, dim), den * ds)
+def _lift(X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Phi_w(X[i]) at row i * s + w, for every row i of X and every listed
+    coefficient w, given the contractions S = [S_0 | ... | S_(s-1)].
 
-    rows = chain.from_iterable(extend(1, (L @ R).T, dl * dr) for (L, dl), (R, dr) in product(Ls, Rs))
-    size = h.s ** (n + 1) if width is None else _chunk_rows(width)
-    while part := list(islice(rows, size)):
-        M, g = _coprime(np.array([row for row, _ in part], dtype=dtype))
-        yield M, [Fraction(den, v) if v else _ONE for (_, den), v in zip(part, g)]
+    Lemma: the degree-t master row of (w_0, ..., w_t) is Phi_(w_t) of the
+    degree-(t-1) row of (w_0, ..., w_(t-1)), where
+    Phi_w(T) = T.reshape(-1, dim) @ S_w, flattened.  Proof: by the law
+    R(ab) = aR(b), the monomial evaluates at (a_1, ..., a_t) to the
+    left-normed product D_1(a_1) ... D_t(a_t), with
+    D_1 = lambda_(w_0) rho_(w_1) and D_u = rho_(w_u); a row of degree t - 1
+    holds the coordinates k1 of the product of the first t - 1 factors at
+    each prefix, and S_w[k1, j * dim + k3] is the coordinate k3 of
+    b_k1 rho_w(b_j).  Phi_w is linear, so a positive multiple of a row
+    lifts to a multiple of its lift, and repeated rows to repeated rows.
+
+    In int64 when max |X| * dim * max |S|, a bound on every entry and
+    partial sum of the product, is below 2^63, else in Python integers."""
+    dim = len(S)
+    s = S.shape[1] // (dim * dim)
+    bound = max(1, int(np.abs(X).max(initial=0))) * dim * int(np.abs(S).max(initial=0))
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    Y = X.astype(dtype, copy=False).reshape(-1, dim) @ S.astype(dtype, copy=False)
+    return Y.reshape(len(X), X.shape[1] // dim, s, dim * dim).swapaxes(1, 2).reshape(len(X) * s, -1)
+
+
+def _masters(h: Action, n: int):
+    """(M, scales) of the s^(n+1) identity-permutation monomials
+    w_(i0) x_1 w_(i1) ... x_n w_(in), coefficient tuples in lexicographic
+    order, lifted degree by degree (_lift): row i of M, over the evaluation
+    columns, is scales[i] > 0 times the exact rational evaluation row, with
+    coprime entries (int64 when every entry fits)."""
+    (X,), (S,), (dens, ds) = _operators((h,))
+    for _ in range(n - 1):
+        X, dens = _lift(X, S), [den * d for den in dens for d in ds]
+    M, g = _coprime(X)
+    return M, [Fraction(den, v) if v else _ONE for den, v in zip(dens, g)]
+
+
+def _master_span(hs, n: int, width: int) -> np.ndarray:
+    """Integer RREF rows of the span of the degree-n master rows of one
+    action, hs = (h,), or of the joint rows [M_A | M_B] of two with one
+    coefficient presentation, hs = (hA, hB), in width columns.  Only the
+    distinct coprime rows of each degree are lifted (_lift, _distinct_rows);
+    a joint row half by half, each w's operators over one denominator
+    (_operators), so both halves keep one rational scale.  The last degree
+    goes to _span in pieces of _chunk_rows(width) rows, or of the s lifts
+    of one row where that is more."""
+    firsts, Ss, _ = _operators(hs)
+
+    def lift(X, t):  # degree t to degree t + 1, half by half
+        if len(hs) == 1:
+            return _lift(X, Ss[0])
+        cuts = np.cumsum([h.A.dim ** (t + 1) for h in hs])[:-1]
+        return np.hstack([_lift(Y, S) for Y, S in zip(np.split(X, cuts, axis=1), Ss)])
+
+    X = np.hstack(firsts)
+    for t in range(1, n - 1):
+        X = lift(_distinct_rows(X), t)
+    X, step = _distinct_rows(X), max(1, _chunk_rows(width) // hs[0].s)
+    pieces = (lift(X[i : i + step], n - 1) for i in range(0, len(X), step)) if n > 1 else [X]
+    return _span(map(_distinct_rows, pieces), width).rref()[1]
 
 
 def _int_constants(A):
@@ -222,21 +262,19 @@ def _int_constants(A):
     return [(i, j, k, v.numerator * (den // v.denominator)) for i, j, k, v in consts], den
 
 
-def _contraction(consts, D: np.ndarray):
-    """(S, growth) of the integer operator D against the integer structure
+def _contraction(consts, D: np.ndarray) -> np.ndarray:
+    """The integer operator D contracted against the integer structure
     constants: S[k1, j * dim + k3] = sum_k2 c(k1, k2, k3) D[k2, j], in
-    Python integers, and dim * max |S|, which bounds how much one product
-    T @ S, one more factor D(a) of a partial product T, grows the largest
-    entry of T."""
+    Python integers."""
     dim = len(D)
     S = np.zeros((dim, dim, dim), dtype=object)
     for i, j, k, v in consts:
         S[i, :, k] += v * D[j, :]
-    return S.reshape(dim, dim * dim), dim * int(np.abs(S).max(initial=0))
+    return S.reshape(dim, dim * dim)
 
 
 def _chunk_rows(width: int) -> int:
-    """Rows of a chunk of master rows of the given width: 1/256 of
+    """Rows of a batch of dense rows of the given width: 1/256 of
     STREAM_BYTES (1 MiB), and at least one."""
     return max(1, STREAM_BYTES // (256 * 8 * width))
 
@@ -244,7 +282,7 @@ def _chunk_rows(width: int) -> int:
 def _coprime(M: np.ndarray):
     """(M, gcds of its rows): the rows divided in place by their gcd, and
     turned from Python integers to int64 when every quotient fits."""
-    g = np.gcd.reduce(np.abs(M), axis=1)
+    g = np.gcd.reduce(M, axis=1)  # nonnegative
     M //= np.where(g == 0, 1, g)[:, None]
     if M.dtype == object and np.abs(M).max(initial=0) < _INT64_LIMIT:
         M = M.astype(np.int64)
@@ -268,15 +306,17 @@ def _permuted(M: np.ndarray, dim: int, n: int, perm) -> np.ndarray:
     return T.transpose(0, *(perm.index(q) + 1 for q in range(n)), n + 1).reshape(len(M), dim ** (n + 1))
 
 
-def _distinct_rows(M: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrences of the distinct nonzero rows of M.
-    A repeated master only repeats rows of every permutation block, so the
-    rank needs the distinct masters alone."""
-    keys = map(tuple, M.tolist()) if M.dtype == object else map(bytes, M)
+def _distinct_rows(X: np.ndarray) -> np.ndarray:
+    """The distinct nonzero rows of X, each divided by its gcd (_coprime),
+    in order of first occurrence.  A repeated master only repeats rows of
+    every permutation block, and a positive multiple of a row lifts to a
+    multiple of its lift (_lift), so the ranks need these rows alone."""
+    X = _coprime(X)[0]
+    keys = map(tuple, X.tolist()) if X.dtype == object else map(bytes, X)
     first: dict = {}
     for i, key in enumerate(keys):
         first.setdefault(key, i)
-    return np.array(sorted(i for i in first.values() if M[i].any()), dtype=np.intp)
+    return X[sorted(i for i in first.values() if X[i].any())]
 
 
 def _groups(blocks):
@@ -322,23 +362,18 @@ def _span(blocks, ncols: int, target: int | None = None, stop=None, kernel=FastI
     return space
 
 
-def _module_generators(chunks, ncols: int) -> np.ndarray:
-    """Integer rows of the reduced echelon basis of the span of the
-    distinct nonzero rows of the master chunks."""
-    return _span((M[_distinct_rows(M)] for M in chunks), ncols).rref()[1]
-
-
 def codimension(h: Action, n: int) -> int:
     """Rank of the degree-n evaluation matrix, as the cocharacter sum
     sum_lambda d_lambda m_lambda of the S_n-module its rows span, generated
     by the master rows (_specht.isotypic_blocks).  That matrix is never
-    built: the row budget and the width guard hold the s^(n+1) master rows
-    that are, and their columns.  (The echelon bases grow with the ranks,
-    which no budget bounds in advance.)"""
+    built, nor are all the s^(n+1) master rows: the row budget counts them
+    and the width guard their columns, and only the distinct rows of each
+    degree are lifted (_master_span).  (The echelon bases grow with the
+    ranks, which no budget bounds in advance.)"""
     _check_degree(n)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(h.s ** (n + 1), cols)
-    R = _module_generators((M for M, _ in _master_chunks(h, n, cols)), cols)
+    R = _master_span((h,), n, cols)
     parts = isotypic_blocks(R, (h.A.dim,), n, _chunk_rows(cols))
     return sum(d * _span(blocks, ncols).rank for _, d, ncols, blocks in parts)
 
@@ -355,7 +390,7 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
     _check_budget(rows, cols)
     if 8 * rows * cols > STREAM_BYTES:
         raise BudgetExceeded(rows, cols, STREAM_BYTES // (8 * cols))
-    M, scales = next(_master_chunks(h, n))
+    M, scales = _masters(h, n)
     m = len(M)
     E = np.empty((rows, cols), dtype=M.dtype)
     for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
@@ -769,7 +804,7 @@ def verify_generating_set(generators, h: Action, n: int, codim_value: int | None
     rank comparison against rows - codimension (_verify); pass codim_value
     to supply a known codimension.
     """
-    masters = cache(lambda d: next(_master_chunks(h, d)))  # one master chunk per degree
+    masters = cache(partial(_masters, h))  # one master matrix per degree
 
     def evaluation(d):
         M, scales = masters(d)
@@ -788,47 +823,39 @@ def _word_rows(h: Action):
     of the exact evaluation of the sum of the words at every basis tuple.
 
     Each word adds its master row moved to its variable order (_permuted):
-    the row of w_0 x_1 w_1 ... x_d w_d (_master_chunks) with the
+    the row of w_0 x_1 w_1 ... x_d w_d (the lemma of _lift) with the
     composition of the lambda (slot 0) or rho operators of the word's
     coefficient run in each slot, the identity for an empty run, so W's
-    unit and product are not used.  An operator is turned into integers the
-    first time a run holds it, and words that share their slot runs share
-    one row, each built once per evaluator.  The sum is in integers, int64
-    when a magnitude bound fits; a row over STREAM_BYTES raises
-    BudgetExceeded before it is allocated."""
+    unit and product are not used; words that share their slot runs share
+    one row.  The sum is in integers, int64 when a magnitude bound fits; a
+    row over STREAM_BYTES raises BudgetExceeded before it is allocated."""
     dim = h.A.dim
     consts, dc = _int_constants(h.A)
-    identity = np.identity(dim, dtype=object), 1
+    op = cache(lambda k, left: _int_matrix(h.pairs[k].L if left else h.pairs[k].R))
 
     @cache
-    def op(k, left):
-        """(integer operator, denominator) of lambda (left) or rho of w_k."""
-        return _int_matrix(h.pairs[k].L if left else h.pairs[k].R)
-
     def slot(run, left):
         """(integer operator, denominator) of a coefficient slot holding run:
-        the identity for an empty run, else the product of its operators."""
-        if not run:
-            return identity
-        ks = run if left else run[::-1]
-        X, den = op(ks[0], left)
-        for k in ks[1:]:
-            D, dd = op(k, left)
+        the product of its lambda (left) or rho operators, the identity for
+        an empty run."""
+        ops = [op(k, left) for k in (run if left else run[::-1])]
+        X, den = ops[0] if ops else (np.identity(dim, dtype=object), 1)
+        for D, dd in ops[1:]:
             X, den = X @ D, den * dd
         return X, den
 
     @cache
     def master(runs):
-        """([first factor, contractions], denominator, magnitude bound) of
-        the master row of the slot runs."""
+        """([degree-1 row, contractions], denominator, magnitude bound) of
+        the master row of the slot runs, the factors in int64 when the
+        bound, which holds for every partial product, is below 2^63."""
         (L, dl), (R, dr) = slot(runs[0], True), slot(runs[1], False)
-        first = (L if not runs[1] else R if not runs[0] else L @ R).T
-        factors, den = [first], dl * dr
-        bound = int(np.abs(first).max(initial=0))
+        first = (L if not runs[1] else R if not runs[0] else L @ R).T.reshape(1, -1)
+        factors, den, bound = [first], dl * dr, int(np.abs(first).max(initial=0))
         for D, dd in (slot(run, False) for run in runs[2:]):
-            S, growth = _contraction(consts, D)
-            factors, den, bound = factors + [S], den * dd * dc, bound * growth
-        return factors, den, bound
+            S = _contraction(consts, D)
+            factors, den, bound = factors + [S], den * dd * dc, bound * dim * int(np.abs(S).max(initial=0))
+        return [X.astype(np.int64 if 0 < bound < _INT64_LIMIT else object) for X in factors], den, bound
 
     def row(d: int, words) -> np.ndarray:
         ncols = dim ** (d + 1)
@@ -843,12 +870,12 @@ def _word_rows(h: Action):
         dtype = np.int64 if bound < _INT64_LIMIT else object
         total = np.zeros((1, ncols), dtype=dtype)
         for runs, g in groups.items():
-            first, *steps = master(runs)[0]
-            X = first.astype(dtype)
+            X, *steps = master(runs)[0]
             for S in steps:
-                X = (X @ S.astype(dtype)).reshape(-1, dim)
+                X = (X.reshape(-1, dim) @ S).reshape(1, -1)
+            X = X.astype(dtype, copy=False)
             for q, perm in g:
-                total += int(q * den) * _permuted(X.reshape(1, ncols), dim, d, perm)
+                total += int(q * den) * _permuted(X, dim, d, perm)
         return total[0]
 
     return row
@@ -889,28 +916,15 @@ def _same_coefficient_presentation(hA: Action, hB: Action) -> bool:
     )
 
 
-def _joint_masters(cA, cB) -> np.ndarray:
-    """Master rows [M_A | M_B] of master chunks of two actions with one
-    coefficient presentation, the two halves of a row scaled jointly to
-    sa.numerator * sb.numerator times the rational row; in int64 when both
-    products fit, else in Python integers."""
-    (MA, sA), (MB, sB) = cA, cB
-    f = [(sa.denominator * sb.numerator, sb.denominator * sa.numerator) for sa, sb in zip(sA, sB)]
-    fits = all(
-        M.dtype != object and int(np.abs(M).max(initial=0)) * max(abs(v) for v in fj) < _INT64_LIMIT
-        for M, fj in zip((MA, MB), zip(*f))
-    )
-    f = np.array(f, dtype=np.int64 if fits else object)
-    return _coprime(np.hstack([MA * f[:, :1], MB * f[:, 1:]]))[0]
-
-
 def variety_contains(hA: Action, hB: Action, n: int) -> bool:
     """Degreewise necessary condition for membership of the second action's
     algebra in the variety of the first: every multilinear identity of the
     first of degree <= n is an identity of the second, decided by
     rank([E_A | E_B]) = rank(E_A) per degree, one isotypic component at a
-    time (see _specht.isotypic_blocks).  The row budget and the width guard
-    hold the s^(m+1) joint master rows that are built, and their columns."""
+    time (see _specht.isotypic_blocks), on the span of the joint master
+    rows (_master_span).  The row budget counts the s^(m+1) joint master
+    rows, of which only the distinct ones of each degree are lifted, and the
+    width guard their columns."""
     _check_degree(n)
     if not _same_coefficient_presentation(hA, hB):
         raise BasisMismatch(
@@ -920,8 +934,7 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
     for m in range(1, n + 1):
         cols = hA.A.dim ** (m + 1) + hB.A.dim ** (m + 1)
         _check_budget(hA.s ** (m + 1), cols)
-        chunks = zip(_master_chunks(hA, m, cols), _master_chunks(hB, m, cols))
-        R = _module_generators((_joint_masters(cA, cB) for cA, cB in chunks), cols)
+        R = _master_span((hA, hB), m, cols)
         for shape, _, ncols, blocks in isotypic_blocks(R, dims, m, _chunk_rows(cols)):
             if (_span(blocks, ncols).pivots >= orbit_width(dims[0], shape)).any():
                 return False

@@ -35,10 +35,11 @@ def rat(x) -> Fraction:
     """Coerce ints, strings like '3/4' and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except ValueError:
+            pass
     raise NotRational(f"not an exact rational: {x!r}")
 
 

@@ -14,23 +14,19 @@ dimension d.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .algebras import AlgElement, StructureAlgebra
 from .errors import DimensionMismatch, InternalError
 from .linalg import RatMatrix, Subspace
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # constraint family tags used in witnesses
 RIGHT_LAW = "R(ab)=aR(b)"
 LEFT_LAW = "L(ab)=L(a)b"
 LINK_LAW = "R(a)b=aL(b)"
-
-
-def _check_square(A: StructureAlgebra, R: RatMatrix, L: RatMatrix):
-    if any((M.nrows, M.ncols) != (A.dim, A.dim) for M in (R, L)):
-        raise DimensionMismatch("operator size does not match algebra dimension")
+LAWS = (RIGHT_LAW, LEFT_LAW, LINK_LAW)
 
 
 class Multiplier:
@@ -39,7 +35,8 @@ class Multiplier:
     __slots__ = ("parent", "R", "L")
 
     def __init__(self, parent: StructureAlgebra, R: RatMatrix, L: RatMatrix):
-        _check_square(parent, R, L)
+        if any((M.nrows, M.ncols) != (parent.dim, parent.dim) for M in (R, L)):
+            raise DimensionMismatch("operator size does not match algebra dimension")
         self.parent = parent
         self.R = R
         self.L = L
@@ -89,19 +86,13 @@ class Multiplier:
 
 def multiplier_violation(A: StructureAlgebra, R: RatMatrix, L: RatMatrix):
     """First violated constraint as (law, i, j) in basis-label order, or
-    None when (R, L) is a multiplier."""
-    _check_square(A, R, L)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = A.multiply_coords(A._unit_vec(i), A._unit_vec(j))
-            bi = A._unit_vec(i)
-            bj = A._unit_vec(j)
-            if R.matvec(prod) != A.multiply_coords(bi, R.matvec(bj)):
-                return (RIGHT_LAW, i, j)
-            if L.matvec(prod) != A.multiply_coords(L.matvec(bi), bj):
-                return (LEFT_LAW, i, j)
-            if A.multiply_coords(R.matvec(bi), bj) != A.multiply_coords(bi, L.matvec(bj)):
-                return (LINK_LAW, i, j)
+    None when (R, L) is a multiplier: the first nonzero entry of the
+    constraint matrix times the coordinates of the pair, whose rows run
+    over (i, j, law, r) (_constraint_matrix)."""
+    d, v = A.dim, Multiplier(A, R, L).flatten()
+    for k, row in enumerate(_constraint_matrix(A).iter_rows()):
+        if sum(c * v[m] for m, c in row.items()):
+            return LAWS[k // d % 3], k // (3 * d * d), k // (3 * d) % d
     return None
 
 
@@ -112,48 +103,37 @@ def is_multiplier(A: StructureAlgebra, R: RatMatrix, L: RatMatrix) -> bool:
 def _constraint_matrix(A: StructureAlgebra) -> RatMatrix:
     """Homogeneous system whose right kernel is the multiplier pair space.
 
-    Unknowns: R[m,k] at m*d+k, then L[m,k] at d*d + m*d + k.
-    """
-    d = A.dim
+    Unknowns: R[m,k] at m*d+k, then L[m,k] at d*d + m*d + k.  Row
+    ((i * d + j) * 3 + law) * d + r is coordinate r of the law, in LAWS
+    order, at the basis pair (b_i, b_j)."""
+    d, dd = A.dim, A.dim * A.dim
     ops = A.basis_operators()
-    Lmats, Rmats = [L for L, _ in ops], [R for _, R in ops]
     rows = []
-    for i in range(d):
-        for j in range(d):
-            prod = A.product_basis(i, j)
-            for r in range(d):
-                # R(b_i b_j) - b_i R(b_j) = 0
+    for i, j in product(range(d), repeat=2):
+        prod, Li, Rj = A.product_basis(i, j), ops[i][0], ops[j][1]
+        laws = ([], [], [])
+        for r in range(d):
+            Lr, Rr = Li.row_dict(r).items(), Rj.row_dict(r).items()
+            # R(b_i b_j) - b_i R(b_j), L(b_i b_j) - L(b_i) b_j, R(b_i) b_j - b_i L(b_j)
+            terms = (
+                [(r * d + k, c) for k, c in prod] + [(m * d + j, -c) for m, c in Lr],
+                [(dd + r * d + k, c) for k, c in prod] + [(dd + m * d + i, -c) for m, c in Rr],
+                [(m * d + i, c) for m, c in Rr] + [(dd + m * d + j, -c) for m, c in Lr],
+            )
+            for out, ts in zip(laws, terms):
                 row: dict = {}
-                for k, c in prod:
-                    row[r * d + k] = row.get(r * d + k, _ZERO) + c
-                for m, c in Lmats[i].row_dict(r).items():
-                    row[m * d + j] = row.get(m * d + j, _ZERO) - c
-                rows.append({k: v for k, v in row.items() if v != 0})
-                # L(b_i b_j) - L(b_i) b_j = 0
-                row = {}
-                for k, c in prod:
-                    row[d * d + r * d + k] = row.get(d * d + r * d + k, _ZERO) + c
-                for m, c in Rmats[j].row_dict(r).items():
-                    row[d * d + m * d + i] = row.get(d * d + m * d + i, _ZERO) - c
-                rows.append({k: v for k, v in row.items() if v != 0})
-                # R(b_i) b_j - b_i L(b_j) = 0
-                row = {}
-                for m, c in Rmats[j].row_dict(r).items():
-                    row[m * d + i] = row.get(m * d + i, _ZERO) + c
-                for m, c in Lmats[i].row_dict(r).items():
-                    row[d * d + m * d + j] = row.get(d * d + m * d + j, _ZERO) - c
-                rows.append({k: v for k, v in row.items() if v != 0})
-    return RatMatrix(3 * d * d * d if d else 0, 2 * d * d, rows)
+                for k, c in ts:
+                    row[k] = row.get(k, _ZERO) + c
+                out.append({k: v for k, v in row.items() if v != 0})
+        rows += laws[0] + laws[1] + laws[2]
+    return RatMatrix(3 * d * dd, 2 * dd, rows)
 
 
 def _unflatten(A: StructureAlgebra, vec) -> Multiplier:
     d = A.dim
-    Rrows = [{j: vec[m * d + j] for j in range(d) if vec[m * d + j] != 0} for m in range(d)]
-    Lrows = [
-        {j: vec[d * d + m * d + j] for j in range(d) if vec[d * d + m * d + j] != 0}
-        for m in range(d)
-    ]
-    return Multiplier(A, RatMatrix(d, d, Rrows), RatMatrix(d, d, Lrows))
+    R, L = ([{j: v for j, v in enumerate(vec[h + m * d : h + m * d + d]) if v != 0} for m in range(d)]
+            for h in (0, d * d))
+    return Multiplier(A, RatMatrix(d, d, R), RatMatrix(d, d, L))
 
 
 class MultiplierAlgebra:

@@ -197,6 +197,17 @@ def test_structure_constant_outside_the_basis_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("row, message", [
+    ([0, 0, 0, "abc"], "not an exact rational: 'abc'"),
+    ([0, 0, 0], "a structure constant is [i, j, k, value], not [0, 0, 0]"),
+])
+def test_malformed_structure_constant_exit_code(tmp_path, capsys, row, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"dim": 1, "labels": ["a"], "sc": [row]}))
+    assert main(["algebra", "validate", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["poly", "check", "ut2F", "-1*x2"], ["poly", "check", "ut2F", "--", "-1*x2"]])
 def test_poly_text_may_start_with_a_minus(capsys, argv):
     assert main(argv) == 1

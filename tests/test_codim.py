@@ -33,9 +33,9 @@ from genpi.codim import (
     _grassmann_matrix,
     _grassmann_rank,
     _grassmann_stabilized,
-    _joint_masters,
     _left_kernel,
-    _master_chunks,
+    _master_span,
+    _masters,
     _ratio_parts,
     _span,
     codimension,
@@ -71,13 +71,11 @@ def sympy_rank(rows_dicts, ncols):
 def evaluation_rows(h, n):
     """The degree-n evaluation rows in enumerate_basis order, as exact
     rational rows {column: Fraction}: the permuted blocks of the master
-    chunks, each row divided by its scale."""
-    rows, m, start = [None] * basis_size(n, h.s), h.s ** (n + 1), 0
-    for M, scales in _master_chunks(h, n, h.A.dim ** (n + 1)):
-        for p, X in enumerate(_evaluation_blocks(M, h.A.dim, n)):
-            for i, (row, scale) in enumerate(zip(X.tolist(), scales)):
-                rows[p * m + start + i] = {c: Fraction(v) / scale for c, v in enumerate(row) if v}
-        start += len(M)
+    rows, each row divided by its scale."""
+    M, scales = _masters(h, n)
+    rows = []
+    for X in _evaluation_blocks(M, h.A.dim, n):
+        rows += [{c: Fraction(v) / scale for c, v in enumerate(row) if v} for row, scale in zip(X.tolist(), scales)]
     return rows
 
 
@@ -85,9 +83,8 @@ def permuted_master_rank(h, n):
     """Rank of the degree-n evaluation matrix fed as the n! permuted blocks
     of the distinct master rows: an oracle independent of the S_n-module
     structure that codimension uses."""
-    cols = h.A.dim ** (n + 1)
-    chunks = _master_chunks(h, n, cols)
-    return _span((X for M, _ in chunks for X in _evaluation_blocks(M[_distinct_rows(M)], h.A.dim, n)), cols).rank
+    M, _ = _masters(h, n)
+    return _span(_evaluation_blocks(_distinct_rows(M), h.A.dim, n), h.A.dim ** (n + 1)).rank
 
 
 def ut2d_in_basis(C):
@@ -139,7 +136,7 @@ def test_evaluation_rows_match_direct_evaluator():
         for n in range(1, top + 1):
             mons = list(enumerate_basis(n, h.s))
             assert [direct_row(h, mon, n) for mon in mons] == evaluation_rows(h, n), (h, n)
-            M, scales = next(_master_chunks(h, n))
+            M, scales = _masters(h, n)
             for row, scale in zip(M.tolist(), scales):
                 assert scale > 0 and gcd(*row) in (0, 1)
 
@@ -185,7 +182,7 @@ def test_codimension_in_random_unimodular_bases_matches_sympy(ops, n):
 
 def test_rows_beyond_int64_take_the_exact_path():
     h = ut2d_rescaled(2 ** 70)
-    M, _ = next(_master_chunks(h, 2))
+    M, _ = _masters(h, 2)
     assert M.dtype == object and max(abs(v) for v in M.flat) >= 2 ** 63
     assert [codimension(h, n) for n in (1, 2, 3, 4)] == [3, 6, 14, 34]
     assert [permuted_master_rank(h, n) for n in (1, 2, 3, 4)] == [3, 6, 14, 34]
@@ -263,7 +260,7 @@ def test_kernel_examples():
 def test_left_kernel_of_the_nonzero_columns_is_that_of_all(h, n, nonzero):
     # the kernel reads the nonzero columns of E alone: 34 of 243 for ut2D
     # at n = 4, all 81 in the dense basis
-    M, scales = next(_master_chunks(h, n))
+    M, scales = _masters(h, n)
     E = np.concatenate(list(_evaluation_blocks(M, h.A.dim, n)))
     parts = [np.tile(x, len(E) // len(M)) for x in _ratio_parts(scales)]
     assert (E != 0).any(axis=0).sum() == nonzero
@@ -396,40 +393,52 @@ def test_variety_contains_instances():
     assert not variety_contains(hA, hB, 3)
 
 
-def joint_rows_in_python(cA, cB):
-    """The joint master rows [M_A * f_A | M_B * f_B] in Python integers,
-    each divided by the gcd of its entries (oracle for _joint_masters)."""
-    (MA, sA), (MB, sB) = cA, cB
-    out = []
-    for a, b, sa, sb in zip(MA.tolist(), MB.tolist(), sA, sB):
-        row = [x * sa.denominator * sb.numerator for x in a] + [x * sb.denominator * sa.numerator for x in b]
-        g = gcd(*row) or 1
-        out.append([x // g for x in row])
-    return out
+def master_span_oracle(hs, n):
+    """Integer RREF rows of the span of every degree-n master row of one
+    action, or of the joint rows [M_A * f_A | M_B * f_B] of two, f_A and
+    f_B the scale factors that put both halves of a row at one rational
+    scale, written in Python integers row by row."""
+    (M, scales), *rest = [_masters(h, n) for h in hs]
+    rows = M.tolist()
+    for MB, sB in rest:
+        rows = [[x * sa.denominator * sb.numerator for x in a] + [x * sb.denominator * sa.numerator for x in b]
+                for a, b, sa, sb in zip(rows, MB.tolist(), scales, sB)]
+    return _span([np.array(rows, dtype=object)], len(rows[0])).rref()[1]
 
 
-def test_joint_masters_in_int64_and_python_integers(monkeypatch):
-    # the dtype that _coprime receives tells the two paths apart
+SKEW = sympy.Matrix([[1, 0, Fraction(1, 2)], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("name, h, top", [
+    *((name, preset_action(name), 7 if name == "ut2F" else 6) for name in ("ut2F", "ut2D", "ut2C", "ut2full")),
+    ("ut2D dense", ut2d_in_basis(sympy.Matrix([[2, 1, -1], [1, 3, 2], [-1, 1, 1]])), 5),
+    ("ut2D 2^70", ut2d_rescaled(2 ** 70), 5),
+])
+def test_master_span_matches_the_span_of_all_masters(name, h, top):
+    # the lifted span of the distinct coprime rows, row for row the RREF of
+    # all s^(n+1) master rows
+    for n in range(1, top + 1):
+        got = _master_span((h,), n, h.A.dim ** (n + 1))
+        assert got.tolist() == master_span_oracle((h,), n).tolist(), (name, n)
+
+
+def test_joint_master_span_in_int64_and_python_integers(monkeypatch):
+    # the dtypes of the lifted rows tell the two paths apart; in the last
+    # pair the common denominator 2^70 of the structure constants is a
+    # factor past 2^63 on the second half
     seen = []
-    coprime = codim._coprime
-    monkeypatch.setattr(codim, "_coprime", lambda M: (seen.append(M.dtype), coprime(M))[1])
-    pairs = [("ut2full", "ut2D"), ("ut2full", "ut2F"), ("ut2D", "ut2F"), ("ut2C", "ut2F")]
-    for a, b in pairs:
-        hA, hB = shared_family_presentations(a, b)
+    lift = codim._lift
+    monkeypatch.setattr(codim, "_lift", lambda X, S: (Y := lift(X, S), seen.append(Y.dtype))[0])
+    cases = [(*shared_family_presentations(a, b), False)
+             for a, b in (("ut2full", "ut2D"), ("ut2full", "ut2F"), ("ut2D", "ut2F"), ("ut2C", "ut2F"))]
+    cases.append((ut2d_rescaled(2 ** 70), ut2d_rescaled(Fraction(1, 7)), True))
+    for hA, hB, python_integers in cases:
+        seen.clear()
         for m in range(1, 5):
-            cols = hA.A.dim ** (m + 1) + hB.A.dim ** (m + 1)
-            for cA, cB in zip(_master_chunks(hA, m, cols), _master_chunks(hB, m, cols)):
-                seen.clear()
-                assert _joint_masters(cA, cB).tolist() == joint_rows_in_python(cA, cB)
-                assert seen == [np.int64]
-    # a factor past 2^63 takes the Python-integer path
-    hA, hB = shared_family_presentations("ut2full", "ut2D")
-    (MA, sA), cB = next(zip(_master_chunks(hA, 3, 512), _master_chunks(hB, 3, 512)))
-    cA = (MA, [s * (2 ** 64 + 1) for s in sA])
-    seen.clear()
-    J = _joint_masters(cA, cB)
-    assert seen == [object] and max(abs(x) for x in J.flat) >= 2 ** 63
-    assert J.tolist() == joint_rows_in_python(cA, cB)
+            got = _master_span((hA, hB), m, hA.A.dim ** (m + 1) + hB.A.dim ** (m + 1))
+            assert got.tolist() == master_span_oracle((hA, hB), m).tolist(), (hA, hB, m)
+        assert (np.dtype(object) in seen) == python_integers
+    assert max(abs(x) for x in got.flat) >= 2 ** 63
 
 
 def test_variety_contains_reflexive_and_transitive_instance():
@@ -460,7 +469,7 @@ def test_variety_contains_matches_stacked_rank_oracle():
     # a row must be scaled jointly; 2^70 takes the Python-integer path.  The
     # rescalings only move f3, so their identities are homogeneous and
     # would survive separate scaling; f3 = e11/2 + e12 does not.
-    skew = ut2d_in_basis(sympy.Matrix([[1, 0, Fraction(1, 2)], [0, 1, 0], [0, 0, 1]]))
+    skew = ut2d_in_basis(SKEW)
     pairs = [
         (ut2d_rescaled(3), ut2d_rescaled(Fraction(1, 7))),
         (ut2d_rescaled(2 ** 70), ut2d_rescaled(Fraction(1, 7))),
@@ -574,25 +583,55 @@ def test_action_whose_masters_all_vanish():
     assert variety_contains(h, h, 2)
 
 
-def test_master_chunks_within_the_byte_cap(monkeypatch):
-    # ranks, containment verdicts and evaluation rows do not depend on how
-    # the masters are cut into chunks; under this cap a chunk of 3^4
-    # columns holds 2 rows
-    skew = ut2d_in_basis(sympy.Matrix([[1, 0, Fraction(1, 2)], [0, 1, 0], [0, 0, 1]]))
+def test_master_span_pieces_within_the_byte_cap(monkeypatch):
+    # ranks and containment verdicts do not depend on how the last degree
+    # of the masters is cut into pieces; under this cap a piece of 3^4
+    # columns holds 2 rows, the lifts of one row of degree 2.  ut2D runs in
+    # int64, the 2^70 rescalings in Python integers
+    skew = ut2d_in_basis(SKEW)
     actions = [preset_action("ut2D"), ut2d_rescaled(2 ** 70), skew]
-    pairs = [(ut2d_rescaled(3), skew), shared_family_presentations("ut2F", "ut2D")]
-    want = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
-            [variety_contains(hA, hB, 3) for hA, hB in pairs], evaluation_rows(skew, 3))
+    pairs = [(ut2d_rescaled(3), skew), shared_family_presentations("ut2F", "ut2D"),
+             (ut2d_rescaled(2 ** 70), ut2d_rescaled(Fraction(1, 7)))]
+    want = ([codimension(h, n) for h in actions for n in (1, 2, 3)], [variety_contains(hA, hB, 3) for hA, hB in pairs])
     monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 256 * 3 ** 4 * 2)
-    assert [len(M) for M, _ in _master_chunks(skew, 2, 3 ** 4)] == [2, 2, 2, 2]
-    got = ([codimension(h, n) for h in actions for n in (1, 2, 3)],
-           [variety_contains(hA, hB, 3) for hA, hB in pairs], evaluation_rows(skew, 3))
-    assert got == want and want[1] == [True, False]
+    lifted = []
+    lift = codim._lift
+    monkeypatch.setattr(codim, "_lift", lambda X, S: (Y := lift(X, S), lifted.append(len(Y)))[0])
+    assert codimension(skew, 3) == want[0][8]
+    assert len(lifted) > 2 and lifted[1:] == [2] * (len(lifted) - 1)
+    got = ([codimension(h, n) for h in actions for n in (1, 2, 3)], [variety_contains(hA, hB, 3) for hA, hB in pairs])
+    assert got == want and want[1] == [True, False, True]
+
+
+def test_codimension_lifts_only_distinct_rows(monkeypatch):
+    # ut2full at n = 7 has 3^8 = 6,561 master rows; the lifting passes the
+    # 9 rows of degree 1 and 3 lifts of each distinct row of degrees 1..6
+    # through _coprime, 189 rows in all
+    rows = []
+    coprime = codim._coprime
+    monkeypatch.setattr(codim, "_coprime", lambda M: (rows.append(len(M)), coprime(M))[1])
+    assert codimension(preset_action("ut2full"), 7) == 578
+    assert sum(rows) == 189
+
+
+def test_master_span_memory_bound():
+    # grassmann_full(4) at n = 2: 16^3 = 4,096 master rows of 4,096
+    # columns, 128 MiB in int64, of which the lifting holds one piece at a
+    # time (the chunked build of all of them peaked at 8.0 MiB traced)
+    h = preset_action("grassmann_full(4)")
+    codimension(h, 1)
+    tracemalloc.start()
+    try:
+        R = _master_span((h,), 2, 16 ** 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(R) == 50 and peak < 7.5 * 2 ** 20
 
 
 def test_variety_contains_budgets_its_master_rows(monkeypatch):
-    # ut2full beside ut2D at n = 3: the 3^4 = 81 joint master rows are
-    # built, the 3! * 3^4 = 486 evaluation rows are not
+    # ut2full beside ut2D at n = 3: the budget counts the 3^4 = 81 joint
+    # master rows, of which the lifting builds only the distinct ones
     pair = shared_family_presentations("ut2full", "ut2D")
     want = variety_contains(*pair, 3)
     monkeypatch.setenv("GENPI_MAX_ROWS", "100")

@@ -66,7 +66,28 @@ def test_broken_pair_has_witness():
     A = builtin("ut(2)")
     L = Multiplier.inner(A.basis_element(2)).L
     w = multiplier_violation(A, RatMatrix.identity(3), L)
-    assert w is not None and len(w) == 3
+    assert w == ("R(a)b=aL(b)", 0, 0)
+
+
+def test_witness_is_the_first_failing_law():
+    # (law, i, j): the first basis pair (i, j) in order, and within it the
+    # laws in the order right, left, link
+    ut2, mat2, grass = builtin("ut(2)"), builtin("mat(2)"), builtin("grassmann_unital(2)")
+    e11, e12 = Multiplier.inner(ut2.basis_element(0)), Multiplier.inner(mat2.basis_element(1))
+    g1 = Multiplier.inner(grass.basis_element(1))
+    cases = [
+        (ut2, e11.R, RatMatrix.identity(3), ("R(a)b=aL(b)", 1, 1)),
+        (ut2, e11.L, e11.R, ("L(ab)=L(a)b", 0, 2)),
+        (mat2, e12.L, e12.R, ("L(ab)=L(a)b", 0, 0)),
+        (mat2, RatMatrix.identity(4).scale(2), RatMatrix.identity(4), ("R(a)b=aL(b)", 0, 0)),
+        (grass, g1.L, g1.R, ("L(ab)=L(a)b", 0, 2)),
+        (grass, g1.R, g1.L, None),
+        (grass, RatMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, Fraction(1, 2)]]),
+         RatMatrix.identity(4), ("R(ab)=aR(b)", 1, 0)),
+        (builtin("zero_mult(2)"), RatMatrix.from_rows([[1, 2], [3, 4]]), RatMatrix.zeros(2, 2), None),
+    ]
+    for A, R, L, want in cases:
+        assert multiplier_violation(A, R, L) == want, (A, want)
 
 
 def test_operators_must_be_d_by_d():

@@ -13,7 +13,7 @@ import sympy
 from genpi import _specht
 from genpi._specht import _orbits, _partitions, _standard_permutations, isotypic_blocks
 from genpi.actions import preset_action, shared_family_presentations
-from genpi.codim import _chunk_rows, _joint_masters, _master_chunks, _module_generators, codimension, variety_contains
+from genpi.codim import _chunk_rows, _master_span, codimension, variety_contains
 from specht_oracle import specht_blocks
 from test_codim import ut2d_in_basis
 
@@ -56,14 +56,11 @@ def test_cached_tables_are_read_only():
 
 
 def single_generators(h, n):
-    cols = h.A.dim ** (n + 1)
-    return _module_generators((M for M, _ in _master_chunks(h, n, cols)), cols), (h.A.dim,)
+    return _master_span((h,), n, h.A.dim ** (n + 1)), (h.A.dim,)
 
 
 def joint_generators(hA, hB, n):
-    cols = hA.A.dim ** (n + 1) + hB.A.dim ** (n + 1)
-    chunks = zip(_master_chunks(hA, n, cols), _master_chunks(hB, n, cols))
-    return _module_generators((_joint_masters(cA, cB) for cA, cB in chunks), cols), (hA.A.dim, hB.A.dim)
+    return _master_span((hA, hB), n, hA.A.dim ** (n + 1) + hB.A.dim ** (n + 1)), (hA.A.dim, hB.A.dim)
 
 
 DENSE_UNIMODULAR = sympy.Matrix([[2, 1, 1], [1, 1, 1], [1, 1, 2]])
