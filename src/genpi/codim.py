@@ -77,10 +77,18 @@ e_1..e_k goes to a slot or to none, each slot gets a parity, and the output
 word is fixed.  Every evaluation column at any truncation level is zero or
 +- one of these columns, and all of them occur from level k + n on, so its
 rank is the codimension and its left kernel the identities
-(_grassmann_stabilized, where the lemma is).  Its +-1 entries come from
-one sign table over the word masks of the k + n letters, gathered factor
-by factor for all monomials of a chunk of classes at once
-(_grassmann_matrix).
+(_grassmann_stabilized, where the lemma is).  Only the block of the
+identity variable order is gathered, from one sign table over the word
+masks of the k + n letters, factor by factor for all coefficient tuples of
+a chunk of classes at once (_grassmann_block).  S_n acts on the parity
+classes, and the block of any other order is the identity block with its
+columns permuted and signed (_grassmann_matrix, where that lemma is); the
+generator checks and the degree-1 kernel pull those blocks one at a time,
+and the rank reads only the images of the identity block's distinct rows,
+which are the distinct nonzero rows of the matrix (_grassmann_rank), so
+the n! * s^(n+1) rows are never written.  The class permutation, its signs and the other tables of a
+shape (k, n) are built once per process.  k = 0 is the ordinary exterior
+algebra, acted on by F alone.
 """
 
 from __future__ import annotations
@@ -121,10 +129,10 @@ _INT64_LIMIT = 1 << 63
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard of the master rows and of the kernel's matrix
 # byte cap of one dense int64 buffer: the transposed matrix of the kernel,
-# 256 pieces of the last degree of a master span; of the int8 Grassmann
-# parity-class matrix, which its rank and kernel read in place, a group of
-# BLOCK rows at a time; and, through _stream_rows, of the rows of a list of
-# the sparse consequence stream, had they been dense
+# 256 pieces of the last degree of a master span; of each Grassmann table
+# (the identity block, the sign table, the class table) and 256 chunks of
+# the images of the identity block's rows; and, through _stream_rows, of
+# the rows of a list of the sparse consequence stream, had they been dense
 STREAM_BYTES = 1 << 28
 STREAM_ROWS = 1024  # most rows of a list of the consequence stream
 
@@ -143,6 +151,13 @@ def _check_budget(rows: int, cols: int):
 def _check_degree(n: int):
     if n < 1:
         raise BadDegree(f"degree must be >= 1, got {n}")
+
+
+def _check_bytes(rows: int, cols: int, itemsize: int = 1):
+    """Raise BudgetExceeded, before an array of rows x cols items of
+    itemsize bytes is allocated, when its bytes are over STREAM_BYTES."""
+    if rows * cols * itemsize > STREAM_BYTES:
+        raise BudgetExceeded(rows, cols, STREAM_BYTES // (itemsize * cols))
 
 
 def _stream_rows(ncols: int) -> int:
@@ -311,12 +326,17 @@ def _distinct_rows(X: np.ndarray) -> np.ndarray:
     in order of first occurrence.  A repeated master only repeats rows of
     every permutation block, and a positive multiple of a row lifts to a
     multiple of its lift (_lift), so the ranks need these rows alone."""
-    X = _coprime(X)[0]
+    return _first_rows(_coprime(X)[0])
+
+
+def _first_rows(X: np.ndarray) -> np.ndarray:
+    """The distinct nonzero rows of X, in order of first occurrence."""
     keys = map(tuple, X.tolist()) if X.dtype == object else map(bytes, X)
     first: dict = {}
     for i, key in enumerate(keys):
         first.setdefault(key, i)
-    return X[sorted(i for i in first.values() if X[i].any())]
+    X = X[list(first.values())]
+    return X[(X != 0).any(axis=1)]
 
 
 def _groups(blocks):
@@ -388,8 +408,7 @@ def identity_kernel_basis(h: Action, n: int) -> Subspace:
     rows = basis_size(n, h.s)
     cols = h.A.dim ** n * h.A.dim
     _check_budget(rows, cols)
-    if 8 * rows * cols > STREAM_BYTES:
-        raise BudgetExceeded(rows, cols, STREAM_BYTES // (8 * cols))
+    _check_bytes(rows, cols, 8)
     M, scales = _masters(h, n)
     m = len(M)
     E = np.empty((rows, cols), dtype=M.dtype)
@@ -944,74 +963,193 @@ def variety_contains(hA: Action, hB: Action, n: int) -> bool:
 # -- truncated exterior algebras -----------------------------------------------------
 
 
+@cache
 def _sign_table(letters: int) -> np.ndarray:
     """sgn[u, v] for the words u and v over the given number of letters, as
     bitmasks (bit i - 1 for e_i): 0 when they share a letter, else the sign
-    (-1)^#{a in u, b in v : a > b} that sorts the product uv (int8)."""
+    (-1)^#{a in u, b in v : a > b} that sorts the product uv (int8, and
+    read-only, as the cache shares it).  Its 4^letters bytes, the size of
+    each int8 temporary too, are checked against STREAM_BYTES first."""
+    _check_bytes(1 << letters, 1 << letters)
     m = np.arange(1 << letters)
-    odd = np.zeros(len(m), dtype=np.int8)  # parity of the number of letters
-    for a in range(letters):
-        odd ^= (m >> a & 1).astype(np.int8)
+    bits = (m >> np.arange(letters)[:, None] & 1).astype(np.int8)  # bits[a, u]: e_(a+1) in u
+    odd = np.bitwise_xor.reduce(bits, axis=0)  # parity of the number of letters
     swaps = np.zeros((len(m), len(m)), dtype=np.int8)  # parity of the inversions
-    for a in range(letters):
-        swaps ^= (m >> a & 1).astype(np.int8)[:, None] & odd[m & (1 << a) - 1]
-    return np.where(m[:, None] & m, 0, 1 - 2 * swaps).astype(np.int8)
+    meet = np.zeros_like(swaps)  # whether the words share a letter
+    for a, bit in enumerate(bits):
+        swaps ^= bit[:, None] & odd[m & (1 << a) - 1]
+        meet |= bit[:, None] & bit
+    table = (1 - 2 * swaps) * (1 - meet)
+    table.flags.writeable = False
+    return table
 
 
+@cache
 def _parity_classes(k: int, n: int):
-    """(slots, held) of the parity classes at degree n: each of e_1..e_k
-    goes to one slot 1..n or to none, and slot i holds those letters, then
-    e_(k+i) when its parity is odd.  Row c of slots holds the masks of the
-    n slot words of class c, and held[c] the mask of its letters among
-    e_1..e_k."""
-    assign = np.array(list(product(range(n + 1), repeat=k)))
+    """(slots, col) of the parity classes at degree n, read-only, as the
+    cache shares them.  A class sends each of e_1..e_k to one slot 1..n or
+    to none and gives each slot a parity; class a * 2^n + q has the slots of
+    e_1..e_k numbered a in product(range(n + 1), repeat=k) and the parities
+    numbered q in product((0, 1), repeat=n).  Slot i holds its letters,
+    then e_(k+i) when it is odd, and row c of slots holds the masks of the
+    n slot words of class c.  col[c, o] is the column of the pair (class c,
+    output o), o the mask of the letters among e_1..e_k of an output word,
+    for the o that hold every letter of c, class by class and o ascending;
+    it is -1 for the other o."""
+    assign = np.array(list(product(range(n + 1), repeat=k)), dtype=np.int64)
     small = ((assign[:, :, None] == np.arange(1, n + 1)) << np.arange(k)[:, None]).sum(axis=1)
     odd = np.array(list(product((0, 1), repeat=n))) << k + np.arange(n)
-    return (small[:, None] | odd).reshape(-1, n), np.repeat(small.sum(axis=1), len(odd))
+    held = np.repeat(small.sum(axis=1), len(odd))  # the letters among e_1..e_k of each class
+    has = np.arange(1 << k) & held[:, None] == held[:, None]
+    slots, col = (small[:, None] | odd).reshape(-1, n), np.where(has, np.cumsum(has).reshape(has.shape) - 1, -1)
+    slots.flags.writeable = col.flags.writeable = False
+    return slots, col
 
 
-def _grassmann_matrix(k: int, n: int) -> np.ndarray:
-    """The degree-n parity-class matrix of the k-generator action on the
-    exterior algebra (see _grassmann_stabilized), with int8 entries 0 and
-    +-1.  Rows are the monomials in enumerate_basis order; columns are the
-    pairs (class, output word), the output holding every letter of the
-    class (_parity_classes), class by class.  Entry: the sign of the
-    product w_0 u_s(1) w_1 ... u_s(n) w_n of the basis words, u_i the word
-    of slot i, taken factor by factor from one sign table over the k + n
-    letters (sign *= sgn[acc, f]; acc |= f) on all monomials of a chunk of
-    classes at once, as many classes as _chunk_rows gives rows of that
-    width.  BudgetExceeded is raised before the matrix is allocated when
-    its bytes are over STREAM_BYTES."""
-    if k < 1 or n < 1:
-        raise BadDegree(f"need k >= 1 and n >= 1, got k = {k}, n = {n}")
+@cache
+def _class_table(k: int, n: int):
+    """(moved, signs) of S_n on the parity classes at degree n (int32 and
+    int8, read-only, as the cache shares them): for the orders p in
+    permutations(range(n)) order, moved[p, c] is the class c.p whose slot j
+    holds the letters among e_1..e_k and the parity of slot p[j] of class c
+    (_parity_classes), and signs[p, c] is
+
+        eps_p(c) = (-1)^#{i < j : p[i] > p[j], slots p[i] and p[j] of c odd}.
+
+    Its 5 bytes per (order, class) are checked against STREAM_BYTES first."""
+    perms = np.array(list(permutations(range(n))))
+    assign = np.array(list(product(range(n + 1), repeat=k)), dtype=np.int64)
+    odd = np.array(list(product((0, 1), repeat=n)))
+    _check_bytes(len(perms), len(assign) * len(odd), 5)
+    inverse = np.argsort(perms, axis=1)
+    # the letters of slot a of c (1-based, 0 for none) lie in slot
+    # inverse[p][a - 1] + 1 of c.p; the parity of slot a of c (0-based) is
+    # that of slot inverse[p][a] of c.p
+    to = np.hstack([np.zeros((len(perms), 1), dtype=inverse.dtype), inverse + 1])
+    a = (to[:, assign] @ (n + 1) ** np.arange(k - 1, -1, -1)).astype(np.int32)
+    q = ((1 << n - 1 - inverse) @ odd.T).astype(np.int32)
+    moved = (a[:, :, None] << n | q[:, None, :]).reshape(len(perms), -1)
+    # the inversions of p as pairs of slots (a > b with a placed before b)
+    # against the pairs of odd slots: counts below n^2, exact in float32
+    inversions = (np.arange(n)[:, None] > np.arange(n)) & (inverse[:, :, None] < inverse[:, None, :])
+    pairs = (odd[:, :, None] & odd[:, None, :]).reshape(len(odd), -1)
+    flips = (inversions.reshape(len(perms), -1).astype(np.float32) @ pairs.T.astype(np.float32)).astype(np.int32) & 1
+    signs = np.tile((1 - 2 * flips).astype(np.int8), len(assign))
+    moved.flags.writeable = signs.flags.writeable = False
+    return moved, signs
+
+
+def _column_maps(k: int, n: int, lo: int, hi: int):
+    """(maps, signs) of the orders lo..hi-1 (int64 and int8, one row per
+    order): column j of the block of order p is signs[p - lo, j] times
+    column maps[p - lo, j] of the identity block (the lemma of
+    _grassmann_matrix)."""
+    col = _parity_classes(k, n)[1]
+    moved, signs = _class_table(k, n)
+    cls, out = np.nonzero(col >= 0)  # the class and the output of each column
+    return col[moved[lo:hi, cls], out], signs[lo:hi, cls]
+
+
+def _grassmann_block(k: int, n: int) -> np.ndarray:
+    """The block of the identity order of the degree-n parity-class matrix
+    of the k-generator action (see _grassmann_stabilized), with int8
+    entries 0 and +-1.  Rows are the coefficient tuples (w_0, ..., w_n) in
+    product order, the first s^(n+1) monomials of enumerate_basis; columns
+    are the pairs (class, output word), the output holding every letter of
+    the class (_parity_classes).  Entry: the sign of the product
+    w_0 u_1 w_1 ... u_n w_n of the basis words, u_i the word of slot i,
+    taken factor by factor from one sign table over the k + n letters
+    (sign *= sgn[acc, f]; acc |= f) on all tuples of a chunk of classes at
+    once, as many classes as _chunk_rows gives rows of that width.
+    BudgetExceeded is raised before the block is allocated when its bytes
+    are over STREAM_BYTES.  k = 0 is the exterior algebra acted on by F
+    alone (s = 1)."""
+    if k < 0 or n < 1:
+        raise BadDegree(f"need k >= 0 and n >= 1, got k = {k}, n = {n}")
     wm = np.array([_word_mask(w) for w in _grassmann_words(k, True)])
     s = len(wm)
-    slots, held = _parity_classes(k, n)
-    outputs = np.arange(1 << k)  # the letters among e_1..e_k of an output word
-    has = outputs & held[:, None] == held[:, None]
-    col = np.cumsum(has).reshape(has.shape) - 1  # column of (class, output) where has
-    rows, ncols = basis_size(n, s), int(has.sum())
-    if rows * ncols > STREAM_BYTES:
-        raise BudgetExceeded(rows, ncols, STREAM_BYTES // ncols)
+    slots, col = _parity_classes(k, n)
+    rows, ncols = s ** (n + 1), int(col.max()) + 1
+    _check_bytes(rows, ncols)
     sgn = _sign_table(k + n)
-    perms = np.array(list(permutations(range(n))))
-    M = np.zeros((rows, ncols), dtype=np.int8)
+    B = np.zeros((rows, ncols), dtype=np.int8)
     ones, size = (1,) * (n + 1), _chunk_rows(rows)
     for lo in range(0, len(slots), size):
         U = slots[lo : lo + size]
-        # axes: class, permutation, coefficient slots 0..n
-        acc, sign = wm.reshape(1, 1, s, *ones[1:]), 1
+        # axes: class, coefficient slots 0..n
+        acc, sign = wm.reshape(1, s, *ones[1:]), 1
         for t in range(n):
-            for f in (U[:, perms[:, t]].reshape(len(U), len(perms), *ones),
-                      wm.reshape(1, 1, *ones[: t + 1], s, *ones[t + 2 :])):
+            for f in (U[:, t].reshape(len(U), *ones), wm.reshape(1, *ones[: t + 1], s, *ones[t + 2 :])):
                 sign, acc = sign * sgn[acc, f], acc | f
         out = acc.reshape(len(U), rows) & (1 << k) - 1
-        M[np.arange(rows), np.take_along_axis(col[lo : lo + len(U)], out, axis=1)] = sign.reshape(len(U), rows)
-    return M
+        B[np.arange(rows), np.take_along_axis(col[lo : lo + len(U)], out, axis=1)] = sign.reshape(len(U), rows)
+    return B
 
 
-def _grassmann_rank(M: np.ndarray) -> int:
-    return _span([M], M.shape[1]).rank
+def _grassmann_matrix(k: int, n: int, block: np.ndarray):
+    """The degree-n parity-class matrix of the k-generator action, given
+    its identity block (_grassmann_block), as its n! blocks of rows, one
+    variable order p at a time in permutations(range(n)) order (position t
+    of order p holds x_(p[t]+1)), each made when it is pulled: the rows of
+    the monomials in enumerate_basis order.
+
+    Lemma: column (c, o) of the block of order p is eps_p(c) times column
+    (c.p, o) of the identity block (_class_table).  Proof: the monomial of
+    order p at the slot words of c multiplies, position by position, the
+    same factors as the identity monomial at the slot words of c.p, except
+    that the odd large letter at position j is e_(k+p[j]+1) instead of
+    e_(k+j+1).  The renaming keeps every letter among e_1..e_k and every
+    parity, so one product vanishes iff the other does, and the output
+    letters among e_1..e_k are the same.  The sign of a product is
+    (-1)^(inversions of its letters read left to right): pairs with a
+    letter among e_1..e_k count the same in both, as every large letter
+    sorts after those and sits at the same position, and the large letters
+    of the identity monomial come in increasing order, while those of
+    order p have one inversion for each i < j with p[i] > p[j] and slots
+    p[i] and p[j] of c both odd."""
+    for p in range(factorial(n)):
+        maps, signs = _column_maps(k, n, p, p + 1)
+        yield block[:, maps[0]] * signs[0]
+
+
+def _grassmann_rank(k: int, n: int, block: np.ndarray) -> int:
+    """Rank of the degree-n parity-class matrix of the k-generator action,
+    given its identity block, from the images of the block's distinct
+    rows, which are the distinct nonzero rows of the matrix.
+
+    Lemma: the rows r.T_p, r a distinct nonzero row of the block (_first_rows)
+    and p an order, where (r.T_p)[j] = signs[p, j] * r[maps[p, j]]
+    (_column_maps), are the distinct nonzero rows of the matrix, each once.
+    Proof: the block of order p is the identity block with the one signed
+    column map T_p applied to each row (_grassmann_matrix), so a repeated
+    or a zero row of the identity block is a repeated or a zero row of
+    every block, and T_p is one-to-one.  And a nonzero row of the matrix
+    determines its order p.  Its coefficient words share no letter (else
+    every product vanishes), so no product vanishes at the classes that
+    put no letter of e_1..e_k in a slot.  Let E(S) be its entry at the one
+    of those classes whose odd slots are S, with the output holding every
+    coefficient letter.  E({a, b}) E({}) / (E({a}) E({b})) is -1 exactly
+    when e_(k+a+1) and e_(k+b+1) stand out of order, since each meets the
+    same small letters with the other or without it: so the row says
+    whether x_(a+1) comes before x_(b+1), for every a and b, which fixes p.
+    Hence r.T_p = r'.T_q gives p = q, then r = r'.
+
+    The images are made for a chunk of orders at a time, as many as fit
+    1/256 of STREAM_BYTES with their maps (and at least one, checked
+    against STREAM_BYTES), and go to _span as they are; no block and no
+    table of all n! maps is written."""
+    D = _first_rows(block)
+    ncols = block.shape[1]
+    order_bytes = ncols * (9 + len(D))  # maps, signs and images of one order
+    step = min(factorial(n), max(1, (STREAM_BYTES >> 8) // order_bytes))
+    _check_bytes(step, ncols, 9 + len(D))
+
+    def images():
+        for lo in range(0, factorial(n), step):
+            maps, signs = _column_maps(k, n, lo, lo + step)
+            yield (D[:, maps] * signs).reshape(-1, ncols)
+
+    return _span(images(), ncols).rank
 
 
 def _grassmann_stabilized(k: int, n: int):
@@ -1037,15 +1175,21 @@ def _grassmann_stabilized(k: int, n: int):
     e_1..e_k to one slot or none, a parity to each slot and an output
     word; all of them occur from level k + n on.  A matrix keeps its rank
     and left kernel when zero columns, repeats and sign changes of columns
-    are added or dropped, so the parity-class matrix, which is the one
-    built, stands for the evaluation matrix at every level from k + n on."""
-    return _grassmann_rank(_grassmann_matrix(k, n)), k + n
+    are added or dropped, so the parity-class matrix stands for the
+    evaluation matrix at every level from k + n on.  Only its identity
+    block is built (_grassmann_block); S_n acts on the columns of that
+    block by signed permutations that give the other blocks
+    (_grassmann_matrix), and the rank reads the distinct rows alone
+    (_grassmann_rank)."""
+    return _grassmann_rank(k, n, _grassmann_block(k, n)), k + n
 
 
 def grassmann_codim_stabilized(k: int, n: int) -> int:
     """Codimension of the k-generator action on the exterior algebra at
     degree n, computed on the truncation at level k + n, from which on it
-    is proved constant (see _grassmann_stabilized)."""
+    is proved constant (see _grassmann_stabilized).  k = 0 is the ordinary
+    exterior algebra, with c_n = 2^(n-1) (Krakowski & Regev, Trans. AMS
+    181, 1973)."""
     return _grassmann_stabilized(k, n)[0]
 
 
@@ -1060,11 +1204,13 @@ def verify_grassmann_generating_set(k: int, n: int, generators=None) -> bool:
     """Generating-set certificate for the k-generator action at degree n,
     with the identity kernels taken at truncation level k + n, where every
     kernel of degree <= n is final (see _grassmann_stabilized): _verify on
-    the parity-class matrices, one per degree, each built once per call."""
-    matrix = cache(partial(_grassmann_matrix, k))
+    the parity-class matrices, one per degree, each identity block built
+    once per call and the other blocks made as they are pulled."""
+    block = cache(partial(_grassmann_block, k))
     h = grassmann_action(k, k)  # coefficient structure only; A unused below
     gens = grassmann_generators(k) if generators is None else generators
-    return _verify(gens, h, n, lambda d: ([matrix(d)], None), lambda: _grassmann_rank(matrix(n)))
+    return _verify(gens, h, n, lambda d: (_grassmann_matrix(k, d, block(d)), None),
+                   lambda: _grassmann_rank(k, n, block(n)))
 
 
 # -- growth reports ----------------------------------------------------------------

@@ -1,9 +1,15 @@
-"""The orbit construction of the Grassmann evaluation rows, kept as a test
-oracle for the parity-class matrix of genpi.codim: an independent, slow
-build of the evaluation matrix of the k-generator action on the
-m-generator truncation, at any level m."""
+"""Two test oracles for the parity-class matrix of genpi.codim.
 
-from itertools import product
+The orbit construction of the Grassmann evaluation rows: an independent,
+slow build of the evaluation matrix of the k-generator action on the
+m-generator truncation, at any level m.
+
+The all-orders gather builder (parity_class_matrix): the parity-class
+matrix written out in full, every variable order by its own sign-table
+gathers, with no use of the S_n action on the classes.
+"""
+
+from itertools import permutations, product
 
 import numpy as np
 
@@ -94,3 +100,61 @@ def orbit_kernel(k: int, m: int, n: int):
     of the full one (linalg.reversed_kernel of its reversed columns)."""
     M = orbit_matrix(k, m, n)
     return reversed_kernel(_span([M.T[:, ::-1]], M.shape[0]))
+
+
+def sign_table(letters: int) -> np.ndarray:
+    """sgn[u, v] for the words u and v over the given number of letters, as
+    bitmasks (bit i - 1 for e_i): 0 when they share a letter, else the sign
+    (-1)^#{a in u, b in v : a > b} that sorts the product uv (int8)."""
+    m = np.arange(1 << letters)
+    odd = np.zeros(len(m), dtype=np.int8)  # parity of the number of letters
+    for a in range(letters):
+        odd ^= (m >> a & 1).astype(np.int8)
+    swaps = np.zeros((len(m), len(m)), dtype=np.int8)  # parity of the inversions
+    for a in range(letters):
+        swaps ^= (m >> a & 1).astype(np.int8)[:, None] & odd[m & (1 << a) - 1]
+    return np.where(m[:, None] & m, 0, 1 - 2 * swaps).astype(np.int8)
+
+
+def parity_classes(k: int, n: int):
+    """(slots, held) of the parity classes at degree n: each of e_1..e_k
+    goes to one slot 1..n or to none, and slot i holds those letters, then
+    e_(k+i) when its parity is odd.  Row c of slots holds the masks of the
+    n slot words of class c, and held[c] the mask of its letters among
+    e_1..e_k."""
+    assign = np.array(list(product(range(n + 1), repeat=k)))
+    small = ((assign[:, :, None] == np.arange(1, n + 1)) << np.arange(k)[:, None]).sum(axis=1)
+    odd = np.array(list(product((0, 1), repeat=n))) << k + np.arange(n)
+    return (small[:, None] | odd).reshape(-1, n), np.repeat(small.sum(axis=1), len(odd))
+
+
+def parity_class_matrix(k: int, n: int) -> np.ndarray:
+    """The degree-n parity-class matrix of the k-generator action, all n!
+    variable orders gathered at once.  Rows are the monomials in
+    enumerate_basis order; columns are the pairs (class, output word), the
+    output holding every letter of the class, class by class and outputs
+    ascending.  Entry: the sign of the product w_0 u_s(1) w_1 ... u_s(n) w_n
+    of the basis words, u_i the word of slot i, taken factor by factor from
+    the sign table (sign *= sgn[acc, f]; acc |= f) on all monomials of one
+    class at a time."""
+    wm = np.array([_word_mask(w) for w in _grassmann_words(k, True)])
+    s = len(wm)
+    slots, held = parity_classes(k, n)
+    outputs = np.arange(1 << k)
+    has = outputs & held[:, None] == held[:, None]
+    col = np.cumsum(has).reshape(has.shape) - 1  # column of (class, output) where has
+    sgn = sign_table(k + n)
+    perms = np.array(list(permutations(range(n))))
+    rows = len(perms) * s ** (n + 1)
+    M = np.zeros((rows, int(has.sum())), dtype=np.int8)
+    ones = (1,) * (n + 1)
+    for c, U in enumerate(slots):
+        # axes: permutation, coefficient slots 0..n
+        acc, sign = wm.reshape(1, s, *ones[1:]), 1
+        for t in range(n):
+            for f in (U[perms[:, t]].reshape(len(perms), *ones),
+                      wm.reshape(1, *ones[: t + 1], s, *ones[t + 2 :])):
+                sign, acc = sign * sgn[acc, f], acc | f
+        out = acc.reshape(rows) & (1 << k) - 1
+        M[np.arange(rows), col[c, out]] = sign.reshape(rows)
+    return M

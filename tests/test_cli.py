@@ -67,6 +67,7 @@ GOLDEN = [
         0,
     ),
     (["codim", "grassmann", "-k", "2", "-n", "1"], "7\n", 0),
+    (["codim", "grassmann", "-k", "0", "-n", "4"], "8\n", 0),
     (["poly", "check", "ut2D", "[x1,x2]-[x1,x2,w1]"], "identity: True\n", 0),
     (
         ["poly", "check", "ut2full", "[x1,x2]"],
@@ -187,6 +188,11 @@ def test_generator_of_two_components_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_degree_below_one_exit_code(capsys, argv, n):
     assert main(["codim", *argv, n]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_negative_generator_count_exit_code(capsys):
+    assert main(["codim", "grassmann", "-k", "-1", "-n", "2"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

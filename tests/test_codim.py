@@ -5,7 +5,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -30,6 +30,8 @@ from genpi.multipliers import Multiplier
 from genpi.codim import (
     _distinct_rows,
     _evaluation_blocks,
+    _first_rows,
+    _grassmann_block,
     _grassmann_matrix,
     _grassmann_rank,
     _grassmann_stabilized,
@@ -54,7 +56,7 @@ from genpi.codim import (
 )
 from genpi.polynomials import GenMonomial, basis_size, enumerate_basis, parse, resolve, symbol_words, vectorize_words
 from evaluation_oracle import evaluate
-from grassmann_oracle import orbit_kernel, orbit_rank
+from grassmann_oracle import orbit_kernel, orbit_rank, parity_class_matrix
 
 
 def sympy_rank(rows_dicts, ncols):
@@ -566,9 +568,9 @@ def test_non_polynomial_generator_is_a_genpi_error():
     assert isinstance(e.value, TypeError)
 
 
-def test_grassmann_needs_a_generator():
-    with pytest.raises(BadDegree, match="k >= 1"):
-        grassmann_codim_stabilized(0, 2)
+def test_grassmann_rejects_a_negative_generator_count():
+    with pytest.raises(BadDegree, match="k >= 0"):
+        grassmann_codim_stabilized(-1, 2)
 
 
 def test_action_whose_masters_all_vanish():
@@ -670,20 +672,43 @@ def test_grassmann_values_at_level_k_plus_n():
 
 
 def test_grassmann_values_past_the_orbit_rows():
-    # the orbit rows took about 50 s for (1, 5) and 119 s for (2, 4)
-    for (k, n), want in {(1, 4): 24, (1, 5): 48, (2, 4): 56}.items():
+    # past the reach of the orbit-row oracle (tests/grassmann_oracle.py),
+    # which took about 50 s at (1, 5) and 119 s at (2, 4); pinned at the
+    # ranks of the all-orders matrix
+    for (k, n), want in {(1, 4): 24, (1, 5): 48, (2, 4): 56, (3, 3): 60, (1, 6): 96}.items():
         assert grassmann_codim_stabilized(k, n) == want, (k, n)
 
 
+GRASSMANN_TABLES = (codim._sign_table, codim._parity_classes, codim._class_table)
+
+
 def test_grassmann_matrix_checks_the_byte_cap(monkeypatch):
-    # (1, 3): 96 rows x 40 columns of int8
-    monkeypatch.setattr(codim, "STREAM_BYTES", 96 * 40)
+    def cap(size):
+        # the cached tables are built again, and checked, under the new cap
+        monkeypatch.setattr(codim, "STREAM_BYTES", size)
+        for table in GRASSMANN_TABLES:
+            table.cache_clear()
+
+    checked = []
+    check = codim._check_bytes
+    monkeypatch.setattr(codim, "_check_bytes", lambda *a: checked.append(a) or check(*a))
+    cap(codim.STREAM_BYTES)
     assert grassmann_codim_stabilized(1, 3) == 12
-    monkeypatch.setattr(codim, "STREAM_BYTES", 96 * 40 - 1)
-    with pytest.raises(BudgetExceeded):
+    # (1, 3): the identity block (16 x 40 int8), the sign table (16 x 16
+    # int8), all 6 orders of images of the 5 distinct rows (6 x 40 x
+    # (9 + 5) bytes with their maps and signs) and the class table (6
+    # orders x 32 classes x 5 bytes)
+    assert sorted(checked) == [(6, 32, 5), (6, 40, 14), (16, 16), (16, 40)]
+    # at the cap of the class table, the images come one order at a time
+    cap(6 * 32 * 5)
+    assert grassmann_codim_stabilized(1, 3) == 12
+    cap(6 * 32 * 5 - 1)
+    with pytest.raises(BudgetExceeded) as e:
         grassmann_codim_stabilized(1, 3)
-    # (2, 4): 24,576 rows x 576 columns, 13.5 MiB, refused unallocated
-    monkeypatch.setattr(codim, "STREAM_BYTES", 2 ** 20)
+    assert (e.value.rows, e.value.cols) == (6, 32)
+    # (2, 4): an identity block of 1,024 rows x 576 columns, 576 KiB,
+    # refused unallocated
+    cap(2 ** 19)
     tracemalloc.start()
     try:
         with pytest.raises(GenpiError) as e:
@@ -691,8 +716,57 @@ def test_grassmann_matrix_checks_the_byte_cap(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(e.value, BudgetExceeded) and (e.value.rows, e.value.cols) == (24576, 576)
+    assert isinstance(e.value, BudgetExceeded) and (e.value.rows, e.value.cols) == (1024, 576)
     assert peak < 2 ** 18
+
+
+def test_grassmann_rank_never_holds_the_full_matrix():
+    # (2, 4): the full parity-class matrix is 24,576 x 576 int8, 13.5 MiB;
+    # the call peaks at 3.8 MiB traced with its tables built afresh
+    for table in GRASSMANN_TABLES:
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        assert grassmann_codim_stabilized(2, 4) == 56
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
+def test_cached_grassmann_tables_are_read_only():
+    tables = [codim._sign_table(3), *codim._parity_classes(2, 2), *codim._class_table(2, 2)]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table.flat[0] = 0
+
+
+GRASSMANN_GRID = [(k, n) for k in range(4) for n in range(1, 6) if (n <= 4 and k + n <= 6) or k == 0]
+
+
+@pytest.mark.parametrize("k, n", GRASSMANN_GRID)
+def test_parity_class_matrix_matches_the_all_orders_builder(k, n):
+    # the blocks of the signed column maps, byte for byte; the images of
+    # the distinct rows of the identity block, one per distinct nonzero row
+    # of the matrix; and their rank against that of every row
+    block = _grassmann_block(k, n)
+    M = parity_class_matrix(k, n)
+    assert np.concatenate(list(_grassmann_matrix(k, n, block))).tobytes() == M.tobytes()
+    assert M.dtype == np.int8 and M.shape[0] == basis_size(n, 2 ** k)
+    assert len(_first_rows(M)) == factorial(n) * len(_first_rows(block))
+    assert _grassmann_rank(k, n, block) == _span([M], M.shape[1]).rank
+
+
+def test_ordinary_grassmann_codimensions():
+    # c_n(E) = 2^(n-1) (Krakowski & Regev, Trans. AMS 181, 1973)
+    assert [grassmann_codim_stabilized(0, n) for n in range(1, 8)] == [2 ** (n - 1) for n in range(1, 8)]
+
+
+def test_ordinary_grassmann_generating_set():
+    # [x1,x2,x3] generates the identities of E (Krakowski & Regev)
+    for n in range(1, 5):
+        assert verify_grassmann_generating_set(0, n, ["[x1,x2,x3]"]), n
+    assert not verify_grassmann_generating_set(0, 4, ["[x1,x2]*[x3,x4]"])
 
 
 def test_grassmann_levels_k_plus_n_and_next_agree():
@@ -707,9 +781,10 @@ def test_parity_class_matrix_matches_orbit_oracle():
     # the matrix that is built has the rank and the left kernel of the orbit
     # rows at the proved level and at the next one
     for k, n in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)):
-        M = _grassmann_matrix(k, n)
+        block = _grassmann_block(k, n)
+        M = np.concatenate(list(_grassmann_matrix(k, n, block)))
         assert M.shape[0] == basis_size(n, 2 ** k)
-        rank, kernel = _grassmann_rank(M), _left_kernel(M)
+        rank, kernel = _grassmann_rank(k, n, block), _left_kernel(M)
         for m in (k + n, k + n + 1):
             assert orbit_rank(k, m, n) == rank, (k, n, m)
             assert orbit_kernel(k, m, n) == kernel, (k, n, m)

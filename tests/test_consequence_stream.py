@@ -24,7 +24,7 @@ from genpi.codim import (
     _extensions,
     _generator_vectors,
     _generator_words,
-    _grassmann_matrix,
+    _grassmann_block,
     _groups,
     _left_kernel,
     _span,
@@ -170,7 +170,7 @@ def _stream_case(name):
     """(action, generators, degree) of a STREAM_CASES entry."""
     preset, gens, with_structural, n = STREAM_CASES[name]
     if preset == "grassmann":
-        return grassmann_action(1, 1), list(gens) + _degree_one_words(_left_kernel(_grassmann_matrix(1, 1)), 2), n
+        return grassmann_action(1, 1), list(gens) + _degree_one_words(_left_kernel(_grassmann_block(1, 1)), 2), n
     h = preset_action(preset) if preset else fractional_w_action()
     return h, list(gens) + (structural_identities(h) if with_structural else []), n
 
