@@ -86,9 +86,10 @@ columns permuted and signed (_grassmann_matrix, where that lemma is); the
 generator checks and the degree-1 kernel pull those blocks one at a time,
 and the rank reads only the images of the identity block's distinct rows,
 which are the distinct nonzero rows of the matrix (_grassmann_rank), so
-the n! * s^(n+1) rows are never written.  The class permutation, its signs and the other tables of a
-shape (k, n) are built once per process.  k = 0 is the ordinary exterior
-algebra, acted on by F alone.
+the n! * s^(n+1) rows are never written.  The class permutation, its
+signs and the other tables of a shape (k, n) are built once per process,
+each checked against STREAM_BYTES before it is made.  k = 0 is the
+ordinary exterior algebra, acted on by F alone.
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard of the master rows and of the kernel's matrix
 # byte cap of one dense int64 buffer: the transposed matrix of the kernel,
 # 256 pieces of the last degree of a master span; of each Grassmann table
-# (the identity block, the sign table, the class table) and 256 chunks of
-# the images of the identity block's rows; and, through _stream_rows, of
-# the rows of a list of the sparse consequence stream, had they been dense
+# (the identity block, the sign table, the parity classes, the class
+# table) and 256 chunks of the images of the identity block's rows; and,
+# through _stream_rows, of the rows of a list of the sparse consequence
+# stream, had they been dense
 STREAM_BYTES = 1 << 28
 STREAM_ROWS = 1024  # most rows of a list of the consequence stream
 
@@ -968,9 +970,10 @@ def _sign_table(letters: int) -> np.ndarray:
     """sgn[u, v] for the words u and v over the given number of letters, as
     bitmasks (bit i - 1 for e_i): 0 when they share a letter, else the sign
     (-1)^#{a in u, b in v : a > b} that sorts the product uv (int8, and
-    read-only, as the cache shares it).  Its 4^letters bytes, the size of
-    each int8 temporary too, are checked against STREAM_BYTES first."""
-    _check_bytes(1 << letters, 1 << letters)
+    read-only, as the cache shares it).  It is made in place beside two
+    int8 arrays of its size, and those 3 * 4^letters bytes are checked
+    against STREAM_BYTES first."""
+    _check_bytes(1 << letters, 1 << letters, 3)
     m = np.arange(1 << letters)
     bits = (m >> np.arange(letters)[:, None] & 1).astype(np.int8)  # bits[a, u]: e_(a+1) in u
     odd = np.bitwise_xor.reduce(bits, axis=0)  # parity of the number of letters
@@ -979,31 +982,42 @@ def _sign_table(letters: int) -> np.ndarray:
     for a, bit in enumerate(bits):
         swaps ^= bit[:, None] & odd[m & (1 << a) - 1]
         meet |= bit[:, None] & bit
-    table = (1 - 2 * swaps) * (1 - meet)
-    table.flags.writeable = False
-    return table
+    # (1 - 2 * swaps) * (1 - meet)
+    swaps *= -2
+    swaps += 1
+    meet ^= 1
+    swaps *= meet
+    swaps.flags.writeable = False
+    return swaps
 
 
 @cache
 def _parity_classes(k: int, n: int):
-    """(slots, col) of the parity classes at degree n, read-only, as the
-    cache shares them.  A class sends each of e_1..e_k to one slot 1..n or
-    to none and gives each slot a parity; class a * 2^n + q has the slots of
-    e_1..e_k numbered a in product(range(n + 1), repeat=k) and the parities
-    numbered q in product((0, 1), repeat=n).  Slot i holds its letters,
-    then e_(k+i) when it is odd, and row c of slots holds the masks of the
-    n slot words of class c.  col[c, o] is the column of the pair (class c,
-    output o), o the mask of the letters among e_1..e_k of an output word,
-    for the o that hold every letter of c, class by class and o ascending;
-    it is -1 for the other o."""
+    """(slots, col, cls, out) of the parity classes at degree n, read-only,
+    as the cache shares them.  A class sends each of e_1..e_k to one slot
+    1..n or to none and gives each slot a parity; class a * 2^n + q has the
+    slots of e_1..e_k numbered a in product(range(n + 1), repeat=k) and the
+    parities numbered q in product((0, 1), repeat=n).  Slot i holds its
+    letters, then e_(k+i) when it is odd, and row c of slots holds the
+    masks of the n slot words of class c.  col[c, o] is the column of the
+    pair (class c, output o), o the mask of the letters among e_1..e_k of
+    an output word, for the o that hold every letter of c, class by class
+    and o ascending; it is -1 for the other o.  Column j is the pair
+    (cls[j], out[j]).  These and their temporaries, under 32 bytes per
+    (class, o), are checked against STREAM_BYTES first."""
+    _check_bytes((n + 1) ** k << n, 1 << k, 32)
     assign = np.array(list(product(range(n + 1), repeat=k)), dtype=np.int64)
     small = ((assign[:, :, None] == np.arange(1, n + 1)) << np.arange(k)[:, None]).sum(axis=1)
     odd = np.array(list(product((0, 1), repeat=n))) << k + np.arange(n)
     held = np.repeat(small.sum(axis=1), len(odd))  # the letters among e_1..e_k of each class
     has = np.arange(1 << k) & held[:, None] == held[:, None]
-    slots, col = (small[:, None] | odd).reshape(-1, n), np.where(has, np.cumsum(has).reshape(has.shape) - 1, -1)
-    slots.flags.writeable = col.flags.writeable = False
-    return slots, col
+    slots, col = (small[:, None] | odd).reshape(-1, n), np.cumsum(has).reshape(has.shape)
+    col -= 1
+    col[~has] = -1
+    cls, out = (x.astype(np.int32) for x in np.nonzero(has))
+    for table in (slots, col, cls, out):
+        table.flags.writeable = False
+    return slots, col, cls, out
 
 
 @cache
@@ -1016,25 +1030,32 @@ def _class_table(k: int, n: int):
 
         eps_p(c) = (-1)^#{i < j : p[i] > p[j], slots p[i] and p[j] of c odd}.
 
-    Its 5 bytes per (order, class) are checked against STREAM_BYTES first."""
-    perms = np.array(list(permutations(range(n))))
-    assign = np.array(list(product(range(n + 1), repeat=k)), dtype=np.int64)
-    odd = np.array(list(product((0, 1), repeat=n)))
-    _check_bytes(len(perms), len(assign) * len(odd), 5)
-    inverse = np.argsort(perms, axis=1)
+    These and their temporaries, under 24 bytes per (order, class), are
+    checked against STREAM_BYTES before the orders are listed."""
+    _check_bytes(factorial(n), (n + 1) ** k << n, 24)
+    perms = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8, factorial(n) * n).reshape(-1, n)
+    inverse = np.argsort(perms, axis=1).astype(np.int32)
     # the letters of slot a of c (1-based, 0 for none) lie in slot
     # inverse[p][a - 1] + 1 of c.p; the parity of slot a of c (0-based) is
     # that of slot inverse[p][a] of c.p
-    to = np.hstack([np.zeros((len(perms), 1), dtype=inverse.dtype), inverse + 1])
-    a = (to[:, assign] @ (n + 1) ** np.arange(k - 1, -1, -1)).astype(np.int32)
-    q = ((1 << n - 1 - inverse) @ odd.T).astype(np.int32)
+    to = np.hstack([np.zeros((len(perms), 1), dtype=np.int32), inverse + 1])
+    index = np.arange((n + 1) ** k)  # the assignments, digits base n + 1, e_1 first
+    a = np.zeros((len(perms), len(index)), dtype=np.int32)
+    for e in reversed(range(k)):
+        a *= n + 1
+        a += to[:, index // (n + 1) ** e % (n + 1)]
+    odd = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # odd[q, a]: slot a of q odd
+    q = (1 << n - 1 - inverse) @ odd.T.astype(np.int32)
     moved = (a[:, :, None] << n | q[:, None, :]).reshape(len(perms), -1)
     # the inversions of p as pairs of slots (a > b with a placed before b)
     # against the pairs of odd slots: counts below n^2, exact in float32
     inversions = (np.arange(n)[:, None] > np.arange(n)) & (inverse[:, :, None] < inverse[:, None, :])
     pairs = (odd[:, :, None] & odd[:, None, :]).reshape(len(odd), -1)
-    flips = (inversions.reshape(len(perms), -1).astype(np.float32) @ pairs.T.astype(np.float32)).astype(np.int32) & 1
-    signs = np.tile((1 - 2 * flips).astype(np.int8), len(assign))
+    flips = inversions.reshape(len(perms), -1).astype(np.float32) @ pairs.T.astype(np.float32)
+    np.fmod(flips, 2, out=flips)
+    flips *= -2
+    flips += 1
+    signs = np.tile(flips.astype(np.int8), len(index))
     moved.flags.writeable = signs.flags.writeable = False
     return moved, signs
 
@@ -1044,9 +1065,8 @@ def _column_maps(k: int, n: int, lo: int, hi: int):
     order): column j of the block of order p is signs[p - lo, j] times
     column maps[p - lo, j] of the identity block (the lemma of
     _grassmann_matrix)."""
-    col = _parity_classes(k, n)[1]
+    _, col, cls, out = _parity_classes(k, n)
     moved, signs = _class_table(k, n)
-    cls, out = np.nonzero(col >= 0)  # the class and the output of each column
     return col[moved[lo:hi, cls], out], signs[lo:hi, cls]
 
 
@@ -1066,11 +1086,13 @@ def _grassmann_block(k: int, n: int) -> np.ndarray:
     alone (s = 1)."""
     if k < 0 or n < 1:
         raise BadDegree(f"need k >= 0 and n >= 1, got k = {k}, n = {n}")
+    # each of e_1..e_k in one of n slots, or in none and then in the output
+    # or not; a parity for each slot
+    rows, ncols = 1 << k * (n + 1), (n + 2) ** k << n
+    _check_bytes(rows, ncols)
     wm = np.array([_word_mask(w) for w in _grassmann_words(k, True)])
     s = len(wm)
-    slots, col = _parity_classes(k, n)
-    rows, ncols = s ** (n + 1), int(col.max()) + 1
-    _check_bytes(rows, ncols)
+    slots, col = _parity_classes(k, n)[:2]
     sgn = _sign_table(k + n)
     B = np.zeros((rows, ncols), dtype=np.int8)
     ones, size = (1,) * (n + 1), _chunk_rows(rows)
@@ -1109,7 +1131,9 @@ def _grassmann_matrix(k: int, n: int, block: np.ndarray):
     p[i] and p[j] of c both odd."""
     for p in range(factorial(n)):
         maps, signs = _column_maps(k, n, p, p + 1)
-        yield block[:, maps[0]] * signs[0]
+        B = block[:, maps[0]]
+        B *= signs[0]
+        yield B
 
 
 def _grassmann_rank(k: int, n: int, block: np.ndarray) -> int:
@@ -1136,18 +1160,22 @@ def _grassmann_rank(k: int, n: int, block: np.ndarray) -> int:
 
     The images are made for a chunk of orders at a time, as many as fit
     1/256 of STREAM_BYTES with their maps (and at least one, checked
-    against STREAM_BYTES), and go to _span as they are; no block and no
-    table of all n! maps is written."""
+    against STREAM_BYTES), signed in place, and go to _span as they are;
+    no block and no table of all n! maps is written."""
     D = _first_rows(block)
     ncols = block.shape[1]
-    order_bytes = ncols * (9 + len(D))  # maps, signs and images of one order
-    step = min(factorial(n), max(1, (STREAM_BYTES >> 8) // order_bytes))
-    _check_bytes(step, ncols, 9 + len(D))
+    # per order and column: the map (int64) and its int32 gather, the
+    # sign, and the images
+    itemsize = 13 + len(D)
+    step = min(factorial(n), max(1, (STREAM_BYTES >> 8) // (ncols * itemsize)))
+    _check_bytes(step, ncols, itemsize)
 
     def images():
         for lo in range(0, factorial(n), step):
             maps, signs = _column_maps(k, n, lo, lo + step)
-            yield (D[:, maps] * signs).reshape(-1, ncols)
+            X = D[:, maps]
+            X *= signs
+            yield X.reshape(-1, ncols)
 
     return _span(images(), ncols).rank
 

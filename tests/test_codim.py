@@ -694,15 +694,16 @@ def test_grassmann_matrix_checks_the_byte_cap(monkeypatch):
     monkeypatch.setattr(codim, "_check_bytes", lambda *a: checked.append(a) or check(*a))
     cap(codim.STREAM_BYTES)
     assert grassmann_codim_stabilized(1, 3) == 12
-    # (1, 3): the identity block (16 x 40 int8), the sign table (16 x 16
-    # int8), all 6 orders of images of the 5 distinct rows (6 x 40 x
-    # (9 + 5) bytes with their maps and signs) and the class table (6
-    # orders x 32 classes x 5 bytes)
-    assert sorted(checked) == [(6, 32, 5), (6, 40, 14), (16, 16), (16, 40)]
+    # (1, 3): the identity block (16 x 40 int8), the parity classes (32
+    # classes x 2 outputs x 32 bytes), the sign table (16 x 16 x 3 int8),
+    # all 6 orders of images of the 5 distinct rows (6 x 40 x (13 + 5)
+    # bytes with their maps and signs) and the class table (6 orders x 32
+    # classes x 24 bytes)
+    assert sorted(checked) == [(6, 32, 24), (6, 40, 18), (16, 16, 3), (16, 40), (32, 2, 32)]
     # at the cap of the class table, the images come one order at a time
-    cap(6 * 32 * 5)
+    cap(6 * 32 * 24)
     assert grassmann_codim_stabilized(1, 3) == 12
-    cap(6 * 32 * 5 - 1)
+    cap(6 * 32 * 24 - 1)
     with pytest.raises(BudgetExceeded) as e:
         grassmann_codim_stabilized(1, 3)
     assert (e.value.rows, e.value.cols) == (6, 32)
@@ -718,6 +719,19 @@ def test_grassmann_matrix_checks_the_byte_cap(monkeypatch):
         tracemalloc.stop()
     assert isinstance(e.value, BudgetExceeded) and (e.value.rows, e.value.cols) == (1024, 576)
     assert peak < 2 ** 18
+    # (1, 8): the block (512 x 2,560 int8), the sign table and the images
+    # fit 2 MiB; the class table of 8! orders x 2,304 classes does not,
+    # and is refused before the orders are listed
+    cap(2 ** 21)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GenpiError) as e:
+            grassmann_codim_stabilized(1, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(e.value, BudgetExceeded) and (e.value.rows, e.value.cols) == (40320, 2304)
+    assert peak < 2 ** 23
 
 
 def test_grassmann_rank_never_holds_the_full_matrix():
