@@ -6,7 +6,10 @@ its pivot and zero at every other pivot, so rref() gives the same arrays.
 It is meant for rows with few nonzeros whose basis stays sparse, as the
 consequence spans of generating sets are (shifts of a few generators, like
 the rows of a Macaulay matrix); on dense rows the blocked float64 products
-of FastIntRowSpace are faster.
+of FastIntRowSpace are faster.  The consequence spans live in quotient
+coordinates (codim._Quotient): one space per degree, fed row by row
+(add_row), and remainder gives the exact normal forms that the rows of
+the degree above are made of.
 
 Rows go in and come out as {column: int} dicts of Python integers, so there
 is no magnitude bound, no second number type and no dense row on the way;
@@ -55,7 +58,10 @@ def _top(rows) -> int:
 
 
 class SparseIntRowSpace:
-    """Incremental row space of sparse vectors in Z^ncols; rank over Q."""
+    """Incremental row space of sparse vectors in Z^ncols; rank over Q.
+    Rows are fed one at a time (add_row) or in order (add_rows);
+    reduce_rows tests membership, and remainder gives the exact remainder
+    of a row modulo the span, with its scale."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -89,8 +95,10 @@ class SparseIntRowSpace:
                     del v[c]
         return v
 
-    def _add(self, v: dict) -> bool:
-        """Feed one row; whether it brought a new pivot."""
+    def add_row(self, v: dict) -> bool:
+        """Feed one {column: int} row; whether it brought a new pivot.  The
+        row is taken over: it is reduced in place, and if it brings a pivot
+        it becomes a basis row."""
         v = self._reduce(v)
         if not v:
             return False
@@ -132,12 +140,25 @@ class SparseIntRowSpace:
         """Feed {column: int} rows in order; returns the number of new
         pivots.  The rows are taken over: each is reduced in place, and one
         that brings a pivot becomes a basis row."""
-        return sum(self._add(v) for v in rows)
+        return sum(map(self.add_row, rows))
 
     def reduce_rows(self, rows) -> list:
         """Copies of the {column: int} rows reduced against the basis and
         made primitive; a row comes back empty iff it lies in the span."""
         return [_primitive(self._reduce(dict(v))) for v in rows]
+
+    def remainder(self, v: dict):
+        """(r, m): the remainder of the {column: int} row v modulo the
+        span, the one vector of v + span that is zero at every pivot, is
+        r / m, with r a {column: int} row and m a positive integer; v is
+        not changed.  _reduce scales v by the pivot value d_p of each pivot
+        p where v is nonzero on arrival and subtracts multiples of basis
+        rows, so m is the product of those d_p."""
+        m = 1
+        for p in v:
+            if p in self._rows:
+                m *= self._rows[p][p]
+        return self._reduce(dict(v)), m
 
     def rows(self) -> list:
         """The basis rows in pivot order, as the space's own {column: int}

@@ -27,11 +27,11 @@ from one of two exact eliminations with the same canonical form, chosen by
 the source of the rows: the spans of evaluation rows, which are dense,
 from the blocked FastIntRowSpace (_fastrank.py), and the consequence
 spans, whose rows and bases are sparse, from SparseIntRowSpace
-(_sparserank.py).  One feeder, _span, gives either the rows of every span
-in this module except the coefficient closure (_closure), which grows one
-sparse space pass by pass: multiplying coefficient slot t by a table M
-sends each entry with digit a at place s^(d-t) to the columns with digit k
-there, scaled by M[a, k], so no dense row is written.
+(_sparserank.py).  _span feeds the dense rows, and _Quotient.fill the
+consequence rows of each degree; the coefficient closure (_closure) grows
+one sparse space pass by pass: multiplying coefficient slot t by a table
+M sends each entry with digit a at place s^(d-t) to the columns with
+digit k there, scaled by M[a, k], so no dense row is written.
 
 One polynomial is tested on the same rows (_word_rows, which
 identity_witness and membership share): each of its multilinear
@@ -54,13 +54,22 @@ the source theorems treat coefficient rewriting as free, and the span of
 their consequences must reach the rank of the identity kernel.
 
 The span is built degree by degree (Giambruno & Zaicev, Polynomial
-Identities and Asymptotic Methods, AMS 2005): the degree-d part is
-spanned by the one-variable extensions of the degree-(d-1) part, each a
-column map of {column: int} rows, and by the generators of degree
-exactly d closed under their coefficient fillings (_consequence_blocks),
-as lists of distinct sparse rows that go to SparseIntRowSpace as they
-are; no dense row is written on the way.  The degrees below n are spanned
-in full; degree n streams, and ends as soon as the answer is known.
+Identities and Asymptotic Methods, AMS 2005): the degree-d part I_d is
+spanned by the one-variable extensions of I_(d-1), each a column map of
+{column: int} rows, and by the generators of degree exactly d closed
+under their coefficient fillings and relabellings (_consequence_blocks).
+It is held modulo the part known in closed form, as in the linear
+algebra of Marinari, Moeller & Mora (AAECC 4, 1993): the left extensions
+w x_d I_(d-1), relabelled, fill s * d disjoint blocks of the monomials,
+so the quotient V_d of P_d by them is the sum of s * d copies of
+P_(d-1) / I_(d-1), and I_d is the preimage of one SparseIntRowSpace Q_d
+in V_d (_Quotient): s * d * c'_(d-1) coordinates, c' the span's own
+codimension, where P_d has d! * s^(d+1) columns.  A row of P_d is fed
+as the sum of the exact normal forms of the tails of its columns,
+placed in their blocks; the other extensions are applied only to the
+rows that brought a pivot at degree d - 1, and map the rest into the
+blocks.  The degrees below n are spanned in full; degree n is fed until
+the answer is known, and no dense row is written on the way.
 
 Every consequence of identities of A is an identity of A: the span is
 spanned by the instances u0 g(v_1..v_e) u1 of the generators g, and
@@ -68,8 +77,8 @@ substitution, multiplication by monomials and by the listed coefficients,
 which act through their multiplier pairs as W does, keep an identity one.
 So membership (in_consequence_span) answers False before any consequence
 row is built when every generator of degree <= n has a zero evaluation row
-and the target a nonzero one, which is the certificate; it streams
-otherwise.
+and the target a nonzero one, which is the certificate; otherwise it
+reduces the target's image in V_n against Q_n as Q_n is fed.
 
 The exterior algebra acted on by the words in its first k generators gets
 one integer matrix per degree n, over parity-class columns: each of
@@ -99,17 +108,17 @@ from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from itertools import accumulate, chain, islice, permutations, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import numpy as np
 
 from ._fastrank import BLOCK, FastIntRowSpace
-from ._sparserank import SparseIntRowSpace
+from ._sparserank import SparseIntRowSpace, dense_rows
 from ._specht import isotypic_blocks, orbit_width
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _parse_name, _word_mask
 from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotMultilinear, NotSplit, UnknownCoefficient
-from .linalg import Subspace, int_dict, reversed_kernel
+from .linalg import Subspace, _int_type, int_dict, reversed_kernel
 from .polynomials import (
     basis_size,
     enumerate_basis,
@@ -129,14 +138,14 @@ _INT64_LIMIT = 1 << 63
 
 DEFAULT_MAX_ROWS = 2_000_000
 MAX_DENSE_COLUMNS = 200_000  # width guard of the master rows and of the kernel's matrix
-# byte cap of one dense int64 buffer: the transposed matrix of the kernel,
-# 256 pieces of the last degree of a master span; of each Grassmann table
-# (the identity block, the sign table, the parity classes, the class
-# table) and 256 chunks of the images of the identity block's rows; and,
-# through _stream_rows, of the rows of a list of the sparse consequence
-# stream, had they been dense
+# byte cap of one dense buffer: the transposed matrix of the kernel, 256
+# pieces of the last degree of a master span; of each Grassmann table (the
+# identity block, the sign table, the parity classes, the class table) and
+# 256 chunks of the images of the identity block's rows; and of each table
+# of the consequence spans (an extension map, the inverse of the left
+# extensions, the temporaries of one pass of a feed, the dense basis that
+# consequences_span returns)
 STREAM_BYTES = 1 << 28
-STREAM_ROWS = 1024  # most rows of a list of the consequence stream
 
 
 def row_budget() -> int:
@@ -159,17 +168,7 @@ def _check_bytes(rows: int, cols: int, itemsize: int = 1):
     """Raise BudgetExceeded, before an array of rows x cols items of
     itemsize bytes is allocated, when its bytes are over STREAM_BYTES."""
     if rows * cols * itemsize > STREAM_BYTES:
-        raise BudgetExceeded(rows, cols, STREAM_BYTES // (itemsize * cols))
-
-
-def _stream_rows(ncols: int) -> int:
-    """Rows of a block of int64 rows of width ncols: at most STREAM_ROWS,
-    and within STREAM_BYTES.  Raises BudgetExceeded, before anything is
-    allocated, when a single row is over the cap."""
-    fit = STREAM_BYTES // (8 * ncols)
-    if fit < 1:
-        raise BudgetExceeded(1, ncols, fit)
-    return min(STREAM_ROWS, fit)
+        raise BudgetExceeded(rows, cols, STREAM_BYTES, itemsize)
 
 
 # -- evaluation rows ------------------------------------------------------------
@@ -342,10 +341,9 @@ def _first_rows(X: np.ndarray) -> np.ndarray:
 
 
 def _groups(blocks):
-    """The rows of the blocks, integer arrays or lists of dict rows, in
-    order, as groups of BLOCK rows (the last one may be shorter): a block's
-    last rows wait for the next block, and only a group that spans two
-    blocks is copied, into one array or one list."""
+    """The rows of the integer blocks, in order, as groups of BLOCK rows
+    (the last one may be shorter): a block's last rows wait for the next
+    block, and only a group that spans two blocks is copied."""
     held, count = [], 0
     for X in blocks:
         if count:
@@ -354,28 +352,22 @@ def _groups(blocks):
             count += len(held[-1])
             if count < BLOCK:
                 continue
-            yield _joined(held)
+            yield np.concatenate(held)
         cut = len(X) - len(X) % BLOCK
         yield from (X[i : i + BLOCK] for i in range(0, cut, BLOCK))
         held, count = [X[cut:]], len(X) - cut
     if count:
-        yield _joined(held)
+        yield np.concatenate(held)
 
 
-def _joined(parts):
-    """The rows of the parts, arrays or lists, as one array or one list."""
-    return list(chain.from_iterable(parts)) if isinstance(parts[0], list) else np.concatenate(parts)
-
-
-def _span(blocks, ncols: int, target: int | None = None, stop=None, kernel=FastIntRowSpace):
-    """Row space of the rows of the blocks, fed in order to one new space
-    of the kernel class in whole BLOCK-row groups: FastIntRowSpace for
-    blocks of dense integer rows, SparseIntRowSpace for lists of
-    {column: int} rows.  The feed, and the pulling of blocks, ends after
-    the first group that brings the rank to target or more, or after which
-    stop(space) is true; both are asked after each group that added
-    pivots."""
-    space = kernel(ncols)
+def _span(blocks, ncols: int, target: int | None = None, stop=None):
+    """Row space of the rows of the integer blocks, dense evaluation rows,
+    fed in order to one new FastIntRowSpace in whole BLOCK-row groups.
+    The feed, and the pulling of blocks, ends after the first group that
+    brings the rank to target or more, or after which stop(space) is true;
+    both are asked after each group that added pivots.  (The sparse
+    consequence rows go to SparseIntRowSpace through _Quotient.fill.)"""
+    space = FastIntRowSpace(ncols)
     for X in _groups(blocks):
         if not space.add_rows(X):
             continue
@@ -523,6 +515,12 @@ def _swaps(d: int) -> list:
     return _relabellings(d, [[d if v == j else j if v == d else v for v in range(1, d + 1)] for j in range(1, d + 1)])
 
 
+def _adjacent(d: int) -> list:
+    """The swaps of the labels i and i + 1 (i = 1..d-1), which generate
+    S_d, as maps of order ranks (_relabellings)."""
+    return _relabellings(d, [[i + 1 if v == i else i if v == i + 1 else v for v in range(1, d + 1)] for i in range(1, d)])
+
+
 def _extensions(d: int, s: int):
     """Column maps from degree d - 1 to degree d of the elementary
     extensions, before the swaps tau_j that follow each of them (_swaps):
@@ -530,9 +528,10 @@ def _extensions(d: int, s: int):
     every i < d, the substitution x_i -> x_i*w*x_d.  Each one puts x_d at
     place a of the variable order and w at coefficient slot q, the later
     slots moving up by one.  A map is the array of the images of all
-    degree-(d-1) columns; the d swaps act on order ranks alone, so they are
-    applied when a map is (_spread), and the (d+1)*s maps are all that is
-    held."""
+    degree-(d-1) columns, made when it is pulled and checked against
+    STREAM_BYTES with its temporaries first; the d swaps act on order ranks
+    alone, so they are applied when a map is (_Quotient.fill)."""
+    _check_bytes(factorial(d - 1), s ** d, 24)
     ranks, S, c = order_ranks(d), s ** (d + 1), np.arange(s ** d)
     sources = list(order_ranks(d - 1))
     for op in (0, d, *range(1, d)):  # w*x_d*f, f*x_d*w, then x_i -> x_i*w*x_d for i = op
@@ -575,40 +574,6 @@ def _coefficient_families(d: int, left, right):
     return out
 
 
-def _spread(rows, maps, news, ncols: int, seen: set):
-    """Lists, of at most _stream_rows(ncols) rows each, of the {column: int}
-    rows through each injective column map into ncols columns, without the
-    rows whose key is in seen (the keys of the rows kept join it).  The
-    column maps are the maps of maps, each an array of the images of all
-    columns or None for the identity, each followed by every map of order
-    ranks new of news (_relabellings): column r * S + c, at S = ncols /
-    len(new) columns per variable order, goes to new[r] * S + c.  A row's
-    key is its (column, value) pairs in column order.  The rows go in
-    chunks of that size, and each chunk through every column map in turn:
-    a map takes the columns of all the chunk's entries at once."""
-    size = _stream_rows(ncols)
-    if not rows:
-        return
-    maps = list(maps)
-    S = ncols // len(news[0])
-    for start in range(0, len(rows), size):
-        chunk = rows[start : start + size]
-        cols = np.fromiter(chain.from_iterable(chunk), dtype=np.intp)
-        vals = [x for v in chunk for x in v.values()]
-        ends = list(accumulate(map(len, chunk)))
-        for f in maps:
-            order, rest = np.divmod(cols if f is None else f.take(cols), S)
-            for new in news:
-                mapped, out, a = (new[order] * S + rest).tolist(), [], 0
-                for b in ends:
-                    key = tuple(sorted(zip(mapped[a:b], vals[a:b])))
-                    a = b
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(dict(key))
-                yield out
-
-
 def _closure(vecs, d: int, ncols: int, tables) -> list:
     """The {column: int} basis rows, in pivot order, of the span of every
     coefficient filling of the degree-d vectors vecs ({column: value}
@@ -649,29 +614,212 @@ def _closure(vecs, d: int, ncols: int, tables) -> list:
     return space.rows()
 
 
+def _left_blocks(d: int) -> np.ndarray:
+    """The inverse of the left extensions on the variable orders of degree
+    d: row 0 holds, at each order rank, the index j - 1 of the order's
+    first variable x_j, and row 1 the rank, among the orders of degree
+    d - 1, of its other variables relabelled by tau_j (Lemma 2 of
+    _consequence_blocks).  Checked against STREAM_BYTES before it is made."""
+    ranks, lower = order_ranks(d), order_ranks(d - 1)
+    _check_bytes(len(ranks), 2, 8)
+    table = np.empty((2, len(ranks)), dtype=np.intp)
+    for p, r in ranks.items():
+        table[:, r] = p[0] - 1, lower[tuple(p[0] if v == d else v for v in p[1:])]
+    return table
+
+
+def _combine(offs, forms, vals) -> dict:
+    """The sum of the normal forms (den, coordinates, values) shifted by
+    offs and times vals, over the common denominator of the forms, as one
+    {column: int} row: a nonzero multiple of the image of a row of P_d in
+    V_d, given the normal forms of its tails and the offsets of its blocks
+    (_Quotient._place); of a row of one column, its normal form alone."""
+    if len(forms) == 1:
+        (off,), ((_, ks, ys),) = offs, forms
+        return {off + k: y for k, y in zip(ks, ys)}
+    L = lcm(*[f[0] for f in forms])
+    out: dict = {}
+    for off, (den, ks, ys), x in zip(offs, forms, vals):
+        x *= L // den
+        for k, y in zip(ks, ys):
+            c = off + k
+            z = out.get(c, 0) + x * y
+            if z:
+                out[c] = z
+            else:
+                del out[c]
+    return out
+
+
+class _Quotient:
+    """The consequence span I_d of degree d, held as its image Q_d in the
+    quotient V_d = P_d / L_d (_consequence_blocks, where the lemmas are):
+    one SparseIntRowSpace of width dim V_d = s * d * c'_(d-1), c'_e the
+    codimension of I_e in the monomial space P_e.  Degree 0 is the space
+    P_0 of the s words w_c, where I_0 = 0 and V_0 = P_0.
+
+    Coordinates of V_d: the block of a first variable x_j and a slot-0
+    coefficient w starts at ((j - 1) * s + w) * c'_(d-1), and within it
+    lie the coordinates of P_(d-1) / I_(d-1).  Once Q_d is complete
+    (close), the coordinates of P_d / I_d = V_d / Q_d are the non-pivot
+    columns of Q_d in order, and the normal form of a column of P_d is the
+    remainder of its image modulo Q_d, zero at every pivot: the unique
+    representative there of its class modulo I_d.  It is kept exactly, as
+    (den, coordinates, values) with the class the values over den, and
+    memoized per column.  The image of a column of P_d is the normal form
+    of its tail placed in its block (Lemma 2), so the image of a row is
+    the sum of those of its columns times its values, taken over their
+    common denominator as one integer row (_combine)."""
+
+    def __init__(self, d: int, s: int, below: "_Quotient | None" = None, generators=()):
+        self.d, self.s, self.below = d, s, below
+        self.generators = generators  # the closure C(G_d), rows of P_d
+        self.width = s * d * below.codim if below is not None else s
+        self.space = SparseIntRowSpace(self.width)
+        self.kept: list = []  # N_d: the rows of P_d whose images brought a pivot
+        self._forms: dict = {}  # column of P_d -> its normal form
+        if below is not None:
+            self.lead, self.tail = _left_blocks(d)
+
+    def close(self):
+        """Fix the coordinates of P_d / I_d, once Q_d is complete, and
+        set codim, the codimension c'_d."""
+        _check_bytes(self.width, 1, 9)
+        free = np.ones(self.width, dtype=bool)
+        free[self.space.pivots] = False
+        self._index = (np.cumsum(free) - 1).tolist()
+        self.codim = self.width - self.space.rank
+
+    def _place(self, cols):
+        """(offsets of the blocks in V_d, columns of the tails in
+        P_(d-1)) of the columns cols of P_d, an array or one int, as lists
+        or ints (Lemma 2)."""
+        s, d = self.s, self.d
+        order, coef = np.divmod(cols, s ** (d + 1))
+        w, rest = np.divmod(coef, s ** d)
+        return ((self.lead[order] * s + w) * self.below.codim).tolist(), (self.tail[order] * s ** d + rest).tolist()
+
+    def normal_form(self, c: int):
+        """(den, coordinates, values) of column c of P_d: its class modulo
+        I_d is the values over den at the coordinates, den > 0 and coprime
+        to the values."""
+        form = self._forms.get(c)
+        if form is None:
+            if self.below is None:
+                v, den = {c: 1}, 1
+            else:
+                off, t = self._place(c)
+                den, ks, ys = self.below.normal_form(t)
+                v = {off + k: y for k, y in zip(ks, ys)}
+            r, m = self.space.remainder(v)
+            g = gcd(den * m, *r.values())
+            form = den * m // g, tuple(self._index[q] for q in r), tuple(y // g for y in r.values())
+            self._forms[c] = form
+        return form
+
+    def image(self, row: dict) -> dict:
+        """A nonzero multiple of the image in V_d of the {column: int} row
+        of P_d, as one {column: int} row (_combine)."""
+        offs, tails = self._place(np.fromiter(row, dtype=np.intp, count=len(row)))
+        return _combine(offs, [self.below.normal_form(t) for t in tails], list(row.values()))
+
+    def _feed(self, rows, f, new, brought, stop):
+        """Feed Q_d the images of the {column: int} rows through the column
+        map f (an array of the images of all columns, None for the
+        identity) and then the map of order ranks new, one row at a time,
+        and put each row of P_d whose image brought a pivot in the list
+        brought, when it is one.  Returns the indices of those rows in
+        rows, or None when stop(self) is true, which is asked after each
+        group of BLOCK rows that brought a pivot.  The columns of all the
+        rows are placed at once, their int64 temporaries checked against
+        STREAM_BYTES first."""
+        if not rows:
+            return []
+        _check_bytes(sum(map(len, rows)), 12, 8)
+        S, add = self.s ** (self.d + 1), self.space.add_row
+        cols = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
+        order, coef = np.divmod(cols if f is None else f.take(cols), S)
+        mapped = new[order] * S + coef
+        offs, tails = self._place(mapped)
+        full = mapped.tolist() if brought is not None else None
+        vals = [x for v in rows for x in v.values()]
+        memo, form = self.below._forms, self.below.normal_form
+        forms = [memo.get(t) or form(t) for t in tails]
+        a, grew, out = 0, False, []
+        for i, b in enumerate(accumulate(map(len, rows))):
+            image = _combine(offs[a:b], forms[a:b], vals[a:b])
+            if image and add(image):
+                grew = True
+                out.append(i)
+                if brought is not None:
+                    brought.append(dict(zip(full[a:b], vals[a:b])))
+            a = b
+            if grew and (i % BLOCK == BLOCK - 1 or i == len(rows) - 1):
+                if stop is not None and stop(self):
+                    return None
+                grew = False
+        return out
+
+    def fill(self, keep: bool = False, stop=None):
+        """Feed Q_d its rows (Lemmas 3 and 4 of _consequence_blocks), and
+        with keep put each row of P_d whose image brought a pivot in kept:
+        the rows of N_(d-1) through each non-left extension and each swap,
+        then the closure C of the generators of degree d, then round by
+        round the rows that brought a pivot in the round before through
+        each adjacent swap of labels.  The closure's rows are pi(u), u in C
+        and pi in S_d, each fed once: a set holds the pairs fed, as
+        u * d! + the rank of the order pi(1..d).  stop(self) is asked after
+        each group of BLOCK rows that brought a pivot, and the feed ends
+        when it is true."""
+        d, kept = self.d, self.kept if keep else None
+        lifts, self.below.kept = self.below.kept, None
+        if lifts:
+            swaps = _swaps(d)
+            for f in islice(_extensions(d, self.s), self.s, None):
+                for new in swaps:
+                    if self._feed(lifts, f, new, kept, stop) is None:
+                        return
+        fact, rows = factorial(d), []
+        fed = self._feed(self.generators, None, np.arange(fact), rows, stop)
+        if fed is None:
+            return
+        keys = np.array(fed, dtype=np.int64) * fact
+        seen, adjacent = set(range(0, len(self.generators) * fact, fact)), _adjacent(d)
+        while rows:
+            if keep:
+                kept += rows
+            made, made_keys = [], []
+            for new in adjacent:
+                moved = (keys - keys % fact + new[keys % fact]).tolist()
+                todo = [i for i, k in enumerate(moved) if k not in seen]
+                seen.update(moved)
+                fed = self._feed([rows[i] for i in todo], None, new, made, stop)
+                if fed is None:
+                    return
+                made_keys += [moved[todo[i]] for i in fed]
+            rows, keys = made, np.array(made_keys, dtype=np.int64)
+
+
 def _consequence_blocks(vecs, h: Action, n: int):
-    """Yield lists of {column: int} rows that span the degree-n multilinear
-    consequences of the generators, given as (degree d, coefficient vector
-    over the degree-d monomials) pairs (_generator_vectors), degree by
-    degree:
+    """The degree-n consequence span of the generators, given as (degree d,
+    coefficient vector over the degree-d monomials) pairs
+    (_generator_vectors), as a quotient of degree n (_Quotient) not yet
+    fed (Q.fill), with the degrees below n spanned in full.  The spans are
+    built degree by degree:
 
         I_d = span(tau_j E(I_(d-1)), j = 1..d) + S_d C(G_d).
 
-    E runs the basis of I_(d-1) through the elementary extensions and tau_j
-    swaps the labels j and d (_extensions, _swaps); G_d are the generators of
-    degree d, C closes their span under its coefficient fillings
-    (_closure) and S_d relabels the closure.  The closure of a span is the
-    sum of the closures of its vectors, as every filling is linear, so one
-    closure serves all of G_d.  A pass of C adds {M_w(v): v in the span so
-    far, w listed} for one family; the unit of W is a combination of the
-    listed basis, so that is the span of the images alone, and the
-    families commute, so one pass each reaches every filling.  The degrees
-    below n are spanned in full and kept as the basis dicts of their
-    sparse space, and the lists of degree n come out lazily.  No row comes
-    out twice within a degree, and no list holds more than
-    _stream_rows(columns) rows.
+    E runs I_(d-1) through the elementary extensions and tau_j swaps the
+    labels j and d (_extensions, _swaps); G_d are the generators of degree
+    d, C closes their span under its coefficient fillings (_closure) and
+    S_d relabels the closure.  The closure of a span is the sum of the
+    closures of its vectors, as every filling is linear, so one closure
+    serves all of G_d.  A pass of C adds {M_w(v): v in the span so far, w
+    listed} for one family; the unit of W is a combination of the listed
+    basis, so that is the span of the images alone, and the families
+    commute, so one pass each reaches every filling.
 
-    Lemma: I_d is the span of the instances u0 g(v_1..v_e) u1 of the
+    Lemma 1: I_d is the span of the instances u0 g(v_1..v_e) u1 of the
     generators g of degree e <= d (coefficients at every position running
     over the listed basis).  Proof of the recursion: at e = d the instance
     is a coefficient filling of a relabelled generator, in S_d C(G_d).  If
@@ -683,7 +831,62 @@ def _consequence_blocks(vecs, h: Action, n: int):
     w x_d f (f x_d w) puts it back.  Either way what is left is a
     degree-(d-1) instance, since every coefficient filling is one; and E
     maps I_(d-1) into I_d, as each extension takes instances to instances.
-    (So the mirror substitution x_i -> x_d w x_i is not needed.)"""
+    (So the mirror substitution x_i -> x_d w x_i is not needed.)  Every
+    I_d is closed under relabelling, as the instances are.
+
+    Lemma 2 (the left blocks): let L_d = sum_(w, j) tau_j(w x_d I_(d-1)),
+    the images of the first s extensions.  The s * d maps
+    f -> tau_j(w x_d f) send the monomials of P_(d-1) one to one onto the
+    monomials of P_d whose first variable is x_j and whose slot-0
+    coefficient is w, and these s * d sets partition the monomials of P_d.
+    So L_d is the direct sum of its s * d blocks, and
+    V_d = P_d / L_d = direct sum over (w, j) of P_(d-1) / I_(d-1), of
+    dimension s * d * c'_(d-1), with c'_e = dim P_e - dim I_e.  Proof: the
+    monomial w x_j u is the image of tau_j(u) under the map of (w, j), and
+    under no other, since the image of f under the map of (w', j') starts
+    with w' x_j', and tau_j is an involution.  So the class of w x_j u in
+    V_d is the class of its tail tau_j(u) modulo I_(d-1), placed in the
+    block of (w, j) (_left_blocks).
+
+    Lemma 3 (the quotient recursion): let E' be the other extensions,
+    f -> f x_d w and x_i -> x_i w x_d, and N_(d-1) rows of I_(d-1) whose
+    images span Q_(d-1), the image of I_(d-1) in V_(d-1).  Then
+
+        I_d = L_d + span(tau_j E'(N_(d-1)), j = 1..d) + S_d C(G_d).
+
+    Proof: L_d lies in I_d, as E maps I_(d-1) into I_d, and
+    I_(d-1) = L_(d-1) + span(N_(d-1)), as L_(d-1) is the kernel of the map
+    onto V_(d-1).  So by Lemma 1 it is enough that each tau_j E' maps
+    L_(d-1) into L_d.  An element of L_(d-1) is a sum of terms u x_i t,
+    with t in I_(d-2) over the variables other than x_i.  f -> f x_d w
+    gives u x_i (t x_d w); x_k -> x_k w x_d gives u x_i (w x_d t) for k = i,
+    and u x_i t' otherwise, t' the substitution made in t.  Each of
+    t x_d w, w x_d t and t' is an extension of t, so it lies in I_(d-1)
+    over the variables other than x_i, and the term lies in the block of
+    (u, i) of L_d.  tau_j relabels the variables, which maps a block of
+    L_d onto a block of L_d, as each I_e is closed under relabelling.
+
+    Lemma 4 (the relabelled closure): Q_d is spanned once the images of
+    tau_j E'(N_(d-1)) and of C(G_d) are fed, and then, round by round, the
+    rows pi(u) (u in C(G_d), pi in S_d) of the round before whose images
+    brought a pivot, each through every adjacent swap of labels sigma,
+    unless sigma pi(u) was fed before.  Proof: let
+    T = L_d + span(tau_j E'(N_(d-1))).  T is closed under relabelling:
+    pi tau_j = tau_(pi j) rho with rho fixing x_d, and rho e(f) = e'(rho f)
+    for an extension e of E' and another one e' of E', so rho E'(N_(d-1))
+    lies in E'(I_(d-1)), which lies in T by Lemma 3.  Let Z be T plus the
+    span of the rows fed after it.  A fed row whose image brought no pivot
+    lies in T plus the span of the rows fed before it whose images did,
+    and an adjacent swap maps a row whose image did to a fed row.  So every
+    adjacent swap maps Z into Z, and Z is closed under S_d, which they
+    generate; it holds C(G_d) and lies in I_d, so by Lemma 3 its image is
+    Q_d.
+
+    So I_d is the preimage in P_d of Q_d, and its codimension is
+    c'_d = dim V_d - rank Q_d.  At each degree below n, N_d is the rows
+    whose images brought a pivot to Q_d, rank Q_d of them; the left
+    extensions are never applied, and no row of P_d is kept but those and
+    the closure.  The d! relabellings of S_d are never made."""
     W, s = h.W, h.s
     if W.unit is None:
         raise InternalError("consequence spans need a unital coefficient algebra")
@@ -692,17 +895,15 @@ def _consequence_blocks(vecs, h: Action, n: int):
     for d, vec in vecs:
         if d <= n and vec:
             by_degree.setdefault(d, []).append(vec)
-    rows = []  # the basis of I_0
+    q = _Quotient(0, s)
+    q.close()
     for d in range(1, n + 1):
-        ncols, seen = basis_size(d, s), set()
-        blocks = _spread(rows, _extensions(d, s), _swaps(d), ncols, seen)
-        if d in by_degree:
-            closure = _closure(by_degree[d], d, ncols, tables)
-            blocks = chain(blocks, _spread(closure, [None], _relabellings(d, order_ranks(d)), ncols, seen))
-        if d == n:
-            yield from blocks
-        else:
-            rows = _span(blocks, ncols, kernel=SparseIntRowSpace).rows()
+        closure = _closure(by_degree[d], d, basis_size(d, s), tables) if d in by_degree else []
+        q = _Quotient(d, s, q, closure)
+        if d < n:
+            q.fill(keep=True)
+            q.close()
+    return q
 
 
 def _generator_vectors(gens, h: Action) -> list:
@@ -713,12 +914,36 @@ def _generator_vectors(gens, h: Action) -> list:
 
 def consequences_span(generators, h: Action, n: int) -> Subspace:
     """Canonical basis of the degree-n multilinear consequences of the
-    generators (empty generator list gives the zero subspace)."""
+    generators (empty generator list gives the zero subspace).
+
+    I_n is the kernel of the map that sends each monomial c to its normal
+    form modulo I_n (_consequence_blocks, _Quotient).  It is read off in
+    one sparse space over the c'_n coordinates of P_n / I_n and one tag
+    column per monomial, fed the rows (den * form of c | den at the tag
+    of c) from the last monomial to the first: a row whose form part
+    reduces to zero leaves den e_c less a combination of the tags of later
+    monomials whose rows brought pivots, and is not fed.  Made primitive,
+    these rows are the canonical basis: the row of c has its first nonzero
+    at c, and every other one is zero at c, whose row brought no pivot.
+    They are written dense, checked against STREAM_BYTES first."""
     _check_degree(n)
-    rows = basis_size(n, h.s)
-    _check_budget(rows, 1)
-    blocks = _consequence_blocks(_generator_vectors(generators, h), h, n)
-    return Subspace.from_space(_span(blocks, rows, kernel=SparseIntRowSpace))
+    cols = basis_size(n, h.s)
+    _check_budget(cols, 1)
+    q = _consequence_blocks(_generator_vectors(generators, h), h, n)
+    q.fill()
+    q.close()
+    space, kernel = SparseIntRowSpace(q.codim + cols), {}
+    for c in reversed(range(cols)):
+        den, ks, ys = q.normal_form(c)
+        (row,) = space.reduce_rows([{**dict(zip(ks, ys)), q.codim + c: den}])
+        if min(row) < q.codim:
+            space.add_row(row)
+        else:
+            kernel[c] = {col - q.codim: x for col, x in row.items()}
+    rows = [kernel[c] for c in sorted(kernel)]
+    dtype = _int_type(max((abs(x) for v in rows for x in v.values()), default=0))
+    _check_bytes(len(rows), cols, dtype.itemsize)
+    return Subspace(cols, sorted(kernel), dense_rows(rows, cols, dtype))
 
 
 def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
@@ -736,9 +961,10 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     skipped when a degree-n evaluation row is over STREAM_BYTES.  The
     target's coordinates are built only when the witness does not decide:
     a nonzero row already shows them nonzero, the row being a linear image
-    of them.  Otherwise the span streams, and the target vector is reduced
-    against it after every group that adds pivots, until it reduces to
-    zero or the span is exhausted."""
+    of them.  Otherwise the target is a member iff its image in V_n lies in
+    Q_n (_consequence_blocks): Q_n is fed, and the image is reduced against
+    it after every group that adds pivots, until it reduces to zero or the
+    feed is exhausted."""
     _check_degree(n)
     tw = _generator_words(poly, h)
     if tw is None:
@@ -755,18 +981,19 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     gws = [gw for g in generators if (gw := _generator_words(g, h)) is not None]
     if shown and not any(row(*gw).any() for gw in gws if gw[0] <= n):
         return False
-    rows = basis_size(n, h.s)
-    residual = target()
+    q = _consequence_blocks([_words_vector(gw, h) for gw in gws], h, n)
+    residual = q.image(target())
 
-    def holds(span):
+    def holds(q):
         # the residual is zero at the pivots it was reduced against, so
         # only the pivots added since are cleared from it
         nonlocal residual
-        (residual,) = span.reduce_rows([residual])
+        (residual,) = q.space.reduce_rows([residual])
         return not residual
 
-    blocks = _consequence_blocks([_words_vector(gw, h) for gw in gws], h, n)
-    return holds(_span(blocks, rows, stop=holds, kernel=SparseIntRowSpace))
+    if residual:  # else the target lies in L_n, in the span
+        q.fill(stop=holds)
+    return holds(q)
 
 
 def _vanishes(vec: dict, blocks, scales=None) -> bool:
@@ -793,10 +1020,11 @@ def _verify(gens, h: Action, n: int, evaluation, codim) -> bool:
     matrix, and codim() its rank at degree n.
 
     A generator of degree 1..n that is not an identity (_vanishes) gives
-    False at once.  Otherwise the consequence span of the generators and
-    of the structural identities (the degree-1 left kernel) lies in the
-    identity kernel, so the two are equal iff the span, streamed with an
-    early stop, reaches the rank basis_size - codim()."""
+    False at once.  Otherwise the consequence span I_n of the generators
+    and of the structural identities (the degree-1 left kernel) lies in
+    the identity kernel, so the two are equal iff I_n has codimension
+    codim(), that is, iff its image Q_n in V_n (_consequence_blocks),
+    fed with an early stop, reaches the rank dim V_n - codim()."""
     _check_degree(n)
     vecs = _generator_vectors(gens, h)
     for d, vec in vecs:
@@ -805,12 +1033,12 @@ def _verify(gens, h: Action, n: int, evaluation, codim) -> bool:
     blocks, scales = evaluation(1)
     kernel = _left_kernel(np.concatenate(list(blocks)), None if scales is None else _ratio_parts(scales))
     vecs += _generator_vectors(_degree_one_words(kernel, h.s), h)
-    ncols = basis_size(n, h.s)
-    target = ncols - codim()
-    span = _span(_consequence_blocks(vecs, h, n), ncols, target, kernel=SparseIntRowSpace)
-    if span.rank > target:
+    q = _consequence_blocks(vecs, h, n)
+    target = q.width - codim()
+    q.fill(stop=lambda q: q.space.rank >= target)
+    if q.space.rank > target:
         raise InternalError("consequence span escaped the identity kernel")
-    return span.rank == target
+    return q.space.rank == target
 
 
 def verify_generating_set(generators, h: Action, n: int, codim_value: int | None = None) -> bool:
@@ -880,7 +1108,7 @@ def _word_rows(h: Action):
 
     def row(d: int, words) -> np.ndarray:
         ncols = dim ** (d + 1)
-        _stream_rows(ncols)
+        _check_bytes(1, ncols, 8)
         groups: dict = {}  # slot runs -> [(rational weight of the row, variable order)]
         for c, w in words:
             order, runs = word_runs(w)

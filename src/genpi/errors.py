@@ -94,13 +94,22 @@ class NotMultilinear(GenpiError, ValueError):
 
 
 class BudgetExceeded(GenpiError):
-    def __init__(self, rows, cols, budget):
+    """A size refused before anything of that size is allocated.  Without
+    itemsize: an evaluation matrix of rows x cols over the row budget
+    (GENPI_MAX_ROWS) or the width guard.  With itemsize: rows x cols items
+    of itemsize bytes, temporaries counted, over the byte cap budget
+    (codim.STREAM_BYTES)."""
+
+    def __init__(self, rows, cols, budget, itemsize=None):
         self.rows = rows
         self.cols = cols
         self.budget = budget
-        super().__init__(
-            f"evaluation matrix of {rows} rows x {cols} cols exceeds row budget {budget}"
-        )
+        if itemsize is None:
+            message = f"evaluation matrix of {rows} rows x {cols} cols exceeds row budget {budget}"
+        else:
+            message = (f"{rows} x {cols} x {itemsize} bytes = {rows * cols * itemsize} bytes "
+                       f"exceeds the byte cap STREAM_BYTES = {budget}")
+        super().__init__(message)
 
 
 class ParseError(GenpiError):

@@ -236,6 +236,15 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+def test_byte_cap_exit_names_the_bytes(capsys):
+    # the class table of (1, 8), 8! orders x 2,304 classes x 24 bytes, is
+    # over STREAM_BYTES: a byte refusal, not a row budget, and exit 3
+    assert main(["codim", "grassmann", "-k", "1", "-n", "8"]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"budget exceeded: 40320 x 2304 x 24 bytes = {40320 * 2304 * 24} bytes "
+                   f"exceeds the byte cap STREAM_BYTES = {codim.STREAM_BYTES}\n")
+
+
 def test_json_round_trip(capsys):
     rc = main(["--json", "codim", "compute", "ut2D", "-n", "2"])
     payload = json.loads(capsys.readouterr().out)

@@ -732,6 +732,7 @@ def test_grassmann_matrix_checks_the_byte_cap(monkeypatch):
         tracemalloc.stop()
     assert isinstance(e.value, BudgetExceeded) and (e.value.rows, e.value.cols) == (40320, 2304)
     assert peak < 2 ** 23
+    assert str(e.value) == f"40320 x 2304 x 24 bytes = {40320 * 2304 * 24} bytes exceeds the byte cap STREAM_BYTES = {2 ** 21}"
 
 
 def test_grassmann_rank_never_holds_the_full_matrix():
@@ -840,10 +841,14 @@ def test_verify_grassmann_rejects_non_identity_word_dict():
 
 
 def test_verify_grassmann_rejects_incomplete_set():
-    # leaves out [e1,x1,x2]
+    # leaves out [e1,x1,x2]: a certificate of degree n alone, so it fails
+    # at n = 2 and 3 but passes at n = 4.  There the span's own
+    # codimension at degree 3 exceeds c_3, and the quotient of degree 4 is
+    # s * 4 * c'_3 wide, not s * 4 * c_3
     gens = ["[x1,x2,x3]", "e2*x1", "x1*e2"]
     for n in (2, 3):
         assert not verify_grassmann_generating_set(1, n, gens), n
+    assert verify_grassmann_generating_set(1, 4, gens)
 
 
 def test_growth_report():

@@ -1,4 +1,5 @@
-"""Consequence spans against a one-instance-at-a-time oracle, their blocks,
+"""Consequence spans against a one-instance-at-a-time oracle and against
+the full-width stream they replaced, the rows fed to their quotient spans,
 the span feeder on Python integers and its stops, the byte budget, and the
 rank paths against sympy."""
 
@@ -28,7 +29,6 @@ from genpi.codim import (
     _groups,
     _left_kernel,
     _span,
-    _stream_rows,
     _swaps,
     consequences_span,
     grassmann_generators,
@@ -42,6 +42,7 @@ from genpi.codim import (
 from genpi.errors import BudgetExceeded, NotMultilinear, UnknownCoefficient
 from genpi.linalg import Subspace, _row_space
 from genpi.polynomials import GenMonomial, basis_size, monomial_index, order_ranks, parse, vectorize_words
+from consequence_oracle import stream_span
 from grassmann_oracle import compositions
 from test_identity_witness import nonunital_action
 
@@ -184,43 +185,74 @@ def test_blocks_match_naive_enumeration(name):
     assert consequences_span(gens, h, n) == Subspace.from_space(naive)
 
 
-def _stream(name):
-    """The lists of dict rows that _consequence_blocks yields for a
-    STREAM_CASES entry, with its column count."""
+@pytest.mark.parametrize("preset", ["ut2D", "ut2full"])
+@pytest.mark.parametrize("structural", [False, True], ids=["generators", "structural"])
+def test_quotient_span_matches_the_full_width_stream(preset, structural):
+    h = preset_action(preset)
+    gens = preset_generators(preset) + (structural_identities(h) if structural else [])
+    assert consequences_span(gens, h, 4) == stream_span(gens, h, 4)
+
+
+def _fed(name):
+    """(Q, rows): the degree-n quotient of a STREAM_CASES entry after its
+    whole feed, and copies of the rows fed to its span, in order (the span
+    takes its rows over, so they are copied before it reads them)."""
     h, gens, n = _stream_case(name)
-    return list(_consequence_blocks(_generator_vectors(gens, h), h, n)), basis_size(n, h.s)
+    q = _consequence_blocks(_generator_vectors(gens, h), h, n)
+    fed, add = [], q.space.add_row
+
+    def recorded(row):
+        fed.append(dict(row))
+        return add(row)
+
+    q.space.add_row = recorded
+    q.fill()
+    return q, fed
+
+
+def _chain(q):
+    """The quotient q and those of every degree below it."""
+    while q is not None:
+        yield q
+        q = q.below
 
 
 def test_blocks_beyond_int64_are_python_ints():
-    # the generator's 2^70 + 1 arrives exact in the degree-4 rows
-    blocks, _ = _stream("2^70 coefficient")
-    assert all(isinstance(block, list) for block in blocks)
-    assert any(abs(x) >= 1 << 63 for block in blocks for v in block for x in v.values())
-    assert any(x % (2 ** 70 + 1) == 0 and x for block in blocks for v in block for x in v.values())
+    # the generator's 2^70 + 1 arrives exact in the degree-4 rows: no
+    # generator of ut2F has a lower degree, so V_4 is P_4 itself
+    q, fed = _fed("2^70 coefficient")
+    assert q.width == basis_size(4, 1)
+    assert any(abs(x) >= 1 << 63 for v in fed for x in v.values())
+    assert any(x % (2 ** 70 + 1) == 0 and x for v in fed for x in v.values())
 
 
-def test_blocks_hold_no_repeated_row():
-    # ut2full plus its structural identities at degree 3: 928 distinct rows
-    blocks, ncols = _stream("ut2full+structural")
-    rows = [tuple(sorted(v.items())) for block in blocks for v in block]
-    assert len(set(rows)) == len(rows) == 928
-    assert all(v and 0 <= min(v) and max(v) < ncols for block in blocks for v in block)
+def test_lifts_only_the_rows_that_added_pivots():
+    # ut2full plus its structural identities at degree 3: the full-width
+    # stream fed 928 distinct rows of 486 columns.  The quotient is fed
+    # only the nonzero images of the 3 * s non-left extensions, each with
+    # its 3 swaps, of the 20 rows that brought a pivot at degree 2 (no
+    # generator has degree 3): 345 of 540 rows, 90 coordinates wide.  It
+    # reaches rank dim V_3 - c_3 = 90 - 22
+    q, fed = _fed("ut2full+structural")
+    s = 3
+    assert q.width == s * 3 * q.below.codim == 90
+    assert q.below.space.rank == 20
+    assert len(fed) == 345 <= 20 * 3 * s * 3
+    assert q.space.rank == 90 - 22
+    assert all(v and 0 <= min(v) and max(v) < q.width for v in fed)
 
 
 @pytest.mark.parametrize("name", ["2^70 coefficient", "ut2full+structural"])
 def test_stream_values_are_python_ints(name):
-    # numpy scalars would wrap in the in-place products of SparseIntRowSpace
-    # (the spans take their rows over, so the yielded rows are read first)
-    blocks, ncols = _stream(name)
-    h, gens, n = _stream_case(name)
-    rows = [v for block in blocks for v in block]
+    # numpy scalars would wrap in the in-place products of SparseIntRowSpace:
+    # the rows fed, the bases of every degree and the normal forms that
+    # make the rows of the degree above hold Python integers only
+    q, fed = _fed(name)
+    assert fed and all(type(c) is int and type(x) is int for v in fed for c, x in v.items())
+    rows = [v for p in _chain(q) for v in p.space.rows()]
     assert rows and all(type(c) is int and type(x) is int for v in rows for c, x in v.items())
-    spaces = [_span(blocks, ncols, kernel=SparseIntRowSpace)]
-    for d in range(1, n):
-        lower = _consequence_blocks(_generator_vectors(gens, h), h, d)
-        spaces.append(_span(lower, basis_size(d, h.s), kernel=SparseIntRowSpace))
-    rows = [v for space in spaces for v in space.rows()]
-    assert rows and all(type(c) is int and type(x) is int for v in rows for c, x in v.items())
+    forms = [f for p in _chain(q) for f in p._forms.values()]
+    assert forms and all(type(x) is int for den, ks, ys in forms for x in (den, *ks, *ys))
 
 
 @pytest.mark.parametrize("name", ["2^40 coefficients", "2^70 coefficient"])
@@ -237,19 +269,32 @@ def test_large_coefficients_take_the_exact_path(name):
 
 
 def test_ut2full_certificate_at_degree_5():
-    # 87,480 columns: about 1.1 s and 110 MB with sparse rows throughout,
-    # where dense row blocks of that width took a minute and 0.9 GB
+    # 87,480 columns: the full-width stream took about 1.1 s and peaked at
+    # 70.0 MiB traced (dense row blocks of that width took a minute and
+    # 0.9 GB).  In the quotient of 750 coordinates, fed the 18 non-left
+    # extensions of the 214 rows that brought a pivot at degree 4, it
+    # takes about 0.1 s and peaks at 2.3 MiB traced.  Degree 6, 1,574,640
+    # columns, took 31 s and 1.3 GB; its quotient has 2,052 coordinates
+    # and it takes about 0.4 s
     h = preset_action("ut2full")
-    assert verify_generating_set(preset_generators("ut2full"), h, 5)
+    tracemalloc.start()
+    try:
+        assert verify_generating_set(preset_generators("ut2full"), h, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert verify_generating_set(preset_generators("ut2full"), h, 6)
 
 
 def test_membership_writes_no_dense_row_block():
-    # the degree-4 stream of ut2full has 5,832 columns; dense blocks of
+    # the degree-4 span of ut2full has 5,832 columns; dense blocks of
     # 1,024 rows of it and a dense basis of I_3 peaked at 47.5 MiB traced,
-    # dict rows peak at about 5 MiB.  [x1,x2]*x3*x4, no identity, is
-    # refuted by its evaluation row before the stream; the member
-    # ([x1,x2]-[x1,x2,w1])*x4*x3*w2 is reached only with the whole span
-    # of rank 5,782
+    # full-width dict rows at about 3.7 MiB, and the quotient of 264
+    # coordinates at about 0.3 MiB.  [x1,x2]*x3*x4, no identity, is
+    # refuted by its evaluation row before any consequence row is built;
+    # the member ([x1,x2]-[x1,x2,w1])*x4*x3*w2 is reached only near the
+    # whole span of rank 5,782, 214 in the quotient
     h = preset_action("ut2full")
     tracemalloc.start()
     try:
@@ -264,7 +309,7 @@ def test_membership_writes_no_dense_row_block():
 
 
 def _streams(monkeypatch):
-    """The degrees of the consequence streams started from now on."""
+    """The degrees of the consequence spans started from now on."""
     degrees, blocks = [], codim._consequence_blocks
 
     def counted(vecs, h, n):
@@ -279,10 +324,10 @@ def test_closure_writes_no_dense_block(monkeypatch):
     # the coefficient closure of [x1,x2]*[x3,x4] over ut2full reaches rank
     # 901 of 5,832 columns; its whole basis written dense would take 42 MB
     # (81.7 MiB traced peak), and the closure maps its dict rows slot by
-    # slot without writing any dense block.  The stream's lists hold at
-    # most 64 rows under this cap.  [x1,x3]*x2*x4 is no identity and is
-    # refuted before the closure; the identity ([x1,x2]-[x1,x2,w1])*x3*x4
-    # lies outside the span and streams it all
+    # slot without writing any dense block.  Under this cap of 64 dense
+    # rows every table of the feed still fits.  [x1,x3]*x2*x4 is no
+    # identity and is refuted before the closure; the identity
+    # ([x1,x2]-[x1,x2,w1])*x3*x4 lies outside the span and is fed it all
     monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 5832 * 64)
     degrees = _streams(monkeypatch)
     h = preset_action("ut2full")
@@ -336,9 +381,11 @@ def test_extension_maps_are_held_before_their_swaps():
 
 
 def test_relabelling_maps_only_variable_orders():
-    # the degree-6 closure of ut2D is relabelled by 720 permutations over
-    # 92,160 columns: one full-width map each took 531 MB; the maps of
-    # order ranks, 720 entries each, peak at about 10.8 MiB traced in all
+    # the degree-6 closure of ut2D is relabelled over 92,160 columns: one
+    # full-width map per permutation took 531 MB, and the 720 maps of order
+    # ranks, 720 entries each, peaked at about 10.5 MiB traced in all.  The
+    # walk over the 5 adjacent swaps reaches the target's relabelling
+    # (three inversions) at about 4.1 MiB
     h = preset_action("ut2D")
     tracemalloc.start()
     try:
@@ -405,25 +452,32 @@ def test_closure_spans_every_filling(name, gen):
 
 
 def test_stream_batches_from_byte_cap(monkeypatch):
-    # blocks are cut by the byte cap only past 1024 rows of 3^9 columns,
-    # wider than the consequence widths in use
-    assert _stream_rows(3 ** 9) == _stream_rows(24 * 2 ** 5) == codim.STREAM_ROWS == 1024
-    assert _stream_rows(3 ** 10) == codim.STREAM_BYTES // (8 * 3 ** 10) < 1024
-    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 100)
-    assert _stream_rows(30) == 3
+    # every table of a certificate and of a membership is checked against
+    # the byte cap before it is made: the extension maps, the inverse of
+    # the left extensions, the temporaries of each pass of the feed and
+    # the witness rows.  Their answers do not depend on the cap as long as
+    # the largest table fits ([x1,x2]*x3, no identity, is refuted before
+    # any consequence row is built; the member x3*w1*([x1,x2]-[x1,x2,w1])
+    # is fed), and one byte under it the certificate is refused
+    h, gens = preset_action("ut2D"), preset_generators("ut2D")
+    checked, check = [], codim._check_bytes
+
+    def recorded(rows, cols, itemsize=1):
+        checked.append(rows * cols * itemsize)
+        return check(rows, cols, itemsize)
+
+    monkeypatch.setattr(codim, "_check_bytes", recorded)
+
+    def answers():
+        return (verify_generating_set(gens, h, 3), in_consequence_span("[x1,x2]*x3", gens, h, 3),
+                in_consequence_span("x3*w1*([x1,x2]-[x1,x2,w1])", gens, h, 3))
+
+    assert answers() == (True, False, True)
+    monkeypatch.setattr(codim, "STREAM_BYTES", max(checked))
+    assert answers() == (True, False, True)
+    monkeypatch.setattr(codim, "STREAM_BYTES", max(checked) - 1)
     with pytest.raises(BudgetExceeded):
-        _stream_rows(101)
-    # consequence streams of ut2D, n = 3 have 6 * 2^4 = 96 columns; their
-    # answers do not depend on the block size ([x1,x2]*x3, no identity, is
-    # refuted before the stream; the member x3*w1*([x1,x2]-[x1,x2,w1])
-    # streams)
-    h = preset_action("ut2D")
-    assert verify_generating_set(preset_generators("ut2D"), h, 3)
-    assert in_consequence_span("[x1,x2]*x3", preset_generators("ut2D"), h, 3) is False
-    assert in_consequence_span("x3*w1*([x1,x2]-[x1,x2,w1])", preset_generators("ut2D"), h, 3) is True
-    monkeypatch.setattr(codim, "STREAM_BYTES", 8 * 95)
-    with pytest.raises(BudgetExceeded):
-        verify_generating_set(preset_generators("ut2D"), h, 3)
+        verify_generating_set(gens, h, 3)
 
 
 # -- membership refuted by an evaluation row ----------------------------------
