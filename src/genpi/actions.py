@@ -50,7 +50,10 @@ _ONE = Fraction(1)
 
 class Action:
     """A validated action of W on A given by one multiplier pair per
-    listed basis element of W."""
+    listed basis element of W.  An action is immutable once built: its
+    pairs are a tuple, and its W, A and pairs are not changed afterwards,
+    as the codimension engine keeps an integer form of each action for
+    the action's lifetime (codim._of_action)."""
 
     def __init__(self, W: StructureAlgebra, A: StructureAlgebra, pairs, kernel_tail=False,
                  *, name=None, validate=True):
@@ -58,7 +61,7 @@ class Action:
             raise DimensionMismatch("one operator pair per W basis element required")
         self.W = W
         self.A = A
-        self.pairs = list(pairs)
+        self.pairs = tuple(pairs)
         self.kernel_tail = bool(kernel_tail)
         self.name = name
         if validate:

@@ -33,11 +33,20 @@ one sparse space pass by pass: multiplying coefficient slot t by a table
 M sends each entry with digit a at place s^(d-t) to the columns with
 digit k there, scaled by M[a, k], so no dense row is written.
 
-One polynomial is tested on the same rows (_word_rows, which
-identity_witness and membership share): each of its multilinear
-components is one combination of permuted master rows, built for the
-coefficient fillings of its words alone, and its first nonzero column is
-the first basis tuple at which the component does not vanish.
+One polynomial is tested on the same rows (_word_rows, the evaluator that
+identity_witness and membership share, kept in the action's form below):
+each of its multilinear components is one combination of permuted master
+rows, built for the coefficient fillings of its words alone, and its
+first nonzero column is the first basis tuple at which the component
+does not vanish.
+
+Each action has one integer form, built part by part on first use and
+reused by every later call on it, and freed with it (_of_action): its
+degree-1 master rows and contractions with their denominators and bound
+(_action_operators), the word evaluator, W's product tables, its
+structural identities and the generator texts normalized for it, the
+arrays read-only.  Nothing of degree n is kept: every call does its own
+lifts, ranks and consequence spans.
 
 Consequence spans realize the multilinear degree-n part of the ideal
 generated by a set of identities under substitutions, two-sided monomial
@@ -103,12 +112,17 @@ ordinary exterior algebra, acted on by F alone.
 
 from __future__ import annotations
 
+import operator
 import os
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial, wraps
 from fractions import Fraction
 from itertools import accumulate, chain, islice, permutations, product
 from math import factorial, gcd, lcm
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,7 +131,16 @@ from ._sparserank import SparseIntRowSpace, dense_rows
 from ._specht import isotypic_blocks, orbit_width
 from .actions import Action, grassmann_action
 from .algebras import _grassmann_words, _parse_name, _word_mask
-from .errors import BadDegree, BasisMismatch, BudgetExceeded, InternalError, NotMultilinear, NotSplit, UnknownCoefficient
+from .errors import (
+    BadDegree,
+    BasisMismatch,
+    BudgetExceeded,
+    InternalError,
+    NotMultilinear,
+    NotPolynomial,
+    NotSplit,
+    UnknownCoefficient,
+)
 from .linalg import Subspace, _int_type, int_dict, reversed_kernel
 from .polynomials import (
     basis_size,
@@ -159,9 +182,18 @@ def _check_budget(rows: int, cols: int):
         raise BudgetExceeded(rows, cols, budget)
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an integer (operator.index takes it) and not a bool."""
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return not isinstance(x, bool)
+
+
 def _check_degree(n: int):
-    if n < 1:
-        raise BadDegree(f"degree must be >= 1, got {n}")
+    if not _is_integer(n) or n < 1:
+        raise BadDegree(f"degree must be an integer >= 1, got {n!r}")
 
 
 def _check_bytes(rows: int, cols: int, itemsize: int = 1):
@@ -169,6 +201,46 @@ def _check_bytes(rows: int, cols: int, itemsize: int = 1):
     itemsize bytes is allocated, when its bytes are over STREAM_BYTES."""
     if rows * cols * itemsize > STREAM_BYTES:
         raise BudgetExceeded(rows, cols, STREAM_BYTES, itemsize)
+
+
+# -- the integer form of an action ------------------------------------------------
+
+# The integer form of each action, freed with it (an Action hashes by
+# identity and is immutable once built): parts made on first use and
+# reused by every later call on that action (_of_action).  The parts hold
+# data of the action alone, at degree 1 or per coefficient slot: its
+# operators and contractions (_action_operators), its word evaluator
+# (_word_rows), W's product tables (_action_tables), its structural
+# identities (_structural) and the generator texts normalized for it
+# (_normalized).  Nothing of degree n is kept, no span and no answer.
+_FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TEXTS = 64  # generator texts kept per action, the least recently used dropped first
+
+
+def _of_action(build):
+    """build(h) as a part of the integer form of the action h: made on the
+    first call for h, kept in _FORMS and then returned as it is.  A part
+    must not refer to h, which would keep h alive."""
+
+    @wraps(build)
+    def part(h: Action):
+        parts = _FORMS.get(h)
+        if parts is None:
+            parts = _FORMS[h] = {}
+        if build not in parts:
+            parts[build] = build(h)
+        return parts[build]
+
+    return part
+
+
+def _read_only(X: np.ndarray) -> np.ndarray:
+    """X, checked against STREAM_BYTES and made read-only, to be kept in
+    the form of an action."""
+    if X.nbytes > STREAM_BYTES:
+        _check_bytes(len(X), X.size // len(X), X.itemsize)
+    X.setflags(write=False)
+    return X
 
 
 # -- evaluation rows ------------------------------------------------------------
@@ -184,32 +256,73 @@ def _int_matrix(M):
     return out, den
 
 
+class _Contractions(NamedTuple):
+    """The contractions S = [S_0 | ... | S_(s-1)] of the rho_w of one
+    action (_contraction), in int64 when every entry fits, and max |S|."""
+
+    S: np.ndarray
+    bound: int
+
+
+def _contractions(S: np.ndarray) -> _Contractions:
+    """S, in int64 when every entry fits, with its bound."""
+    bound = int(np.abs(S).max(initial=0))
+    return _Contractions(S.astype(np.int64) if bound < _INT64_LIMIT else S, bound)
+
+
+class _Operators(NamedTuple):
+    """The integer operators of one action (_action_operators)."""
+
+    firsts: np.ndarray  # the degree-1 master rows, in Python integers
+    ldens: tuple  # per w, the denominator of lambda_w
+    rdens: tuple  # per w, the denominator of rho_w
+    lift: _Contractions
+    cdens: tuple  # per w, the denominator of S_w
+
+
+@_of_action
+def _action_operators(h: Action) -> _Operators:
+    """The integer operators of h, kept in its form: its degree-1 master
+    rows (the transposed lambda_(w_0) rho_(w_1), flattened, (w_0, w_1) in
+    order, in Python integers), row (w_0, w_1) over
+    ldens[w_0] * rdens[w_1], and its contractions (_contraction) side by
+    side, S_w over cdens[w]."""
+    consts, dc = _int_constants(h.A)
+    Ls = [_int_matrix(p.L) for p in h.pairs]
+    Rs = [_int_matrix(p.R) for p in h.pairs]
+    firsts = np.array([(a @ b).T.ravel() for (a, _), (b, _) in product(Ls, Rs)], dtype=object)
+    S, bound = _contractions(np.hstack([_contraction(consts, D) for D, _ in Rs]))
+    return _Operators(_read_only(firsts), tuple(d for _, d in Ls), tuple(d for _, d in Rs),
+                      _Contractions(_read_only(S), bound), tuple(dd * dc for _, dd in Rs))
+
+
 def _operators(hs):
     """(firsts, contractions, (dens, cdens)) of actions hs with one
-    coefficient presentation; per action, its degree-1 master rows (the
-    transposed lambda_(w_0) rho_(w_1), flattened, (w_0, w_1) in order, in
-    Python integers) and its contractions (_contraction) side by side,
-    [S_0 | S_1 | ...], in int64 when they fit.  Each w's operators are over
-    one denominator shared by the actions: dens holds those of the degree-1
-    rows and cdens those of the S_w."""
-    ops = []
-    for h in hs:
-        consts, dc = _int_constants(h.A)
-        Ls = [_int_matrix(p.L) for p in h.pairs]
-        Rs = [_int_matrix(p.R) for p in h.pairs]
-        ops.append((Ls, Rs, [(_contraction(consts, D), dd * dc) for D, dd in Rs]))
-    out, dens = [], []
-    for kind in zip(*ops):  # the lambdas, rhos or contractions of every action
-        dens.append([lcm(*(d for _, d in per_w)) for per_w in zip(*kind)])
-        out.append([[X * (den // d) for (X, d), den in zip(mats, dens[-1])] for mats in kind])
-    firsts = [np.array([(a @ b).T.ravel() for a, b in product(L, R)], dtype=object) for L, R, _ in zip(*out)]
-    Ss = [S.astype(np.int64) if np.abs(S).max(initial=0) < _INT64_LIMIT else S for S in map(np.hstack, out[2])]
-    return firsts, Ss, ([a * b for a, b in product(*dens[:2])], dens[2])
+    coefficient presentation: per action, its degree-1 master rows and its
+    contractions (_Contractions), from its form (_action_operators).  Each
+    w's operators are over one denominator shared by the actions: dens
+    holds those of the degree-1 rows and cdens those of the S_w.  One
+    action's operators serve as they are kept; those of two are rescaled
+    to the common denominators."""
+    ops = [_action_operators(h) for h in hs]
+    ldens, rdens, cdens = ([lcm(*per_w) for per_w in zip(*(getattr(o, kind) for o in ops))]
+                           for kind in ("ldens", "rdens", "cdens"))
+    dens = [a * b for a, b in product(ldens, rdens)]
+    if len(ops) == 1:
+        return [ops[0].firsts], [ops[0].lift], (dens, cdens)
+    firsts, lifts = [], []
+    for o in ops:
+        rows = [(a // x) * (b // y) for (a, x), (b, y) in product(zip(ldens, o.ldens), zip(rdens, o.rdens))]
+        firsts.append(o.firsts * np.array(rows, dtype=object)[:, None])
+        cols = np.repeat(np.array([c // x for c, x in zip(cdens, o.cdens)], dtype=object), len(o.lift.S) ** 2)
+        lifts.append(_contractions(o.lift.S.astype(object) * cols))
+    return firsts, lifts, (dens, cdens)
 
 
-def _lift(X: np.ndarray, S: np.ndarray) -> np.ndarray:
+def _lift(X: np.ndarray, C: _Contractions) -> np.ndarray:
     """Phi_w(X[i]) at row i * s + w, for every row i of X and every listed
-    coefficient w, given the contractions S = [S_0 | ... | S_(s-1)].
+    coefficient w, given the contractions C (S = [S_0 | ... | S_(s-1)]
+    and its bound).
 
     Lemma: the degree-t master row of (w_0, ..., w_t) is Phi_(w_t) of the
     degree-(t-1) row of (w_0, ..., w_(t-1)), where
@@ -224,9 +337,10 @@ def _lift(X: np.ndarray, S: np.ndarray) -> np.ndarray:
 
     In int64 when max |X| * dim * max |S|, a bound on every entry and
     partial sum of the product, is below 2^63, else in Python integers."""
+    S = C.S
     dim = len(S)
     s = S.shape[1] // (dim * dim)
-    bound = max(1, int(np.abs(X).max(initial=0))) * dim * int(np.abs(S).max(initial=0))
+    bound = max(1, int(np.abs(X).max(initial=0))) * dim * C.bound
     dtype = np.int64 if bound < _INT64_LIMIT else object
     Y = X.astype(dtype, copy=False).reshape(-1, dim) @ S.astype(dtype, copy=False)
     return Y.reshape(len(X), X.shape[1] // dim, s, dim * dim).swapaxes(1, 2).reshape(len(X) * s, -1)
@@ -238,9 +352,10 @@ def _masters(h: Action, n: int):
     order, lifted degree by degree (_lift): row i of M, over the evaluation
     columns, is scales[i] > 0 times the exact rational evaluation row, with
     coprime entries (int64 when every entry fits)."""
-    (X,), (S,), (dens, ds) = _operators((h,))
+    (X,), (C,), (dens, ds) = _operators((h,))
+    X = X.copy()  # _coprime divides in place, and the form's rows are read-only
     for _ in range(n - 1):
-        X, dens = _lift(X, S), [den * d for den in dens for d in ds]
+        X, dens = _lift(X, C), [den * d for den in dens for d in ds]
     M, g = _coprime(X)
     return M, [Fraction(den, v) if v else _ONE for den, v in zip(dens, g)]
 
@@ -254,13 +369,13 @@ def _master_span(hs, n: int, width: int) -> np.ndarray:
     (_operators), so both halves keep one rational scale.  The last degree
     goes to _span in pieces of _chunk_rows(width) rows, or of the s lifts
     of one row where that is more."""
-    firsts, Ss, _ = _operators(hs)
+    firsts, Cs, _ = _operators(hs)
 
     def lift(X, t):  # degree t to degree t + 1, half by half
         if len(hs) == 1:
-            return _lift(X, Ss[0])
+            return _lift(X, Cs[0])
         cuts = np.cumsum([h.A.dim ** (t + 1) for h in hs])[:-1]
-        return np.hstack([_lift(Y, S) for Y, S in zip(np.split(X, cuts, axis=1), Ss)])
+        return np.hstack([_lift(Y, C) for Y, C in zip(np.split(X, cuts, axis=1), Cs)])
 
     X = np.hstack(firsts)
     for t in range(1, n - 1):
@@ -437,8 +552,23 @@ def identity_kernel_polynomials(h: Action, n: int):
 
 def structural_identities(h: Action):
     """Degree-1 identities of the action (operator relations among the
-    composites lambda_i rho_j), as multilinear word polynomials."""
-    return _degree_one_words(identity_kernel_basis(h, 1), h.s)
+    composites lambda_i rho_j), as multilinear word polynomials: the
+    canonical basis of identity_kernel_basis(h, 1), under its budgets, as
+    fresh dicts of the words kept in the form of h (_structural)."""
+    _check_budget(h.s ** 2, h.A.dim ** 2)
+    _check_bytes(h.s ** 2, h.A.dim ** 2, 8)
+    return [dict(words) for words in _structural(h)[0]]
+
+
+@_of_action
+def _structural(h: Action):
+    """(words, vectors) of the structural identities of h, kept in its
+    form: the canonical basis of its degree-1 identity kernel as the items
+    of resolved-word generators (_degree_one_words), and as the (1, read-only
+    vector) pairs (_Generator) that _verify adds to the generators."""
+    M, scales = _masters(h, 1)
+    words = _degree_one_words(_left_kernel(M, _ratio_parts(scales)), h.s)
+    return tuple(tuple(w.items()) for w in words), tuple(_generator_vectors(words, h))
 
 
 def _degree_one_words(kernel: Subspace, s: int):
@@ -452,14 +582,15 @@ def _degree_one_words(kernel: Subspace, s: int):
 
 def _generator_words(g, h: Action):
     """Normalize one generator, a text, a polynomial or a resolved-word
-    dict, to (degree, [(coeff, word)]) with variables renumbered 1..d; None
-    for generators that vanish in coordinates.  A text or a polynomial is
+    dict, to (degree, ((coeff, word), ...)) with variables renumbered
+    1..d; None for generators that vanish in coordinates.  A resolved-word
+    dict is checked first (_checked_words).  A text or a polynomial is
     expanded once, straight to words (polynomials.symbol_words), and
     linearized and resolved on that dict; it must have one multilinear
     component.  Coefficients are ints, or Fractions where a scalar is not
     integral."""
     if isinstance(g, dict):
-        return _renumbered(g, h.s)
+        return _renumbered(_checked_words(g), h.s)
     if isinstance(g, str):
         g, words = parse_words(g)
     else:
@@ -470,10 +601,26 @@ def _generator_words(g, h: Action):
     return _renumbered(resolve(parts[0], h), h.s)
 
 
+def _checked_words(words: dict) -> dict:
+    """The resolved-word dict of a generator given as one, after checking
+    it: every word a tuple of nonzero int symbols (a variable index > 0, a
+    coefficient -(k + 1) < 0) with a coefficient that is an int or a
+    Fraction, else NotPolynomial, and every word with a variable, else
+    NotMultilinear."""
+    for w, c in words.items():
+        if type(w) is not tuple or not all(type(sym) is int and sym for sym in w):
+            raise NotPolynomial(f"a resolved word is a tuple of nonzero int symbols, not {w!r}")
+        if type(c) is not int and not isinstance(c, Fraction):
+            raise NotPolynomial(f"the coefficient of word {w} is {c!r}, not an int or a Fraction")
+        if not any(sym > 0 for sym in w):
+            raise NotMultilinear(f"word {w} has no variable")
+    return words
+
+
 def _renumbered(words: dict, s: int):
-    """(degree, [(coeff, word)]) of resolved words without their tail words
-    (a coefficient index >= s), variables renumbered 1..d in order; None
-    when no word is left.  Every word must hold every variable once."""
+    """(degree, ((coeff, word), ...)) of resolved words without their tail
+    words (a coefficient index >= s), variables renumbered 1..d in order;
+    None when no word is left.  Every word must hold every variable once."""
     words = {
         w: c
         for w, c in words.items()
@@ -489,14 +636,52 @@ def _renumbered(words: dict, s: int):
         if sorted(got) != vars_seen:
             raise NotMultilinear("generator is not multilinear")
         out.append((c, tuple(ren[sym] if sym > 0 else sym for sym in w)))
-    return len(vars_seen), out
+    return len(vars_seen), tuple(out)
 
 
-def _words_vector(gw, h: Action):
-    """(degree d, coefficient vector {row: rational} over the degree-d
-    monomials) of the words gw of one generator that _generator_words gave;
-    None for generators that vanish in coordinates (gw None)."""
-    return None if gw is None else (gw[0], vectorize_words({w: c for c, w in gw[1]}, h.W, gw[0]))
+class _Generator:
+    """One generator normalized for an action: its words (_generator_words)
+    and its vector, made when first asked.  Both are read-only, tuples and
+    a read-only mapping, as the generators given as text are kept in the
+    form of the action (_normalized)."""
+
+    def __init__(self, g, h: Action):
+        self.words = _generator_words(g, h)
+        self._W = h.W
+
+    @cached_property
+    def vector(self):
+        """(degree d, coefficient vector {row: rational} over the degree-d
+        monomials); None for a generator that vanishes in coordinates."""
+        if self.words is None:
+            return None
+        d, terms = self.words
+        return d, MappingProxyType(vectorize_words({w: c for c, w in terms}, self._W, d))
+
+
+@_of_action
+def _texts(h: Action) -> OrderedDict:
+    """The generator texts normalized for h (_normalized), kept in its
+    form."""
+    return OrderedDict()
+
+
+def _normalized(g, h: Action) -> _Generator:
+    """The generator g normalized for h (_Generator).  A text is kept in
+    the form of h, keyed by the text, in a least-recently-used table of
+    _TEXTS entries, so that later calls reuse its words and its vector; a
+    polynomial or a dict, which its owner may change, is normalized
+    afresh."""
+    if not isinstance(g, str):
+        return _Generator(g, h)
+    texts = _texts(h)
+    if g in texts:
+        texts.move_to_end(g)
+        return texts[g]
+    texts[g] = normal = _Generator(g, h)
+    if len(texts) > _TEXTS:
+        texts.popitem(last=False)
+    return normal
 
 
 def _relabellings(d: int, pis) -> list:
@@ -560,6 +745,13 @@ def _product_tables(W):
     den = lcm(*(Fraction(v).denominator for v in P.flat))
     P = np.array([int(v * den) for v in P.flat], dtype=object).reshape(s, s, s)
     return P, P.transpose(1, 0, 2)
+
+
+@_of_action
+def _action_tables(h: Action):
+    """W's product tables (_product_tables), read-only, kept in the form
+    of h."""
+    return tuple(map(_read_only, _product_tables(h.W)))
 
 
 def _coefficient_families(d: int, left, right):
@@ -887,10 +1079,10 @@ def _consequence_blocks(vecs, h: Action, n: int):
     whose images brought a pivot to Q_d, rank Q_d of them; the left
     extensions are never applied, and no row of P_d is kept but those and
     the closure.  The d! relabellings of S_d are never made."""
-    W, s = h.W, h.s
-    if W.unit is None:
+    s = h.s
+    if h.W.unit is None:
         raise InternalError("consequence spans need a unital coefficient algebra")
-    tables = _product_tables(W)
+    tables = _action_tables(h)
     by_degree: dict = {}  # degree -> generator vectors
     for d, vec in vecs:
         if d <= n and vec:
@@ -908,8 +1100,9 @@ def _consequence_blocks(vecs, h: Action, n: int):
 
 def _generator_vectors(gens, h: Action) -> list:
     """The (degree, vector) pairs of the generators that do not vanish in
-    coordinates (_words_vector), each generator normalized once."""
-    return [gv for g in gens if (gv := _words_vector(_generator_words(g, h), h)) is not None]
+    coordinates (_Generator), each generator normalized once
+    (_normalized)."""
+    return [gv for g in gens if (gv := _normalized(g, h).vector) is not None]
 
 
 def consequences_span(generators, h: Action, n: int) -> Subspace:
@@ -949,7 +1142,8 @@ def consequences_span(generators, h: Action, n: int) -> Subspace:
 def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     """Membership of one multilinear polynomial in the consequence span.
 
-    The target and the generators are normalized once (_generator_words).
+    The target and the generators are normalized once (_normalized; those
+    given as text are kept in the form of h).
     When every generator of degree <= n is an identity of h and the target
     is not, the answer is False, and the target's nonzero evaluation row
     (_word_rows) is the certificate; no consequence row is built.  Lemma:
@@ -966,22 +1160,23 @@ def in_consequence_span(poly, generators, h: Action, n: int) -> bool:
     it after every group that adds pivots, until it reduces to zero or the
     feed is exhausted."""
     _check_degree(n)
-    tw = _generator_words(poly, h)
+    t = _normalized(poly, h)
+    tw = t.words
     if tw is None:
         return True
     if h.W.unit is None:  # the coordinates need it, whether the witness decides or not
         raise UnknownCoefficient("vectorization needs a unital coefficient algebra")
-    target = cache(lambda: int_dict(_words_vector(tw, h)[1]))
+    target = cache(lambda: int_dict(t.vector[1]))
     row = _word_rows(h) if 8 * h.A.dim ** (n + 1) <= STREAM_BYTES else None
     shown = tw[0] == n and row is not None and row(*tw).any()
     if not shown and not target():
         return True
     if tw[0] != n:
         raise NotMultilinear(f"membership at degree {n} needs a target of that degree, not {tw[0]}")
-    gws = [gw for g in generators if (gw := _generator_words(g, h)) is not None]
-    if shown and not any(row(*gw).any() for gw in gws if gw[0] <= n):
+    gens = [x for g in generators if (x := _normalized(g, h)).words is not None]
+    if shown and not any(row(*x.words).any() for x in gens if x.words[0] <= n):
         return False
-    q = _consequence_blocks([_words_vector(gw, h) for gw in gws], h, n)
+    q = _consequence_blocks([x.vector for x in gens], h, n)
     residual = q.image(target())
 
     def holds(q):
@@ -1013,11 +1208,12 @@ def _vanishes(vec: dict, blocks, scales=None) -> bool:
     return not np.any(total)
 
 
-def _verify(gens, h: Action, n: int, evaluation, codim) -> bool:
+def _verify(gens, h: Action, n: int, evaluation, codim, structural) -> bool:
     """Generating-set certificate at degree n on one evaluation source:
     evaluation(d) gives (integer row blocks, row scales or None) of a
     matrix with the rank and the left kernel of the degree-d evaluation
-    matrix, and codim() its rank at degree n.
+    matrix, codim() its rank at degree n, and structural() the (1, vector)
+    pairs of the basis of its degree-1 left kernel.
 
     A generator of degree 1..n that is not an identity (_vanishes) gives
     False at once.  Otherwise the consequence span I_n of the generators
@@ -1030,10 +1226,7 @@ def _verify(gens, h: Action, n: int, evaluation, codim) -> bool:
     for d, vec in vecs:
         if d <= n and not _vanishes(vec, *evaluation(d)):
             return False
-    blocks, scales = evaluation(1)
-    kernel = _left_kernel(np.concatenate(list(blocks)), None if scales is None else _ratio_parts(scales))
-    vecs += _generator_vectors(_degree_one_words(kernel, h.s), h)
-    q = _consequence_blocks(vecs, h, n)
+    q = _consequence_blocks(vecs + list(structural()), h, n)
     target = q.width - codim()
     q.fill(stop=lambda q: q.space.rank >= target)
     if q.space.rank > target:
@@ -1059,17 +1252,22 @@ def verify_generating_set(generators, h: Action, n: int, codim_value: int | None
         M, scales = masters(d)
         return _evaluation_blocks(M, h.A.dim, d), scales * factorial(d)
 
-    return _verify(generators, h, n, evaluation, lambda: codimension(h, n) if codim_value is None else codim_value)
+    return _verify(generators, h, n, evaluation, lambda: codimension(h, n) if codim_value is None else codim_value,
+                   lambda: _structural(h)[1])
 
 
 # -- identity test ---------------------------------------------------------------------
 
 
+@_of_action
 def _word_rows(h: Action):
     """The evaluator of normalized words on the master rows of h: a
     function of (d, [(coeff, word)]) (_generator_words) that gives one
     integer row over the dim^(d+1) evaluation columns, a positive multiple
     of the exact evaluation of the sum of the words at every basis tuple.
+    It lives in the form of h (_of_action), with its caches of slot
+    operators and master factors, read-only: membership and
+    identity_witness share it, and every later call on h reuses it.
 
     Each word adds its master row moved to its variable order (_permuted):
     the row of w_0 x_1 w_1 ... x_d w_d (the lemma of _lift) with the
@@ -1078,9 +1276,13 @@ def _word_rows(h: Action):
     unit and product are not used; words that share their slot runs share
     one row.  The sum is in integers, int64 when a magnitude bound fits; a
     row over STREAM_BYTES raises BudgetExceeded before it is allocated."""
-    dim = h.A.dim
+    dim, pairs = h.A.dim, h.pairs
     consts, dc = _int_constants(h.A)
-    op = cache(lambda k, left: _int_matrix(h.pairs[k].L if left else h.pairs[k].R))
+
+    @cache
+    def op(k, left):
+        X, den = _int_matrix(pairs[k].L if left else pairs[k].R)
+        return _read_only(X), den
 
     @cache
     def slot(run, left):
@@ -1088,10 +1290,12 @@ def _word_rows(h: Action):
         the product of its lambda (left) or rho operators, the identity for
         an empty run."""
         ops = [op(k, left) for k in (run if left else run[::-1])]
+        if len(ops) == 1:
+            return ops[0]
         X, den = ops[0] if ops else (np.identity(dim, dtype=object), 1)
         for D, dd in ops[1:]:
             X, den = X @ D, den * dd
-        return X, den
+        return _read_only(X), den
 
     @cache
     def master(runs):
@@ -1104,18 +1308,23 @@ def _word_rows(h: Action):
         for D, dd in (slot(run, False) for run in runs[2:]):
             S = _contraction(consts, D)
             factors, den, bound = factors + [S], den * dd * dc, bound * dim * int(np.abs(S).max(initial=0))
-        return [X.astype(np.int64 if 0 < bound < _INT64_LIMIT else object) for X in factors], den, bound
+        return [_read_only(X.astype(np.int64 if 0 < bound < _INT64_LIMIT else object)) for X in factors], den, bound
 
     def row(d: int, words) -> np.ndarray:
         ncols = dim ** (d + 1)
         _check_bytes(1, ncols, 8)
-        groups: dict = {}  # slot runs -> [(rational weight of the row, variable order)]
+        # slot runs -> [(numerator, denominator) of the rational weight of
+        # the row in lowest terms, and the variable order]
+        groups: dict = {}
         for c, w in words:
             order, runs = word_runs(w)
-            if master(runs)[2]:  # the row is not zero
-                groups.setdefault(runs, []).append((Fraction(c) / master(runs)[1], [v - 1 for v in order]))
-        den = lcm(*(q.denominator for g in groups.values() for q, _ in g))
-        bound = sum(abs(q) * den * master(runs)[2] for runs, g in groups.items() for q, _ in g)
+            _, mden, mbound = master(runs)
+            if mbound:  # the row is not zero
+                qn, qd = (c, mden) if isinstance(c, int) else (c.numerator, c.denominator * mden)
+                g = gcd(qn, qd)
+                groups.setdefault(runs, []).append((qn // g, qd // g, [v - 1 for v in order]))
+        den = lcm(*(qd for g in groups.values() for _, qd, _ in g))
+        bound = sum(abs(qn) * (den // qd) * master(runs)[2] for runs, g in groups.items() for qn, qd, _ in g)
         dtype = np.int64 if bound < _INT64_LIMIT else object
         total = np.zeros((1, ncols), dtype=dtype)
         for runs, g in groups.items():
@@ -1123,8 +1332,8 @@ def _word_rows(h: Action):
             for S in steps:
                 X = (X.reshape(-1, dim) @ S).reshape(1, -1)
             X = X.astype(dtype, copy=False)
-            for q, perm in g:
-                total += int(q * den) * _permuted(X, dim, d, perm)
+            for qn, qd, perm in g:
+                total += qn * (den // qd) * _permuted(X, dim, d, perm)
         return total[0]
 
     return row
@@ -1298,6 +1507,11 @@ def _column_maps(k: int, n: int, lo: int, hi: int):
     return col[moved[lo:hi, cls], out], signs[lo:hi, cls]
 
 
+def _check_grassmann_shape(k: int, n: int):
+    if not (_is_integer(k) and _is_integer(n)) or k < 0 or n < 1:
+        raise BadDegree(f"need integers k >= 0 and n >= 1, got k = {k!r}, n = {n!r}")
+
+
 def _grassmann_block(k: int, n: int) -> np.ndarray:
     """The block of the identity order of the degree-n parity-class matrix
     of the k-generator action (see _grassmann_stabilized), with int8
@@ -1312,8 +1526,7 @@ def _grassmann_block(k: int, n: int) -> np.ndarray:
     BudgetExceeded is raised before the block is allocated when its bytes
     are over STREAM_BYTES.  k = 0 is the exterior algebra acted on by F
     alone (s = 1)."""
-    if k < 0 or n < 1:
-        raise BadDegree(f"need k >= 0 and n >= 1, got k = {k}, n = {n}")
+    _check_grassmann_shape(k, n)
     # each of e_1..e_k in one of n slots, or in none and then in the output
     # or not; a parity for each slot
     rows, ncols = 1 << k * (n + 1), (n + 2) ** k << n
@@ -1462,11 +1675,13 @@ def verify_grassmann_generating_set(k: int, n: int, generators=None) -> bool:
     kernel of degree <= n is final (see _grassmann_stabilized): _verify on
     the parity-class matrices, one per degree, each identity block built
     once per call and the other blocks made as they are pulled."""
+    _check_grassmann_shape(k, n)
     block = cache(partial(_grassmann_block, k))
     h = grassmann_action(k, k)  # coefficient structure only; A unused below
     gens = grassmann_generators(k) if generators is None else generators
     return _verify(gens, h, n, lambda d: (_grassmann_matrix(k, d, block(d)), None),
-                   lambda: _grassmann_rank(k, n, block(n)))
+                   lambda: _grassmann_rank(k, n, block(n)),
+                   lambda: _generator_vectors(_degree_one_words(_left_kernel(block(1)), h.s), h))
 
 
 # -- growth reports ----------------------------------------------------------------

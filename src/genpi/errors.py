@@ -79,13 +79,16 @@ class UnknownOperation(GenpiError, ValueError):
 
 
 class BadDegree(GenpiError, ValueError):
-    """A degree, or a generator or coefficient count, below 1; or a
-    monomial whose coefficient slots are not one more than its degree."""
+    """A degree, or a generator or coefficient count, below 1 or not an
+    integer; or a monomial whose coefficient slots are not one more than
+    its degree."""
 
 
 class NotPolynomial(GenpiError, TypeError):
     """A value given where a polynomial node (an element of the parsed
-    syntax tree) is expected."""
+    syntax tree) is expected, or a resolved-word generator whose words are
+    not tuples of nonzero int symbols or whose coefficients are not ints
+    or Fractions."""
 
 
 class NotMultilinear(GenpiError, ValueError):

@@ -562,6 +562,42 @@ def test_degree_below_one_is_rejected(name, n):
         DEGREE_CALLS[name](preset_action("ut2D"), n)
 
 
+@pytest.mark.parametrize("name", list(DEGREE_CALLS))
+@pytest.mark.parametrize("n", [2.0, "2", 1.5, True, None])
+def test_non_integer_degree_is_rejected(name, n):
+    with pytest.raises(BadDegree, match=">= 1"):
+        DEGREE_CALLS[name](preset_action("ut2D"), n)
+
+
+@pytest.mark.parametrize("call", [grassmann_codim_stabilized, verify_grassmann_generating_set])
+@pytest.mark.parametrize("k", [1.5, "1", None])
+def test_non_integer_grassmann_generator_count_is_rejected(call, k):
+    with pytest.raises(BadDegree, match="k >= 0"):
+        call(k, 2)
+
+
+MALFORMED_WORDS = [
+    ({(0,): 1}, NotPolynomial),  # 0 is neither a variable nor a coefficient
+    ({(0, 1): 1}, NotPolynomial),
+    ({(1, "a"): 1}, NotPolynomial),
+    ({(1, True): 1}, NotPolynomial),
+    ({1: 1}, NotPolynomial),  # a word is a tuple
+    ({(1, 2): 0.5}, NotPolynomial),  # a coefficient is an int or a Fraction
+    ({(1, 2): "1"}, NotPolynomial),
+    ({(): 1}, NotMultilinear),  # a word holds a variable
+    ({(-1,): 1}, NotMultilinear),
+]
+
+
+@pytest.mark.parametrize("gen, error", MALFORMED_WORDS)
+def test_malformed_word_dicts_are_rejected(gen, error):
+    h, gens = preset_action("ut2full"), preset_generators("ut2full")
+    for call in (lambda: verify_generating_set([gen], h, 2), lambda: in_consequence_span(gen, gens, h, 1),
+                 lambda: in_consequence_span("[x1,x2]", [gen], h, 2), lambda: consequences_span([gen], h, 1)):
+        with pytest.raises(error):
+            call()
+
+
 def test_non_polynomial_generator_is_a_genpi_error():
     with pytest.raises(NotPolynomial) as e:
         verify_generating_set([5], preset_action("ut2D"), 2)

@@ -173,7 +173,9 @@ def badly_keyed_caches(paths) -> list:
     """The parameters of module-level functions decorated with
     functools.cache or lru_cache that are not annotated int or tuple.  A
     cache keyed on ints and tuples holds tables of a shape only, never an
-    Action, rows or an answer, which would live as long as the process."""
+    Action, rows or an answer, which would live as long as the process.
+    (What codim keeps of an action lives in its weak per-action form,
+    codim._FORMS, freed with the action.)"""
     out = []
     for path in paths:
         for node in ast.parse(path.read_text()).body:
