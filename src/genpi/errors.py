@@ -87,8 +87,8 @@ class BadDegree(GenpiError, ValueError):
 class NotPolynomial(GenpiError, TypeError):
     """A value given where a polynomial node (an element of the parsed
     syntax tree) is expected, or a resolved-word generator whose words are
-    not tuples of nonzero int symbols or whose coefficients are not ints
-    or Fractions."""
+    not tuples of nonzero integer symbols or whose coefficients are not
+    integers or Fractions."""
 
 
 class NotMultilinear(GenpiError, ValueError):

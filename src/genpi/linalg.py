@@ -16,7 +16,6 @@ leading entries 1, is made when a caller reads it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -45,10 +44,10 @@ def rat(x) -> Fraction:
 
 
 def int_dict(v) -> dict:
-    """v, a sequence or a {col: value} mapping of rationals, times a positive
+    """v, a sequence or a {col: value} dict of rationals, times a positive
     rational, as the {col: int} dict of its nonzero entries: the lcm of the
     denominators clears them, and the values are Python integers."""
-    items = v.items() if isinstance(v, Mapping) else enumerate(v)
+    items = v.items() if isinstance(v, dict) else enumerate(v)
     items = [(c, x if isinstance(x, int) else rat(x)) for c, x in items]
     items = [(c, x) for c, x in items if x]
     den = lcm(*(x.denominator for _, x in items))

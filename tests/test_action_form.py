@@ -2,11 +2,14 @@
 it cannot be seen from outside.  Each check runs twice on one action and
 once on a fresh one and compares the answers; the kept arrays are
 read-only and of degree 1 or per coefficient slot; what a caller gets
-back, or passes in and changes later, does not reach the form; and the
-form is freed with its action."""
+back, or passes in and changes later, does not reach the form; calls do
+not grow it; and it is freed with its action."""
 
 import gc
+import sys
+import types
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
@@ -72,21 +75,15 @@ def test_kept_arrays_are_read_only_and_of_degree_one(monkeypatch):
     codimension(h, 5)
     assert in_consequence_span("[x1,x2]*x3*x4*x5", preset_generators(name), h, 5) is False
     ops, tables = codim._action_operators(h), codim._action_tables(h)
-    for X in (ops.firsts, ops.lift.S, *tables):
+    for X in (ops.firsts, *ops.lambdas, *ops.rhos, ops.lift.S, ops.unit, *tables):
         assert any(X is Y for Y in kept)
-    assert len(kept) > 4  # the word evaluator's operators and factors too
     s, dim = h.s, h.A.dim
+    assert len(kept) == 2 * s + 5
     for X in kept:
         assert not X.flags.writeable
         assert X.size <= max(s * s * dim * dim, s * dim ** 3, s ** 3)  # nothing of degree n
         with pytest.raises(ValueError):
             X.flat[0] = X.flat[0]
-    # the kept vectors of the generator texts and of the structural identities
-    vectors = [codim._normalized(g, h).vector for g in preset_generators(name)] + list(codim._structural(h)[1])
-    assert sum(v is not None for v in vectors) > 1
-    for d, vec in filter(None, vectors):
-        with pytest.raises(TypeError):
-            vec[next(iter(vec))] = 0
 
 
 def test_returned_and_given_generators_do_not_reach_the_form():
@@ -118,17 +115,39 @@ def test_every_codimension_call_does_its_rank_work(monkeypatch):
     assert first > 0 and len(fed) == 2 * first
 
 
-def test_generator_texts_are_kept_in_a_bounded_table():
-    h = preset_action("ut2full")
-    texts = [f"[x1,x2]*x3*w{i % 3}" if i < 3 else f"{i}*[x1,x2]*x3" for i in range(codim._TEXTS + 5)]
-    for t in texts:
-        codim._normalized(t, h)
-    assert list(codim._texts(h)) == texts[5:]
-    kept = codim._normalized(texts[5], h)  # now the most recently used
-    codim._normalized("x1*x2*x3", h)
-    assert list(codim._texts(h)) == [*texts[7:], texts[5], "x1*x2*x3"]
-    assert codim._normalized(texts[5], h) is kept
-    assert kept.words == codim._generator_words(texts[5], h)
+def form_bytes(h) -> int:
+    """The bytes of what the kept form of h reaches: its arrays, and the
+    objects, closures and cache tables under its parts."""
+    seen, todo, total = set(), list(codim._FORMS[h].values()), 0
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType)):
+            continue
+        seen.add(id(x))
+        total += x.nbytes if isinstance(x, np.ndarray) else sys.getsizeof(x)
+        if isinstance(x, types.FunctionType):  # its closure, not its module
+            todo.extend(cell.cell_contents for cell in x.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(x))
+    return total
+
+
+def test_many_word_patterns_do_not_grow_the_form():
+    """The word evaluator's slot and master tables last for one call: the
+    form of an action is the same after one membership or witness call as
+    after many with distinct coefficient patterns."""
+    h, gens = preset_action("ut2full"), preset_generators("ut2full")
+    assert verify_generating_set(gens, h, 3) is True
+    assert in_consequence_span("[x1,x2]*x3", gens, h, 3) is False
+    identity_witness(parse("[x1,x2]*x3"), h)
+    parts, size = set(codim._FORMS[h]), form_bytes(h)
+    words = ["w0", "w1", "w2", "w1*w2", "w2*w1", "w1*w1*w2"]
+    for a, b, c in product(words, repeat=3):
+        text = f"{a}*[x1,x2]*{b}*x3*{c}"
+        in_consequence_span(text, gens, h, 3)
+        identity_witness(parse(text), h)
+    assert set(codim._FORMS[h]) == parts
+    assert form_bytes(h) == size
 
 
 def test_the_form_is_freed_with_its_action():

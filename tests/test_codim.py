@@ -598,6 +598,19 @@ def test_malformed_word_dicts_are_rejected(gen, error):
             call()
 
 
+def test_numpy_integers_in_word_dicts_are_accepted():
+    """Symbols and coefficients that operator.index takes are integers, as
+    degrees are: a dict of numpy integers gives the answers of its ints."""
+    h, gens = preset_action("ut2full"), preset_generators("ut2full")
+    plain = {(1, 2, -2): 1, (2, 1, -2): -1, (1, 2): 2}
+    wide = {tuple(map(np.int64, w)): np.int64(c) for w, c in plain.items()}
+    wide[(1, 2)] = np.int32(2)
+    for gen in (plain, wide):
+        assert verify_generating_set([gen], h, 2) is False
+        assert in_consequence_span(gen, gens, h, 2) is in_consequence_span(plain, gens, h, 2)
+        assert consequences_span([gen], h, 2) == consequences_span([plain], h, 2)
+
+
 def test_non_polynomial_generator_is_a_genpi_error():
     with pytest.raises(NotPolynomial) as e:
         verify_generating_set([5], preset_action("ut2D"), 2)
