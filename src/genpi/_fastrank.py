@@ -25,12 +25,16 @@ most 2k positions involved then moves the new pivots next to the old ones,
 and Y joins the basis.
 
 Columns are held in a physical order with the pivot columns first, so the
-part of the basis a product reads is one contiguous slice.  Arithmetic is
-float64 while a magnitude bound certifies that every intermediate value is
-an integer below 2^52 (so exactly representable, whatever the order of
-summation); the first time a bound fails, the basis moves for good to
-Python-integer object arrays and the elimination goes on there.  Either way
-the result is exact.
+part of the basis a product reads is one contiguous slice.  Blocks are
+gathered into that order row-major, by np.take(..., axis=1): numpy returns
+a gather X[:, idx] column-major, and every step of a block's own
+elimination reads and writes whole rows, which would then be strided.
+
+Arithmetic is float64 while a magnitude bound certifies that every
+intermediate value is an integer below 2^52 (so exactly representable,
+whatever the order of summation); the first time a bound fails, the basis
+moves for good to Python-integer object arrays and the elimination goes on
+there.  Either way the result is exact.
 """
 
 from __future__ import annotations
@@ -51,11 +55,13 @@ def _ints(X: np.ndarray) -> np.ndarray:
 
 
 def _primitive(X: np.ndarray) -> np.ndarray:
-    """X (2-D) with each row divided by the gcd of its entries."""
-    Xi = X if X.dtype == object else X.astype(np.int64)
-    g = np.gcd.reduce(np.abs(Xi), axis=1, keepdims=True)
+    """X (2-D, float64 or Python integers) with each row divided by the
+    gcd of its entries.  In float64 the gcds are taken in int64 and the
+    division is float64, exact: every quotient is an integer below 2^52."""
+    exact = X.dtype == object
+    g = np.gcd.reduce(np.abs(X if exact else X.astype(np.int64)), axis=1, keepdims=True)
     g[g == 0] = 1
-    return (Xi // g).astype(X.dtype)
+    return X // g if exact else X / g
 
 
 class FastIntRowSpace:
@@ -93,7 +99,7 @@ class FastIntRowSpace:
         """A 2-D copy of integer rows B (any integer or exact float dtype) in
         physical column order and the number type of the basis."""
         B = np.asarray(B)
-        X = (B[None, :] if B.ndim == 1 else B)[:, self._col]
+        X = np.take(B[None, :] if B.ndim == 1 else B, self._col, axis=1)
         if not X.size:
             return X.astype(self._B.dtype)
         (X,) = self._exact_if(np.abs(X).max(), X)
@@ -140,13 +146,20 @@ class FastIntRowSpace:
         free columns in column order, so new pivot j is the first nonzero
         of the j-th independent row once the earlier ones are cleared from
         it; it sits at physical position P[j].  Each row of Y is primitive,
-        positive at its pivot and zero at the other new pivots."""
+        positive at its pivot and zero at the other new pivots.
+
+        The free columns of X are gathered row-major into a block Z, and
+        top bounds every |entry| of Z throughout.  A clearing raises top to
+        its a-priori bound (a + top) * top, which also decides float64
+        against Python integers; that bound outruns the entries, so once
+        it reaches _GROWTH the true maximum of Z is read, and Z is made
+        primitive only if that maximum is still _GROWTH or more."""
         r = self._r
         cols = r + X[:, r:].any(axis=0).nonzero()[0]
         if not cols.size:
             return None
         cols = cols[np.argsort(self._col[cols])]
-        Z = X[:, cols]
+        Z = np.take(X, cols, axis=1)  # row-major, as every step reads rows
         top = np.abs(Z).max()  # bounds every |entry| of Z
         rows, piv = [], []
         for i in Z.any(axis=1).nonzero()[0].tolist():
@@ -175,9 +188,11 @@ class FastIntRowSpace:
                     hit = np.flatnonzero(c)
                     Z[hit] = a * Z[hit] - c[hit, None] * z
                 top = max(top, bound)
-                if top >= _GROWTH:
-                    Z = _primitive(Z)
+                if top >= _GROWTH:  # the bound grows faster than the entries
                     top = np.abs(Z).max()
+                    if top >= _GROWTH:
+                        Z = _primitive(Z)
+                        top = np.abs(Z).max()
             rows.append(i)
             piv.append(p)
         if not rows:

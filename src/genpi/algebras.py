@@ -36,7 +36,7 @@ from .errors import (
     UnknownOperation,
     UnsupportedName,
 )
-from .linalg import RatMatrix, Subspace, int_rows, rat, solve_right
+from .linalg import RatMatrix, Subspace, int_rows, rat, solve_right, solve_right_many
 
 ASSOCIATIVITY_CHUNK = 1 << 20  # join terms held at once by the associativity check
 _ZERO = Fraction(0)
@@ -633,30 +633,30 @@ def subalgebra_presentation(A: StructureAlgebra, vectors, labels=None):
     if span.dim != len(coords):
         raise NotClosed("subalgebra basis vectors are linearly dependent")
     basis_matrix = RatMatrix.from_rows([[coords[i][r] for i in range(len(coords))] for r in range(A.dim)])
-    table = {}
-    for i, u in enumerate(coords):
-        for j, v in enumerate(coords):
-            prod = A.multiply_coords(u, v)
-            sol = solve_right(basis_matrix, prod)
-            if sol is None:
-                raise NotClosed(
-                    f"product of basis vectors {i} and {j} leaves the span"
-                )
-            terms = [(k, c) for k, c in enumerate(sol) if c != 0]
-            if terms:
-                table[(i, j)] = terms
-    if labels is None:
-        labels = [f"b{i}" for i in range(len(coords))]
-    unit = None
+    s = len(coords)
+    pairs = [(i, j) for i in range(s) for j in range(s)]
+    # every product and the unit against one reduction of the basis matrix
+    targets = [A.multiply_coords(coords[i], coords[j]) for i, j in pairs]
     if A.unit is not None:
-        sol = solve_right(basis_matrix, list(A.unit))
-        if sol is not None:
-            unit = sol
-    sub = StructureAlgebra(len(coords), labels, table, unit=unit)
+        targets.append(list(A.unit))
+    sols = solve_right_many(basis_matrix, targets)
+    table = {}
+    for (i, j), sol in zip(pairs, sols):
+        if sol is None:
+            raise NotClosed(
+                f"product of basis vectors {i} and {j} leaves the span"
+            )
+        terms = [(k, c) for k, c in enumerate(sol) if c != 0]
+        if terms:
+            table[(i, j)] = terms
+    if labels is None:
+        labels = [f"b{i}" for i in range(s)]
+    unit = sols[-1] if A.unit is not None else None
+    sub = StructureAlgebra(s, labels, table, unit=unit)
     if unit is None:
         u = _find_unit(sub)
         if u is not None:
-            sub = StructureAlgebra(len(coords), labels, table, unit=u)
+            sub = StructureAlgebra(s, labels, table, unit=u)
     return sub, basis_matrix
 
 

@@ -480,19 +480,14 @@ def _groups(blocks):
         yield np.concatenate(held)
 
 
-def _span(blocks, ncols: int, target: int | None = None, stop=None):
+def _span(blocks, ncols: int):
     """Row space of the rows of the integer blocks, dense evaluation rows,
     fed in order to one new FastIntRowSpace in whole BLOCK-row groups.
-    The feed, and the pulling of blocks, ends after the first group that
-    brings the rank to target or more, or after which stop(space) is true;
-    both are asked after each group that added pivots.  (The sparse
-    consequence rows go to SparseIntRowSpace through _Quotient.fill.)"""
+    (The sparse consequence rows go to SparseIntRowSpace through
+    _Quotient.fill.)"""
     space = FastIntRowSpace(ncols)
     for X in _groups(blocks):
-        if not space.add_rows(X):
-            continue
-        if target is not None and space.rank >= target or stop is not None and stop(space):
-            break
+        space.add_rows(X)
     return space
 
 

@@ -462,15 +462,31 @@ def left_kernel_basis(m: RatMatrix) -> Subspace:
 def solve_right(m: RatMatrix, target) -> list[Fraction] | None:
     """One solution x of M x = target, or None: the pivot solution read off
     RREF([M | target]), with the free unknowns zero; deterministic."""
-    t = [rat(v) for v in target]
-    if len(t) != m.nrows:
+    return solve_right_many(m, [target])[0]
+
+
+def solve_right_many(m: RatMatrix, targets) -> list:
+    """solve_right(m, t) for every target t, read off one RREF([M | T]),
+    T the targets as columns.  M x = t has no solution iff the column of t
+    is nonzero in a row whose pivot lies in T.  Where it has one, the rows
+    with a pivot in M hold, at that column, what they hold in
+    RREF([M | t]): clearing a pivot of T changes them there by multiples
+    of zero entries."""
+    ts = [[rat(v) for v in t] for t in targets]
+    if any(len(t) != m.nrows for t in ts):
         raise DimensionMismatch("target length mismatch")
     n = m.ncols
-    space = _row_space(({**r, n: v} for r, v in zip(m.iter_rows(), t)), n + 1)
-    pivots, rows = space.rref()
-    x = [_ZERO] * n
-    for p, row in zip(pivots.tolist(), rows.tolist()):
-        if p == n:
-            return None
-        x[p] = Fraction(row[n], row[p])
-    return x
+    aug = ({**r, **{n + j: t[i] for j, t in enumerate(ts)}} for i, r in enumerate(m.iter_rows()))
+    pivots, rows = _row_space(aug, n + len(ts)).rref()
+    r = int((pivots < n).sum())
+    rows = rows.tolist()
+    out = []
+    for j in range(n, n + len(ts)):
+        if any(row[j] for row in rows[r:]):
+            out.append(None)
+            continue
+        x = [_ZERO] * n
+        for p, row in zip(pivots[:r].tolist(), rows):
+            x[p] = Fraction(row[j], row[p])
+        out.append(x)
+    return out

@@ -250,7 +250,7 @@ def test_subalgebra_presentation_diag():
 def test_subalgebra_not_closed():
     # span{e12, e23} in ut(3) is not closed: e12*e23 = e13 leaves the span
     A = builtin("ut(3)")
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotClosed, match="product of basis vectors 0 and 1 leaves the span"):
         subalgebra_presentation(A, [basis_by_label(A, "e12"), basis_by_label(A, "e23")])
 
 

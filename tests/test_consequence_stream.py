@@ -619,15 +619,6 @@ def test_stream_span_beyond_int64_matches_sympy(rows):
 def test_stream_span_overflow_branch_is_exact():
     span = _span(_as_blocks(OVERFLOWING, 1), 3)
     assert span.exact and span.rank == _sympy_rank(OVERFLOWING) == 3
-    # membership: the feed stops after the first group that brings the
-    # target in, here a group of copies of the target
-    target = np.array(OVERFLOWING[:1])
-
-    def stop(span):
-        return not span.reduce_rows(target).any()
-
-    span = _span((np.array([row] * BLOCK) for row in OVERFLOWING), 3, stop=stop)
-    assert stop(span) and span.rank == 1
 
 
 def test_groups_cut_the_rows_of_all_blocks_in_order():
@@ -637,16 +628,3 @@ def test_groups_cut_the_rows_of_all_blocks_in_order():
     assert [len(X) for X in groups] == [BLOCK] * 4 + [8]
     assert (np.concatenate(groups) == rows).all()
 
-
-def test_span_stops_pulling_at_the_target():
-    pulled = []
-
-    def blocks():
-        for i in range(8):
-            pulled.append(i)
-            yield np.eye(BLOCK, 8 * BLOCK, i * BLOCK, dtype=np.int64)
-
-    # the second group brings the rank past the target; no block after it
-    # is pulled
-    span = _span(blocks(), 8 * BLOCK, target=BLOCK + 1)
-    assert span.rank == 2 * BLOCK and pulled == [0, 1]

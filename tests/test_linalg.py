@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from genpi import _fastrank
 from genpi._fastrank import FastIntRowSpace
 from genpi._sparserank import SparseIntRowSpace
 from genpi.errors import DimensionMismatch, GenpiError
@@ -20,6 +23,7 @@ from genpi.linalg import (
     rank,
     reversed_kernel,
     solve_right,
+    solve_right_many,
     subspace_ops,
 )
 
@@ -221,23 +225,29 @@ def test_solve_right_matches_oracle_randomized():
     for _ in range(60):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = _random_rows(rng, nr, nc)
-        if rng.random() < 0.5:  # a target in the column space
-            coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(nc)]
-            target = [sum(c * x for c, x in zip(coeffs, r)) for r in rows]
-        else:
-            target = [Fraction(rng.randint(-3, 3)) for _ in range(nr)]
-        rref = naive_rref([r + [t] for r, t in zip(rows, target)])
-        pivots = [next(c for c, x in enumerate(r) if x != 0) for r in rref]
-        x = solve_right(RatMatrix.from_rows(rows), target)
-        if nc in pivots:
-            inconsistent += 1
-            assert x is None
-        else:
-            consistent += 1
-            want = [Fraction(0)] * nc
-            for r, p in zip(rref, pivots):
-                want[p] = r[-1]
-            assert x == want
+        m = RatMatrix.from_rows(rows)
+        targets, wants = [], []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:  # a target in the column space
+                coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(nc)]
+                target = [sum(c * x for c, x in zip(coeffs, r)) for r in rows]
+            else:
+                target = [Fraction(rng.randint(-3, 3)) for _ in range(nr)]
+            rref = naive_rref([r + [t] for r, t in zip(rows, target)])
+            pivots = [next(c for c, x in enumerate(r) if x != 0) for r in rref]
+            if nc in pivots:
+                inconsistent += 1
+                want = None
+            else:
+                consistent += 1
+                want = [Fraction(0)] * nc
+                for r, p in zip(rref, pivots):
+                    want[p] = r[-1]
+            assert solve_right(m, target) == want
+            targets.append(target)
+            wants.append(want)
+        # all the targets against one reduction: each solved as if alone
+        assert solve_right_many(m, targets) == wants
     assert consistent and inconsistent
 
 
@@ -437,6 +447,74 @@ def test_group_size_leaves_the_echelon_unchanged():
         assert echelon == one
         assert all(ranks_one[n] == rank for n, rank in ranks.items())
 
+
+
+def _layouts(rows):
+    """The integer rows as arrays of every memory layout and dtype a caller
+    feeds: C and F order, a transposed view, negative strides (E.T[:, ::-1],
+    as _left_kernel feeds), int8, int64 and Python integers."""
+    A = np.array(rows, dtype=np.int64)
+    return {
+        "C order": A,
+        "F order": np.asfortranarray(A),
+        "transposed view": np.ascontiguousarray(A.T).T,
+        "negative stride": np.ascontiguousarray(A[:, ::-1])[:, ::-1],
+        "reversed transpose": np.ascontiguousarray(A[:, ::-1].T).T[:, ::-1],
+        "int8": A.astype(np.int8),
+        "object": A.astype(object),
+    }
+
+
+_small_matrices = st.integers(1, 24).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=40)
+)
+
+
+@given(_small_matrices)
+def test_layout_and_dtype_leave_the_echelon_unchanged(rows):
+    want = naive_rref(rows)
+    for way, X in _layouts(rows).items():
+        space = FastIntRowSpace(len(rows[0]))
+        space.add_rows(X)
+        assert _rref_of(space) == want, way
+
+
+def test_a_block_of_unit_entries_is_not_made_primitive_whole(monkeypatch):
+    # 16 rows of +-1 entries, unit upper triangular in their first 16
+    # columns, so 16 pivots of value 1: the a-priori bound (a + top) * top
+    # of the clearings runs 1, 2, 6, 42, 1806, 3.3 M past _GROWTH, but no
+    # entry of the block grows past 2^14 and no call makes it primitive
+    rng = random.Random(1418)
+    nc = 40
+    rows = [[0] * i + [1] + [rng.choice([-1, 1]) for _ in range(nc - i - 1)] for i in range(16)]
+    sizes = []
+    primitive = _fastrank._primitive
+    monkeypatch.setattr(_fastrank, "_primitive", lambda X: (sizes.append(len(X)), primitive(X))[1])
+    space = FastIntRowSpace(nc)
+    space.add_rows(np.array(rows, dtype=np.int64))
+    assert space.rank == 16 and _rref_of(space) == naive_rref(rows)
+    assert all(size == 1 for size in sizes)
+
+
+@pytest.mark.parametrize("scale", [2 ** 20, 2 ** 26, 2 ** 52], ids=["2^20", "2^26", "2^52"])
+def test_entries_near_the_thresholds_stay_exact(scale):
+    # entries about _GROWTH, the size at which the float64 bound of a
+    # clearing passes 2^52, and _LIMIT itself, some rows combinations of
+    # earlier ones
+    rng = random.Random(scale % 1019)
+    for _ in range(6):
+        nc = rng.randint(2, 20)
+        rows = []
+        for _ in range(rng.randint(2, 36)):
+            if len(rows) >= 2 and rng.random() < 0.3:
+                a, b = rng.sample(rows, 2)
+                rows.append([x - y for x, y in zip(a, b)])
+            else:
+                rows.append([rng.choice([0, rng.randint(-3, 3), scale + rng.randint(-3, 3),
+                                         -scale + rng.randint(-3, 3)]) for _ in range(nc)])
+        space = FastIntRowSpace(nc)
+        space.add_rows(np.array(rows, dtype=np.int64))
+        assert _rref_of(space) == naive_rref(rows)
 
 def test_clearing_a_block_from_the_whole_basis_is_chunked():
     # 1008 basis rows of width 3072 (capacity 1024), every one hit by the 16
